@@ -92,7 +92,6 @@ def _build_parser() -> _Parser:
                    help="real coefficient matrix for --family fixed-matrix (must be normalized)")
     p.add_argument("--csv", default=None, help="write slice maxima as c,alpha,beta,S rows")
     p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--backend", choices=("numba", "numpy"), default=None)
     p.set_defaults(handler=_cmd_scan)
 
     p = sub.add_parser("mc", help="seeded Monte Carlo sampling with analytic comparison")
@@ -221,7 +220,7 @@ def _cmd_scan(args) -> int:
         state=state,
         eps_ladder=ladder,
     )
-    report = grid_scan(spec, workers=args.workers, backend=args.backend)
+    report = grid_scan(spec, workers=args.workers)
     if spec.refine:
         report = refine(report, spec)
     if args.csv is not None:

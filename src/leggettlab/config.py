@@ -1,13 +1,14 @@
-"""Environment-variable contract and worker/backend resolution.
+"""Environment-variable contract and worker resolution.
 
-Two process-level knobs:
+One process-level knob:
 
-* ``LEGGETTLAB_BACKEND``: ``"numba"`` or ``"numpy"`` — selects the hot
-  scan kernel implementation.  Default: numba when importable, else the
-  pure-numpy path.
 * ``LEGGETTLAB_THREADS``: default worker count for sharded scans and
   sampling.  Default: 1.  Results are worker-count independent by
   construction; this knob only trades wall time.
+
+Any worker count, explicit or from the environment, is capped at the
+number of CPUs, so a large request never starts more threads than can
+run at once.
 """
 
 from __future__ import annotations
@@ -16,14 +17,13 @@ import os
 
 from .domain import InputError
 
-__all__ = ["ENV_BACKEND", "ENV_THREADS", "resolve_workers"]
+__all__ = ["ENV_THREADS", "resolve_workers"]
 
-ENV_BACKEND = "LEGGETTLAB_BACKEND"
 ENV_THREADS = "LEGGETTLAB_THREADS"
 
 
 def resolve_workers(workers: int | None = None) -> int:
-    """Explicit argument, else ``LEGGETTLAB_THREADS``, else 1."""
+    """Explicit argument, else ``LEGGETTLAB_THREADS``, else 1; at most ``os.cpu_count()``."""
     if workers is None:
         raw = os.environ.get(ENV_THREADS)
         if raw is None:
@@ -35,4 +35,4 @@ def resolve_workers(workers: int | None = None) -> int:
     workers = int(workers)
     if workers < 1:
         raise InputError(f"worker count must be >= 1, got {workers}")
-    return workers
+    return min(workers, os.cpu_count() or 1)

@@ -1,4 +1,4 @@
-"""Hot evaluation kernels for grid scans, with two interchangeable backends.
+"""Hot evaluation kernels for grid scans.
 
 The adjudication scan evaluates
 
@@ -7,130 +7,44 @@ The adjudication scan evaluates
                  + w (sin 2a sin 2b),
     u = |1 - 2 c^2|,   w = c sqrt(1 - c^2),
 
-over grids with billions of points, so the inner loops are compiled
-with numba when available.  A pure-numpy implementation of the same
-arithmetic (same operation order, hence bit-identical results) serves
-as fallback and cross-check; select it with ``LEGGETTLAB_BACKEND=numpy``
-or the ``backend`` argument.
+over grids with billions of points.  :class:`DiagonalScanner` does it
+in numpy, one block of alpha rows at a time: the angle-only terms
+x = |cos^2 a - cos^2 b|, y and z = sin 2a sin 2b of a block are built
+from 1-D trigonometric tables and then reused for every ``c`` before
+the next block is built.  The block holds about ``_BLOCK_ELEMS``
+points, so its row count is ``_BLOCK_ELEMS // n_beta``: a fixed number
+of points, not of rows, keeps the five block-sized arrays (x, y, z and
+two temporaries) inside a per-core L2 cache for any beta axis, and
+memory stays O(block) for any grid.  S is evaluated as
+``((u*x) + y) + (w*z)`` in every path, so scan maxima and collected
+values agree bit for bit.
 
-Per weight value ``c`` the kernels report the grid maximum of S, the
+Per weight value ``c`` the scan reports the grid maximum of S, the
 first (lexicographically smallest) index pair attaining it, and the
 number of grid points with ``S > threshold``.  Violation *collection*
-(materializing the offending points) is a cold path shared by both
-backends.
+(materializing the offending points) walks the same blocks for one
+``c``.
 
 General states beyond the diagonal family have no closed form here;
-:func:`plane_scan` evaluates the probability form ``|P_A - P_B| +
-p_pp + p_mm`` from amplitude matrices in row blocks.  Those grids are
-small (no ``c`` axis), so there is no compiled variant.
+:func:`plane_row_scan` evaluates the probability form ``|P_A - P_B| +
+p_pp + p_mm`` from amplitude matrices in row blocks.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ENV_BACKEND
-from .domain import InputError
-
-try:
-    from numba import njit as _njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-    def _njit(*args, **kwargs):
-        def wrap(func):
-            return func
-
-        return wrap
-
-
 __all__ = [
-    "HAVE_NUMBA",
-    "available_backends",
-    "resolve_backend",
     "DiagonalScanner",
     "plane_row_scan",
     "plane_collect",
 ]
 
-
-def available_backends() -> tuple[str, ...]:
-    return ("numba", "numpy") if HAVE_NUMBA else ("numpy",)
-
-
-def resolve_backend(name: str | None = None) -> str:
-    """Explicit argument, else ``LEGGETTLAB_BACKEND``, else numba when importable."""
-    if name is None:
-        name = os.environ.get(ENV_BACKEND)
-    if name is None:
-        return "numba" if HAVE_NUMBA else "numpy"
-    if name not in ("numba", "numpy"):
-        raise InputError(f"unknown backend {name!r}, expected 'numba' or 'numpy'")
-    if name == "numba" and not HAVE_NUMBA:
-        raise InputError("backend 'numba' requested but numba is not importable")
-    return name
-
-
-def _diagonal_scan_py(u, w, ca2, sa2, s2a, cb2, sb2, s2b, threshold):
-    """Reference implementation of the per-``c`` scan; numba-compiled below.
-
-    For each c: fill one row of S at a time, reduce its maximum, rescan
-    for the first attaining column, and count threshold crossings.  The
-    expression is evaluated as ((u*x) + y) + (w*z) with x = |p - q|,
-    y = p*q + sp*sq, z = za*zb, matching the numpy backend exactly.
-    """
-    nc = u.shape[0]
-    na = ca2.shape[0]
-    nb = cb2.shape[0]
-    max_s = np.empty(nc, dtype=np.float64)
-    arg_i = np.zeros(nc, dtype=np.int64)
-    arg_j = np.zeros(nc, dtype=np.int64)
-    n_over = np.zeros(nc, dtype=np.int64)
-    row = np.empty(nb, dtype=np.float64)
-    for k in range(nc):
-        uu = u[k]
-        ww = w[k]
-        best = -np.inf
-        best_i = 0
-        best_j = 0
-        count = 0
-        for i in range(na):
-            p = ca2[i]
-            sp = sa2[i]
-            za = s2a[i]
-            for j in range(nb):
-                x = p - cb2[j]
-                if x < 0.0:
-                    x = -x
-                row[j] = uu * x + (p * cb2[j] + sp * sb2[j]) + ww * (za * s2b[j])
-            row_best = row[0]
-            for j in range(1, nb):
-                if row[j] > row_best:
-                    row_best = row[j]
-            if row_best > best:
-                for j in range(nb):
-                    if row[j] == row_best:
-                        best = row_best
-                        best_i = i
-                        best_j = j
-                        break
-            if row_best > threshold:
-                for j in range(nb):
-                    if row[j] > threshold:
-                        count += 1
-        max_s[k] = best
-        arg_i[k] = best_i
-        arg_j[k] = best_j
-        n_over[k] = count
-    return max_s, arg_i, arg_j, n_over
-
-
-_diagonal_scan_numba = _njit(cache=True, nogil=True)(_diagonal_scan_py)
+# Points per alpha-row block of the diagonal scan: 32 K float64 values
+# are 256 KB per array, 1.3 MB for the five arrays of a block.
+_BLOCK_ELEMS = 32 * 1024
 
 
 @dataclass(frozen=True)
@@ -156,30 +70,69 @@ def _angle_tables(alphas: np.ndarray, betas: np.ndarray) -> _AngleTables:
     )
 
 
+def _collect_blocks(blocks, threshold: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All ``(i, j, S)`` with ``S > threshold`` from ``(row_offset, S_block)`` pairs, row-major."""
+    rows: list[np.ndarray] = []
+    cols: list[np.ndarray] = []
+    vals: list[np.ndarray] = []
+    for start, s in blocks:
+        mask = s > threshold
+        if mask.any():
+            i_idx, j_idx = np.nonzero(mask)
+            rows.append(i_idx + start)
+            cols.append(j_idx)
+            vals.append(s[mask])
+    if not rows:
+        empty_i = np.empty(0, dtype=np.int64)
+        return empty_i, empty_i.copy(), np.empty(0)
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+
 class DiagonalScanner:
     """Reusable scanner over a fixed (alpha, beta) grid for the diagonal family.
 
-    Construction precomputes the trigonometric tables (and, for the
-    numpy backend, the three angle-only planes of the S expression).
+    Construction precomputes the 1-D trigonometric tables only.
     :meth:`scan` is thread-safe: worker threads may process disjoint
-    ``c`` slabs concurrently against the shared read-only tables.
+    ``c`` slabs concurrently against the shared read-only tables, each
+    with its own block buffers.
     """
 
-    def __init__(self, alphas: np.ndarray, betas: np.ndarray, backend: str | None = None):
-        self.backend = resolve_backend(backend)
+    def __init__(self, alphas: np.ndarray, betas: np.ndarray):
         self._t = _angle_tables(alphas, betas)
-        self._planes: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        if self.backend == "numpy":
-            self._ensure_planes()
 
-    def _ensure_planes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self._planes is None:
-            t = self._t
-            x = np.abs(t.ca2[:, None] - t.cb2[None, :])
-            y = t.ca2[:, None] * t.cb2[None, :] + t.sa2[:, None] * t.sb2[None, :]
-            z = t.s2a[:, None] * t.s2b[None, :]
-            self._planes = (x, y, z)
-        return self._planes
+    def _blocks(self):
+        """Yield ``(row_offset, x, y, z, s, t)`` for consecutive blocks of alpha rows.
+
+        x, y and z hold the block's angle terms; s and t are temporaries of
+        the same shape.  All five are views of buffers allocated once
+        per call and overwritten by the next block: reusing them avoids
+        allocating and faulting in fresh pages for every block.
+        """
+        tab = self._t
+        na, nb = tab.ca2.size, tab.cb2.size
+        height = max(1, _BLOCK_ELEMS // nb)
+        x, y, z, s, t = (np.empty((height, nb)) for _ in range(5))
+        for start in range(0, na, height):
+            n = min(height, na - start)
+            rows = slice(start, start + n)
+            xb, yb, zb, tb = x[:n], y[:n], z[:n], t[:n]
+            ca2 = tab.ca2[rows, None]
+            np.subtract(ca2, tab.cb2, out=xb)
+            np.abs(xb, out=xb)
+            np.multiply(ca2, tab.cb2, out=yb)
+            np.multiply(tab.sa2[rows, None], tab.sb2, out=tb)
+            yb += tb
+            np.multiply(tab.s2a[rows, None], tab.s2b, out=zb)
+            yield start, xb, yb, zb, s[:n], tb
+
+    @staticmethod
+    def _evaluate(x, y, z, s, t, u_k, w_k) -> np.ndarray:
+        """S = ((u*x) + y) + (w*z) into ``s``, using ``t`` as a temporary."""
+        np.multiply(x, u_k, out=s)
+        s += y
+        np.multiply(z, w_k, out=t)
+        s += t
+        return s
 
     @staticmethod
     def weights(cs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -193,52 +146,40 @@ class DiagonalScanner:
         """Per-``c`` grid maxima, first argmax indices, and threshold counts."""
         u = np.ascontiguousarray(u, dtype=np.float64)
         w = np.ascontiguousarray(w, dtype=np.float64)
-        if self.backend == "numba":
-            t = self._t
-            return _diagonal_scan_numba(
-                u, w, t.ca2, t.sa2, t.s2a, t.cb2, t.sb2, t.s2b, float(threshold)
-            )
-        return self._scan_numpy(u, w, float(threshold))
-
-    def _scan_numpy(self, u, w, threshold):
-        x, y, z = self._ensure_planes()
+        threshold = float(threshold)
         nc = u.shape[0]
-        max_s = np.empty(nc)
+        nb = self._t.cb2.size
+        max_s = np.full(nc, -np.inf)
         arg_i = np.zeros(nc, dtype=np.int64)
         arg_j = np.zeros(nc, dtype=np.int64)
         n_over = np.zeros(nc, dtype=np.int64)
-        nb = x.shape[1]
-        s = np.empty_like(x)
-        t = np.empty_like(x)
-        for k in range(nc):
-            np.multiply(x, u[k], out=s)
-            s += y
-            np.multiply(z, w[k], out=t)
-            s += t
-            flat = int(np.argmax(s))
-            max_s[k] = s.flat[flat]
-            arg_i[k] = flat // nb
-            arg_j[k] = flat % nb
-            if max_s[k] > threshold:
-                n_over[k] = int(np.count_nonzero(s > threshold))
+        for start, x, y, z, s, t in self._blocks():
+            flat_s = s.reshape(-1)
+            for k in range(nc):
+                self._evaluate(x, y, z, s, t, u[k], w[k])
+                flat = int(np.argmax(flat_s))
+                best = flat_s[flat]
+                # Strict ">" keeps the earlier block's maximum on ties,
+                # so the first maximum in row-major order wins.
+                if best > max_s[k]:
+                    max_s[k] = best
+                    arg_i[k] = start + flat // nb
+                    arg_j[k] = flat % nb
+                if best > threshold:
+                    n_over[k] += int(np.count_nonzero(s > threshold))
         return max_s, arg_i, arg_j, n_over
 
     def collect(
         self, u_k: float, w_k: float, threshold: float
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """All ``(i, j, S)`` with ``S > threshold`` for one ``c``, row-major order.
-
-        Cold path: both backends produce bit-identical S values, so the
-        plane arithmetic is shared.
-        """
-        x, y, z = self._ensure_planes()
-        s = x * u_k
-        s += y
-        t = z * w_k
-        s += t
-        mask = s > threshold
-        i_idx, j_idx = np.nonzero(mask)
-        return i_idx, j_idx, s[mask]
+        """All ``(i, j, S)`` with ``S > threshold`` for one ``c``, row-major order."""
+        return _collect_blocks(
+            (
+                (start, self._evaluate(x, y, z, s, t, u_k, w_k))
+                for start, x, y, z, s, t in self._blocks()
+            ),
+            threshold,
+        )
 
 
 def _ket_rows(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -297,17 +238,4 @@ def plane_collect(
     block: int = 256,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All ``(i, j, S)`` with ``S > threshold`` for a fixed state, row-major order."""
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-    for start, s in _plane_blocks(coeffs, alphas, betas, block):
-        mask = s > threshold
-        if mask.any():
-            i_idx, j_idx = np.nonzero(mask)
-            rows.append(i_idx + start)
-            cols.append(j_idx)
-            vals.append(s[mask])
-    if not rows:
-        empty_i = np.empty(0, dtype=np.int64)
-        return empty_i, empty_i.copy(), np.empty(0)
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    return _collect_blocks(_plane_blocks(coeffs, alphas, betas, block), threshold)

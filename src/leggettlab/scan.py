@@ -13,7 +13,7 @@ objective has absolute-value kinks, so no gradients).
 Families:
 
 * ``diagonal`` — the two-parameter entangled family over a ``c`` axis;
-  hot path, runs on the compiled kernel backend.
+  hot path, runs on the row-blocked :class:`~leggettlab.kernels.DiagonalScanner`.
 * ``singlet`` and ``positive-parity`` — fixed maximally entangled
   states, angle grid only.
 * ``fixed-matrix`` — any supplied :class:`~leggettlab.quantum.PureTwoPhotonState`.
@@ -231,25 +231,23 @@ def _predicted_violations(
     return tuple(out)
 
 
-def grid_scan(
-    spec: ScanSpec, *, workers: Optional[int] = None, backend: Optional[str] = None
-) -> ScanReport:
+def grid_scan(spec: ScanSpec, *, workers: Optional[int] = None) -> ScanReport:
     """Evaluate S at every point of the grid ``spec`` describes; deterministic for any worker count."""
     started = perf_counter()
     workers = resolve_workers(workers)
     if spec.family == "diagonal":
-        report = _scan_diagonal(spec, workers, backend)
+        report = _scan_diagonal(spec, workers)
     else:
         report = _scan_plane(spec)
     return replace(report, wall_time=perf_counter() - started)
 
 
-def _scan_diagonal(spec: ScanSpec, workers: int, backend: Optional[str]) -> ScanReport:
+def _scan_diagonal(spec: ScanSpec, workers: int) -> ScanReport:
     cs = _axis(spec.c_range)
     alphas = _axis(spec.alpha_range)
     betas = _axis(spec.beta_range)
     threshold = 1.0 + spec.tolerance
-    scanner = DiagonalScanner(alphas, betas, backend)
+    scanner = DiagonalScanner(alphas, betas)
     u, w = DiagonalScanner.weights(cs)
 
     shards = _shards(cs.size, workers)
@@ -263,12 +261,8 @@ def _scan_diagonal(spec: ScanSpec, workers: int, backend: Optional[str]) -> Scan
     arg_j = np.concatenate([p[2] for p in parts])
     n_over = np.concatenate([p[3] for p in parts])
 
-    best_k = 0
-    best = -math.inf
-    for k in range(cs.size):
-        if max_s[k] > best:
-            best = float(max_s[k])
-            best_k = k
+    best_k = int(np.argmax(max_s))
+    best = float(max_s[best_k])
     argmax = ScanPoint(
         c=float(cs[best_k]),
         alpha=float(alphas[arg_i[best_k]]),
@@ -310,12 +304,8 @@ def _scan_plane(spec: ScanSpec) -> ScanReport:
     threshold = 1.0 + spec.tolerance
     row_max, row_arg, count = plane_row_scan(state.coeffs, alphas, betas, threshold)
 
-    best_i = 0
-    best = -math.inf
-    for i in range(alphas.size):
-        if row_max[i] > best:
-            best = float(row_max[i])
-            best_i = i
+    best_i = int(np.argmax(row_max))
+    best = float(row_max[best_i])
     argmax = ScanPoint(
         c=None, alpha=float(alphas[best_i]), beta=float(betas[row_arg[best_i]]), s=best
     )

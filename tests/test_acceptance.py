@@ -260,7 +260,7 @@ def test_criterion_8_special_states():
 
     alphas = _axis((0.0, math.pi, 0.01))
     betas = _axis((0.0, math.pi, 0.01))
-    scanner = DiagonalScanner(alphas, betas, backend="numpy")
+    scanner = DiagonalScanner(alphas, betas)
     c = 1.0 / math.sqrt(2.0)
     u, w = DiagonalScanner.weights(np.array([c]))
     i_idx, j_idx, s_vals = scanner.collect(float(u[0]), float(w[0]), -math.inf)

@@ -148,17 +148,6 @@ class TestScan:
                          "--coeffs", "1,1,1,1", "--step", "0.2")
         assert code == EXIT_USAGE
 
-    def test_backend_flag_changes_nothing_but_timing(self, capsys):
-        from leggettlab.kernels import HAVE_NUMBA
-
-        if not HAVE_NUMBA:
-            pytest.skip("numba not importable")
-        args = ("scan", "--step", "0.05", "--c-max", "0.2", "--no-refine")
-        compiled = run_json(capsys, *args, "--backend", "numba")
-        plain = run_json(capsys, *args, "--backend", "numpy")
-        del compiled["results"]["wall_time"], plain["results"]["wall_time"]
-        assert compiled == plain
-
 
 class TestMc:
     def test_quantum_sampling_with_z_scores(self, capsys):

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +19,7 @@ from leggettlab import (
     singlet_state,
     write_csv,
 )
+from leggettlab.config import ENV_THREADS, resolve_workers
 from leggettlab.scan import VIOLATION_CAP, _axis
 
 
@@ -143,14 +145,13 @@ class TestGridScanDiagonal:
         many = grid_scan(ScanSpec(**COARSE), workers=4)
         assert replace(one, wall_time=0.0) == replace(many, wall_time=0.0)
 
-    def test_backends_produce_identical_reports(self):
-        from leggettlab.kernels import HAVE_NUMBA
-
-        if not HAVE_NUMBA:
-            pytest.skip("numba not importable")
-        compiled = grid_scan(ScanSpec(**COARSE), backend="numba")
-        plain = grid_scan(ScanSpec(**COARSE), backend="numpy")
-        assert replace(compiled, wall_time=0.0) == replace(plain, wall_time=0.0)
+    def test_worker_request_capped_at_cpu_count(self, monkeypatch):
+        # Only resolved here: a pool of this size is never started.
+        cap = os.cpu_count() or 1
+        assert resolve_workers(10**6) == cap
+        monkeypatch.setenv(ENV_THREADS, str(10**6))
+        assert resolve_workers() == cap
+        assert resolve_workers(1) == 1
 
     def test_slice_maxima_cover_c_axis(self):
         report = grid_scan(ScanSpec(**COARSE))
