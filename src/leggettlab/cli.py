@@ -10,7 +10,8 @@ plus a top-level ``"seed"`` where randomness is involved.  Floats carry
 
 Exit codes: 0 success; 2 invalid flags or domain errors; 3 a scan found
 a bound violation above tolerance (so scripts can detect one without
-parsing output).
+parsing output); 4 an internal check failed (the LP solver reported a
+failure, or an exact evaluation disagreed with its cross-check).
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ __all__ = ["main", "console_main"]
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_VIOLATION = 3
+EXIT_INTERNAL = 4
 
 
 class _ArgumentError(Exception):
@@ -112,7 +114,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--frechet-grid", type=int, default=21,
                    help="marginal grid size for the attainable-range check (0 skips)")
-    p.add_argument("--method", choices=("lp", "enumeration"), default="lp")
     p.add_argument("--emit-model", default=None, metavar="PATH",
                    help="write the first generated model as JSON")
     p.set_defaults(handler=_cmd_hv)
@@ -335,16 +336,15 @@ def _cmd_hv(args) -> int:
         grid = np.linspace(-1.0, 1.0, args.frechet_grid)
         max_lower_error = 0.0
         max_upper_error = 0.0
+        # One oracle call per grid row keeps memory O(--frechet-grid).
         for a_bar in grid:
-            for b_bar in grid:
-                low, high = frechet_range(float(a_bar), float(b_bar), method=args.method)
-                max_lower_error = max(max_lower_error,
-                                      abs(low - (-1.0 + abs(a_bar + b_bar))))
-                max_upper_error = max(max_upper_error,
-                                      abs(high - (1.0 - abs(a_bar - b_bar))))
+            low, high = frechet_range(a_bar, grid)
+            max_lower_error = max(max_lower_error,
+                                  float(np.max(np.abs(low - (-1.0 + np.abs(a_bar + grid))))))
+            max_upper_error = max(max_upper_error,
+                                  float(np.max(np.abs(high - (1.0 - np.abs(a_bar - grid))))))
         frechet = {
             "grid_size": args.frechet_grid,
-            "method": args.method,
             "max_lower_error": max_lower_error,
             "max_upper_error": max_upper_error,
         }
@@ -362,7 +362,7 @@ def _cmd_hv(args) -> int:
     _emit(
         "hv",
         inputs={"models": args.models, "labels": args.labels,
-                "frechet_grid": args.frechet_grid, "method": args.method},
+                "frechet_grid": args.frechet_grid},
         results=results,
         seed=args.seed,
     )
@@ -417,6 +417,9 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ArithmeticError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def console_main() -> None:

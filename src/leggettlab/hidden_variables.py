@@ -7,18 +7,17 @@ settings.  Ensemble averages of such a model always satisfy the
 two-sided bound; this module provides the models, their averages, the
 pointwise identity that drives the derivation, the collapse of
 outcome-dependent (sequential) models to outcome-independent ones, and
-an independent linear-programming oracle showing the bounds are exactly
-the attainable range of ``ab_bar`` given the marginals.
+an independent linear-programming oracle, batched over marginal pairs,
+showing the bounds are exactly the attainable range of ``ab_bar`` given
+the marginals.  Only that oracle needs scipy, and it imports it when run.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .domain import PROB_ATOL, CorrelationTriple, InputError
 
@@ -159,60 +158,58 @@ def collapse_sequential(model: SequentialHVModel) -> HVModel:
     return HVModel(weights=model.weights, responses=responses, labels=model.labels)
 
 
-_ENUM_STEP = 1e-3
-
-
-def frechet_range(a_bar: float, b_bar: float, method: str = "lp") -> tuple[float, float]:
+def frechet_range(a_bar, b_bar):
     """Attainable range of ``ab_bar`` over all joint distributions with given marginals.
 
-    ``method="lp"`` solves the two 4-variable linear programs exactly;
-    ``method="enumeration"`` sweeps the one free cell ``p_pp`` over its
-    feasible interval (step 1e-3, endpoints included — the objective is
-    linear in ``p_pp``, so the endpoints already realize the extremes).
-    Both reproduce ``(-1 + |a+b|, 1 - |a-b|)``.
+    ``a_bar`` and ``b_bar`` are scalars or arrays that broadcast together.
+    The four cells ``x = (p_pp, p_pm, p_mp, p_mm)`` of each marginal pair
+    form one block of a linear program, and all blocks are solved at once
+    per direction; every extreme reproduces ``(-1 + |a+b|, 1 - |a-b|)``.
+    Scalar input returns two floats, array input two arrays of the
+    broadcast shape.
     """
-    for name, v in (("a_bar", a_bar), ("b_bar", b_bar)):
-        v = float(v)
-        if not math.isfinite(v) or abs(v) > 1.0 + PROB_ATOL:
-            raise InputError(f"{name} must lie in [-1, 1], got {v!r}")
-    p_a = min(max(0.5 * (1.0 + float(a_bar)), 0.0), 1.0)
-    p_b = min(max(0.5 * (1.0 + float(b_bar)), 0.0), 1.0)
+    a, b = np.broadcast_arrays(np.asarray(a_bar, dtype=float), np.asarray(b_bar, dtype=float))
+    for name, v in (("a_bar", a), ("b_bar", b)):
+        bad = ~(np.isfinite(v) & (np.abs(v) <= 1.0 + PROB_ATOL))
+        if bad.any():
+            raise InputError(f"{name} must lie in [-1, 1], got {float(v[bad][0])!r}")
+    n = a.size
+    if n == 0:
+        return np.empty(a.shape), np.empty(a.shape)
+    # scipy.optimize and scipy.sparse account for about 0.55 s of every
+    # fresh start, and only this oracle needs them.
+    from scipy import sparse
+    from scipy.optimize import linprog
 
-    if method == "lp":
-        # Cells x = (p_pp, p_pm, p_mp, p_mm); ab_bar = x0 - x1 - x2 + x3.
-        # Feasibility tolerances are tightened from the solver default
-        # (1e-7) so near-degenerate marginals still resolve within 1e-9.
-        objective = np.array([1.0, -1.0, -1.0, 1.0])
-        a_eq = np.array([
-            [1.0, 1.0, 1.0, 1.0],
-            [1.0, 1.0, 0.0, 0.0],
-            [1.0, 0.0, 1.0, 0.0],
-        ])
-        b_eq = np.array([1.0, p_a, p_b])
-        options = {
-            "primal_feasibility_tolerance": 1e-10,
-            "dual_feasibility_tolerance": 1e-10,
-        }
-        lo = linprog(objective, A_eq=a_eq, b_eq=b_eq, bounds=(0.0, 1.0),
-                     method="highs", options=options)
-        hi = linprog(-objective, A_eq=a_eq, b_eq=b_eq, bounds=(0.0, 1.0),
-                     method="highs", options=options)
-        if lo.status != 0 or hi.status != 0:
-            raise ArithmeticError(
-                f"LP solver failed for marginals ({a_bar}, {b_bar}): "
-                f"status {lo.status}/{hi.status}"
-            )
-        return (float(lo.fun), float(-hi.fun))
-
-    if method == "enumeration":
-        low = max(0.0, p_a + p_b - 1.0)
-        high = min(p_a, p_b)
-        interior = np.arange(low, high, _ENUM_STEP)
-        grid = np.concatenate([interior, [low, high]])
-        ab = 4.0 * grid - 2.0 * p_a - 2.0 * p_b + 1.0
-        return (float(ab.min()), float(ab.max()))
-
-    raise InputError(f"unknown method {method!r}, expected 'lp' or 'enumeration'")
+    # Per block, ab_bar = x0 - x1 - x2 + x3 and the rows of ``block`` fix
+    # the total, the first marginal and the second marginal.  Feasibility
+    # tolerances are tightened from the solver default (1e-7) so
+    # near-degenerate marginals still resolve within 1e-9.
+    objective = np.array([1.0, -1.0, -1.0, 1.0])
+    block = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 0.0, 0.0], [1.0, 0.0, 1.0, 0.0]])
+    b_eq = np.ones((n, 3))
+    b_eq[:, 1] = np.clip(0.5 * (1.0 + a.ravel()), 0.0, 1.0)
+    b_eq[:, 2] = np.clip(0.5 * (1.0 + b.ravel()), 0.0, 1.0)
+    problem = {
+        "A_eq": sparse.kron(sparse.identity(n), block, format="csr"),
+        "b_eq": b_eq.ravel(),
+        "bounds": (0.0, 1.0),
+        "method": "highs",
+        "options": {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    }
+    c = np.tile(objective, n)
+    lo, hi = linprog(c, **problem), linprog(-c, **problem)
+    if lo.status != 0 or hi.status != 0:
+        raise ArithmeticError(
+            f"LP solver failed for {n} marginal pair(s): status {lo.status}/{hi.status}"
+        )
+    # The blocks share no variable or constraint, so an optimum of the
+    # sum is optimal in every block.
+    low = (lo.x.reshape(n, 4) @ objective).reshape(a.shape)
+    high = (hi.x.reshape(n, 4) @ objective).reshape(a.shape)
+    if a.ndim == 0:
+        return float(low), float(high)
+    return low, high
 
 
 def random_model(label_count: int, seed: int, stream: int = 0) -> HVModel:

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .domain import PROB_ATOL, CorrelationTriple, InputError, MeasurementSettings
-from .quantum import diagonal_state, joint_distribution, marginals
+from .quantum import _check_weight, diagonal_state, joint_distribution, marginals
 
 __all__ = [
     "LeggettBounds",
@@ -129,13 +129,6 @@ def leggett_bounds(corr: CorrelationTriple) -> LeggettBounds:
     )
 
 
-def _check_c(c: float) -> float:
-    c = float(c)
-    if not math.isfinite(c) or c < 0.0 or c > 1.0:
-        raise InputError(f"weight c must lie in [0, 1], got {c!r}")
-    return c
-
-
 def _check_eps(eps: float) -> float:
     eps = float(eps)
     if not math.isfinite(eps) or eps <= 0.0:
@@ -150,7 +143,7 @@ def reduced_lhs_exact(c: float, settings: MeasurementSettings) -> float:
     against ``|P_A - P_B| + p_pp + p_mm`` assembled from inner-product
     probabilities.  The bound (*) is satisfied iff the result is <= 1.
     """
-    c = _check_c(c)
+    c = _check_weight(c)
     a, b = settings.alpha, settings.beta
     ca2, sa2 = math.cos(a) ** 2, math.sin(a) ** 2
     cb2, sb2 = math.cos(b) ** 2, math.sin(b) ** 2
@@ -174,7 +167,7 @@ def reduced_lhs_exact(c: float, settings: MeasurementSettings) -> float:
 
 def first_order_lhs(c: float, eps: float) -> float:
     """The truncated ``S1`` exactly as written, with no hidden extra terms."""
-    c = _check_c(c)
+    c = _check_weight(c)
     eps = _check_eps(eps)
     return (
         abs(1.0 - 2.0 * c * c) * (1.0 - 2.0 * eps)
@@ -189,7 +182,7 @@ def first_order_predicate(c: float, eps: float) -> bool:
     Defined only under the truncation's standing assumption ``1 > 2 c^2``.
     False means the first-order analysis predicts a violation of (*).
     """
-    c = _check_c(c)
+    c = _check_weight(c)
     eps = _check_eps(eps)
     if not 1.0 > 2.0 * c * c:
         raise InputError(
@@ -200,7 +193,7 @@ def first_order_predicate(c: float, eps: float) -> bool:
 
 def reduced_evaluation(c: float, eps: float) -> ReducedEvaluation:
     """Evaluate exact and truncated forms at ``a = sqrt(eps)``, ``b = pi/2 - sqrt(eps)``."""
-    c = _check_c(c)
+    c = _check_weight(c)
     eps = _check_eps(eps)
     root = math.sqrt(eps)
     settings = MeasurementSettings(alpha=root, beta=0.5 * math.pi - root)
@@ -224,7 +217,7 @@ def expansion_audit(c: float, eps_ladder: Sequence[float]) -> ExpansionAudit:
     residual: a ratio near 4 under halving means a second-order term,
     i.e. exactly what the first-order truncation discards.
     """
-    c = _check_c(c)
+    c = _check_weight(c)
     ladder = tuple(float(e) for e in eps_ladder)
     if not ladder:
         raise InputError("eps ladder must be non-empty")
@@ -251,7 +244,7 @@ def cross_term_identity(c: float, settings: MeasurementSettings) -> tuple[float,
     cells.  For genuine distributions the sides agree exactly, which
     caps ``S`` at 1 for every quantum input.
     """
-    c = _check_c(c)
+    c = _check_weight(c)
     state = diagonal_state(c)
     p_a, p_b = marginals(state, settings)
     dist = joint_distribution(state, settings)

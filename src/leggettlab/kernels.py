@@ -27,7 +27,7 @@ number of grid points with ``S > threshold``.  Violation *collection*
 
 General states beyond the diagonal family have no closed form here;
 :func:`plane_row_scan` evaluates the probability form ``|P_A - P_B| +
-p_pp + p_mm`` from amplitude matrices in row blocks.
+p_pp + p_mm`` from amplitude matrices in row blocks of the same size.
 """
 
 from __future__ import annotations
@@ -36,14 +36,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .quantum import _kets
+
 __all__ = [
     "DiagonalScanner",
     "plane_row_scan",
     "plane_collect",
 ]
 
-# Points per alpha-row block of the diagonal scan: 32 K float64 values
-# are 256 KB per array, 1.3 MB for the five arrays of a block.
+# Points per alpha-row block of the diagonal scan and of the plane
+# kernels: 32 K float64 values are 256 KB per array, 1.3 MB for the
+# five arrays of a diagonal block.
 _BLOCK_ELEMS = 32 * 1024
 
 
@@ -182,23 +185,18 @@ class DiagonalScanner:
         )
 
 
-def _ket_rows(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    plus = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    minus = np.stack([-np.sin(angles), np.cos(angles)], axis=1)
-    return plus, minus
-
-
-def _plane_blocks(coeffs: np.ndarray, alphas: np.ndarray, betas: np.ndarray, block: int):
-    """Yield ``(row_offset, S_block)`` for the probability-form S of a fixed state."""
+def _plane_blocks(coeffs: np.ndarray, alphas: np.ndarray, betas: np.ndarray):
+    """Yield ``(row_offset, S_block)``, about ``_BLOCK_ELEMS`` points each, for a fixed state."""
     alphas = np.asarray(alphas, dtype=np.float64)
     betas = np.asarray(betas, dtype=np.float64)
-    kb_p, kb_m = _ket_rows(betas)
+    block = max(1, _BLOCK_ELEMS // betas.size)
+    kb_p, kb_m = _kets(betas)
     right_p = coeffs @ kb_p.T  # (2, nb)
     right_m = coeffs @ kb_m.T
     p_b = np.sum(right_p.real**2 + right_p.imag**2, axis=0)
     for start in range(0, alphas.size, block):
         chunk = alphas[start : start + block]
-        ka_p, ka_m = _ket_rows(chunk)
+        ka_p, ka_m = _kets(chunk)
         left_p = ka_p @ coeffs  # (m, 2)
         p_a = np.sum(left_p.real**2 + left_p.imag**2, axis=1)
         amp_pp = ka_p @ right_p
@@ -214,14 +212,13 @@ def plane_row_scan(
     alphas: np.ndarray,
     betas: np.ndarray,
     threshold: float,
-    block: int = 256,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Per-alpha-row maxima, first attaining column, and total threshold count."""
     na = np.asarray(alphas).size
     row_max = np.empty(na)
     row_arg = np.zeros(na, dtype=np.int64)
     count = 0
-    for start, s in _plane_blocks(coeffs, alphas, betas, block):
+    for start, s in _plane_blocks(coeffs, alphas, betas):
         stop = start + s.shape[0]
         row_arg[start:stop] = np.argmax(s, axis=1)
         row_max[start:stop] = s[np.arange(s.shape[0]), row_arg[start:stop]]
@@ -235,7 +232,6 @@ def plane_collect(
     alphas: np.ndarray,
     betas: np.ndarray,
     threshold: float,
-    block: int = 256,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All ``(i, j, S)`` with ``S > threshold`` for a fixed state, row-major order."""
-    return _collect_blocks(_plane_blocks(coeffs, alphas, betas, block), threshold)
+    return _collect_blocks(_plane_blocks(coeffs, alphas, betas), threshold)

@@ -2,14 +2,20 @@
 
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
+import types
+from pathlib import Path
 
 import pytest
+import scipy.optimize
 
-from leggettlab import MeasurementSettings, ensemble_averages, model_from_json, reduced_lhs_exact
+import leggettlab
+from leggettlab import MeasurementSettings, cli, ensemble_averages, model_from_json, reduced_lhs_exact
 from leggettlab._json import render
-from leggettlab.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
+from leggettlab.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 
 RT2 = 1.0 / math.sqrt(2.0)
 
@@ -229,16 +235,30 @@ class TestHv:
         assert triple["ab_bar"] == triple["a_bar"] * triple["b_bar"]
         assert doc["results"]["frechet"] is None
 
-    def test_enumeration_method(self, capsys):
-        doc = run_json(capsys, "hv", "--models", "1", "--labels", "3", "--seed", "2",
-                       "--frechet-grid", "3", "--method", "enumeration")
-        assert doc["results"]["frechet"]["method"] == "enumeration"
-        assert doc["results"]["frechet"]["max_lower_error"] <= 1e-9
-
     def test_validation(self, capsys):
         assert run(capsys, "hv", "--labels", "0")[0] == EXIT_USAGE
         assert run(capsys, "hv", "--models", "0")[0] == EXIT_USAGE
         assert run(capsys, "hv", "--frechet-grid", "-1")[0] == EXIT_USAGE
+        assert run(capsys, "hv", "--method", "lp")[0] == EXIT_USAGE
+
+
+class TestInternalFailure:
+    def test_lp_solver_failure_exits_four(self, capsys, monkeypatch):
+        failed = types.SimpleNamespace(status=2, x=None, fun=None)
+        monkeypatch.setattr(scipy.optimize, "linprog", lambda *args, **kwargs: failed)
+        code, out, err = run(capsys, "hv", "--models", "1", "--frechet-grid", "3")
+        assert code == EXIT_INTERNAL
+        assert out == ""
+        assert "LP solver failed" in err and "Traceback" not in err
+
+    def test_cross_check_failure_exits_four(self, capsys, monkeypatch):
+        def disagree(*args, **kwargs):
+            raise ArithmeticError("cross-check disagrees")
+
+        monkeypatch.setattr(cli, "reduced_lhs_exact", disagree)
+        code, _, err = run(capsys, "eval", "--c", "0.5", "--alpha", "0", "--beta", "0")
+        assert code == EXIT_INTERNAL
+        assert err == "error: cross-check disagrees\n"
 
 
 class TestExpand:
@@ -277,7 +297,26 @@ class TestExpand:
         assert code == EXIT_USAGE
 
 
+def _run_python(*args):
+    src = str(Path(leggettlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=60, env=env)
+
+
 class TestConsoleScript:
+    def test_cli_import_leaves_scipy_optimize_unloaded(self):
+        proc = _run_python("-c", "import sys, leggettlab.cli; "
+                                 "print('scipy.optimize' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_python_dash_m(self):
+        proc = _run_python("-m", "leggettlab", "eval", "--c", "0.5", "--alpha", "0", "--beta", "0")
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert json.loads(proc.stdout)["command"] == "eval"
+
     def test_installed_entry_point(self):
         exe = shutil.which("leggettlab")
         assert exe, "console script 'leggettlab' not on PATH"

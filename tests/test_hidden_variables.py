@@ -185,21 +185,30 @@ class TestFrechetRange:
         assert lo == pytest.approx(-1.0 + abs(a_bar + b_bar), abs=1e-9)
         assert hi == pytest.approx(1.0 - abs(a_bar - b_bar), abs=1e-9)
 
-    def test_enumeration_agrees_with_lp(self):
+    def test_array_input_broadcasts(self):
         gen = np.random.Generator(np.random.Philox(33))
-        for _ in range(50):
-            a_bar, b_bar = gen.random(2) * 2.0 - 1.0
-            lp = frechet_range(a_bar, b_bar, method="lp")
-            enum = frechet_range(a_bar, b_bar, method="enumeration")
-            assert lp == pytest.approx(enum, abs=1e-9)
+        a_bars = np.vstack([np.full(7, -1.0), gen.random((3, 7)) * 2.0 - 1.0, np.full(7, 1.0)])
+        b_bars = np.linspace(-1.0, 1.0, 7)
+        lo, hi = frechet_range(a_bars, b_bars)
+        assert lo.shape == hi.shape == (5, 7)
+        assert np.max(np.abs(lo - (-1.0 + np.abs(a_bars + b_bars)))) <= 1e-9
+        assert np.max(np.abs(hi - (1.0 - np.abs(a_bars - b_bars)))) <= 1e-9
+        for (i, j), a_bar in np.ndenumerate(a_bars):
+            lo_1, hi_1 = frechet_range(float(a_bar), float(b_bars[j]))
+            assert type(lo_1) is float and type(hi_1) is float
+            assert abs(lo[i, j] - lo_1) <= 1e-12 and abs(hi[i, j] - hi_1) <= 1e-12
+
+    def test_empty_input_returns_empty_arrays(self):
+        lo, hi = frechet_range(np.empty((0, 3)), 0.5)
+        assert lo.shape == hi.shape == (0, 3)
 
     def test_input_validation(self):
         with pytest.raises(InputError):
             frechet_range(1.5, 0.0)
         with pytest.raises(InputError):
             frechet_range(0.0, math.nan)
-        with pytest.raises(InputError):
-            frechet_range(0.0, 0.0, method="magic")
+        with pytest.raises(InputError, match="1.5"):
+            frechet_range(np.array([0.1, -0.4, 1.5, 0.2]), 0.0)
 
 
 class TestRandomModel:

@@ -261,8 +261,10 @@ class TestPlaneKernels:
         alphas = np.linspace(0.0, math.pi, 103)  # not a multiple of the block size
         betas = np.linspace(0.0, math.pi, 37)
         coeffs = singlet_state().coeffs
-        small = plane_row_scan(coeffs, alphas, betas, 2.0, block=16)
-        big = plane_row_scan(coeffs, alphas, betas, 2.0, block=4096)
+        with mock.patch.object(kernels, "_BLOCK_ELEMS", 16 * betas.size):
+            small = plane_row_scan(coeffs, alphas, betas, 2.0)
+        with mock.patch.object(kernels, "_BLOCK_ELEMS", 4096 * betas.size):
+            big = plane_row_scan(coeffs, alphas, betas, 2.0)
         assert np.array_equal(small[0], big[0])
         assert np.array_equal(small[1], big[1])
         assert small[2] == big[2]
@@ -272,13 +274,27 @@ class TestPlaneKernels:
         betas = np.linspace(0.0, math.pi, 53)
         coeffs = singlet_state().coeffs
         threshold = 0.9
-        i_idx, j_idx, s_vals = plane_collect(coeffs, alphas, betas, threshold, block=8)
-        _, _, count = plane_row_scan(coeffs, alphas, betas, threshold, block=8)
+        with mock.patch.object(kernels, "_BLOCK_ELEMS", 8 * betas.size):
+            i_idx, j_idx, s_vals = plane_collect(coeffs, alphas, betas, threshold)
+            _, _, count = plane_row_scan(coeffs, alphas, betas, threshold)
         assert i_idx.size == count
         keys = i_idx * betas.size + j_idx
         assert np.all(np.diff(keys) > 0)
         for i, j, s in zip(i_idx, j_idx, s_vals):
             assert s == pytest.approx(math.sin(betas[j] - alphas[i]) ** 2, abs=1e-12)
+
+    def test_memory_is_bounded_by_the_block(self):
+        alphas = np.linspace(0.0, math.pi, 300)
+        betas = np.linspace(0.0, math.pi, 5000)
+        coeffs = singlet_state().coeffs
+        tracemalloc.start()
+        try:
+            plane_row_scan(coeffs, alphas, betas, 1.0 + 1e-9)
+            plane_collect(coeffs, alphas, betas, 1.0 + 1e-9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_collect_empty_when_nothing_crosses(self):
         alphas = np.linspace(0.0, 1.0, 11)
