@@ -8,16 +8,19 @@ One process-level knob:
 
 Any worker count, explicit or from the environment, is capped at the
 number of CPUs, so a large request never starts more threads than can
-run at once.
+run at once.  :func:`shard_map` is the one place that starts worker
+threads.
 """
 
 from __future__ import annotations
 
 import os
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable
 
 from .domain import InputError
 
-__all__ = ["ENV_THREADS", "resolve_workers"]
+__all__ = ["ENV_THREADS", "resolve_workers", "shard_map"]
 
 ENV_THREADS = "LEGGETTLAB_THREADS"
 
@@ -36,3 +39,17 @@ def resolve_workers(workers: int | None = None) -> int:
     if workers < 1:
         raise InputError(f"worker count must be >= 1, got {workers}")
     return min(workers, os.cpu_count() or 1)
+
+
+def shard_map(fn: Callable[[slice], object], n: int, workers: int) -> list:
+    """``fn`` over at most ``workers`` contiguous slices covering ``range(n)``, results in order.
+
+    Slice ``k`` of ``pieces = min(n, workers)`` runs from ``k*n//pieces``
+    to ``(k+1)*n//pieces``; a single slice runs on the calling thread.
+    """
+    pieces = min(n, workers)
+    shards = [slice(k * n // pieces, (k + 1) * n // pieces) for k in range(pieces)]
+    if pieces <= 1:
+        return [fn(shard) for shard in shards]
+    with ThreadPoolExecutor(max_workers=pieces) as pool:
+        return list(pool.map(fn, shards))

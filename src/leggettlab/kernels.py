@@ -1,42 +1,44 @@
 """Hot evaluation kernels for grid scans.
 
-The adjudication scan evaluates
+Every scan family evaluates ``S = |P_A - P_B| + p_pp + p_mm`` on an
+(alpha, beta) grid through one block engine.  A family is four tables
+over alpha rows (``r``), four over beta columns (``k``) and per-slice
+weights ``(u, w)``:
 
-    S(c, a, b) = u |cos^2 a - cos^2 b|
-                 + (cos^2 a cos^2 b + sin^2 a sin^2 b)
-                 + w (sin 2a sin 2b),
-    u = |1 - 2 c^2|,   w = c sqrt(1 - c^2),
+    S_ij = ((u |r0_i - k0_j|) + (r1_i k1_j + r2_i k2_j)) + (w (r3_i k3_j)).
 
-over grids with billions of points.  :class:`DiagonalScanner` does it
-in numpy, one block of alpha rows at a time: the angle-only terms
-x = |cos^2 a - cos^2 b|, y and z = sin 2a sin 2b of a block are built
-from 1-D trigonometric tables and then reused for every ``c`` before
-the next block is built.  The block holds about ``_BLOCK_ELEMS``
-points, so its row count is ``_BLOCK_ELEMS // n_beta``: a fixed number
-of points, not of rows, keeps the five block-sized arrays (x, y, z and
-two temporaries) inside a per-core L2 cache for any beta axis, and
-memory stays O(block) for any grid.  S is evaluated as
-``((u*x) + y) + (w*z)`` in every path, so scan maxima and collected
-values agree bit for bit.
+* Diagonal family: ``r = (cos^2 a, cos^2 a, sin^2 a, sin 2a)``, ``k`` the
+  same in ``b``, ``u = |1 - 2 c^2|`` and ``w = c sqrt(1 - c^2)`` per ``c``.
+* A fixed state: ``u = w = 1``, ``r = (P_A(a), cos^2 a, sin^2 a, sin 2a)``
+  and ``k = (P_B(b), E(0, b), E(pi/2, b), E(pi/4, b) - 1/2)`` with
+  ``E = p_pp + p_mm``.  A linear analyzer's projector is
+  ``(I + cos 2a Z + sin 2a X) / 2``, so for fixed ``b`` the sum ``E`` is
+  affine in ``(cos 2a, sin 2a)``; turning the analyzer by pi/2 swaps
+  its outcomes, so ``E(a + pi/2, b) = 1 - E(a, b)`` and the constant
+  term is 1/2.  Hence ``E(a, b) = cos^2 a E(0, b) + sin^2 a E(pi/2, b)
+  + sin 2a (E(pi/4, b) - 1/2)`` exactly.
 
-Per weight value ``c`` the scan reports the grid maximum of S, the
-first (lexicographically smallest) index pair attaining it, and the
-number of grid points with ``S > threshold``.  Violation *collection*
-(materializing the offending points) walks the same blocks for one
-``c``.
+A block holds about ``_BLOCK_ELEMS`` points (``_BLOCK_ELEMS // n_beta``
+alpha rows): a fixed number of points, not of rows, keeps its five
+arrays inside a per-core L2 cache for any beta axis, and memory stays
+O(block) for any grid.  The arithmetic is real and elementwise, with no
+BLAS call, so every S is the same double for any block height and
+thread count.
 
-General states beyond the diagonal family have no closed form here;
-:func:`plane_row_scan` evaluates the probability form ``|P_A - P_B| +
-p_pp + p_mm`` from amplitude matrices in row blocks of the same size.
+:class:`DiagonalScanner` reuses each block for every ``c`` and reports
+per ``c`` the grid maximum of S, the first (lexicographically smallest)
+index pair attaining it, and the number of points with
+``S > threshold``; :func:`plane_row_scan` reports per-row maxima of a
+fixed state.  Violation *collection* walks the same blocks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
-from .quantum import _kets
+from .quantum import PureTwoPhotonState, joint_probabilities
 
 __all__ = [
     "DiagonalScanner",
@@ -44,33 +46,51 @@ __all__ = [
     "plane_collect",
 ]
 
-# Points per alpha-row block of the diagonal scan and of the plane
-# kernels: 32 K float64 values are 256 KB per array, 1.3 MB for the
-# five arrays of a diagonal block.
+# Points per alpha-row block: 32 K float64 values are 256 KB per array,
+# 1.3 MB for the five arrays of a block.
 _BLOCK_ELEMS = 32 * 1024
 
 
-@dataclass(frozen=True)
-class _AngleTables:
-    ca2: np.ndarray
-    sa2: np.ndarray
-    s2a: np.ndarray
-    cb2: np.ndarray
-    sb2: np.ndarray
-    s2b: np.ndarray
+def _trig(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(cos^2 t, sin^2 t, sin 2t)`` tables of an angle axis."""
+    angles = np.ascontiguousarray(angles, dtype=np.float64)
+    return np.cos(angles) ** 2, np.sin(angles) ** 2, np.sin(2.0 * angles)
 
 
-def _angle_tables(alphas: np.ndarray, betas: np.ndarray) -> _AngleTables:
-    alphas = np.ascontiguousarray(alphas, dtype=np.float64)
-    betas = np.ascontiguousarray(betas, dtype=np.float64)
-    return _AngleTables(
-        ca2=np.cos(alphas) ** 2,
-        sa2=np.sin(alphas) ** 2,
-        s2a=np.sin(2.0 * alphas),
-        cb2=np.cos(betas) ** 2,
-        sb2=np.sin(betas) ** 2,
-        s2b=np.sin(2.0 * betas),
-    )
+def _blocks(rows, cols):
+    """Yield ``(row_offset, x, y, z, s, t)`` for consecutive blocks of alpha rows.
+
+    ``rows`` and ``cols`` are the four alpha and four beta tables.  x, y
+    and z hold the block's angle terms; s and t are temporaries of the
+    same shape.  All five are views of buffers allocated once per call
+    and overwritten by the next block: reusing them avoids allocating
+    and faulting in fresh pages for every block.
+    """
+    r0, r1, r2, r3 = rows
+    k0, k1, k2, k3 = cols
+    na, nb = r0.size, k0.size
+    height = max(1, _BLOCK_ELEMS // nb)
+    x, y, z, s, t = (np.empty((height, nb)) for _ in range(5))
+    for start in range(0, na, height):
+        n = min(height, na - start)
+        block = slice(start, start + n)
+        xb, yb, zb, tb = x[:n], y[:n], z[:n], t[:n]
+        np.subtract(r0[block, None], k0, out=xb)
+        np.abs(xb, out=xb)
+        np.multiply(r1[block, None], k1, out=yb)
+        np.multiply(r2[block, None], k2, out=tb)
+        yb += tb
+        np.multiply(r3[block, None], k3, out=zb)
+        yield start, xb, yb, zb, s[:n], tb
+
+
+def _evaluate(x, y, z, s, t, u_k, w_k) -> np.ndarray:
+    """S = ((u*x) + y) + (w*z) into ``s``, using ``t`` as a temporary."""
+    np.multiply(x, u_k, out=s)
+    s += y
+    np.multiply(z, w_k, out=t)
+    s += t
+    return s
 
 
 def _collect_blocks(blocks, threshold: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -101,41 +121,10 @@ class DiagonalScanner:
     """
 
     def __init__(self, alphas: np.ndarray, betas: np.ndarray):
-        self._t = _angle_tables(alphas, betas)
-
-    def _blocks(self):
-        """Yield ``(row_offset, x, y, z, s, t)`` for consecutive blocks of alpha rows.
-
-        x, y and z hold the block's angle terms; s and t are temporaries of
-        the same shape.  All five are views of buffers allocated once
-        per call and overwritten by the next block: reusing them avoids
-        allocating and faulting in fresh pages for every block.
-        """
-        tab = self._t
-        na, nb = tab.ca2.size, tab.cb2.size
-        height = max(1, _BLOCK_ELEMS // nb)
-        x, y, z, s, t = (np.empty((height, nb)) for _ in range(5))
-        for start in range(0, na, height):
-            n = min(height, na - start)
-            rows = slice(start, start + n)
-            xb, yb, zb, tb = x[:n], y[:n], z[:n], t[:n]
-            ca2 = tab.ca2[rows, None]
-            np.subtract(ca2, tab.cb2, out=xb)
-            np.abs(xb, out=xb)
-            np.multiply(ca2, tab.cb2, out=yb)
-            np.multiply(tab.sa2[rows, None], tab.sb2, out=tb)
-            yb += tb
-            np.multiply(tab.s2a[rows, None], tab.s2b, out=zb)
-            yield start, xb, yb, zb, s[:n], tb
-
-    @staticmethod
-    def _evaluate(x, y, z, s, t, u_k, w_k) -> np.ndarray:
-        """S = ((u*x) + y) + (w*z) into ``s``, using ``t`` as a temporary."""
-        np.multiply(x, u_k, out=s)
-        s += y
-        np.multiply(z, w_k, out=t)
-        s += t
-        return s
+        ca2, sa2, s2a = _trig(alphas)
+        cb2, sb2, s2b = _trig(betas)
+        self._rows = (ca2, ca2, sa2, s2a)
+        self._cols = (cb2, cb2, sb2, s2b)
 
     @staticmethod
     def weights(cs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -151,15 +140,15 @@ class DiagonalScanner:
         w = np.ascontiguousarray(w, dtype=np.float64)
         threshold = float(threshold)
         nc = u.shape[0]
-        nb = self._t.cb2.size
+        nb = self._cols[0].size
         max_s = np.full(nc, -np.inf)
         arg_i = np.zeros(nc, dtype=np.int64)
         arg_j = np.zeros(nc, dtype=np.int64)
         n_over = np.zeros(nc, dtype=np.int64)
-        for start, x, y, z, s, t in self._blocks():
+        for start, x, y, z, s, t in _blocks(self._rows, self._cols):
             flat_s = s.reshape(-1)
             for k in range(nc):
-                self._evaluate(x, y, z, s, t, u[k], w[k])
+                _evaluate(x, y, z, s, t, u[k], w[k])
                 flat = int(np.argmax(flat_s))
                 best = flat_s[flat]
                 # Strict ">" keeps the earlier block's maximum on ties,
@@ -178,8 +167,8 @@ class DiagonalScanner:
         """All ``(i, j, S)`` with ``S > threshold`` for one ``c``, row-major order."""
         return _collect_blocks(
             (
-                (start, self._evaluate(x, y, z, s, t, u_k, w_k))
-                for start, x, y, z, s, t in self._blocks()
+                (start, _evaluate(x, y, z, s, t, u_k, w_k))
+                for start, x, y, z, s, t in _blocks(self._rows, self._cols)
             ),
             threshold,
         )
@@ -187,24 +176,21 @@ class DiagonalScanner:
 
 def _plane_blocks(coeffs: np.ndarray, alphas: np.ndarray, betas: np.ndarray):
     """Yield ``(row_offset, S_block)``, about ``_BLOCK_ELEMS`` points each, for a fixed state."""
+    state = PureTwoPhotonState(coeffs)
     alphas = np.asarray(alphas, dtype=np.float64)
     betas = np.asarray(betas, dtype=np.float64)
-    block = max(1, _BLOCK_ELEMS // betas.size)
-    kb_p, kb_m = _kets(betas)
-    right_p = coeffs @ kb_p.T  # (2, nb)
-    right_m = coeffs @ kb_m.T
-    p_b = np.sum(right_p.real**2 + right_p.imag**2, axis=0)
-    for start in range(0, alphas.size, block):
-        chunk = alphas[start : start + block]
-        ka_p, ka_m = _kets(chunk)
-        left_p = ka_p @ coeffs  # (m, 2)
-        p_a = np.sum(left_p.real**2 + left_p.imag**2, axis=1)
-        amp_pp = ka_p @ right_p
-        amp_mm = ka_m @ right_m
-        s = np.abs(p_a[:, None] - p_b[None, :])
-        s += amp_pp.real**2 + amp_pp.imag**2
-        s += amp_mm.real**2 + amp_mm.imag**2
-        yield start, s
+    # Joint probabilities (++, +-, -+, --) along beta at alpha = 0, pi/2
+    # and pi/4, and along alpha at beta = 0.
+    at_0, at_90, at_45 = (
+        joint_probabilities(state, np.full_like(betas, a), betas)
+        for a in (0.0, math.pi / 2.0, math.pi / 4.0)
+    )
+    along_a = joint_probabilities(state, alphas, np.zeros_like(alphas))
+    ca2, sa2, s2a = _trig(alphas)
+    rows = (along_a[0] + along_a[1], ca2, sa2, s2a)
+    cols = (at_0[0] + at_0[2], at_0[0] + at_0[3], at_90[0] + at_90[3], (at_45[0] + at_45[3]) - 0.5)
+    for start, x, y, z, s, t in _blocks(rows, cols):
+        yield start, _evaluate(x, y, z, s, t, 1.0, 1.0)
 
 
 def plane_row_scan(

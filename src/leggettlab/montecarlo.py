@@ -1,11 +1,14 @@
 """Seeded stochastic simulation of measurement records.
 
-Sampling uses the counter-based Philox generator.  A run of ``n`` draws
-is split into fixed-size blocks of ``2**20`` samples; block ``k`` is
-generated from the key ``(seed, k)``, and per-block outcome counts are
-summed.  Because the block layout depends only on ``n`` and ``seed``,
-results are bit-identical for any worker count: workers merely map
-blocks to threads.
+Both samplers draw labels: ``sample_pairs`` one of the four outcome
+cells by its probability, ``simulate_hv`` one hidden-variable label by
+its weight, which then emits its deterministic outcome pair.  Draws use
+the counter-based Philox generator.  A run of ``n`` draws is split into
+fixed-size blocks of ``2**20`` samples; block ``k`` is generated from
+the key ``(seed, k)``, and per-block outcome counts are summed.
+Because the block layout depends only on ``n`` and ``seed``, results
+are bit-identical for any worker count: each worker takes one
+contiguous range of blocks, so memory is O(workers) for any ``n``.
 
 Estimators are plain plug-in frequencies with normal-approximation
 (Wald) standard errors ``sqrt((1 - x^2)/n)``.
@@ -14,13 +17,12 @@ Estimators are plain plug-in frequencies with normal-approximation
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .config import resolve_workers
+from .config import resolve_workers, shard_map
 from .domain import CorrelationTriple, InputError, JointOutcomeDistribution
 from .hidden_variables import HVModel
 
@@ -87,32 +89,31 @@ def _check_seed(seed: int) -> int:
     return int(seed)
 
 
-def _blocks(n: int) -> list[tuple[int, int]]:
-    """(block index, block size) pairs covering ``n`` samples."""
-    out = []
-    offset = 0
-    index = 0
-    while offset < n:
-        size = min(BLOCK_SIZE, n - offset)
-        out.append((index, size))
-        offset += size
-        index += 1
-    return out
+def _count_labels(
+    thresholds: np.ndarray, cells: np.ndarray, n: int, seed: int, workers: Optional[int]
+) -> SampleCounts:
+    """Counts per outcome cell of ``n`` Philox labels, ``cells[label]`` naming each label's cell.
 
+    Label ``searchsorted(thresholds, r, side="right")`` is drawn for each
+    uniform ``r``; block ``k`` of ``BLOCK_SIZE`` draws uses key ``(seed, k)``.
+    Labels are counted first and mapped to cells once, so a block holds
+    no array beyond its draws and labels.
+    """
 
-def _run_blocks(n: int, seed: int, workers: Optional[int], one_block) -> np.ndarray:
-    """Sum ``one_block(index, size)`` over the block layout, worker-independent."""
-    workers = resolve_workers(workers)
-    blocks = _blocks(n)
+    def run(blocks: slice) -> np.ndarray:
+        per_label = np.zeros(cells.size, dtype=np.int64)
+        for index in range(blocks.start, blocks.stop):
+            size = min(BLOCK_SIZE, n - index * BLOCK_SIZE)
+            gen = np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+            # One expression, so no block's arrays outlive its iteration.
+            per_label += np.bincount(
+                np.searchsorted(thresholds, gen.random(size), side="right"), minlength=cells.size
+            )
+        return per_label
+
     totals = np.zeros(4, dtype=np.int64)
-    if workers == 1 or len(blocks) == 1:
-        for index, size in blocks:
-            totals += one_block(index, size)
-        return totals
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for counts in pool.map(lambda args: one_block(*args), blocks):
-            totals += counts
-    return totals
+    np.add.at(totals, cells, sum(shard_map(run, -(-n // BLOCK_SIZE), resolve_workers(workers))))
+    return SampleCounts(*(int(t) for t in totals), n_total=n, seed=seed)
 
 
 def sample_pairs(
@@ -126,16 +127,8 @@ def sample_pairs(
         raise InputError("sample_pairs expects a JointOutcomeDistribution")
     n = _check_positive_count(n)
     seed = _check_seed(seed)
-    probs = np.clip(np.asarray(dist.as_tuple()), 0.0, None)
-    edges = np.cumsum(probs[:3])
-
-    def one_block(index: int, size: int) -> np.ndarray:
-        gen = np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
-        cells = np.searchsorted(edges, gen.random(size), side="right")
-        return np.bincount(cells, minlength=4)
-
-    totals = _run_blocks(n, seed, workers, one_block)
-    return SampleCounts(*(int(t) for t in totals), n_total=n, seed=seed)
+    thresholds = np.cumsum(np.clip(np.asarray(dist.as_tuple()), 0.0, None))[:3]
+    return _count_labels(thresholds, np.arange(4), n, seed, workers)
 
 
 def simulate_hv(
@@ -152,14 +145,7 @@ def simulate_hv(
     thresholds = np.cumsum(model.weights)[:-1]
     cells = ((model.responses[:, 0] == -1).astype(np.int64) * 2
              + (model.responses[:, 1] == -1).astype(np.int64))
-
-    def one_block(index: int, size: int) -> np.ndarray:
-        gen = np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
-        labels = np.searchsorted(thresholds, gen.random(size), side="right")
-        return np.bincount(cells[labels], minlength=4)
-
-    totals = _run_blocks(n, seed, workers, one_block)
-    return SampleCounts(*(int(t) for t in totals), n_total=n, seed=seed)
+    return _count_labels(thresholds, cells, n, seed, workers)
 
 
 def estimate(counts: SampleCounts) -> MCEstimate:

@@ -18,21 +18,21 @@ Families:
   states, angle grid only.
 * ``fixed-matrix`` — any supplied :class:`~leggettlab.quantum.PureTwoPhotonState`.
 
-Scans shard the ``c`` axis across worker threads; per-slice results are
-merged in axis order, so reports are identical for every worker count.
+Diagonal scans shard the ``c`` axis across worker threads; per-slice
+results are merged in axis order, so reports are identical for every
+worker count.  Fixed-state scans run on the calling thread.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from time import perf_counter
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .config import resolve_workers
+from .config import resolve_workers, shard_map
 from .domain import InputError, MeasurementSettings
 from .kernels import DiagonalScanner, plane_collect, plane_row_scan
 from .quantum import (
@@ -45,6 +45,7 @@ from .quantum import (
 
 __all__ = [
     "FAMILIES",
+    "MAX_AXIS_POINTS",
     "VIOLATION_CAP",
     "ScanPoint",
     "ScanSpec",
@@ -60,6 +61,11 @@ FAMILIES = ("diagonal", "singlet", "positive-parity", "fixed-matrix")
 # Stored violation rows are capped (the count stays exact); only scans
 # run with a deliberately lowered tolerance can produce large lists.
 VIOLATION_CAP = 10_000
+
+# Points per scanned axis.  Axis tables and block buffers grow with the
+# axis length, so a runaway step (say 1e-12) is refused before anything
+# is allocated.
+MAX_AXIS_POINTS = 1 << 20
 
 
 class ScanPoint(NamedTuple):
@@ -84,6 +90,9 @@ def _check_range(name: str, rng, lo: float | None = None, hi: float | None = Non
         raise InputError(f"{name} is empty: stop {stop!r} < start {start!r}")
     if lo is not None and (start < lo or stop > hi):
         raise InputError(f"{name} must lie within [{lo}, {hi}], got {rng!r}")
+    # Compare the quotient first: it can overflow to inf, which has no integer size.
+    if not (stop - start) / step < MAX_AXIS_POINTS or _axis_size((start, stop, step)) > MAX_AXIS_POINTS:
+        raise InputError(f"{name} has more than {MAX_AXIS_POINTS} points, got {rng!r}")
     return (start, stop, step)
 
 
@@ -93,10 +102,11 @@ class ScanSpec:
 
     Ranges are closed: the grid runs ``start, start + step, ...`` and
     includes ``stop`` when it is a whole number of steps away
-    (commensurability judged at relative slack 1e-9).  ``tolerance``
-    sets the violation threshold ``S > 1 + tolerance``; negative values
-    are permitted to exercise the collection path.  ``eps_ladder``
-    (diagonal family only) marks first-order predicted violations.
+    (commensurability judged at relative slack 1e-9) and holds at most
+    ``MAX_AXIS_POINTS`` points.  ``tolerance`` sets the violation
+    threshold ``S > 1 + tolerance``; negative values are permitted to
+    exercise the collection path.  ``eps_ladder`` (diagonal family only)
+    marks first-order predicted violations.
     """
 
     family: str = "diagonal"
@@ -168,12 +178,17 @@ def halving_ladder(start: float = 1e-2, stop: float = 1e-5) -> tuple[float, ...]
     return tuple(out)
 
 
-def _axis(rng: tuple[float, float, float]) -> np.ndarray:
-    """Closed-interval grid; endpoint included at relative slack 1e-9."""
+def _axis_size(rng: tuple[float, float, float]) -> int:
+    """Point count of a closed-interval grid; endpoint included at relative slack 1e-9."""
     start, stop, step = rng
     quotient = (stop - start) / step
-    n = int(math.floor(quotient + 1e-9 * (abs(quotient) + 1.0))) + 1
-    values = start + step * np.arange(n)
+    return int(math.floor(quotient + 1e-9 * (abs(quotient) + 1.0))) + 1
+
+
+def _axis(rng: tuple[float, float, float]) -> np.ndarray:
+    """Closed-interval grid of :func:`_axis_size` points."""
+    start, stop, step = rng
+    values = start + step * np.arange(_axis_size(rng))
     return np.minimum(np.maximum(values, start), stop)
 
 
@@ -204,12 +219,6 @@ def _family_state(spec: ScanSpec) -> PureTwoPhotonState:
     if spec.family == "positive-parity":
         return positive_parity_state()
     return spec.state  # fixed-matrix; validated at spec construction
-
-
-def _shards(n: int, workers: int) -> list[slice]:
-    pieces = min(n, workers)
-    bounds = np.linspace(0, n, pieces + 1).astype(int)
-    return [slice(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
 
 
 def _predicted_violations(
@@ -250,12 +259,7 @@ def _scan_diagonal(spec: ScanSpec, workers: int) -> ScanReport:
     scanner = DiagonalScanner(alphas, betas)
     u, w = DiagonalScanner.weights(cs)
 
-    shards = _shards(cs.size, workers)
-    if len(shards) == 1:
-        parts = [scanner.scan(u, w, threshold)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda sl: scanner.scan(u[sl], w[sl], threshold), shards))
+    parts = shard_map(lambda sl: scanner.scan(u[sl], w[sl], threshold), cs.size, workers)
     max_s = np.concatenate([p[0] for p in parts])
     arg_i = np.concatenate([p[1] for p in parts])
     arg_j = np.concatenate([p[2] for p in parts])

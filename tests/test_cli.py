@@ -124,6 +124,12 @@ class TestScan:
         assert code == EXIT_USAGE
         assert "step" in err
 
+    def test_oversized_axis_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "scan", "--step", "1e-12")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_no_refine_flag(self, capsys):
         doc = run_json(capsys, "scan", "--family", "singlet", "--step", "0.2", "--no-refine")
         assert doc["results"]["refined"] is False

@@ -7,12 +7,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from leggettlab import kernels, singlet_state
+from leggettlab import kernels, positive_parity_state, singlet_state
 from leggettlab.kernels import DiagonalScanner, plane_collect, plane_row_scan
-from leggettlab.scan import _axis, _diagonal_lhs
+from leggettlab.quantum import PureTwoPhotonState
+from leggettlab.scan import _axis, _diagonal_lhs, _plane_lhs
 
 GOLDEN = Path(__file__).parent / "data" / "diagonal_golden.npz"
 
@@ -71,10 +72,28 @@ def _diagonal_scan_py(u, w, ca2, sa2, s2a, cb2, sb2, s2b, threshold):
     return max_s, arg_i, arg_j, n_over
 
 
+def trig_tables(angles):
+    """``(cos^2, sin^2, sin 2x)`` of an angle axis, as the engine builds them."""
+    return np.cos(angles) ** 2, np.sin(angles) ** 2, np.sin(2.0 * angles)
+
+
 def reference_scan(alphas, betas, cs, threshold):
-    t = kernels._angle_tables(alphas, betas)
     u, w = DiagonalScanner.weights(cs)
-    return _diagonal_scan_py(u, w, t.ca2, t.sa2, t.s2a, t.cb2, t.sb2, t.s2b, threshold)
+    return _diagonal_scan_py(u, w, *trig_tables(alphas), *trig_tables(betas), threshold)
+
+
+def random_state(seed, complex_coeffs):
+    rng = np.random.default_rng(seed)
+    coeffs = rng.normal(size=4) + (1j * rng.normal(size=4) if complex_coeffs else 0.0)
+    return PureTwoPhotonState((coeffs / np.linalg.norm(coeffs)).reshape(2, 2))
+
+
+FIXED_STATES = {
+    "singlet": singlet_state(),
+    "positive-parity": positive_parity_state(),
+    **{f"real{seed}": random_state(seed, False) for seed in (1, 2)},
+    **{f"complex{seed}": random_state(seed, True) for seed in (3, 4)},
+}
 
 
 def scan_grid(threshold=1.0 + 1e-9):
@@ -219,12 +238,13 @@ def test_engine_matches_reference_bitwise(na, nb, on_grid, angles, cs, threshold
     want = reference_scan(alphas, betas, cs, threshold)
     for g, r in zip(got, want):
         assert np.array_equal(g, r)
-    t = kernels._angle_tables(alphas, betas)
+    ca2, sa2, s2a = trig_tables(alphas)
+    cb2, sb2, s2b = trig_tables(betas)
     for k, (i_idx, j_idx, s_vals) in enumerate(collected):
         assert i_idx.size == want[3][k]
         for i, j, s in zip(i_idx, j_idx, s_vals):
-            x = abs(t.ca2[i] - t.cb2[j])
-            ref = u[k] * x + (t.ca2[i] * t.cb2[j] + t.sa2[i] * t.sb2[j]) + w[k] * (t.s2a[i] * t.s2b[j])
+            x = abs(ca2[i] - cb2[j])
+            ref = u[k] * x + (ca2[i] * cb2[j] + sa2[i] * sb2[j]) + w[k] * (s2a[i] * s2b[j])
             assert s == ref
         assert np.all(np.diff(i_idx * nb + j_idx) > 0)
 
@@ -301,3 +321,40 @@ class TestPlaneKernels:
         betas = np.linspace(0.0, 1.0, 11)
         i_idx, j_idx, s_vals = plane_collect(singlet_state().coeffs, alphas, betas, 2.0)
         assert i_idx.size == j_idx.size == s_vals.size == 0
+
+
+@pytest.mark.parametrize("name", sorted(FIXED_STATES))
+def test_fixed_state_bits_independent_of_block_height(name):
+    coeffs = FIXED_STATES[name].coeffs
+    alphas = np.linspace(0.0, math.pi, 301)
+    betas = np.linspace(0.0, math.pi, 307)
+    threshold = 0.9
+    runs = []
+    for block_elems in (betas.size, kernels._BLOCK_ELEMS):  # one-row blocks, then the default
+        with mock.patch.object(kernels, "_BLOCK_ELEMS", block_elems):
+            runs.append(
+                plane_row_scan(coeffs, alphas, betas, threshold)
+                + plane_collect(coeffs, alphas, betas, threshold)
+            )
+    one_row, default = runs
+    assert one_row[3].size > 0
+    for a, b in zip(one_row, default):
+        assert np.array_equal(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    re_im=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8),
+    complex_coeffs=st.booleans(),
+    alphas=st.lists(st.floats(-2.0 * math.pi, 2.0 * math.pi), min_size=1, max_size=6),
+    betas=st.lists(st.floats(-2.0 * math.pi, 2.0 * math.pi), min_size=1, max_size=6),
+)
+def test_fixed_state_matches_scalar_probability_form(re_im, complex_coeffs, alphas, betas):
+    coeffs = np.array(re_im[:4]) + (1j * np.array(re_im[4:]) if complex_coeffs else 0.0)
+    norm = np.linalg.norm(coeffs)
+    assume(norm > 1e-3)
+    state = PureTwoPhotonState((coeffs / norm).reshape(2, 2))
+    i_idx, j_idx, s_vals = plane_collect(state.coeffs, np.array(alphas), np.array(betas), -math.inf)
+    assert i_idx.size == len(alphas) * len(betas)
+    for i, j, s in zip(i_idx, j_idx, s_vals):
+        assert abs(s - _plane_lhs(state, alphas[i], betas[j])) <= 1e-14

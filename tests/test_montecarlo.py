@@ -66,6 +66,21 @@ class TestSamplePairs:
         counts = sample_pairs(dist, 1_000_000, seed=42)
         assert counts.as_tuple() == (253282, 315918, 5497, 425303)
 
+    @pytest.mark.parametrize(
+        "probs, n, seed, want",
+        [
+            # Four blocks, the last one ragged.
+            ((0.25319923559469454, 0.31648729299440437, 0.0055153063306136165, 0.4247981650802877),
+             3 * BLOCK_SIZE + 12345, 42, (799736, 999945, 17345, 1341047)),
+            ((0.5, 0.0, 0.25, 0.25), 100_000, 7, (50217, 0, 24890, 24893)),  # a zero cell
+            ((0.1, 0.2, 0.3, 0.4), 1000, 2**64 - 1, (108, 193, 294, 405)),
+        ],
+    )
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pinned_counts(self, probs, n, seed, want, workers):
+        counts = sample_pairs(JointOutcomeDistribution(*probs), n, seed=seed, workers=workers)
+        assert counts.as_tuple() == want
+
     def test_frequencies_match_probabilities(self):
         dist = JointOutcomeDistribution(0.25, 0.25, 0.25, 0.25)
         counts = sample_pairs(dist, 1_000_000, seed=7)

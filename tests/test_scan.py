@@ -3,6 +3,7 @@
 import csv
 import math
 import os
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -19,8 +20,8 @@ from leggettlab import (
     singlet_state,
     write_csv,
 )
-from leggettlab.config import ENV_THREADS, resolve_workers
-from leggettlab.scan import VIOLATION_CAP, _axis
+from leggettlab.config import ENV_THREADS, resolve_workers, shard_map
+from leggettlab.scan import MAX_AXIS_POINTS, VIOLATION_CAP, _axis, _axis_size
 
 
 class TestScanSpec:
@@ -42,6 +43,17 @@ class TestScanSpec:
             ScanSpec(c_range=(0.0, 1.5, 1e-3))
         with pytest.raises(InputError):
             ScanSpec(alpha_range=(0.0, math.nan, 1e-3))
+
+    def test_axis_point_budget(self):
+        at_cap = (0.0, float(MAX_AXIS_POINTS - 1), 1.0)
+        assert _axis_size(at_cap) == MAX_AXIS_POINTS
+        ScanSpec(family="singlet", alpha_range=at_cap)  # accepted, never scanned
+        for rng in ((0.0, float(MAX_AXIS_POINTS), 1.0), (0.0, math.pi, 1e-12),
+                    (0.0, math.pi, 5e-324), (-1e308, 1e308, 1.0)):
+            with pytest.raises(InputError, match="points"):
+                ScanSpec(family="singlet", beta_range=rng)
+        with pytest.raises(InputError, match="points"):
+            ScanSpec(c_range=(0.0, 0.7, 1e-9))
 
     def test_tolerance_bounds(self):
         ScanSpec(tolerance=-0.5)  # negative allowed for collection testing
@@ -152,6 +164,15 @@ class TestGridScanDiagonal:
         monkeypatch.setenv(ENV_THREADS, str(10**6))
         assert resolve_workers() == cap
         assert resolve_workers(1) == 1
+
+    def test_shard_map_slices(self):
+        n = 10**15
+        shards = shard_map(lambda sl: sl, n, 4)  # returns the slices; no work per item
+        assert len(shards) == 4
+        assert shards[0].start == 0 and shards[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(shards, shards[1:]))
+        assert shard_map(lambda sl: (sl.start, sl.stop), 3, 4) == [(0, 1), (1, 2), (2, 3)]
+        assert shard_map(lambda sl: threading.get_ident(), n, 1) == [threading.get_ident()]
 
     def test_slice_maxima_cover_c_axis(self):
         report = grid_scan(ScanSpec(**COARSE))
