@@ -1,8 +1,8 @@
 """Hot evaluation kernels for grid scans.
 
 Every scan family evaluates ``S = |P_A - P_B| + p_pp + p_mm`` on an
-(alpha, beta) grid through one block engine.  A family is four tables
-over alpha rows (``r``), four over beta columns (``k``) and per-slice
+(alpha, beta) grid with one arithmetic.  A family is four tables over
+alpha rows (``r``), four over beta columns (``k``) and per-slice
 weights ``(u, w)``:
 
     S_ij = ((u |r0_i - k0_j|) + (r1_i k1_j + r2_i k2_j)) + (w (r3_i k3_j)).
@@ -18,18 +18,64 @@ weights ``(u, w)``:
   term is 1/2.  Hence ``E(a, b) = cos^2 a E(0, b) + sin^2 a E(pi/2, b)
   + sin 2a (E(pi/4, b) - 1/2)`` exactly.
 
-A block holds about ``_BLOCK_ELEMS`` points (``_BLOCK_ELEMS // n_beta``
-alpha rows): a fixed number of points, not of rows, keeps its five
+The block engine (:func:`_blocks`, :func:`_evaluate`) forms S for
+blocks of about ``_BLOCK_ELEMS`` points (``_BLOCK_ELEMS // n_beta``
+alpha rows): a fixed number of points, not of rows, keeps its three
 arrays inside a per-core L2 cache for any beta axis, and memory stays
 O(block) for any grid.  The arithmetic is real and elementwise, with no
-BLAS call, so every S is the same double for any block height and
-thread count.
+BLAS call, so every S is the same double for any block height, thread
+count, or subset of points evaluated.  :func:`plane_row_scan` and
+:func:`plane_collect` walk a fixed state's whole grid this way.
 
-:class:`DiagonalScanner` reuses each block for every ``c`` and reports
-per ``c`` the grid maximum of S, the first (lexicographically smallest)
-index pair attaining it, and the number of points with
-``S > threshold``; :func:`plane_row_scan` reports per-row maxima of a
-fixed state.  Violation *collection* walks the same blocks.
+Ridge certification (diagonal family)
+-------------------------------------
+For ``psi = s|HH> + c|VV>`` the identity ``S = 1 - 2 min(p_+-, p_-+)``
+holds, and on an alpha row both probabilities are sinusoids in beta:
+
+    p_+- = R1^2 sin^2(b - phi1),  R1 (cos phi1, sin phi1) = (s cos a, c sin a),
+    p_-+ = R2^2 sin^2(b - phi2),  R2 (cos phi2, sin phi2) = (c cos a, s sin a).
+
+``u`` fixes ``{c, s} = {sqrt((1 - u)/2), sqrt((1 + u)/2)}`` and swapping
+c and s swaps the two roots, so ``(u, w)`` is all a slice needs.  Let L
+be ``min(M, threshold)``, where M is the largest S evaluated so far in
+the slice, and ``D = (1 - L + slack) / 2``.  A point with
+``S_float >= L`` has ``min(p_+-, p_-+) <= D``, so its beta lies within
+``arcsin(sqrt(D) / R)`` of ``phi + k pi`` for one of the two roots.
+:class:`DiagonalScanner` evaluates a stencil of ``_SIDE`` beta columns
+on each side of each root (columns sorted once by ``b mod pi``, the
+order padded circularly) with the block engine's tables and operation
+order, and certifies a row when both stencils reach past their windows
+plus ``_ANGLE_MARGIN``.  Every point of a certified row outside its
+stencils then has ``S_float < L``: strictly below the maximum, so the
+first maximum in row-major order is among the evaluated points, and
+not above the threshold, so it is not counted.  A row that is not
+certified (R near 0, windows wider than the stencil at low thresholds,
+or ``(u, w)`` off ``u^2 + 4 w^2 = 1``) is evaluated in full by the
+block engine.  Windows are read in chunks of at most ``_BLOCK_ELEMS / 2``
+candidate points with reused buffers, so memory is O(chunk + axes).
+
+Float error.  With unit roundoff e = 2^-53 and numpy's float64 sin/cos
+within 4 ulp (8e relative), the tables carry relative errors of at most
+18e (squares) and 8e (``sin 2t``).  For ``0 <= u <= 1`` and ``|w| <= 1``
+the five operations then give ``|x - x*| <= 37e``, ``|y - y*| <= 38e``,
+``|z - z*| <= 17e``, ``|u x + y - (.)*| <= 78e`` and ``|S_float - S*|
+<= 99e < _ROUNDING = 100e = 1.1e-14``, where ``*`` marks exact values at
+the float angles.  ``|S* - (1 - 2 min p)|`` at ``{c, s}`` recovered from
+u is at most ``|w - c s|``, which :func:`_pair` adds to the slack; its
+own rounding (c, s and c s to 4e relative) is below 3e.  ``_SLACK =
+1e-13`` covers both with a factor of 9.  The roots come from
+``sqrt(cos^2 a)`` and ``copysign(sqrt(sin^2 a), sin 2a)`` (10e
+relative), ``arctan2`` (4 ulp) and ``remainder(., pi)`` (2e-16, plus
+``|pi - fl(pi)| = 1.3e-16`` per period of the angle), so phases are
+exact to within 3e-15 plus ``4e-17 |beta|``; radii to within 20e
+relative, which moves a window of ``arcsin(x)``, ``x <= 1/2``, by
+at most 30e.  These bounds hold for ``R >= 2 sqrt(D) >= 4e-7``, the
+only rows that can be certified: below that, where ``sin^2`` may even
+underflow, a row is evaluated in full whatever its computed root.
+``_ANGLE_MARGIN * max(1, max |beta|)`` covers these errors more than
+300 times over.  Windows wider than ``pi/6``
+(``sqrt(D) / R > 1/2``) are taken as the whole half-period, so a row
+with one is certified only when its stencil already holds every column.
 """
 
 from __future__ import annotations
@@ -47,8 +93,17 @@ __all__ = [
 ]
 
 # Points per alpha-row block: 32 K float64 values are 256 KB per array,
-# 1.3 MB for the five arrays of a block.
+# 768 KB for the three arrays of a block.
 _BLOCK_ELEMS = 32 * 1024
+
+# Stencil columns on each side of a root; a row holds two roots.
+_SIDE = 3
+_WIDTH = 4 * _SIDE
+# Bound on |S_float - S_exact| at the float angles, the slack of the
+# window depth D, and the angular margin of a window (module docstring).
+_ROUNDING = 100 * 2.0**-53
+_SLACK = 1e-13
+_ANGLE_MARGIN = 1e-12
 
 
 def _trig(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -58,39 +113,54 @@ def _trig(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _blocks(rows, cols):
-    """Yield ``(row_offset, x, y, z, s, t)`` for consecutive blocks of alpha rows.
+    """Yield ``(row_offset, x, y, z)`` for consecutive blocks of alpha rows.
 
-    ``rows`` and ``cols`` are the four alpha and four beta tables.  x, y
-    and z hold the block's angle terms; s and t are temporaries of the
-    same shape.  All five are views of buffers allocated once per call
-    and overwritten by the next block: reusing them avoids allocating
-    and faulting in fresh pages for every block.
+    ``rows`` and ``cols`` are the four alpha and four beta tables; x, y
+    and z hold the block's angle terms.  All three are views of buffers
+    allocated once per call and overwritten by the next block: reusing
+    them avoids allocating and faulting in fresh pages for every block.
     """
     r0, r1, r2, r3 = rows
     k0, k1, k2, k3 = cols
     na, nb = r0.size, k0.size
-    height = max(1, _BLOCK_ELEMS // nb)
-    x, y, z, s, t = (np.empty((height, nb)) for _ in range(5))
+    height = max(1, min(na, _BLOCK_ELEMS // nb))
+    x, y, z = (np.empty((height, nb)) for _ in range(3))
     for start in range(0, na, height):
         n = min(height, na - start)
         block = slice(start, start + n)
-        xb, yb, zb, tb = x[:n], y[:n], z[:n], t[:n]
+        xb, yb, zb = x[:n], y[:n], z[:n]
         np.subtract(r0[block, None], k0, out=xb)
         np.abs(xb, out=xb)
         np.multiply(r1[block, None], k1, out=yb)
-        np.multiply(r2[block, None], k2, out=tb)
-        yb += tb
+        np.multiply(r2[block, None], k2, out=zb)
+        yb += zb
         np.multiply(r3[block, None], k3, out=zb)
-        yield start, xb, yb, zb, s[:n], tb
+        yield start, xb, yb, zb
 
 
-def _evaluate(x, y, z, s, t, u_k, w_k) -> np.ndarray:
-    """S = ((u*x) + y) + (w*z) into ``s``, using ``t`` as a temporary."""
-    np.multiply(x, u_k, out=s)
-    s += y
-    np.multiply(z, w_k, out=t)
-    s += t
-    return s
+def _gather(rows, cols, block: slice, idx: np.ndarray, x, y, z) -> None:
+    """x, y and z of :func:`_blocks` at columns ``idx[i]`` of the rows ``block``, in place."""
+    r0, r1, r2, r3 = (r[block, None] for r in rows)
+    k0, k1, k2, k3 = cols
+    np.take(k0, idx, out=z, mode="clip")
+    np.subtract(r0, z, out=x)
+    np.abs(x, out=x)
+    np.take(k1, idx, out=z, mode="clip")
+    np.multiply(r1, z, out=y)
+    np.take(k2, idx, out=z, mode="clip")
+    np.multiply(r2, z, out=z)
+    y += z
+    np.take(k3, idx, out=z, mode="clip")
+    np.multiply(r3, z, out=z)
+
+
+def _evaluate(x, y, z, u_k, w_k) -> np.ndarray:
+    """S = ((u*x) + y) + (w*z), formed in ``x`` (z is overwritten)."""
+    np.multiply(x, u_k, out=x)
+    x += y
+    np.multiply(z, w_k, out=z)
+    x += z
+    return x
 
 
 def _collect_blocks(blocks, threshold: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -111,13 +181,38 @@ def _collect_blocks(blocks, threshold: float) -> tuple[np.ndarray, np.ndarray, n
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 
 
+def _pair(u: float, w: float) -> tuple[float, float, float]:
+    """``(c, s, slack)``: the weights ``u`` fixes, and the slack of the window depth.
+
+    c takes w's sign, so that ``c s`` approximates w.  The slack is
+    ``_SLACK`` plus ``|w - c s|``, the most by which S can differ from
+    ``1 - 2 min(p_+-, p_-+)`` at these c and s.  Weights outside
+    ``0 <= u <= 1``, ``|w| <= 1`` (and NaN) get an infinite slack, so
+    every row of the slice is evaluated in full.
+    """
+    u, w = float(u), float(w)
+    if not (0.0 <= u <= 1.0 and abs(w) <= 1.0):
+        return 0.0, 1.0, math.inf
+    c = math.copysign(math.sqrt((1.0 - u) / 2.0), w)
+    s = math.sqrt((1.0 + u) / 2.0)
+    return c, s, _SLACK + abs(w - c * s)
+
+
+def _root(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Radius R and phase phi mod pi of the points ``(x, y)``: ``R^2 sin^2(b - phi)`` is 0 at phi."""
+    return np.hypot(x, y), np.remainder(np.arctan2(y, x), math.pi)
+
+
 class DiagonalScanner:
     """Reusable scanner over a fixed (alpha, beta) grid for the diagonal family.
 
-    Construction precomputes the 1-D trigonometric tables only.
-    :meth:`scan` is thread-safe: worker threads may process disjoint
-    ``c`` slabs concurrently against the shared read-only tables, each
-    with its own block buffers.
+    Construction precomputes the 1-D trigonometric tables and the beta
+    columns sorted by phase ``b mod pi``.  :meth:`scan` and
+    :meth:`collect` evaluate the certified stencils around the two
+    roots of each row and every row that cannot be certified (module
+    docstring).  They are thread-safe: worker threads may process
+    disjoint ``c`` slabs concurrently against the shared read-only
+    tables, each with its own buffers.
     """
 
     def __init__(self, alphas: np.ndarray, betas: np.ndarray):
@@ -125,12 +220,101 @@ class DiagonalScanner:
         cb2, sb2, s2b = _trig(betas)
         self._rows = (ca2, ca2, sa2, s2a)
         self._cols = (cb2, cb2, sb2, s2b)
+        # Columns in phase order, padded by _SIDE on each side with their
+        # images one period away (repeating when the axis is shorter).
+        betas = np.ascontiguousarray(betas, dtype=np.float64).reshape(-1)
+        phase = np.remainder(betas, math.pi)
+        order = np.argsort(phase, kind="stable")
+        wrap, pos = np.divmod(np.arange(-_SIDE, betas.size + _SIDE), betas.size)
+        self._phase = phase[order][pos] + math.pi * wrap
+        self._phase_col = order[pos]
+        self._margin = _ANGLE_MARGIN * float(np.max(np.abs(betas), initial=1.0))
 
     @staticmethod
     def weights(cs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(u, w) = (|1 - 2c^2|, c sqrt(1 - c^2))`` for a weight axis."""
         cs = np.asarray(cs, dtype=np.float64)
         return np.abs(1.0 - 2.0 * cs * cs), cs * np.sqrt(1.0 - cs * cs)
+
+    def _buffers(self) -> tuple:
+        """``(idx, cols, x, y, z)`` for chunks of at most ``_BLOCK_ELEMS / 2`` candidates.
+
+        Half a block keeps each buffer at 128 KB or less, below the C
+        allocator's default threshold for mapping memory, so worker
+        threads reuse heap memory instead of growing their arenas.  The
+        rows are split into as few chunks as that allows, of equal height.
+        """
+        na = self._rows[0].size
+        chunks = max(1, -(-na // max(1, _BLOCK_ELEMS // (2 * _WIDTH))))
+        height = max(1, -(-na // chunks))
+        ints = tuple(np.empty((height, _WIDTH), dtype=np.int64) for _ in range(2))
+        return ints + tuple(np.empty((height, _WIDTH)) for _ in range(3))
+
+    def _stencils(self, c: float, s: float, u_k: float, w_k: float, buffers: tuple):
+        """Yield ``(start, cols, S, radii, covers)`` per chunk of alpha rows.
+
+        ``cols[i]`` holds the stencil columns of row ``start + i`` around
+        both roots and ``S[i]`` their values; ``radii`` and ``covers``
+        hold per root and row the radius R and the angular distance from
+        the root to the farthest stencil column on the nearer side.
+        """
+        ca2, _, sa2, s2a = self._rows
+        nb = self._cols[0].size
+        sorted_phase = self._phase[_SIDE:_SIDE + nb]
+        offsets = np.arange(2 * _SIDE)
+        idx_buf, cols_buf, x, y, z = buffers
+        height = idx_buf.shape[0]
+        for start in range(0, ca2.size, height):
+            n = min(height, ca2.size - start)
+            block = slice(start, start + n)
+            idx = idx_buf[:n]
+            cos_a = np.sqrt(ca2[block])
+            sin_a = np.copysign(np.sqrt(sa2[block]), s2a[block])
+            radii, covers = [], []
+            for half, (a, b) in enumerate(((s, c), (c, s))):
+                radius, phase = _root(a * cos_a, b * sin_a)
+                p = np.searchsorted(sorted_phase, phase, side="right")
+                covers.append(np.minimum(phase - self._phase[p],
+                                         self._phase[p + (2 * _SIDE - 1)] - phase))
+                radii.append(radius)
+                np.add(p[:, None], offsets, out=idx[:, half * 2 * _SIDE:(half + 1) * 2 * _SIDE])
+            cols = cols_buf[:n]
+            np.take(self._phase_col, idx, out=cols, mode="clip")
+            xb, yb, zb = x[:n], y[:n], z[:n]
+            _gather(self._rows, self._cols, block, cols, xb, yb, zb)
+            yield start, cols, _evaluate(xb, yb, zb, u_k, w_k), radii, covers
+
+    def _certified(self, radii, covers, level: float, slack: float) -> np.ndarray:
+        """Rows whose stencils reach past both windows of depth ``(1 - level + slack) / 2``."""
+        reach = np.sqrt(np.maximum((1.0 - level + slack) / 2.0, 0.0))
+        sure = np.ones(radii[0].shape, dtype=bool)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for radius, cover in zip(radii, covers):
+                ratio = reach / radius
+                half = np.arcsin(np.minimum(ratio, 0.5))
+                half[ratio > 0.5] = math.pi / 2.0
+                sure &= half + self._margin < cover
+        return sure
+
+    def _full_rows(self, rows: np.ndarray, u_k: float, w_k: float):
+        """Yield ``(row indices, S block)`` for the alpha rows ``rows`` through the block engine."""
+        if rows.size == 0:
+            return
+        sub = tuple(r[rows] for r in self._rows)
+        for start, x, y, z in _blocks(sub, self._cols):
+            yield rows[start:start + x.shape[0]], _evaluate(x, y, z, u_k, w_k)
+
+    @staticmethod
+    def _hits(start, cols, vals, sure, threshold, nb) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted distinct keys ``i * nb + j`` and values of the stencil points over threshold.
+
+        Only certified rows count: the others are evaluated in full.
+        """
+        mask = vals > threshold
+        mask &= sure[:, None]
+        i_idx, m_idx = np.nonzero(mask)
+        keys, first = np.unique((start + i_idx) * nb + cols[i_idx, m_idx], return_index=True)
+        return keys, vals[i_idx, m_idx][first]
 
     def scan(
         self, u: np.ndarray, w: np.ndarray, threshold: float
@@ -145,33 +329,67 @@ class DiagonalScanner:
         arg_i = np.zeros(nc, dtype=np.int64)
         arg_j = np.zeros(nc, dtype=np.int64)
         n_over = np.zeros(nc, dtype=np.int64)
-        for start, x, y, z, s, t in _blocks(self._rows, self._cols):
-            flat_s = s.reshape(-1)
-            for k in range(nc):
-                _evaluate(x, y, z, s, t, u[k], w[k])
-                flat = int(np.argmax(flat_s))
-                best = flat_s[flat]
-                # Strict ">" keeps the earlier block's maximum on ties,
-                # so the first maximum in row-major order wins.
-                if best > max_s[k]:
-                    max_s[k] = best
-                    arg_i[k] = start + flat // nb
-                    arg_j[k] = flat % nb
-                if best > threshold:
-                    n_over[k] += int(np.count_nonzero(s > threshold))
+        buffers = self._buffers()
+        for k in range(nc):
+            c, s, slack = _pair(u[k], w[k])
+            best, key, count = -math.inf, 0, 0
+            for start, cols, vals, radii, covers in self._stencils(c, s, u[k], w[k], buffers):
+                top = vals.max()
+                if top >= best:
+                    i_idx, m_idx = np.nonzero(vals == top)
+                    keys = (start + i_idx) * nb + cols[i_idx, m_idx]
+                    at = int(np.argmin(keys))
+                    # Ties go to the smaller key: the first maximum in row-major order.
+                    if top > best or keys[at] < key:
+                        best, key = float(vals[i_idx[at], m_idx[at]]), int(keys[at])
+                sure = self._certified(radii, covers, min(best, threshold), slack)
+                if top > threshold:
+                    count += self._hits(start, cols, vals, sure, threshold, nb)[0].size
+                for rows, block in self._full_rows(np.flatnonzero(~sure) + start, u[k], w[k]):
+                    flat = int(np.argmax(block))
+                    value = float(block.flat[flat])
+                    first = int(rows[flat // nb]) * nb + flat % nb
+                    if value > best or (value == best and first < key):
+                        best, key = value, first
+                    if value > threshold:
+                        count += int(np.count_nonzero(block > threshold))
+            max_s[k] = best
+            arg_i[k], arg_j[k] = divmod(key, nb)
+            n_over[k] = count
         return max_s, arg_i, arg_j, n_over
 
     def collect(
         self, u_k: float, w_k: float, threshold: float
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """All ``(i, j, S)`` with ``S > threshold`` for one ``c``, row-major order."""
-        return _collect_blocks(
-            (
-                (start, _evaluate(x, y, z, s, t, u_k, w_k))
-                for start, x, y, z, s, t in _blocks(self._rows, self._cols)
-            ),
-            threshold,
-        )
+        threshold = float(threshold)
+        nb = self._cols[0].size
+        c, s, slack = _pair(u_k, w_k)
+        keys: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+        vals: list[np.ndarray] = [np.empty(0)]
+        for start, cols, stencil, radii, covers in self._stencils(c, s, u_k, w_k, self._buffers()):
+            sure = self._certified(radii, covers, threshold, slack)
+            chunk_keys, chunk_vals = [], []
+            if stencil.max() > threshold:
+                hit_keys, hit_vals = self._hits(start, cols, stencil, sure, threshold, nb)
+                if hit_keys.size:
+                    chunk_keys.append(hit_keys)
+                    chunk_vals.append(hit_vals)
+            stencil_hits = bool(chunk_keys)
+            for rows, block in self._full_rows(np.flatnonzero(~sure) + start, u_k, w_k):
+                i_idx, j_idx = np.nonzero(block > threshold)
+                if i_idx.size:
+                    chunk_keys.append(rows[i_idx] * nb + j_idx)
+                    chunk_vals.append(block[i_idx, j_idx])
+            if stencil_hits and len(chunk_keys) > 1:
+                # Certified and full rows interleave; order their hits row-major.
+                chunk_keys, chunk_vals = np.concatenate(chunk_keys), np.concatenate(chunk_vals)
+                order = np.argsort(chunk_keys, kind="stable")
+                chunk_keys, chunk_vals = [chunk_keys[order]], [chunk_vals[order]]
+            keys += chunk_keys
+            vals += chunk_vals
+        i_idx, j_idx = np.divmod(np.concatenate(keys), nb)
+        return i_idx, j_idx, np.concatenate(vals)
 
 
 def _plane_blocks(coeffs: np.ndarray, alphas: np.ndarray, betas: np.ndarray):
@@ -189,8 +407,8 @@ def _plane_blocks(coeffs: np.ndarray, alphas: np.ndarray, betas: np.ndarray):
     ca2, sa2, s2a = _trig(alphas)
     rows = (along_a[0] + along_a[1], ca2, sa2, s2a)
     cols = (at_0[0] + at_0[2], at_0[0] + at_0[3], at_90[0] + at_90[3], (at_45[0] + at_45[3]) - 0.5)
-    for start, x, y, z, s, t in _blocks(rows, cols):
-        yield start, _evaluate(x, y, z, s, t, 1.0, 1.0)
+    for start, x, y, z in _blocks(rows, cols):
+        yield start, _evaluate(x, y, z, 1.0, 1.0)
 
 
 def plane_row_scan(

@@ -1,9 +1,10 @@
 """Exhaustive and refined search for the supremum of the bound's left-hand side.
 
 A :class:`ScanSpec` names a state family and closed coordinate ranges
-with steps; :func:`grid_scan` evaluates S at every grid point and
-reports the maximum, its first (lexicographically smallest) attaining
-point, every point exceeding ``1 + tolerance``, and — when an epsilon
+with steps; :func:`grid_scan` decides S at every grid point (bit for
+bit as evaluating it everywhere would) and reports the maximum, its
+first (lexicographically smallest) attaining point, every point
+exceeding ``1 + tolerance``, and — when an epsilon
 ladder is attached — the ``(c, eps)`` pairs where the first-order
 truncated condition predicts a violation.  :func:`refine` then polishes
 the argmax inside its bracketing grid cells with derivative-free
@@ -13,14 +14,16 @@ objective has absolute-value kinks, so no gradients).
 Families:
 
 * ``diagonal`` — the two-parameter entangled family over a ``c`` axis;
-  hot path, runs on the row-blocked :class:`~leggettlab.kernels.DiagonalScanner`.
+  hot path, runs on :class:`~leggettlab.kernels.DiagonalScanner`, which
+  evaluates only the points near each row's two roots that a
+  closed-form bound cannot exclude, and every row it cannot certify.
 * ``singlet`` and ``positive-parity`` — fixed maximally entangled
   states, angle grid only.
 * ``fixed-matrix`` — any supplied :class:`~leggettlab.quantum.PureTwoPhotonState`.
 
-Diagonal scans shard the ``c`` axis across worker threads; per-slice
-results are merged in axis order, so reports are identical for every
-worker count.  Fixed-state scans run on the calling thread.
+Diagonal scans shard the ``c`` axis across worker threads and
+fixed-state scans shard the alpha rows; results are merged in axis
+order, so reports are identical for every worker count.
 """
 
 from __future__ import annotations
@@ -241,13 +244,13 @@ def _predicted_violations(
 
 
 def grid_scan(spec: ScanSpec, *, workers: Optional[int] = None) -> ScanReport:
-    """Evaluate S at every point of the grid ``spec`` describes; deterministic for any worker count."""
+    """Scan every point of the grid ``spec`` describes; deterministic for any worker count."""
     started = perf_counter()
     workers = resolve_workers(workers)
     if spec.family == "diagonal":
         report = _scan_diagonal(spec, workers)
     else:
-        report = _scan_plane(spec)
+        report = _scan_plane(spec, workers)
     return replace(report, wall_time=perf_counter() - started)
 
 
@@ -301,12 +304,23 @@ def _scan_diagonal(spec: ScanSpec, workers: int) -> ScanReport:
     )
 
 
-def _scan_plane(spec: ScanSpec) -> ScanReport:
+def _scan_plane(spec: ScanSpec, workers: int) -> ScanReport:
     state = _family_state(spec)
     alphas = _axis(spec.alpha_range)
     betas = _axis(spec.beta_range)
     threshold = 1.0 + spec.tolerance
-    row_max, row_arg, count = plane_row_scan(state.coeffs, alphas, betas, threshold)
+
+    def rows(kernel):  # kernel over row shards: (row offset, result) in row order
+        return shard_map(
+            lambda sl: (sl.start, kernel(state.coeffs, alphas[sl], betas, threshold)),
+            alphas.size,
+            workers,
+        )
+
+    parts = [part for _, part in rows(plane_row_scan)]
+    row_max = np.concatenate([p[0] for p in parts])
+    row_arg = np.concatenate([p[1] for p in parts])
+    count = sum(p[2] for p in parts)
 
     best_i = int(np.argmax(row_max))
     best = float(row_max[best_i])
@@ -316,7 +330,10 @@ def _scan_plane(spec: ScanSpec) -> ScanReport:
 
     violations: tuple[ScanPoint, ...] = ()
     if count > 0:
-        i_idx, j_idx, s_vals = plane_collect(state.coeffs, alphas, betas, threshold)
+        parts = rows(plane_collect)
+        i_idx = np.concatenate([offset + p[0] for offset, p in parts])
+        j_idx = np.concatenate([p[1] for _, p in parts])
+        s_vals = np.concatenate([p[2] for _, p in parts])
         violations = tuple(
             ScanPoint(None, float(alphas[i]), float(betas[j]), float(s))
             for i, j, s in zip(i_idx[:VIOLATION_CAP], j_idx[:VIOLATION_CAP], s_vals[:VIOLATION_CAP])

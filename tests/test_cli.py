@@ -151,6 +151,25 @@ class TestScan:
         assert supplied["results"]["max_S"] == direct["results"]["max_S"]
         assert supplied["inputs"]["coeffs"] == coeffs
 
+    @pytest.mark.parametrize("family", [
+        ("--family", "singlet"),
+        ("--family", "positive-parity"),
+        ("--family", "fixed-matrix",
+         "--coeffs=0.5479061340547261,-0.30549400011459804,0.6110109301324874,0.48284358483655865"),
+    ])
+    @pytest.mark.parametrize("tolerance", ["1e-9", "-1e-4"])
+    def test_fixed_state_reports_independent_of_workers(self, capsys, monkeypatch, family, tolerance):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two row shards even on one CPU
+        reports = []
+        for workers in ("1", "2"):
+            code, out, _ = run(capsys, "scan", *family, "--step", "0.01",
+                                 f"--tolerance={tolerance}", "--workers", workers)
+            doc = json.loads(out)
+            doc["results"]["wall_time"] = 0.0
+            reports.append((code, render(doc)))
+        assert reports[0] == reports[1]
+        assert (reports[0][0] == EXIT_VIOLATION) == (tolerance == "-1e-4")
+
     def test_coeffs_require_fixed_matrix_family(self, capsys):
         code, _, _ = run(capsys, "scan", "--coeffs", "1,0,0,0", "--step", "0.2")
         assert code == EXIT_USAGE

@@ -5,6 +5,7 @@ import tracemalloc
 from pathlib import Path
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -195,58 +196,175 @@ class TestDiagonalScanner:
             assert np.array_equal(g, want)
 
     def test_memory_is_bounded_by_the_block(self):
-        grid = np.linspace(0.0, math.pi, 2000)
         u, w = DiagonalScanner.weights(np.array([0.35]))
-        tracemalloc.start()
-        try:
-            scanner = DiagonalScanner(grid, grid)
-            scanner.scan(u, w, 1.0 + 1e-9)
-            scanner.collect(float(u[0]), float(w[0]), 1.0 + 1e-9)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * 2**20
+        for na, nb, threshold, collect in (
+            (2000, 2000, 1.0 + 1e-9, True),
+            (2000, 2000, 1.0 - 1e-12, True),
+            # Every row falls back; collecting would return all 4 M points.
+            (2000, 2000, -math.inf, False),
+            (1 << 17, 16, 1.0 + 1e-9, True),
+        ):
+            alphas = np.linspace(0.0, math.pi, na)
+            betas = np.linspace(0.0, math.pi, nb)
+            tracemalloc.start()
+            try:
+                scanner = DiagonalScanner(alphas, betas)
+                scanner.scan(u, w, threshold)
+                if collect:
+                    scanner.collect(float(u[0]), float(w[0]), threshold)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * 2**20, (na, nb, threshold)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    na=st.integers(1, 9),
-    nb=st.integers(1, 9),
-    on_grid=st.booleans(),
-    angles=st.lists(st.floats(0.0, math.pi), min_size=18, max_size=18),
-    cs=st.lists(
-        st.sampled_from([0.0, 1.0 / math.sqrt(2.0), 1.0]) | st.floats(0.0, 1.0),
-        min_size=1,
-        max_size=4,
-    ),
-    threshold=st.sampled_from([-math.inf, 0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-9]),
-    block_elems=st.integers(1, 100),
-)
-def test_engine_matches_reference_bitwise(na, nb, on_grid, angles, cs, threshold, block_elems):
-    if on_grid:  # regular grids from 0 give exact plateau ties at c = 0
-        alphas = np.linspace(0.0, math.pi, na)
-        betas = np.linspace(0.0, math.pi / 2.0, nb)
-    else:
-        alphas = np.array(angles[:na])
-        betas = np.array(angles[9 : 9 + nb])
-    cs = np.array(cs)
-    u, w = DiagonalScanner.weights(cs)
-    with mock.patch.object(kernels, "_BLOCK_ELEMS", block_elems):
+def check_against_reference(alphas, betas, u, w, threshold, block_elems=None):
+    """Scan tuples and every collected ``(i, j, S)`` equal the pure-Python reference bit for bit."""
+    with mock.patch.object(kernels, "_BLOCK_ELEMS", block_elems or kernels._BLOCK_ELEMS):
         scanner = DiagonalScanner(alphas, betas)
         got = scanner.scan(u, w, threshold)
-        collected = [scanner.collect(float(u[k]), float(w[k]), threshold) for k in range(cs.size)]
-    want = reference_scan(alphas, betas, cs, threshold)
-    for g, r in zip(got, want):
-        assert np.array_equal(g, r)
+        collected = [scanner.collect(float(u[k]), float(w[k]), threshold) for k in range(u.size)]
     ca2, sa2, s2a = trig_tables(alphas)
     cb2, sb2, s2b = trig_tables(betas)
+    want = _diagonal_scan_py(u, w, ca2, sa2, s2a, cb2, sb2, s2b, threshold)
+    for g, r in zip(got, want):
+        assert np.array_equal(g, r)
     for k, (i_idx, j_idx, s_vals) in enumerate(collected):
         assert i_idx.size == want[3][k]
         for i, j, s in zip(i_idx, j_idx, s_vals):
             x = abs(ca2[i] - cb2[j])
             ref = u[k] * x + (ca2[i] * cb2[j] + sa2[i] * sb2[j]) + w[k] * (s2a[i] * s2b[j])
-            assert s == ref
-        assert np.all(np.diff(i_idx * nb + j_idx) > 0)
+            assert s == ref and s > threshold
+        assert np.all(np.diff(i_idx * betas.size + j_idx) > 0)
+
+
+def axis_strategy(n, layout):
+    """Angles for ``n`` points: unsorted in [-2 pi, 2 pi], or a grid from any origin and step."""
+    if layout == "random":
+        angles = st.floats(-2.0 * math.pi, 2.0 * math.pi)
+        return st.lists(angles, min_size=n, max_size=n).map(np.array)
+    return st.tuples(st.floats(-math.pi, math.pi), st.floats(1e-3, 1.0)).map(
+        lambda origin_step: origin_step[0] + origin_step[1] * np.arange(n)
+    )
+
+
+WEIGHTS = st.one_of(
+    st.lists(st.sampled_from([0.0, 1.0 / math.sqrt(2.0), 1.0]) | st.floats(0.0, 1.0),
+             min_size=1, max_size=4).map(lambda cs: DiagonalScanner.weights(np.array(cs))),
+    # Pairs off u^2 + 4 w^2 = 1 (and outside [0, 1]) go through full rows.
+    st.lists(st.tuples(st.floats(-0.5, 1.5), st.floats(-1.5, 1.5)), min_size=1, max_size=4).map(
+        lambda pairs: tuple(np.array(v) for v in zip(*pairs))
+    ),
+)
+THRESHOLDS = st.sampled_from([-math.inf, 0.5, 1.0 - 1e-12, 1.0 + 1e-9])
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), na=st.integers(1, 9), nb=st.integers(1, 9),
+       layout=st.sampled_from(["random", "grid", "plateau"]), weights=WEIGHTS,
+       threshold=st.sampled_from([-math.inf, 0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-9]),
+       block_elems=st.integers(1, 100))
+def test_engine_matches_reference_bitwise(data, na, nb, layout, weights, threshold, block_elems):
+    # Axes of 1-9 points are shorter than a root's stencil, so stencils wrap
+    # around the phase circle and repeat columns; small _BLOCK_ELEMS give
+    # full-row fallbacks block seams.
+    if layout == "plateau":  # exact ties at c = 0: the first row-major maximum must win
+        alphas = np.linspace(0.0, math.pi, na)
+        betas = np.linspace(0.0, math.pi / 2.0, nb)
+    else:
+        alphas = data.draw(axis_strategy(na, layout))
+        betas = data.draw(axis_strategy(nb, layout))
+    check_against_reference(alphas, betas, *weights, threshold, block_elems)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), na=st.integers(10, 60), nb=st.integers(20, 90), weights=WEIGHTS,
+       threshold=THRESHOLDS, block_elems=st.sampled_from([1, 100, 4096]))
+def test_windows_match_reference_on_pruned_grids(data, na, nb, weights, threshold, block_elems):
+    # Steps short enough for stencils to leave most columns out.
+    alphas = data.draw(axis_strategy(na, "grid"))
+    origin, step = data.draw(st.tuples(st.floats(-math.pi, math.pi), st.floats(0.005, 0.05)))
+    betas = origin + step * np.arange(nb)
+    check_against_reference(alphas, betas, *weights, threshold, block_elems)
+
+
+@pytest.mark.parametrize("origin", [0.0, 0.37 * 1e-2])
+@pytest.mark.parametrize("threshold", [1.0 + 1e-9, 1.0 - 1e-12])
+def test_windows_evaluate_a_small_part_of_the_grid(origin, threshold):
+    grid = _axis((origin, math.pi + origin, 1e-2))
+    cs = np.array([0.0, 0.05, 0.3, 1.0 / math.sqrt(2.0), 1.0])
+    u, w = DiagonalScanner.weights(cs)
+    scanner = DiagonalScanner(grid, grid)
+    fallback = []
+    full_rows = scanner._full_rows
+
+    def counted(rows, u_k, w_k):
+        fallback.append(rows.size)
+        return full_rows(rows, u_k, w_k)
+
+    with mock.patch.object(scanner, "_full_rows", counted):
+        got = scanner.scan(u, w, threshold)
+    for g, want in zip(got, reference_scan(grid, grid, cs, threshold)):
+        assert np.array_equal(g, want)
+    # The stencils hold 12 of 315 columns per row; at most 2 rows per slice
+    # (R = 0 at alpha = 0 when c is 0 or 1) are evaluated in full.
+    assert sum(fallback) <= 2 * cs.size
+
+
+# D >= _SLACK / 2 - 2^-53, and a row is certified only where sqrt(D) / R <= 1/2.
+CERTIFIABLE_RADIUS = 2.0 * math.sqrt(kernels._SLACK / 2.0 - 2.0**-53)
+
+
+def mp_s(u, w, alpha, beta):
+    """S at the float angles and weights in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        ca2, sa2 = mpmath.cos(alpha) ** 2, mpmath.sin(alpha) ** 2
+        cb2, sb2 = mpmath.cos(beta) ** 2, mpmath.sin(beta) ** 2
+        z = mpmath.sin(2 * mpmath.mpf(alpha)) * mpmath.sin(2 * mpmath.mpf(beta))
+        return mpmath.mpf(u) * abs(ca2 - cb2) + (ca2 * cb2 + sa2 * sb2) + mpmath.mpf(w) * z
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    c=st.sampled_from([0.0, 1e-9, 1.0 / math.sqrt(2.0), 1.0]) | st.floats(0.0, 1.0),
+    alpha=st.floats(-2.0 * math.pi, 2.0 * math.pi),
+    beta=st.floats(-2.0 * math.pi, 2.0 * math.pi),
+)
+def test_float_error_bound_against_mpmath(c, alpha, beta):
+    u, w = (float(v[0]) for v in DiagonalScanner.weights(np.array([c])))
+    scanner = DiagonalScanner(np.array([alpha]), np.array([beta]))
+    s_float = float(scanner.collect(u, w, -math.inf)[2][0])
+    assert kernels._ROUNDING < kernels._SLACK
+    assert abs(s_float - mp_s(u, w, alpha, beta)) <= kernels._ROUNDING
+
+    # The identity form at the {c, s} that u fixes, and its roots mod pi.
+    c_f, s_f, slack = kernels._pair(u, w)
+    ca2, sa2, s2a = (float(t[0]) for t in kernels._trig(np.array([alpha])))
+    cos_a, sin_a = math.sqrt(ca2), math.copysign(math.sqrt(sa2), s2a)
+    with mpmath.workdps(50):
+        c_mp = mpmath.sqrt((1 - mpmath.mpf(u)) / 2)
+        s_mp = mpmath.sqrt((1 + mpmath.mpf(u)) / 2)
+        c_mp = c_mp if w >= 0 else -c_mp
+        ma, mb = mpmath.mpf(alpha), mpmath.mpf(beta)
+        p = [(a * mpmath.cos(ma) * mpmath.sin(mb) - b * mpmath.sin(ma) * mpmath.cos(mb)) ** 2
+             for a, b in ((s_mp, c_mp), (c_mp, s_mp))]
+        s_id = 1 - 2 * min(p)
+        # |w - c s| is the slack's second term; c s itself is rounded to 3 ulp.
+        assert abs(s_float - s_id) <= slack - kernels._SLACK + kernels._ROUNDING + 4 * 2.0**-53
+        for (a_f, b_f), (a, b) in zip(((s_f, c_f), (c_f, s_f)), ((s_mp, c_mp), (c_mp, s_mp))):
+            radius, phase = (float(v[0]) for v in
+                             kernels._root(np.array([a_f * cos_a]), np.array([b_f * sin_a])))
+            x, y = a * mpmath.cos(ma), b * mpmath.sin(ma)
+            exact_radius = mpmath.sqrt(x * x + y * y)
+            if exact_radius < CERTIFIABLE_RADIUS:
+                # Never certified (sqrt(D) / R > 1/2); sin^2 may even underflow here.
+                assert radius < 2 * CERTIFIABLE_RADIUS
+                continue
+            assert abs(radius - exact_radius) <= 1e-14 * exact_radius
+            gap = abs(mpmath.mpf(phase) - mpmath.atan2(y, x)) % mpmath.pi
+            assert min(gap, mpmath.pi - gap) <= 1e-14
+        gap = abs(mpmath.mpf(float(np.remainder(beta, math.pi))) - mb) % mpmath.pi
+        assert min(gap, mpmath.pi - gap) <= 1e-14 < kernels._ANGLE_MARGIN
 
 
 def test_golden_fixture_bitwise():
