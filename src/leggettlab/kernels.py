@@ -53,13 +53,24 @@ certified (R near 0, windows wider than the stencil at low thresholds,
 or ``(u, w)`` off ``u^2 + 4 w^2 = 1``) is evaluated in full by the
 block engine.  Windows are read in chunks of at most ``_BLOCK_ELEMS / 2``
 candidate points with reused buffers, so memory is O(chunk + axes).
+:meth:`DiagonalScanner.scan` walks the chunks in the outer loop and the
+``c`` slices in the inner one, so the block engine builds the tables of
+a chunk's uncertified rows once and evaluates them for every ``c`` that
+needs them.  How much is skipped depends on the window depth against
+the stencil's reach.  With L within about 1e-13 of 1, a window is some
+3e-7 / R rad wide, far inside ``_SIDE`` columns of any practical step h.
+At ``L = 1 - t`` it is about ``sqrt(t / 2) / R``, which passes the
+stencil once ``t > 2 (_SIDE h R)^2`` (1.8e-5 R^2 at h = 1e-3): at lower
+thresholds, or in slices whose maximum stays that far below 1, most
+rows are evaluated in full, at about the cost of the dense engine (a
+slice whose threshold alone rules out every row skips its stencils).
 
 Float error.  With unit roundoff e = 2^-53 and numpy's float64 sin/cos
 within 4 ulp (8e relative), the tables carry relative errors of at most
 18e (squares) and 8e (``sin 2t``).  For ``0 <= u <= 1`` and ``|w| <= 1``
 the five operations then give ``|x - x*| <= 37e``, ``|y - y*| <= 38e``,
 ``|z - z*| <= 17e``, ``|u x + y - (.)*| <= 78e`` and ``|S_float - S*|
-<= 99e < _ROUNDING = 100e = 1.1e-14``, where ``*`` marks exact values at
+<= 99e < 100e = 1.1e-14``, where ``*`` marks exact values at
 the float angles.  ``|S* - (1 - 2 min p)|`` at ``{c, s}`` recovered from
 u is at most ``|w - c s|``, which :func:`_pair` adds to the slack; its
 own rounding (c, s and c s to 4e relative) is below 3e.  ``_SLACK =
@@ -99,9 +110,8 @@ _BLOCK_ELEMS = 32 * 1024
 # Stencil columns on each side of a root; a row holds two roots.
 _SIDE = 3
 _WIDTH = 4 * _SIDE
-# Bound on |S_float - S_exact| at the float angles, the slack of the
-# window depth D, and the angular margin of a window (module docstring).
-_ROUNDING = 100 * 2.0**-53
+# The slack of the window depth D and the angular margin of a window
+# (module docstring).
 _SLACK = 1e-13
 _ANGLE_MARGIN = 1e-12
 
@@ -154,13 +164,16 @@ def _gather(rows, cols, block: slice, idx: np.ndarray, x, y, z) -> None:
     np.multiply(r3, z, out=z)
 
 
-def _evaluate(x, y, z, u_k, w_k) -> np.ndarray:
-    """S = ((u*x) + y) + (w*z), formed in ``x`` (z is overwritten)."""
-    np.multiply(x, u_k, out=x)
-    x += y
-    np.multiply(z, w_k, out=z)
-    x += z
-    return x
+def _evaluate(x, y, z, u_k, w_k, s, t) -> np.ndarray:
+    """S = ((u*x) + y) + (w*z), formed in ``s`` with ``t`` as scratch.
+
+    ``s`` and ``t`` may be ``x`` and ``z``, which then are overwritten.
+    """
+    np.multiply(x, u_k, out=s)
+    s += y
+    np.multiply(z, w_k, out=t)
+    s += t
+    return s
 
 
 def _collect_blocks(blocks, threshold: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -229,6 +242,8 @@ class DiagonalScanner:
         self._phase = phase[order][pos] + math.pi * wrap
         self._phase_col = order[pos]
         self._margin = _ANGLE_MARGIN * float(np.max(np.abs(betas), initial=1.0))
+        # No stencil reaches farther from its root than half its span.
+        self._span = float(np.max(self._phase[2 * _SIDE - 1:] - self._phase[:1 - 2 * _SIDE])) / 2.0
 
     @staticmethod
     def weights(cs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -236,53 +251,55 @@ class DiagonalScanner:
         cs = np.asarray(cs, dtype=np.float64)
         return np.abs(1.0 - 2.0 * cs * cs), cs * np.sqrt(1.0 - cs * cs)
 
-    def _buffers(self) -> tuple:
-        """``(idx, cols, x, y, z)`` for chunks of at most ``_BLOCK_ELEMS / 2`` candidates.
+    def _chunks(self):
+        """Yield ``(block, trig, buffers)`` for chunks of at most ``_BLOCK_ELEMS / 2`` candidates.
 
-        Half a block keeps each buffer at 128 KB or less, below the C
+        ``block`` is a slice of alpha rows and ``trig`` their ``(cos a, sin
+        a)``.  Every chunk shares ``buffers = (idx, cols, x, y, z)``.  Half
+        a block keeps each buffer at 128 KB or less, below the C
         allocator's default threshold for mapping memory, so worker
         threads reuse heap memory instead of growing their arenas.  The
         rows are split into as few chunks as that allows, of equal height.
         """
-        na = self._rows[0].size
+        ca2, _, sa2, s2a = self._rows
+        na = ca2.size
         chunks = max(1, -(-na // max(1, _BLOCK_ELEMS // (2 * _WIDTH))))
         height = max(1, -(-na // chunks))
-        ints = tuple(np.empty((height, _WIDTH), dtype=np.int64) for _ in range(2))
-        return ints + tuple(np.empty((height, _WIDTH)) for _ in range(3))
+        buffers = tuple(np.empty((height, _WIDTH), dtype=np.int64) for _ in range(2))
+        buffers += tuple(np.empty((height, _WIDTH)) for _ in range(3))
+        for start in range(0, na, height):
+            block = slice(start, min(na, start + height))
+            trig = np.sqrt(ca2[block]), np.copysign(np.sqrt(sa2[block]), s2a[block])
+            yield block, trig, buffers
 
-    def _stencils(self, c: float, s: float, u_k: float, w_k: float, buffers: tuple):
-        """Yield ``(start, cols, S, radii, covers)`` per chunk of alpha rows.
+    def _stencil(self, block: slice, trig, c: float, s: float, u_k: float, w_k: float, buffers):
+        """``(cols, S, radii, covers)`` of the stencils of the alpha rows ``block``.
 
-        ``cols[i]`` holds the stencil columns of row ``start + i`` around
-        both roots and ``S[i]`` their values; ``radii`` and ``covers``
-        hold per root and row the radius R and the angular distance from
-        the root to the farthest stencil column on the nearer side.
+        ``cols[i]`` holds the stencil columns of row ``block.start + i``
+        around both roots and ``S[i]`` their values; ``radii`` and
+        ``covers`` hold per root and row the radius R and the angular
+        distance from the root to the farthest stencil column on the
+        nearer side.
         """
-        ca2, _, sa2, s2a = self._rows
         nb = self._cols[0].size
         sorted_phase = self._phase[_SIDE:_SIDE + nb]
-        offsets = np.arange(2 * _SIDE)
+        n = block.stop - block.start
         idx_buf, cols_buf, x, y, z = buffers
-        height = idx_buf.shape[0]
-        for start in range(0, ca2.size, height):
-            n = min(height, ca2.size - start)
-            block = slice(start, start + n)
-            idx = idx_buf[:n]
-            cos_a = np.sqrt(ca2[block])
-            sin_a = np.copysign(np.sqrt(sa2[block]), s2a[block])
-            radii, covers = [], []
-            for half, (a, b) in enumerate(((s, c), (c, s))):
-                radius, phase = _root(a * cos_a, b * sin_a)
-                p = np.searchsorted(sorted_phase, phase, side="right")
-                covers.append(np.minimum(phase - self._phase[p],
-                                         self._phase[p + (2 * _SIDE - 1)] - phase))
-                radii.append(radius)
-                np.add(p[:, None], offsets, out=idx[:, half * 2 * _SIDE:(half + 1) * 2 * _SIDE])
-            cols = cols_buf[:n]
-            np.take(self._phase_col, idx, out=cols, mode="clip")
-            xb, yb, zb = x[:n], y[:n], z[:n]
-            _gather(self._rows, self._cols, block, cols, xb, yb, zb)
-            yield start, cols, _evaluate(xb, yb, zb, u_k, w_k), radii, covers
+        idx = idx_buf[:n]
+        cos_a, sin_a = trig
+        radii, covers = [], []
+        for half, (a, b) in enumerate(((s, c), (c, s))):
+            radius, phase = _root(a * cos_a, b * sin_a)
+            p = np.searchsorted(sorted_phase, phase, side="right")
+            covers.append(np.minimum(phase - self._phase[p],
+                                     self._phase[p + (2 * _SIDE - 1)] - phase))
+            radii.append(radius)
+            np.add(p[:, None], np.arange(2 * _SIDE), out=idx[:, half * 2 * _SIDE:(half + 1) * 2 * _SIDE])
+        cols = cols_buf[:n]
+        np.take(self._phase_col, idx, out=cols, mode="clip")
+        xb, yb, zb = x[:n], y[:n], z[:n]
+        _gather(self._rows, self._cols, block, cols, xb, yb, zb)
+        return cols, _evaluate(xb, yb, zb, u_k, w_k, xb, zb), radii, covers
 
     def _certified(self, radii, covers, level: float, slack: float) -> np.ndarray:
         """Rows whose stencils reach past both windows of depth ``(1 - level + slack) / 2``."""
@@ -296,13 +313,49 @@ class DiagonalScanner:
                 sure &= half + self._margin < cover
         return sure
 
-    def _full_rows(self, rows: np.ndarray, u_k: float, w_k: float):
-        """Yield ``(row indices, S block)`` for the alpha rows ``rows`` through the block engine."""
-        if rows.size == 0:
+    def _may_certify(self, threshold: float, slack: float) -> bool:
+        """Whether any row could be certified at the threshold's window depth D.
+
+        Every level is at most the threshold and every R at most 1, so
+        every window is at least ``arcsin(sqrt(D) / 2)`` wide (the 2
+        leaves room for rounding).  When that reaches the widest
+        stencil's half-span, no row can be certified: every row of the
+        slice is evaluated in full, and its stencils need not be.
+        """
+        reach = math.sqrt(max((1.0 - threshold + slack) / 2.0, 0.0))
+        return math.asin(min(reach / 2.0, 0.5)) < self._span
+
+    def _full_rows(self, block: slice, pending, u, w):
+        """Yield ``(k, rows, S block)`` for the rows of ``block`` that slice k left uncertified.
+
+        ``pending`` holds ``(k, mask)`` pairs, ``mask`` over the rows of
+        ``block``, or None for all of them.  The block engine builds the
+        tables of all those rows once per block and evaluates them for
+        every k that needs them; rows outside k's mask read -inf, so they
+        neither win nor count.
+        """
+        if not pending:
             return
-        sub = tuple(r[rows] for r in self._rows)
+        masks = [mask for _, mask in pending if mask is not None]
+        rows = np.arange(block.stop - block.start)
+        if len(masks) == len(pending):
+            rows = np.flatnonzero(np.logical_or.reduce(masks))
+        sub = tuple(r[block][rows] for r in self._rows)
+        out = None
         for start, x, y, z in _blocks(sub, self._cols):
-            yield rows[start:start + x.shape[0]], _evaluate(x, y, z, u_k, w_k)
+            if out is None:
+                out = np.empty_like(x), np.empty_like(x)
+            n = x.shape[0]
+            part = rows[start:start + n]
+            s, t, at = out[0][:n], out[1][:n], block.start + part
+            for k, mask in pending:
+                keep = None if mask is None else mask[part]
+                if keep is not None and not keep.any():
+                    continue
+                _evaluate(x, y, z, u[k], w[k], s, t)
+                if keep is not None and not keep.all():
+                    s[~keep] = -np.inf
+                yield k, at, s
 
     @staticmethod
     def _hits(start, cols, vals, sure, threshold, nb) -> tuple[np.ndarray, np.ndarray]:
@@ -325,38 +378,41 @@ class DiagonalScanner:
         threshold = float(threshold)
         nc = u.shape[0]
         nb = self._cols[0].size
-        max_s = np.full(nc, -np.inf)
-        arg_i = np.zeros(nc, dtype=np.int64)
-        arg_j = np.zeros(nc, dtype=np.int64)
+        max_s, key = [-math.inf] * nc, [0] * nc
         n_over = np.zeros(nc, dtype=np.int64)
-        buffers = self._buffers()
-        for k in range(nc):
-            c, s, slack = _pair(u[k], w[k])
-            best, key, count = -math.inf, 0, 0
-            for start, cols, vals, radii, covers in self._stencils(c, s, u[k], w[k], buffers):
+
+        def offer(k, value, at):
+            # Ties go to the smaller key: the first maximum in row-major order.
+            value = float(value)
+            if value > max_s[k] or (value == max_s[k] and at < key[k]):
+                max_s[k], key[k] = value, at
+
+        pairs = [_pair(u[k], w[k]) for k in range(nc)]
+        hopeful = [self._may_certify(threshold, slack) for _, _, slack in pairs]
+        for block, trig, buffers in self._chunks():
+            pending = []
+            for k, (c, s, slack) in enumerate(pairs):
+                if not hopeful[k]:
+                    pending.append((k, None))
+                    continue
+                cols, vals, radii, covers = self._stencil(block, trig, c, s, u[k], w[k], buffers)
                 top = vals.max()
-                if top >= best:
+                if top >= max_s[k]:
                     i_idx, m_idx = np.nonzero(vals == top)
-                    keys = (start + i_idx) * nb + cols[i_idx, m_idx]
-                    at = int(np.argmin(keys))
-                    # Ties go to the smaller key: the first maximum in row-major order.
-                    if top > best or keys[at] < key:
-                        best, key = float(vals[i_idx[at], m_idx[at]]), int(keys[at])
-                sure = self._certified(radii, covers, min(best, threshold), slack)
+                    offer(k, top, int(((block.start + i_idx) * nb + cols[i_idx, m_idx]).min()))
+                sure = self._certified(radii, covers, min(max_s[k], threshold), slack)
                 if top > threshold:
-                    count += self._hits(start, cols, vals, sure, threshold, nb)[0].size
-                for rows, block in self._full_rows(np.flatnonzero(~sure) + start, u[k], w[k]):
-                    flat = int(np.argmax(block))
-                    value = float(block.flat[flat])
-                    first = int(rows[flat // nb]) * nb + flat % nb
-                    if value > best or (value == best and first < key):
-                        best, key = value, first
-                    if value > threshold:
-                        count += int(np.count_nonzero(block > threshold))
-            max_s[k] = best
-            arg_i[k], arg_j[k] = divmod(key, nb)
-            n_over[k] = count
-        return max_s, arg_i, arg_j, n_over
+                    n_over[k] += self._hits(block.start, cols, vals, sure, threshold, nb)[0].size
+                if not sure.all():
+                    pending.append((k, ~sure if sure.any() else None))
+            for k, rows, s in self._full_rows(block, pending, u, w):
+                flat = int(np.argmax(s))
+                top = s.flat[flat]
+                offer(k, top, int(rows[flat // nb]) * nb + flat % nb)
+                if top > threshold:
+                    n_over[k] += int(np.count_nonzero(s > threshold))
+        arg_i, arg_j = np.divmod(np.array(key, dtype=np.int64), nb)
+        return np.array(max_s), arg_i, arg_j, n_over
 
     def collect(
         self, u_k: float, w_k: float, threshold: float
@@ -367,27 +423,26 @@ class DiagonalScanner:
         c, s, slack = _pair(u_k, w_k)
         keys: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
         vals: list[np.ndarray] = [np.empty(0)]
-        for start, cols, stencil, radii, covers in self._stencils(c, s, u_k, w_k, self._buffers()):
-            sure = self._certified(radii, covers, threshold, slack)
-            chunk_keys, chunk_vals = [], []
-            if stencil.max() > threshold:
-                hit_keys, hit_vals = self._hits(start, cols, stencil, sure, threshold, nb)
-                if hit_keys.size:
-                    chunk_keys.append(hit_keys)
-                    chunk_vals.append(hit_vals)
-            stencil_hits = bool(chunk_keys)
-            for rows, block in self._full_rows(np.flatnonzero(~sure) + start, u_k, w_k):
-                i_idx, j_idx = np.nonzero(block > threshold)
-                if i_idx.size:
-                    chunk_keys.append(rows[i_idx] * nb + j_idx)
-                    chunk_vals.append(block[i_idx, j_idx])
-            if stencil_hits and len(chunk_keys) > 1:
-                # Certified and full rows interleave; order their hits row-major.
-                chunk_keys, chunk_vals = np.concatenate(chunk_keys), np.concatenate(chunk_vals)
-                order = np.argsort(chunk_keys, kind="stable")
-                chunk_keys, chunk_vals = [chunk_keys[order]], [chunk_vals[order]]
-            keys += chunk_keys
-            vals += chunk_vals
+        hopeful = self._may_certify(threshold, slack)
+        for block, trig, buffers in self._chunks():
+            chunk_keys, chunk_vals = [np.empty(0, dtype=np.int64)], [np.empty(0)]
+            sure = np.zeros(block.stop - block.start, dtype=bool)
+            if hopeful:
+                cols, stencil, radii, covers = self._stencil(block, trig, c, s, u_k, w_k, buffers)
+                sure = self._certified(radii, covers, threshold, slack)
+                hit_keys, hit_vals = self._hits(block.start, cols, stencil, sure, threshold, nb)
+                chunk_keys.append(hit_keys)
+                chunk_vals.append(hit_vals)
+            pending = [(0, ~sure)] if not sure.all() else []
+            for _, rows, block_s in self._full_rows(block, pending, (u_k,), (w_k,)):
+                i_idx, j_idx = np.nonzero(block_s > threshold)
+                chunk_keys.append(rows[i_idx] * nb + j_idx)
+                chunk_vals.append(block_s[i_idx, j_idx])
+            # Certified and full rows interleave; order their hits row-major.
+            chunk_keys = np.concatenate(chunk_keys)
+            order = np.argsort(chunk_keys, kind="stable")
+            keys.append(chunk_keys[order])
+            vals.append(np.concatenate(chunk_vals)[order])
         i_idx, j_idx = np.divmod(np.concatenate(keys), nb)
         return i_idx, j_idx, np.concatenate(vals)
 
@@ -408,7 +463,7 @@ def _plane_blocks(coeffs: np.ndarray, alphas: np.ndarray, betas: np.ndarray):
     rows = (along_a[0] + along_a[1], ca2, sa2, s2a)
     cols = (at_0[0] + at_0[2], at_0[0] + at_0[3], at_90[0] + at_90[3], (at_45[0] + at_45[3]) - 0.5)
     for start, x, y, z in _blocks(rows, cols):
-        yield start, _evaluate(x, y, z, 1.0, 1.0)
+        yield start, _evaluate(x, y, z, 1.0, 1.0, x, z)
 
 
 def plane_row_scan(

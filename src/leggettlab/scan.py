@@ -21,9 +21,9 @@ Families:
   states, angle grid only.
 * ``fixed-matrix`` — any supplied :class:`~leggettlab.quantum.PureTwoPhotonState`.
 
-Diagonal scans shard the ``c`` axis across worker threads and
-fixed-state scans shard the alpha rows; results are merged in axis
-order, so reports are identical for every worker count.
+Diagonal scans shard the ``c`` axis across worker threads; per-slice
+results are merged in axis order, so reports are identical for every
+worker count.  Fixed-state scans run on the calling thread.
 """
 
 from __future__ import annotations
@@ -250,7 +250,7 @@ def grid_scan(spec: ScanSpec, *, workers: Optional[int] = None) -> ScanReport:
     if spec.family == "diagonal":
         report = _scan_diagonal(spec, workers)
     else:
-        report = _scan_plane(spec, workers)
+        report = _scan_plane(spec)
     return replace(report, wall_time=perf_counter() - started)
 
 
@@ -304,23 +304,12 @@ def _scan_diagonal(spec: ScanSpec, workers: int) -> ScanReport:
     )
 
 
-def _scan_plane(spec: ScanSpec, workers: int) -> ScanReport:
+def _scan_plane(spec: ScanSpec) -> ScanReport:
     state = _family_state(spec)
     alphas = _axis(spec.alpha_range)
     betas = _axis(spec.beta_range)
     threshold = 1.0 + spec.tolerance
-
-    def rows(kernel):  # kernel over row shards: (row offset, result) in row order
-        return shard_map(
-            lambda sl: (sl.start, kernel(state.coeffs, alphas[sl], betas, threshold)),
-            alphas.size,
-            workers,
-        )
-
-    parts = [part for _, part in rows(plane_row_scan)]
-    row_max = np.concatenate([p[0] for p in parts])
-    row_arg = np.concatenate([p[1] for p in parts])
-    count = sum(p[2] for p in parts)
+    row_max, row_arg, count = plane_row_scan(state.coeffs, alphas, betas, threshold)
 
     best_i = int(np.argmax(row_max))
     best = float(row_max[best_i])
@@ -330,10 +319,7 @@ def _scan_plane(spec: ScanSpec, workers: int) -> ScanReport:
 
     violations: tuple[ScanPoint, ...] = ()
     if count > 0:
-        parts = rows(plane_collect)
-        i_idx = np.concatenate([offset + p[0] for offset, p in parts])
-        j_idx = np.concatenate([p[1] for _, p in parts])
-        s_vals = np.concatenate([p[2] for _, p in parts])
+        i_idx, j_idx, s_vals = plane_collect(state.coeffs, alphas, betas, threshold)
         violations = tuple(
             ScanPoint(None, float(alphas[i]), float(betas[j]), float(s))
             for i, j, s in zip(i_idx[:VIOLATION_CAP], j_idx[:VIOLATION_CAP], s_vals[:VIOLATION_CAP])

@@ -298,9 +298,9 @@ def test_windows_evaluate_a_small_part_of_the_grid(origin, threshold):
     fallback = []
     full_rows = scanner._full_rows
 
-    def counted(rows, u_k, w_k):
-        fallback.append(rows.size)
-        return full_rows(rows, u_k, w_k)
+    def counted(block, pending, u_k, w_k):
+        fallback.extend(int(mask.sum()) for _, mask in pending)
+        return full_rows(block, pending, u_k, w_k)
 
     with mock.patch.object(scanner, "_full_rows", counted):
         got = scanner.scan(u, w, threshold)
@@ -311,8 +311,32 @@ def test_windows_evaluate_a_small_part_of_the_grid(origin, threshold):
     assert sum(fallback) <= 2 * cs.size
 
 
+@pytest.mark.parametrize("cs", [(0.05, 0.0, 0.3), (0.0, 0.05, 0.3)])
+def test_slices_sharing_full_rows_match_reference(cs):
+    # At 1 - 1e-5 a window passes the stencil where R < 0.075: rows near
+    # alpha = pi/2 and 0 for c = 0 and 0.05, but not the same rows, and
+    # none for c = 0.3.  The slices of one scan share the full-row tables.
+    grid = _axis((0.0, math.pi, 1e-2))
+    u, w = DiagonalScanner.weights(np.array(cs))
+    scanner = DiagonalScanner(grid, grid)
+    counts = []
+    full_rows = scanner._full_rows
+
+    def counted(block, pending, u_k, w_k):
+        counts.append(sorted((k, int(mask.sum())) for k, mask in pending))
+        return full_rows(block, pending, u_k, w_k)
+
+    with mock.patch.object(scanner, "_full_rows", counted):
+        scanner.scan(u, w, 1.0 - 1e-5)
+    assert len({n for chunk in counts for _, n in chunk}) > 1
+    check_against_reference(grid, grid, u, w, 1.0 - 1e-5)
+
+
 # D >= _SLACK / 2 - 2^-53, and a row is certified only where sqrt(D) / R <= 1/2.
 CERTIFIABLE_RADIUS = 2.0 * math.sqrt(kernels._SLACK / 2.0 - 2.0**-53)
+# The kernels docstring's bound on |S_float - S_exact| at the float angles, 99 e
+# with e = 2^-53, rounded up.
+ROUNDING = 100 * 2.0**-53
 
 
 def mp_s(u, w, alpha, beta):
@@ -334,8 +358,8 @@ def test_float_error_bound_against_mpmath(c, alpha, beta):
     u, w = (float(v[0]) for v in DiagonalScanner.weights(np.array([c])))
     scanner = DiagonalScanner(np.array([alpha]), np.array([beta]))
     s_float = float(scanner.collect(u, w, -math.inf)[2][0])
-    assert kernels._ROUNDING < kernels._SLACK
-    assert abs(s_float - mp_s(u, w, alpha, beta)) <= kernels._ROUNDING
+    assert ROUNDING < kernels._SLACK
+    assert abs(s_float - mp_s(u, w, alpha, beta)) <= ROUNDING
 
     # The identity form at the {c, s} that u fixes, and its roots mod pi.
     c_f, s_f, slack = kernels._pair(u, w)
@@ -350,7 +374,7 @@ def test_float_error_bound_against_mpmath(c, alpha, beta):
              for a, b in ((s_mp, c_mp), (c_mp, s_mp))]
         s_id = 1 - 2 * min(p)
         # |w - c s| is the slack's second term; c s itself is rounded to 3 ulp.
-        assert abs(s_float - s_id) <= slack - kernels._SLACK + kernels._ROUNDING + 4 * 2.0**-53
+        assert abs(s_float - s_id) <= slack - kernels._SLACK + ROUNDING + 4 * 2.0**-53
         for (a_f, b_f), (a, b) in zip(((s_f, c_f), (c_f, s_f)), ((s_mp, c_mp), (c_mp, s_mp))):
             radius, phase = (float(v[0]) for v in
                              kernels._root(np.array([a_f * cos_a]), np.array([b_f * sin_a])))
