@@ -21,17 +21,21 @@ import sys
 from argparse import ArgumentParser
 from typing import Optional
 
+import numpy as np
+
 from . import __version__
 from ._json import render
-from .domain import InputError, MeasurementSettings
+from .domain import CorrelationTriple, InputError, MeasurementSettings
 from .hidden_variables import (
+    HVModel,
+    _averages,
+    _model_chunks,
     ensemble_averages,
     frechet_range,
     model_from_json,
     model_to_json,
-    random_model,
 )
-from .inequalities import expansion_audit, leggett_bounds, reduced_lhs_exact
+from .inequalities import _bounds, expansion_audit, leggett_bounds, reduced_lhs_exact
 from .montecarlo import estimate, sample_pairs, simulate_hv
 from .quantum import (
     PureTwoPhotonState,
@@ -48,6 +52,12 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_VIOLATION = 3
 EXIT_INTERNAL = 4
+
+# Marginal pairs per Fréchet oracle call in ``hv``.  The solver's memory
+# grows with the pairs of a call.  On the 31 x 31 grid, after the scipy
+# import, peak RSS rose by about 2.5 MB at 31 or 64 pairs per call and
+# by 8.7 MB in one call of all 961; the calls took 0.26, 0.15 and 0.06 s.
+FRECHET_PAIRS_PER_CALL = 64
 
 
 class _ArgumentError(Exception):
@@ -316,33 +326,37 @@ def _cmd_hv(args) -> int:
         raise InputError(f"--frechet-grid must be >= 0, got {args.frechet_grid}")
     max_overshoot = 0.0
     first_triple = None
-    for index in range(args.models):
-        model = random_model(args.labels, args.seed, stream=index)
-        if index == 0 and args.emit_model is not None:
+    # Models come in chunks of streams 0, 1, ...; row 0 of the first chunk
+    # is the model random_model(--labels, --seed, stream=0) returns.
+    for offset, weights, responses in _model_chunks(args.labels, args.seed, 0, args.models):
+        if offset == 0 and args.emit_model is not None:
+            model = HVModel(weights=weights[0], responses=responses[0])
             with open(args.emit_model, "w", encoding="utf-8") as fh:
                 fh.write(model_to_json(model) + "\n")
-        triple = ensemble_averages(model)
-        if index == 0:
-            first_triple = triple
-        bounds = leggett_bounds(triple)
-        overshoot = max(0.0, -bounds.margin)
-        if overshoot > max_overshoot:
-            max_overshoot = overshoot
+        a_bar, b_bar, ab_bar = _averages(weights, responses)
+        if first_triple is None:
+            first_triple = CorrelationTriple(float(a_bar[0]), float(b_bar[0]), float(ab_bar[0]))
+        _, _, margin = _bounds(a_bar, b_bar, ab_bar)
+        max_overshoot = max(max_overshoot, float(np.max(-margin)))
 
     frechet = None
     if args.frechet_grid > 0:
-        import numpy as np
-
         grid = np.linspace(-1.0, 1.0, args.frechet_grid)
+        pairs = args.frechet_grid ** 2
         max_lower_error = 0.0
         max_upper_error = 0.0
-        # One oracle call per grid row keeps memory O(--frechet-grid).
-        for a_bar in grid:
-            low, high = frechet_range(a_bar, grid)
+        # Pair k is (grid[k // size], grid[k % size]); at most
+        # FRECHET_PAIRS_PER_CALL pairs per oracle call keep memory
+        # O(FRECHET_PAIRS_PER_CALL + --frechet-grid).
+        for start in range(0, pairs, FRECHET_PAIRS_PER_CALL):
+            row, col = np.divmod(np.arange(start, min(pairs, start + FRECHET_PAIRS_PER_CALL)),
+                                 args.frechet_grid)
+            a_bar, b_bar = grid[row], grid[col]
+            low, high = frechet_range(a_bar, b_bar)
             max_lower_error = max(max_lower_error,
-                                  float(np.max(np.abs(low - (-1.0 + np.abs(a_bar + grid))))))
+                                  float(np.max(np.abs(low - (-1.0 + np.abs(a_bar + b_bar))))))
             max_upper_error = max(max_upper_error,
-                                  float(np.max(np.abs(high - (1.0 - np.abs(a_bar - grid))))))
+                                  float(np.max(np.abs(high - (1.0 - np.abs(a_bar - b_bar))))))
         frechet = {
             "grid_size": args.frechet_grid,
             "max_lower_error": max_lower_error,

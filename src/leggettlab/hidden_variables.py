@@ -38,15 +38,21 @@ def _check_weights(weights) -> np.ndarray:
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 1 or w.size < 1:
         raise InputError("weights must be a non-empty 1-d sequence")
-    if not np.all(np.isfinite(w)):
-        raise InputError("weights must be finite")
-    if np.any(w < 0.0):
-        raise InputError("weights must be nonnegative")
-    total = float(np.sum(w))
-    if abs(total - 1.0) > PROB_ATOL:
-        raise InputError(f"weights sum to {total!r}, expected 1 within {PROB_ATOL}")
+    _check_weight_rows(w[None])
     w.setflags(write=False)
     return w
+
+
+def _check_weight_rows(weights: np.ndarray) -> None:
+    """Each row of ``weights`` finite, nonnegative and summing to 1 within ``PROB_ATOL``."""
+    if not np.all(np.isfinite(weights)):
+        raise InputError("weights must be finite")
+    if np.any(weights < 0.0):
+        raise InputError("weights must be nonnegative")
+    totals = np.sum(weights, axis=1)
+    off = np.abs(totals - 1.0) > PROB_ATOL
+    if off.any():
+        raise InputError(f"weights sum to {float(totals[off][0])!r}, expected 1 within {PROB_ATOL}")
 
 
 def _check_signs(values, name: str, shape: tuple[int, ...]) -> np.ndarray:
@@ -117,13 +123,28 @@ def ensemble_averages(model: HVModel) -> CorrelationTriple:
     """Weighted averages ``(a_bar, b_bar, ab_bar)`` over the model's support."""
     if not isinstance(model, HVModel):
         raise InputError("ensemble_averages expects an HVModel")
-    a = model.responses[:, 0]
-    b = model.responses[:, 1]
-    return CorrelationTriple(
-        a_bar=float(model.weights @ a),
-        b_bar=float(model.weights @ b),
-        ab_bar=float(model.weights @ (a * b)),
-    )
+    a_bar, b_bar, ab_bar = _averages(model.weights[None], model.responses[None])
+    return CorrelationTriple(a_bar=float(a_bar[0]), b_bar=float(b_bar[0]), ab_bar=float(ab_bar[0]))
+
+
+def _averages(weights: np.ndarray, responses: np.ndarray):
+    """Arrays ``(a_bar, b_bar, ab_bar)`` of a stack of models, each validated as a triple.
+
+    ``weights`` has shape ``(m, n)`` and ``responses`` ``(m, n, 2)``.
+    Row i of each average is the dot product ``weights[i] @ x[i]``, so a
+    stack of one model gives the same doubles as any larger stack.
+    Every average must be finite and within ``[-1, 1]`` up to
+    ``PROB_ATOL``, as :class:`CorrelationTriple` requires.
+    """
+    a = responses[..., 0]
+    b = responses[..., 1]
+    stacked = weights[:, None, :]
+    out = tuple(np.matmul(stacked, x[:, :, None])[:, 0, 0] for x in (a, b, a * b))
+    for name, value in zip(("a_bar", "b_bar", "ab_bar"), out):
+        bad = ~(np.abs(value) <= 1.0 + PROB_ATOL)
+        if bad.any():
+            raise InputError(f"{name} out of [-1, 1]: {float(value[bad][0])!r}")
+    return out
 
 
 def pointwise_identity(a: int, b: int) -> tuple[float, float, float]:
@@ -219,18 +240,52 @@ def random_model(label_count: int, seed: int, stream: int = 0) -> HVModel:
     so distinct streams give independent models under one seed.  Weights
     are uniform draws normalized to sum 1; responses are fair sign flips.
     """
+    _, weights, responses = next(_model_chunks(label_count, seed, stream, 1))
+    return HVModel(weights=weights[0], responses=responses[0])
+
+
+# Labels per chunk of :func:`_model_chunks`.  A chunk and its averaging
+# temporaries hold about 50 bytes per label, some 1.6 MB in all.
+_CHUNK_LABELS = 1 << 15
+
+
+def _model_chunks(label_count: int, seed: int, first: int, count: int):
+    """Yield ``(offset, weights, responses)`` for the models of streams ``first .. first + count - 1``.
+
+    Row i of a chunk holds the model :func:`random_model` returns for
+    stream ``first + offset + i``: ``weights`` of shape ``(m, label_count)``,
+    checked as :class:`HVModel` checks them, and int8 ``responses`` of
+    shape ``(m, label_count, 2)``.  A chunk holds at most
+    ``_CHUNK_LABELS`` labels (one model at least), so memory is
+    O(chunk * labels) for any ``count``.  Each stream's generator starts
+    from key ``(seed, stream)`` and counter 0, as a new
+    ``Philox(key=...)`` does, and makes the same two calls.
+    """
     label_count = int(label_count)
     if label_count < 1:
         raise InputError(f"label_count must be >= 1, got {label_count}")
-    for name, v in (("seed", seed), ("stream", stream)):
+    for name, v in (("seed", seed), ("stream", first)):
         if not isinstance(v, (int, np.integer)) or not 0 <= int(v) < 2**64:
             raise InputError(f"{name} must be an integer in [0, 2^64), got {v!r}")
-    gen = np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
-    raw = gen.random(label_count)
-    total = float(raw.sum())
-    weights = raw / total if total > 0.0 else np.full(label_count, 1.0 / label_count)
-    responses = (gen.integers(0, 2, size=(label_count, 2)) * 2 - 1).astype(np.int8)
-    return HVModel(weights=weights, responses=responses)
+    bits = np.random.Philox(key=np.array([seed, first], dtype=np.uint64))
+    gen = np.random.Generator(bits)
+    fresh = bits.state
+    height = max(1, _CHUNK_LABELS // label_count)
+    for offset in range(0, count, height):
+        m = min(height, count - offset)
+        raw = np.empty((m, label_count))
+        responses = np.empty((m, label_count, 2), dtype=np.int8)
+        for i in range(m):
+            fresh["state"]["key"] = np.array([seed, int(first) + offset + i], dtype=np.uint64)
+            bits.state = fresh
+            gen.random(out=raw[i])
+            responses[i] = gen.integers(0, 2, size=(label_count, 2))
+        responses *= 2
+        responses -= 1
+        total = raw.sum(axis=1, keepdims=True)
+        weights = np.divide(raw, total, out=np.full_like(raw, 1.0 / label_count), where=total > 0.0)
+        _check_weight_rows(weights)
+        yield offset, weights, responses
 
 
 def model_to_json(model: HVModel) -> str:

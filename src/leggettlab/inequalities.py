@@ -42,6 +42,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .domain import PROB_ATOL, CorrelationTriple, InputError, MeasurementSettings
 from .quantum import _check_weight, diagonal_state, joint_distribution, marginals
 
@@ -118,15 +120,25 @@ def leggett_bounds(corr: CorrelationTriple) -> LeggettBounds:
     """Evaluate the two-sided bound for a correlation triple."""
     if not isinstance(corr, CorrelationTriple):
         corr = CorrelationTriple(*corr)
-    upper = 1.0 - abs(corr.a_bar - corr.b_bar)
-    lower = -1.0 + abs(corr.a_bar + corr.b_bar)
-    margin = min(upper - corr.ab_bar, corr.ab_bar - lower)
+    lower, upper, margin = (float(v) for v in _bounds(corr.a_bar, corr.b_bar, corr.ab_bar))
     return LeggettBounds(
         lower=lower,
         upper=upper,
         satisfied=margin >= -PROB_ATOL,
         margin=margin,
     )
+
+
+def _bounds(a_bar, b_bar, ab_bar):
+    """``(lower, upper, margin)`` of :func:`leggett_bounds`, elementwise over arrays.
+
+    The margin is ``min(upper - ab_bar, ab_bar - lower)``, taking the
+    first gap when the two are equal, as Python's ``min`` does.
+    """
+    upper = 1.0 - np.abs(a_bar - b_bar)
+    lower = -1.0 + np.abs(a_bar + b_bar)
+    above, below = upper - ab_bar, ab_bar - lower
+    return lower, upper, np.where(below < above, below, above)
 
 
 def _check_eps(eps: float) -> float:

@@ -176,11 +176,18 @@ def _evaluate(x, y, z, u_k, w_k, s, t) -> np.ndarray:
     return s
 
 
-def _collect_blocks(blocks, threshold: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All ``(i, j, S)`` with ``S > threshold`` from ``(row_offset, S_block)`` pairs, row-major."""
+def _collect_blocks(
+    blocks, threshold: float, limit: int | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The first ``limit`` ``(i, j, S)`` with ``S > threshold``, row-major, from ``(row_offset, S_block)`` pairs.
+
+    ``limit`` None keeps every point.  Blocks come in row order, so no
+    block is read after the first ``limit`` points are found.
+    """
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
     vals: list[np.ndarray] = []
+    found = 0
     for start, s in blocks:
         mask = s > threshold
         if mask.any():
@@ -188,10 +195,13 @@ def _collect_blocks(blocks, threshold: float) -> tuple[np.ndarray, np.ndarray, n
             rows.append(i_idx + start)
             cols.append(j_idx)
             vals.append(s[mask])
+            found += i_idx.size
+            if limit is not None and found >= limit:
+                break
     if not rows:
         empty_i = np.empty(0, dtype=np.int64)
         return empty_i, empty_i.copy(), np.empty(0)
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    return tuple(np.concatenate(part)[:limit] for part in (rows, cols, vals))
 
 
 def _pair(u: float, w: float) -> tuple[float, float, float]:
@@ -417,16 +427,23 @@ class DiagonalScanner:
         return np.array(max_s), arg_i, arg_j, n_over
 
     def collect(
-        self, u_k: float, w_k: float, threshold: float
+        self, u_k: float, w_k: float, threshold: float, limit: int | None = None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """All ``(i, j, S)`` with ``S > threshold`` for one ``c``, row-major order."""
+        """The first ``limit`` ``(i, j, S)`` with ``S > threshold`` for one ``c``, row-major order.
+
+        ``limit`` None returns every such point.  Chunks are read in row
+        order, and none after the first ``limit`` points are found.
+        """
         threshold = float(threshold)
         nb = self._cols[0].size
         c, s, slack = _pair(u_k, w_k)
         keys: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
         vals: list[np.ndarray] = [np.empty(0)]
+        found = 0
         hopeful = self._may_certify(threshold, slack)
         for block, trig, buffers in self._chunks():
+            if limit is not None and found >= limit:
+                break
             chunk_keys, chunk_vals = [np.empty(0, dtype=np.int64)], [np.empty(0)]
             sure = np.zeros(block.stop - block.start, dtype=bool)
             if hopeful:
@@ -436,15 +453,25 @@ class DiagonalScanner:
                 chunk_keys.append(hit_keys)
                 chunk_vals.append(hit_vals)
             pending = [(0, ~sure)] if not sure.all() else []
+            full = 0
             for _, rows, block_s in self._full_rows(block, pending, (u_k,), (w_k,)):
                 i_idx, j_idx = np.nonzero(block_s > threshold)
                 chunk_keys.append(rows[i_idx] * nb + j_idx)
                 chunk_vals.append(block_s[i_idx, j_idx])
+                # Full rows come in row order: a later one has at least
+                # ``full`` smaller keys before it, so none of its points
+                # can be among the first ``limit - found`` of the chunk.
+                full += i_idx.size
+                if limit is not None and found + full >= limit:
+                    break
             # Certified and full rows interleave; order their hits row-major.
             chunk_keys = np.concatenate(chunk_keys)
             order = np.argsort(chunk_keys, kind="stable")
+            if limit is not None:
+                order = order[:limit - found]
             keys.append(chunk_keys[order])
             vals.append(np.concatenate(chunk_vals)[order])
+            found += order.size
         i_idx, j_idx = np.divmod(np.concatenate(keys), nb)
         return i_idx, j_idx, np.concatenate(vals)
 
@@ -493,6 +520,7 @@ def plane_collect(
     alphas: np.ndarray,
     betas: np.ndarray,
     threshold: float,
+    limit: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All ``(i, j, S)`` with ``S > threshold`` for a fixed state, row-major order."""
-    return _collect_blocks(_plane_blocks(coeffs, alphas, betas), threshold)
+    """The first ``limit`` (all if None) ``(i, j, S)`` with ``S > threshold`` for a fixed state, row-major."""
+    return _collect_blocks(_plane_blocks(coeffs, alphas, betas), threshold, limit)

@@ -281,9 +281,9 @@ def _scan_diagonal(spec: ScanSpec, workers: int) -> ScanReport:
     for k in np.nonzero(n_over > 0)[0]:
         if len(violations) >= VIOLATION_CAP:
             break
-        i_idx, j_idx, s_vals = scanner.collect(float(u[k]), float(w[k]), threshold)
         room = VIOLATION_CAP - len(violations)
-        for i, j, s in zip(i_idx[:room], j_idx[:room], s_vals[:room]):
+        i_idx, j_idx, s_vals = scanner.collect(float(u[k]), float(w[k]), threshold, room)
+        for i, j, s in zip(i_idx, j_idx, s_vals):
             violations.append(ScanPoint(float(cs[k]), float(alphas[i]), float(betas[j]), float(s)))
 
     slice_maxima = tuple(
@@ -319,10 +319,10 @@ def _scan_plane(spec: ScanSpec) -> ScanReport:
 
     violations: tuple[ScanPoint, ...] = ()
     if count > 0:
-        i_idx, j_idx, s_vals = plane_collect(state.coeffs, alphas, betas, threshold)
+        i_idx, j_idx, s_vals = plane_collect(state.coeffs, alphas, betas, threshold, VIOLATION_CAP)
         violations = tuple(
             ScanPoint(None, float(alphas[i]), float(betas[j]), float(s))
-            for i, j, s in zip(i_idx[:VIOLATION_CAP], j_idx[:VIOLATION_CAP], s_vals[:VIOLATION_CAP])
+            for i, j, s in zip(i_idx, j_idx, s_vals)
         )
 
     slice_maxima = tuple(

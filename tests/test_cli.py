@@ -263,6 +263,7 @@ class TestHv:
     def test_validation(self, capsys):
         assert run(capsys, "hv", "--labels", "0")[0] == EXIT_USAGE
         assert run(capsys, "hv", "--models", "0")[0] == EXIT_USAGE
+        assert run(capsys, "hv", "--seed", "-1")[0] == EXIT_USAGE
         assert run(capsys, "hv", "--frechet-grid", "-1")[0] == EXIT_USAGE
         assert run(capsys, "hv", "--method", "lp")[0] == EXIT_USAGE
 

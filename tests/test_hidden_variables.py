@@ -2,6 +2,7 @@
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from leggettlab import (
     pointwise_identity,
     random_model,
 )
+from leggettlab import hidden_variables
+from leggettlab.inequalities import _bounds
 
 
 class TestHVModelValidation:
@@ -234,6 +237,85 @@ class TestRandomModel:
             random_model(10, seed=-1)
         with pytest.raises(InputError):
             random_model(10, seed=1.5)
+
+
+def reference_model(label_count, seed, stream):
+    """A model drawn as one generator per stream: ``gen.random(L)``, then ``gen.integers(0, 2, (L, 2))``."""
+    gen = np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
+    raw = gen.random(label_count)
+    total = float(raw.sum())
+    weights = raw / total if total > 0.0 else np.full(label_count, 1.0 / label_count)
+    responses = (gen.integers(0, 2, size=(label_count, 2)) * 2 - 1).astype(np.int8)
+    return weights, responses
+
+
+def same_double(x, y) -> bool:
+    return np.float64(x).tobytes() == np.float64(y).tobytes()
+
+
+class TestModelChunks:
+    """The chunked pass of ``hv`` against per-model draws, averages and bounds, bit for bit."""
+
+    @pytest.mark.parametrize("label_count", [1, 2, 7, 100, 257])
+    @pytest.mark.parametrize("first", [0, 5])
+    def test_rows_match_per_model_path(self, label_count, first):
+        # 600 labels per chunk: 600, 300, 85, 6 and 2 models, so 2.5
+        # chunks put streams on both sides of two chunk boundaries.
+        height = max(1, 600 // label_count)
+        count = 2 * height + height // 2 + 1
+        seed = 2**64 - 3
+        streams = []
+        with mock.patch.object(hidden_variables, "_CHUNK_LABELS", 600):
+            for offset, weights, responses in hidden_variables._model_chunks(
+                label_count, seed, first, count
+            ):
+                assert weights.shape[0] == responses.shape[0] <= height
+                a_bar, b_bar, ab_bar = hidden_variables._averages(weights, responses)
+                lower, upper, margin = _bounds(a_bar, b_bar, ab_bar)
+                for i in range(weights.shape[0]):
+                    stream = first + offset + i
+                    streams.append(stream)
+                    want_w, want_r = reference_model(label_count, seed, stream)
+                    assert np.array_equal(weights[i], want_w)
+                    assert np.array_equal(responses[i], want_r)
+                    model = random_model(label_count, seed, stream=stream)
+                    assert np.array_equal(model.weights, want_w)
+                    assert np.array_equal(model.responses, want_r)
+                    triple = ensemble_averages(model)
+                    a, b = want_r[:, 0], want_r[:, 1]
+                    for got, per_model, direct in zip(
+                        (a_bar[i], b_bar[i], ab_bar[i]),
+                        triple.as_tuple(),
+                        (want_w @ a, want_w @ b, want_w @ (a * b)),
+                    ):
+                        assert same_double(got, per_model) and same_double(got, direct)
+                    bounds = leggett_bounds(triple)
+                    assert same_double(lower[i], bounds.lower)
+                    assert same_double(upper[i], bounds.upper)
+                    assert same_double(margin[i], bounds.margin)
+        assert streams == list(range(first, first + count))
+
+    def test_chunk_height_at_the_default_size(self):
+        heights = [w.shape[0] for _, w, _ in hidden_variables._model_chunks(257, 0, 0, 300)]
+        assert heights == [127, 127, 46]
+
+    def test_invalid_rows_raise(self):
+        responses = np.ones((1, 2, 2), dtype=np.int8)
+        for weights in ([[0.5, 0.4]], [[1.5, -0.5]], [[np.nan, 1.0]], [[np.inf, 0.0]]):
+            with pytest.raises(InputError):
+                hidden_variables._check_weight_rows(np.array(weights))
+        with pytest.raises(InputError):
+            hidden_variables._averages(np.array([[1.0, 1.0]]), responses)
+        with pytest.raises(InputError):
+            hidden_variables._averages(np.array([[np.nan, 0.0]]), responses)
+
+    def test_validation(self):
+        with pytest.raises(InputError):
+            next(hidden_variables._model_chunks(0, 0, 0, 1))
+        with pytest.raises(InputError):
+            next(hidden_variables._model_chunks(3, -1, 0, 1))
+        with pytest.raises(InputError):
+            next(hidden_variables._model_chunks(3, 0, 2**64, 1))
 
 
 class TestSerialization:

@@ -197,12 +197,13 @@ class TestDiagonalScanner:
 
     def test_memory_is_bounded_by_the_block(self):
         u, w = DiagonalScanner.weights(np.array([0.35]))
-        for na, nb, threshold, collect in (
-            (2000, 2000, 1.0 + 1e-9, True),
-            (2000, 2000, 1.0 - 1e-12, True),
-            # Every row falls back; collecting would return all 4 M points.
-            (2000, 2000, -math.inf, False),
-            (1 << 17, 16, 1.0 + 1e-9, True),
+        for na, nb, threshold, limit in (
+            (2000, 2000, 1.0 + 1e-9, None),
+            (2000, 2000, 1.0 - 1e-12, None),
+            # Every row falls back and every point is over the threshold:
+            # an unlimited collect would return all 4 M points.
+            (2000, 2000, -math.inf, 10_000),
+            (1 << 17, 16, 1.0 + 1e-9, None),
         ):
             alphas = np.linspace(0.0, math.pi, na)
             betas = np.linspace(0.0, math.pi, nb)
@@ -210,8 +211,7 @@ class TestDiagonalScanner:
             try:
                 scanner = DiagonalScanner(alphas, betas)
                 scanner.scan(u, w, threshold)
-                if collect:
-                    scanner.collect(float(u[0]), float(w[0]), threshold)
+                scanner.collect(float(u[0]), float(w[0]), threshold, limit)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -391,6 +391,31 @@ def test_float_error_bound_against_mpmath(c, alpha, beta):
         assert min(gap, mpmath.pi - gap) <= 1e-14 < kernels._ANGLE_MARGIN
 
 
+@pytest.mark.parametrize("threshold", [1.0 - 1e-5, 1.0 - 1e-3, 0.9, -math.inf])
+@pytest.mark.parametrize("block_elems", [None, 200])
+def test_limited_collect_is_prefix_of_unlimited(threshold, block_elems):
+    """``collect(..., limit)`` returns the row-major prefix of length ``limit`` of the full collect.
+
+    At 1 - 1e-5, 3 of the 194 rows of both slices go to the block
+    engine, at 1 - 1e-3 38 of them, at 0.9 and -inf all.  200-element
+    blocks give many chunks and blocks, so a limit is reached inside
+    and between them.
+    """
+    alphas = np.linspace(0.0, math.pi, 97)
+    betas = np.linspace(0.1, math.pi + 0.1, 89)
+    u, w = DiagonalScanner.weights(np.array([0.0, 0.3]))
+    with mock.patch.object(kernels, "_BLOCK_ELEMS", block_elems or kernels._BLOCK_ELEMS):
+        scanner = DiagonalScanner(alphas, betas)
+        for k in range(u.size):
+            full = scanner.collect(float(u[k]), float(w[k]), threshold)
+            assert full[0].size > 0
+            n = full[0].size
+            for limit in sorted({0, 1, 2, 7, n // 3, n // 2, n - 1, n, n + 5}):
+                got = scanner.collect(float(u[k]), float(w[k]), threshold, limit)
+                for g, f in zip(got, full):
+                    assert np.array_equal(g, f[:limit]), (k, limit)
+
+
 def test_golden_fixture_bitwise():
     golden = np.load(GOLDEN)
     for name, (alphas, betas, cs, threshold) in golden_cases().items():
@@ -453,10 +478,25 @@ class TestPlaneKernels:
         try:
             plane_row_scan(coeffs, alphas, betas, 1.0 + 1e-9)
             plane_collect(coeffs, alphas, betas, 1.0 + 1e-9)
+            plane_collect(coeffs, alphas, betas, -math.inf, 10_000)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize("threshold", [0.9, -math.inf])
+    def test_limited_collect_is_prefix_of_unlimited(self, threshold):
+        alphas = np.linspace(0.0, math.pi, 51)
+        betas = np.linspace(0.0, math.pi, 53)
+        coeffs = random_state(3, complex_coeffs=True).coeffs
+        with mock.patch.object(kernels, "_BLOCK_ELEMS", 4 * betas.size):
+            full = plane_collect(coeffs, alphas, betas, threshold)
+            n = full[0].size
+            assert n > 0
+            for limit in sorted({0, 1, 2, 7, n // 3, n // 2, n - 1, n, n + 5}):
+                got = plane_collect(coeffs, alphas, betas, threshold, limit)
+                for g, f in zip(got, full):
+                    assert np.array_equal(g, f[:limit]), limit
 
     def test_collect_empty_when_nothing_crosses(self):
         alphas = np.linspace(0.0, 1.0, 11)

@@ -1,7 +1,13 @@
 """Seeded sampling: determinism, worker invariance, and estimator arithmetic."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from leggettlab import montecarlo
 
 from leggettlab import (
     BLOCK_SIZE,
@@ -133,6 +139,56 @@ class TestSimulateHV:
     def test_type_check(self):
         with pytest.raises(InputError):
             simulate_hv("nope", 10)
+
+
+def reference_label_counts(thresholds, n, seed, block_size):
+    """Per-label counts of ``n`` draws, labelled by ``searchsorted`` and counted by ``bincount``."""
+    counts = np.zeros(thresholds.size + 1, dtype=np.int64)
+    for index in range(-(-n // block_size)):
+        size = min(block_size, n - index * block_size)
+        gen = np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+        labels = np.searchsorted(thresholds, gen.random(size), side="right")
+        counts += np.bincount(labels, minlength=thresholds.size + 1)
+    return counts
+
+
+@st.composite
+def sorted_thresholds(draw, max_size):
+    """Sorted thresholds in [0, 1], often tied, often exactly 0.0 or 1.0, sometimes just above 1."""
+    pool = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+    pool += [0.0, 1.0, float(np.nextafter(1.0, 2.0))]
+    values = draw(st.lists(st.one_of(st.sampled_from(pool), st.floats(0.0, 1.0)),
+                           max_size=max_size))
+    return np.sort(np.array(values, dtype=np.float64))
+
+
+class TestLabelCounts:
+    """Threshold counting against the searchsorted + bincount reference, on both sides of its switch."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        thresholds=sorted_thresholds(max_size=2 * montecarlo._COUNT_MAX_THRESHOLDS),
+        block_size=st.sampled_from([1, 7, 1000, 4096]),
+        n=st.integers(1, 20_000),
+        seed=st.integers(0, 2**64 - 1),
+        workers=st.sampled_from([1, 2]),
+    )
+    def test_matches_reference(self, thresholds, block_size, n, seed, workers):
+        n = min(n, 50 * block_size)
+        with mock.patch.object(montecarlo, "BLOCK_SIZE", block_size):
+            got = montecarlo._label_counts(thresholds, n, seed, workers)
+        assert np.array_equal(got, reference_label_counts(thresholds, n, seed, block_size))
+
+    @pytest.mark.parametrize("labels", [1, 4, 100, montecarlo._COUNT_MAX_THRESHOLDS + 2, 200])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_matches_reference_at_block_size(self, labels, workers):
+        gen = np.random.Generator(np.random.Philox(key=np.array([9, labels], dtype=np.uint64)))
+        values = gen.random(labels - 1)
+        values[::4] = gen.choice([0.0, 0.5, 1.0], size=values[::4].size)  # ties, and 0 and 1
+        thresholds = np.sort(values)
+        n = BLOCK_SIZE + 12345
+        got = montecarlo._label_counts(thresholds, n, 17, workers)
+        assert np.array_equal(got, reference_label_counts(thresholds, n, 17, BLOCK_SIZE))
 
 
 class TestEstimate:
