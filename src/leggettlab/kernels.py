@@ -176,13 +176,11 @@ def _evaluate(x, y, z, u_k, w_k, s, t) -> np.ndarray:
     return s
 
 
-def _collect_blocks(
-    blocks, threshold: float, limit: int | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The first ``limit`` ``(i, j, S)`` with ``S > threshold``, row-major, from ``(row_offset, S_block)`` pairs.
+def _collect_blocks(blocks, threshold: float, limit) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The first ``limit`` (all if None) ``(i, j, S)`` with ``S > threshold``, row-major.
 
-    ``limit`` None keeps every point.  Blocks come in row order, so no
-    block is read after the first ``limit`` points are found.
+    ``blocks`` yields ``(row_offset, S_block)`` in row order; none is read
+    after the first ``limit`` points are found.
     """
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
@@ -429,10 +427,9 @@ class DiagonalScanner:
     def collect(
         self, u_k: float, w_k: float, threshold: float, limit: int | None = None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The first ``limit`` ``(i, j, S)`` with ``S > threshold`` for one ``c``, row-major order.
+        """The first ``limit`` (all if None) ``(i, j, S)`` with ``S > threshold`` for one ``c``, row-major.
 
-        ``limit`` None returns every such point.  Chunks are read in row
-        order, and none after the first ``limit`` points are found.
+        Chunks are read in row order; none after the first ``limit`` points are found.
         """
         threshold = float(threshold)
         nb = self._cols[0].size
@@ -458,9 +455,8 @@ class DiagonalScanner:
                 i_idx, j_idx = np.nonzero(block_s > threshold)
                 chunk_keys.append(rows[i_idx] * nb + j_idx)
                 chunk_vals.append(block_s[i_idx, j_idx])
-                # Full rows come in row order: a later one has at least
-                # ``full`` smaller keys before it, so none of its points
-                # can be among the first ``limit - found`` of the chunk.
+                # Full rows come in row order, so a later one's points
+                # have ``full`` smaller keys of this chunk before them.
                 full += i_idx.size
                 if limit is not None and found + full >= limit:
                     break
@@ -522,5 +518,5 @@ def plane_collect(
     threshold: float,
     limit: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The first ``limit`` (all if None) ``(i, j, S)`` with ``S > threshold`` for a fixed state, row-major."""
+    """The first ``limit`` (all if None) ``(i, j, S)`` with ``S > threshold`` for a fixed state."""
     return _collect_blocks(_plane_blocks(coeffs, alphas, betas), threshold, limit)

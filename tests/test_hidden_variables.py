@@ -296,8 +296,8 @@ class TestModelChunks:
         assert streams == list(range(first, first + count))
 
     def test_chunk_height_at_the_default_size(self):
-        heights = [w.shape[0] for _, w, _ in hidden_variables._model_chunks(257, 0, 0, 300)]
-        assert heights == [127, 127, 46]
+        heights = [w.shape[0] for _, w, _ in hidden_variables._model_chunks(257, 0, 0, 40)]
+        assert heights == [15, 15, 10]
 
     def test_invalid_rows_raise(self):
         responses = np.ones((1, 2, 2), dtype=np.int8)
