@@ -436,10 +436,10 @@ class DiagonalScanner:
         c, s, slack = _pair(u_k, w_k)
         keys: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
         vals: list[np.ndarray] = [np.empty(0)]
-        found = 0
+        room = self._rows[0].size * nb if limit is None else limit
         hopeful = self._may_certify(threshold, slack)
         for block, trig, buffers in self._chunks():
-            if limit is not None and found >= limit:
+            if room <= 0:
                 break
             chunk_keys, chunk_vals = [np.empty(0, dtype=np.int64)], [np.empty(0)]
             sure = np.zeros(block.stop - block.start, dtype=bool)
@@ -455,19 +455,16 @@ class DiagonalScanner:
                 i_idx, j_idx = np.nonzero(block_s > threshold)
                 chunk_keys.append(rows[i_idx] * nb + j_idx)
                 chunk_vals.append(block_s[i_idx, j_idx])
-                # Full rows come in row order, so a later one's points
-                # have ``full`` smaller keys of this chunk before them.
+                # Full rows come in row order: later ones rank after these hits.
                 full += i_idx.size
-                if limit is not None and found + full >= limit:
+                if full >= room:
                     break
             # Certified and full rows interleave; order their hits row-major.
             chunk_keys = np.concatenate(chunk_keys)
-            order = np.argsort(chunk_keys, kind="stable")
-            if limit is not None:
-                order = order[:limit - found]
+            order = np.argsort(chunk_keys, kind="stable")[:room]
             keys.append(chunk_keys[order])
             vals.append(np.concatenate(chunk_vals)[order])
-            found += order.size
+            room -= order.size
         i_idx, j_idx = np.divmod(np.concatenate(keys), nb)
         return i_idx, j_idx, np.concatenate(vals)
 

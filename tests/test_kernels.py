@@ -408,8 +408,8 @@ def test_limited_collect_is_prefix_of_unlimited(threshold, block_elems):
         scanner = DiagonalScanner(alphas, betas)
         for k in range(u.size):
             full = scanner.collect(float(u[k]), float(w[k]), threshold)
-            assert full[0].size > 0
             n = full[0].size
+            assert n > 0 and n == scanner.scan(u[k:k + 1], w[k:k + 1], threshold)[3][0]
             for limit in sorted({0, 1, 2, 7, n // 3, n // 2, n - 1, n, n + 5}):
                 got = scanner.collect(float(u[k]), float(w[k]), threshold, limit)
                 for g, f in zip(got, full):
@@ -492,7 +492,7 @@ class TestPlaneKernels:
         with mock.patch.object(kernels, "_BLOCK_ELEMS", 4 * betas.size):
             full = plane_collect(coeffs, alphas, betas, threshold)
             n = full[0].size
-            assert n > 0
+            assert n > 0 and n == plane_row_scan(coeffs, alphas, betas, threshold)[2]
             for limit in sorted({0, 1, 2, 7, n // 3, n // 2, n - 1, n, n + 5}):
                 got = plane_collect(coeffs, alphas, betas, threshold, limit)
                 for g, f in zip(got, full):
