@@ -257,8 +257,8 @@ def _model_chunks(label_count: int, seed: int, first: int, count: int):
     stream ``first + offset + i``: ``weights`` of shape ``(m, label_count)``,
     checked as :class:`HVModel` checks them, and int8 ``responses`` of
     shape ``(m, label_count, 2)``.  A chunk holds at most
-    ``_CHUNK_LABELS`` labels (one model at least), so memory is
-    O(chunk * labels) for any ``count``.  Each stream's generator starts
+    ``_CHUNK_LABELS`` labels, or one model when that has more, so memory
+    does not grow with ``count``.  Each stream's generator starts
     from key ``(seed, stream)`` and counter 0, as a new
     ``Philox(key=...)`` does, and makes the same two calls.
     """
