@@ -176,8 +176,8 @@ def _evaluate(x, y, z, u_k, w_k, s, t) -> np.ndarray:
     return s
 
 
-def _collect_blocks(blocks, threshold: float, limit) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The first ``limit`` (all if None) ``(i, j, S)`` with ``S > threshold``, row-major.
+def _collect_blocks(blocks, threshold: float, limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The first ``limit`` ``(i, j, S)`` with ``S > threshold``, row-major.
 
     ``blocks`` yields ``(row_offset, S_block)`` in row order; none is read
     after the first ``limit`` points are found.
@@ -194,7 +194,7 @@ def _collect_blocks(blocks, threshold: float, limit) -> tuple[np.ndarray, np.nda
             cols.append(j_idx)
             vals.append(s[mask])
             found += i_idx.size
-            if limit is not None and found >= limit:
+            if found >= limit:
                 break
     if not rows:
         empty_i = np.empty(0, dtype=np.int64)
@@ -425,9 +425,9 @@ class DiagonalScanner:
         return np.array(max_s), arg_i, arg_j, n_over
 
     def collect(
-        self, u_k: float, w_k: float, threshold: float, limit: int | None = None
+        self, u_k: float, w_k: float, threshold: float, limit: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The first ``limit`` (all if None) ``(i, j, S)`` with ``S > threshold`` for one ``c``, row-major.
+        """The first ``limit`` ``(i, j, S)`` with ``S > threshold`` for one ``c``, row-major.
 
         Chunks are read in row order; none after the first ``limit`` points are found.
         """
@@ -436,7 +436,7 @@ class DiagonalScanner:
         c, s, slack = _pair(u_k, w_k)
         keys: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
         vals: list[np.ndarray] = [np.empty(0)]
-        room = self._rows[0].size * nb if limit is None else limit
+        room = limit
         hopeful = self._may_certify(threshold, slack)
         for block, trig, buffers in self._chunks():
             if room <= 0:
@@ -513,7 +513,7 @@ def plane_collect(
     alphas: np.ndarray,
     betas: np.ndarray,
     threshold: float,
-    limit: int | None = None,
+    limit: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The first ``limit`` (all if None) ``(i, j, S)`` with ``S > threshold`` for a fixed state."""
+    """The first ``limit`` ``(i, j, S)`` with ``S > threshold`` for a fixed state."""
     return _collect_blocks(_plane_blocks(coeffs, alphas, betas), threshold, limit)

@@ -16,9 +16,7 @@ cumulative thresholds ``t``, the index ``searchsorted(t, r,
 side="right")`` returns.  So label k is drawn ``#(r >= t_{k-1}) - #(r >=
 t_k)`` times in a block, one comparison and count per threshold, with
 ``#(r >= t_{-1})`` the block size and ``#(r >= t_K)`` zero.  That costs
-linear time in the number of thresholds; beyond ``_COUNT_MAX_THRESHOLDS``
-of them ``searchsorted`` and ``bincount`` are faster and are used
-instead.  Both give the same counts.
+one pass over the block per threshold.
 
 Estimators are plain plug-in frequencies with normal-approximation
 (Wald) standard errors ``sqrt((1 - x^2)/n)``.
@@ -46,10 +44,6 @@ __all__ = [
 ]
 
 BLOCK_SIZE = 1 << 20
-# Above this many thresholds, searchsorted and bincount count a block's
-# labels faster than one comparison per threshold (about 70 ms per block
-# either way at 128; at 3 thresholds 1.5 against 22 ms).
-_COUNT_MAX_THRESHOLDS = 128
 
 
 @dataclass(frozen=True)
@@ -111,25 +105,20 @@ def _label_counts(thresholds: np.ndarray, n: int, seed: int, workers: Optional[i
     ``BLOCK_SIZE`` draws uses key ``(seed, k)``.
     """
     labels = thresholds.size + 1
-    by_threshold = thresholds.size <= _COUNT_MAX_THRESHOLDS
 
     def run(blocks: slice) -> np.ndarray:
         per_label = np.zeros(labels, dtype=np.int64)
         draws = np.empty(min(BLOCK_SIZE, n))
+        mask = np.empty(draws.size, dtype=bool)
         at_least = np.zeros(labels + 1, dtype=np.int64)
-        mask = np.empty(draws.size, dtype=bool) if by_threshold else None
         for index in range(blocks.start, blocks.stop):
             size = min(BLOCK_SIZE, n - index * BLOCK_SIZE)
             gen = np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
             r = gen.random(size, out=draws[:size])
-            if by_threshold:
-                at_least[0] = size
-                for k, t in enumerate(thresholds, start=1):
-                    at_least[k] = np.count_nonzero(np.greater_equal(r, t, out=mask[:size]))
-                per_label += at_least[:-1] - at_least[1:]
-            else:
-                per_label += np.bincount(np.searchsorted(thresholds, r, side="right"),
-                                         minlength=labels)
+            at_least[0] = size
+            for k, t in enumerate(thresholds, start=1):
+                at_least[k] = np.count_nonzero(np.greater_equal(r, t, out=mask[:size]))
+            per_label += at_least[:-1] - at_least[1:]
         return per_label
 
     return sum(shard_map(run, -(-n // BLOCK_SIZE), resolve_workers(workers)))

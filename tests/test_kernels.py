@@ -172,7 +172,8 @@ class TestDiagonalScanner:
         cs = np.array([0.35])
         u, w = DiagonalScanner.weights(cs)
         _, _, _, n_over = scanner.scan(u, w, 0.95)
-        i_idx, j_idx, s_vals = scanner.collect(float(u[0]), float(w[0]), 0.95)
+        i_idx, j_idx, s_vals = scanner.collect(float(u[0]), float(w[0]), 0.95,
+                                               alphas.size * betas.size)
         assert i_idx.size == n_over[0]
         for i, j, s in zip(i_idx, j_idx, s_vals):
             assert s == pytest.approx(
@@ -198,12 +199,12 @@ class TestDiagonalScanner:
     def test_memory_is_bounded_by_the_block(self):
         u, w = DiagonalScanner.weights(np.array([0.35]))
         for na, nb, threshold, limit in (
-            (2000, 2000, 1.0 + 1e-9, None),
-            (2000, 2000, 1.0 - 1e-12, None),
+            (2000, 2000, 1.0 + 1e-9, 4_000_000),
+            (2000, 2000, 1.0 - 1e-12, 4_000_000),
             # Every row falls back and every point is over the threshold:
-            # an unlimited collect would return all 4 M points.
+            # a collect with room for every point would return all 4 M.
             (2000, 2000, -math.inf, 10_000),
-            (1 << 17, 16, 1.0 + 1e-9, None),
+            (1 << 17, 16, 1.0 + 1e-9, 1 << 21),
         ):
             alphas = np.linspace(0.0, math.pi, na)
             betas = np.linspace(0.0, math.pi, nb)
@@ -223,7 +224,9 @@ def check_against_reference(alphas, betas, u, w, threshold, block_elems=None):
     with mock.patch.object(kernels, "_BLOCK_ELEMS", block_elems or kernels._BLOCK_ELEMS):
         scanner = DiagonalScanner(alphas, betas)
         got = scanner.scan(u, w, threshold)
-        collected = [scanner.collect(float(u[k]), float(w[k]), threshold) for k in range(u.size)]
+        every = alphas.size * betas.size
+        collected = [scanner.collect(float(u[k]), float(w[k]), threshold, every)
+                     for k in range(u.size)]
     ca2, sa2, s2a = trig_tables(alphas)
     cb2, sb2, s2b = trig_tables(betas)
     want = _diagonal_scan_py(u, w, ca2, sa2, s2a, cb2, sb2, s2b, threshold)
@@ -357,7 +360,7 @@ def mp_s(u, w, alpha, beta):
 def test_float_error_bound_against_mpmath(c, alpha, beta):
     u, w = (float(v[0]) for v in DiagonalScanner.weights(np.array([c])))
     scanner = DiagonalScanner(np.array([alpha]), np.array([beta]))
-    s_float = float(scanner.collect(u, w, -math.inf)[2][0])
+    s_float = float(scanner.collect(u, w, -math.inf, 1)[2][0])
     assert ROUNDING < kernels._SLACK
     assert abs(s_float - mp_s(u, w, alpha, beta)) <= ROUNDING
 
@@ -407,7 +410,8 @@ def test_limited_collect_is_prefix_of_unlimited(threshold, block_elems):
     with mock.patch.object(kernels, "_BLOCK_ELEMS", block_elems or kernels._BLOCK_ELEMS):
         scanner = DiagonalScanner(alphas, betas)
         for k in range(u.size):
-            full = scanner.collect(float(u[k]), float(w[k]), threshold)
+            full = scanner.collect(float(u[k]), float(w[k]), threshold,
+                                   alphas.size * betas.size)
             n = full[0].size
             assert n > 0 and n == scanner.scan(u[k:k + 1], w[k:k + 1], threshold)[3][0]
             for limit in sorted({0, 1, 2, 7, n // 3, n // 2, n - 1, n, n + 5}):
@@ -426,7 +430,8 @@ def test_golden_fixture_bitwise():
     alphas, betas, cs, threshold = golden_cases()["negtol"]
     u, w = DiagonalScanner.weights(cs)
     k = GOLDEN_COLLECT_K
-    got = DiagonalScanner(alphas, betas).collect(float(u[k]), float(w[k]), threshold)
+    got = DiagonalScanner(alphas, betas).collect(float(u[k]), float(w[k]), threshold,
+                                                 alphas.size * betas.size)
     for field, value in zip(("i", "j", "s"), got):
         assert np.array_equal(value, golden[f"collect.{field}"]), field
 
@@ -462,7 +467,8 @@ class TestPlaneKernels:
         coeffs = singlet_state().coeffs
         threshold = 0.9
         with mock.patch.object(kernels, "_BLOCK_ELEMS", 8 * betas.size):
-            i_idx, j_idx, s_vals = plane_collect(coeffs, alphas, betas, threshold)
+            i_idx, j_idx, s_vals = plane_collect(coeffs, alphas, betas, threshold,
+                                                 alphas.size * betas.size)
             _, _, count = plane_row_scan(coeffs, alphas, betas, threshold)
         assert i_idx.size == count
         keys = i_idx * betas.size + j_idx
@@ -477,7 +483,7 @@ class TestPlaneKernels:
         tracemalloc.start()
         try:
             plane_row_scan(coeffs, alphas, betas, 1.0 + 1e-9)
-            plane_collect(coeffs, alphas, betas, 1.0 + 1e-9)
+            plane_collect(coeffs, alphas, betas, 1.0 + 1e-9, alphas.size * betas.size)
             plane_collect(coeffs, alphas, betas, -math.inf, 10_000)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -490,7 +496,7 @@ class TestPlaneKernels:
         betas = np.linspace(0.0, math.pi, 53)
         coeffs = random_state(3, complex_coeffs=True).coeffs
         with mock.patch.object(kernels, "_BLOCK_ELEMS", 4 * betas.size):
-            full = plane_collect(coeffs, alphas, betas, threshold)
+            full = plane_collect(coeffs, alphas, betas, threshold, alphas.size * betas.size)
             n = full[0].size
             assert n > 0 and n == plane_row_scan(coeffs, alphas, betas, threshold)[2]
             for limit in sorted({0, 1, 2, 7, n // 3, n // 2, n - 1, n, n + 5}):
@@ -501,7 +507,8 @@ class TestPlaneKernels:
     def test_collect_empty_when_nothing_crosses(self):
         alphas = np.linspace(0.0, 1.0, 11)
         betas = np.linspace(0.0, 1.0, 11)
-        i_idx, j_idx, s_vals = plane_collect(singlet_state().coeffs, alphas, betas, 2.0)
+        i_idx, j_idx, s_vals = plane_collect(singlet_state().coeffs, alphas, betas, 2.0,
+                                             alphas.size * betas.size)
         assert i_idx.size == j_idx.size == s_vals.size == 0
 
 
@@ -516,7 +523,8 @@ def test_fixed_state_bits_independent_of_block_height(name):
         with mock.patch.object(kernels, "_BLOCK_ELEMS", block_elems):
             runs.append(
                 plane_row_scan(coeffs, alphas, betas, threshold)
-                + plane_collect(coeffs, alphas, betas, threshold)
+                + plane_collect(coeffs, alphas, betas, threshold,
+                                alphas.size * betas.size)
             )
     one_row, default = runs
     assert one_row[3].size > 0
@@ -536,7 +544,8 @@ def test_fixed_state_matches_scalar_probability_form(re_im, complex_coeffs, alph
     norm = np.linalg.norm(coeffs)
     assume(norm > 1e-3)
     state = PureTwoPhotonState((coeffs / norm).reshape(2, 2))
-    i_idx, j_idx, s_vals = plane_collect(state.coeffs, np.array(alphas), np.array(betas), -math.inf)
+    i_idx, j_idx, s_vals = plane_collect(state.coeffs, np.array(alphas), np.array(betas), -math.inf,
+                                           len(alphas) * len(betas))
     assert i_idx.size == len(alphas) * len(betas)
     for i, j, s in zip(i_idx, j_idx, s_vals):
         assert abs(s - _plane_lhs(state, alphas[i], betas[j])) <= 1e-14
