@@ -15,8 +15,7 @@ A uniform draw ``r`` gets the label ``#{k : t_k <= r}`` for the sorted
 cumulative thresholds ``t``, the index ``searchsorted(t, r,
 side="right")`` returns.  So label k is drawn ``#(r >= t_{k-1}) - #(r >=
 t_k)`` times in a block, one comparison and count per threshold, with
-``#(r >= t_{-1})`` the block size and ``#(r >= t_K)`` zero.  That costs
-one pass over the block per threshold.
+``#(r >= t_{-1})`` the block size and ``#(r >= t_K)`` zero.
 
 Estimators are plain plug-in frequencies with normal-approximation
 (Wald) standard errors ``sqrt((1 - x^2)/n)``.
