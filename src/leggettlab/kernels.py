@@ -24,8 +24,13 @@ alpha rows): a fixed number of points, not of rows, keeps its three
 arrays inside a per-core L2 cache for any beta axis, and memory stays
 O(block) for any grid.  The arithmetic is real and elementwise, with no
 BLAS call, so every S is the same double for any block height, thread
-count, or subset of points evaluated.  :func:`plane_row_scan` and
-:func:`plane_collect` walk a fixed state's whole grid this way.
+count, or subset of points evaluated.  :class:`PlaneScanner` walks a
+range of a fixed state's alpha rows this way.
+
+A scan lists the points over its threshold where it counts them: each
+returns its maxima, its counts and its first ``limit`` such points, in
+one walk over the grid.  Memory stays O(``limit`` + block) at any
+threshold.
 
 Ridge certification (diagonal family)
 -------------------------------------
@@ -99,8 +104,8 @@ from .quantum import PureTwoPhotonState, joint_probabilities
 
 __all__ = [
     "DiagonalScanner",
+    "PlaneScanner",
     "plane_row_scan",
-    "plane_collect",
 ]
 
 # Points per alpha-row block: 32 K float64 values are 256 KB per array,
@@ -114,6 +119,8 @@ _WIDTH = 4 * _SIDE
 # (module docstring).
 _SLACK = 1e-13
 _ANGLE_MARGIN = 1e-12
+# Two index arrays and a value array with nothing in them.
+_NO_HITS = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))
 
 
 def _trig(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -176,32 +183,6 @@ def _evaluate(x, y, z, u_k, w_k, s, t) -> np.ndarray:
     return s
 
 
-def _collect_blocks(blocks, threshold: float, limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The first ``limit`` ``(i, j, S)`` with ``S > threshold``, row-major.
-
-    ``blocks`` yields ``(row_offset, S_block)`` in row order; none is read
-    after the first ``limit`` points are found.
-    """
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-    found = 0
-    for start, s in blocks:
-        mask = s > threshold
-        if mask.any():
-            i_idx, j_idx = np.nonzero(mask)
-            rows.append(i_idx + start)
-            cols.append(j_idx)
-            vals.append(s[mask])
-            found += i_idx.size
-            if found >= limit:
-                break
-    if not rows:
-        empty_i = np.empty(0, dtype=np.int64)
-        return empty_i, empty_i.copy(), np.empty(0)
-    return tuple(np.concatenate(part)[:limit] for part in (rows, cols, vals))
-
-
 def _pair(u: float, w: float) -> tuple[float, float, float]:
     """``(c, s, slack)``: the weights ``u`` fixes, and the slack of the window depth.
 
@@ -228,12 +209,11 @@ class DiagonalScanner:
     """Reusable scanner over a fixed (alpha, beta) grid for the diagonal family.
 
     Construction precomputes the 1-D trigonometric tables and the beta
-    columns sorted by phase ``b mod pi``.  :meth:`scan` and
-    :meth:`collect` evaluate the certified stencils around the two
-    roots of each row and every row that cannot be certified (module
-    docstring).  They are thread-safe: worker threads may process
-    disjoint ``c`` slabs concurrently against the shared read-only
-    tables, each with its own buffers.
+    columns sorted by phase ``b mod pi``.  :meth:`scan` evaluates the
+    certified stencils around the two roots of each row and every row
+    that cannot be certified (module docstring).  It is thread-safe:
+    worker threads may process disjoint ``c`` slabs concurrently against
+    the shared read-only tables, each with its own buffers.
     """
 
     def __init__(self, alphas: np.ndarray, betas: np.ndarray):
@@ -380,9 +360,15 @@ class DiagonalScanner:
         return keys, vals[i_idx, m_idx][first]
 
     def scan(
-        self, u: np.ndarray, w: np.ndarray, threshold: float
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Per-``c`` grid maxima, first argmax indices, and threshold counts."""
+        self, u: np.ndarray, w: np.ndarray, threshold: float, limit: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+        """Per-``c`` grid maxima, first argmax indices, threshold counts, and the first hits.
+
+        The hits are ``(k, i, j, S)`` arrays of the first ``limit``
+        points with ``S > threshold`` in (k, i, j) order, recorded where
+        they are counted: the certified stencil points and every point
+        of a full row.
+        """
         u = np.ascontiguousarray(u, dtype=np.float64)
         w = np.ascontiguousarray(w, dtype=np.float64)
         threshold = float(threshold)
@@ -390,6 +376,10 @@ class DiagonalScanner:
         nb = self._cols[0].size
         max_s, key = [-math.inf] * nc, [0] * nc
         n_over = np.zeros(nc, dtype=np.int64)
+        # Per slice, parts of (keys i * nb + j, values), each sorted by key,
+        # of the hits that may still rank among the first `limit`.
+        held: list[list] = [[] for _ in range(nc)]
+        n_held, spent = 0, nc
 
         def offer(k, value, at):
             # Ties go to the smaller key: the first maximum in row-major order.
@@ -397,9 +387,29 @@ class DiagonalScanner:
             if value > max_s[k] or (value == max_s[k] and at < key[k]):
                 max_s[k], key[k] = value, at
 
+        def room(k):
+            # How many of slice k's next hits may still rank among the first
+            # `limit`: every counted hit of an earlier slice ranks before them.
+            # It only shrinks, and it is at most the room of an earlier slice,
+            # so once it is spent no later slice lists a hit.
+            nonlocal spent
+            left = 0 if k >= spent else limit - int(n_over[:k].sum()) - int(ahead[k])
+            if left <= 0:
+                spent = min(spent, k)
+            return left
+
+        def hold(k, keys, vals):
+            nonlocal n_held
+            held[k].append((keys, vals))
+            n_held += keys.size
+            if n_held > 2 * limit:
+                n_held = _keep_first(held, limit)
+
         pairs = [_pair(u[k], w[k]) for k in range(nc)]
         hopeful = [self._may_certify(threshold, slack) for _, _, slack in pairs]
         for block, trig, buffers in self._chunks():
+            # Hits of each slice known to rank before its next full-row hits.
+            ahead = n_over.copy()
             pending = []
             for k, (c, s, slack) in enumerate(pairs):
                 if not hopeful[k]:
@@ -412,7 +422,11 @@ class DiagonalScanner:
                     offer(k, top, int(((block.start + i_idx) * nb + cols[i_idx, m_idx]).min()))
                 sure = self._certified(radii, covers, min(max_s[k], threshold), slack)
                 if top > threshold:
-                    n_over[k] += self._hits(block.start, cols, vals, sure, threshold, nb)[0].size
+                    keys, hit_vals = self._hits(block.start, cols, vals, sure, threshold, nb)
+                    left = room(k)
+                    if left > 0:
+                        hold(k, keys[:left], hit_vals[:left])
+                    n_over[k] += keys.size
                 if not sure.all():
                     pending.append((k, ~sure if sure.any() else None))
             for k, rows, s in self._full_rows(block, pending, u, w):
@@ -420,72 +434,108 @@ class DiagonalScanner:
                 top = s.flat[flat]
                 offer(k, top, int(rows[flat // nb]) * nb + flat % nb)
                 if top > threshold:
-                    n_over[k] += int(np.count_nonzero(s > threshold))
+                    over = s > threshold
+                    left = room(k)
+                    if left > 0:
+                        # Each kept hit has fewer than `left` of these before it.
+                        at = np.flatnonzero(over)
+                        found, at = at.size, at[:left]
+                        hold(k, rows[at // nb] * nb + at % nb, s.ravel()[at])
+                    else:
+                        found = int(np.count_nonzero(over))
+                    n_over[k] += found
+                    ahead[k] += found
+        _keep_first(held, limit)
+        kept = [(np.full(keys.size, k), keys, vals) for k, parts in enumerate(held) for keys, vals in parts]
+        hit_k, keys, hit_s = (np.concatenate(part) for part in zip(_NO_HITS, *kept))
+        hit_i, hit_j = np.divmod(keys, nb)
         arg_i, arg_j = np.divmod(np.array(key, dtype=np.int64), nb)
-        return np.array(max_s), arg_i, arg_j, n_over
+        return np.array(max_s), arg_i, arg_j, n_over, (hit_k, hit_i, hit_j, hit_s)
 
     def collect(
         self, u_k: float, w_k: float, threshold: float, limit: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The first ``limit`` ``(i, j, S)`` with ``S > threshold`` for one ``c``, row-major.
+        """The first ``limit`` ``(i, j, S)`` with ``S > threshold`` for one ``c``: the hits of :meth:`scan`.
 
-        Chunks are read in row order; none after the first ``limit`` points are found.
+        Kept only for benchmark tooling that wraps it by name.
         """
-        threshold = float(threshold)
+        return self.scan(np.array([u_k]), np.array([w_k]), threshold, limit)[4][1:]
+
+
+def _keep_first(held: list, limit: int) -> int:
+    """Keep the first ``limit`` hits of per-slice ``(keys, values)`` lists, in place; return how many.
+
+    Each part is sorted by key; a slice's parts are merged into one.  A
+    hit is dropped only when ``limit`` found hits rank before it, so
+    later finds never bring it back.
+    """
+    room = limit
+    for k, parts in enumerate(held):
+        if len(parts) > 1:
+            keys, vals = (np.concatenate(part) for part in zip(*parts))
+            order = np.argsort(keys)
+            parts = [(keys[order], vals[order])]
+        held[k] = [(keys[:room], vals[:room]) for keys, vals in parts if room > 0]
+        room -= sum(keys.size for keys, _ in held[k])
+    return limit - room
+
+
+class PlaneScanner:
+    """Reusable scanner over a fixed state's (alpha, beta) grid.
+
+    Construction builds the state's eight tables once.  :meth:`scan`
+    runs the block engine over a range of alpha rows, so worker threads
+    may scan disjoint ranges against the shared read-only tables, and
+    every S keeps its bits however the rows are split.
+    """
+
+    def __init__(self, coeffs: np.ndarray, alphas: np.ndarray, betas: np.ndarray):
+        state = PureTwoPhotonState(coeffs)
+        alphas = np.asarray(alphas, dtype=np.float64)
+        betas = np.asarray(betas, dtype=np.float64)
+        # Joint probabilities (++, +-, -+, --) along beta at alpha = 0, pi/2
+        # and pi/4, and along alpha at beta = 0.
+        at_0, at_90, at_45 = (
+            joint_probabilities(state, np.full_like(betas, a), betas)
+            for a in (0.0, math.pi / 2.0, math.pi / 4.0)
+        )
+        along_a = joint_probabilities(state, alphas, np.zeros_like(alphas))
+        ca2, sa2, s2a = _trig(alphas)
+        self._rows = (along_a[0] + along_a[1], ca2, sa2, s2a)
+        self._cols = (at_0[0] + at_0[2], at_0[0] + at_0[3], at_90[0] + at_90[3],
+                      (at_45[0] + at_45[3]) - 0.5)
+
+    def scan(
+        self, rows: slice, threshold: float, limit: int
+    ) -> tuple[np.ndarray, np.ndarray, int, tuple[np.ndarray, ...]]:
+        """Maxima and first attaining columns of the alpha rows ``rows``, their threshold count, and the first hits.
+
+        The hits are ``(i, j, S)`` arrays of the first ``limit`` points
+        with ``S > threshold`` in row-major order; ``i`` counts from the
+        grid's first row.
+        """
+        start, stop, _ = rows.indices(self._rows[0].size)
         nb = self._cols[0].size
-        c, s, slack = _pair(u_k, w_k)
-        keys: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
-        vals: list[np.ndarray] = [np.empty(0)]
-        room = limit
-        hopeful = self._may_certify(threshold, slack)
-        for block, trig, buffers in self._chunks():
-            if room <= 0:
-                break
-            chunk_keys, chunk_vals = [np.empty(0, dtype=np.int64)], [np.empty(0)]
-            sure = np.zeros(block.stop - block.start, dtype=bool)
-            if hopeful:
-                cols, stencil, radii, covers = self._stencil(block, trig, c, s, u_k, w_k, buffers)
-                sure = self._certified(radii, covers, threshold, slack)
-                hit_keys, hit_vals = self._hits(block.start, cols, stencil, sure, threshold, nb)
-                chunk_keys.append(hit_keys)
-                chunk_vals.append(hit_vals)
-            pending = [(0, ~sure)] if not sure.all() else []
-            full = 0
-            for _, rows, block_s in self._full_rows(block, pending, (u_k,), (w_k,)):
-                i_idx, j_idx = np.nonzero(block_s > threshold)
-                chunk_keys.append(rows[i_idx] * nb + j_idx)
-                chunk_vals.append(block_s[i_idx, j_idx])
-                # Full rows come in row order: later ones rank after these hits.
-                full += i_idx.size
-                if full >= room:
-                    break
-            # Certified and full rows interleave; order their hits row-major.
-            chunk_keys = np.concatenate(chunk_keys)
-            order = np.argsort(chunk_keys, kind="stable")[:room]
-            keys.append(chunk_keys[order])
-            vals.append(np.concatenate(chunk_vals)[order])
-            room -= order.size
-        i_idx, j_idx = np.divmod(np.concatenate(keys), nb)
-        return i_idx, j_idx, np.concatenate(vals)
-
-
-def _plane_blocks(coeffs: np.ndarray, alphas: np.ndarray, betas: np.ndarray):
-    """Yield ``(row_offset, S_block)``, about ``_BLOCK_ELEMS`` points each, for a fixed state."""
-    state = PureTwoPhotonState(coeffs)
-    alphas = np.asarray(alphas, dtype=np.float64)
-    betas = np.asarray(betas, dtype=np.float64)
-    # Joint probabilities (++, +-, -+, --) along beta at alpha = 0, pi/2
-    # and pi/4, and along alpha at beta = 0.
-    at_0, at_90, at_45 = (
-        joint_probabilities(state, np.full_like(betas, a), betas)
-        for a in (0.0, math.pi / 2.0, math.pi / 4.0)
-    )
-    along_a = joint_probabilities(state, alphas, np.zeros_like(alphas))
-    ca2, sa2, s2a = _trig(alphas)
-    rows = (along_a[0] + along_a[1], ca2, sa2, s2a)
-    cols = (at_0[0] + at_0[2], at_0[0] + at_0[3], at_90[0] + at_90[3], (at_45[0] + at_45[3]) - 0.5)
-    for start, x, y, z in _blocks(rows, cols):
-        yield start, _evaluate(x, y, z, 1.0, 1.0, x, z)
+        sub = tuple(r[start:stop] for r in self._rows)
+        row_max = np.empty(stop - start)
+        row_arg = np.zeros(stop - start, dtype=np.int64)
+        count, room, hits = 0, limit, [_NO_HITS]
+        for offset, x, y, z in _blocks(sub, self._cols):
+            s = _evaluate(x, y, z, 1.0, 1.0, x, z)
+            at = slice(offset, offset + s.shape[0])
+            row_arg[at] = np.argmax(s, axis=1)
+            row_max[at] = s[np.arange(s.shape[0]), row_arg[at]]
+            if row_max[at].max() > threshold:
+                over = s > threshold
+                if room > 0:
+                    at = np.flatnonzero(over)
+                    count += at.size
+                    at = at[:room]
+                    hits.append((at // nb + (start + offset), at % nb, s.ravel()[at]))
+                    room -= at.size
+                else:
+                    count += int(np.count_nonzero(over))
+        return row_max, row_arg, count, tuple(np.concatenate(part) for part in zip(*hits))
 
 
 def plane_row_scan(
@@ -493,27 +543,10 @@ def plane_row_scan(
     alphas: np.ndarray,
     betas: np.ndarray,
     threshold: float,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Per-alpha-row maxima, first attaining column, and total threshold count."""
-    na = np.asarray(alphas).size
-    row_max = np.empty(na)
-    row_arg = np.zeros(na, dtype=np.int64)
-    count = 0
-    for start, s in _plane_blocks(coeffs, alphas, betas):
-        stop = start + s.shape[0]
-        row_arg[start:stop] = np.argmax(s, axis=1)
-        row_max[start:stop] = s[np.arange(s.shape[0]), row_arg[start:stop]]
-        if float(s.max(initial=-np.inf)) > threshold:
-            count += int(np.count_nonzero(s > threshold))
-    return row_max, row_arg, count
-
-
-def plane_collect(
-    coeffs: np.ndarray,
-    alphas: np.ndarray,
-    betas: np.ndarray,
-    threshold: float,
     limit: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The first ``limit`` ``(i, j, S)`` with ``S > threshold`` for a fixed state."""
-    return _collect_blocks(_plane_blocks(coeffs, alphas, betas), threshold, limit)
+) -> tuple[np.ndarray, np.ndarray, int, tuple[np.ndarray, ...]]:
+    """:meth:`PlaneScanner.scan` over every row of a fixed state's grid.
+
+    Kept only for benchmark tooling that wraps it by name.
+    """
+    return PlaneScanner(coeffs, alphas, betas).scan(slice(None), threshold, limit)

@@ -47,8 +47,6 @@ __all__ = [
     "diagonal_marginal",
     "diagonal_joint",
     "joint_probabilities",
-    "diagonal_joint_probabilities",
-    "diagonal_closed_batch",
 ]
 
 
@@ -226,56 +224,3 @@ def joint_probabilities(
         amp = np.einsum("ni,ij,nj->n", left, state.coeffs, right)
         out[row] = amp.real**2 + amp.imag**2
     return out
-
-
-def diagonal_joint_probabilities(
-    cs: np.ndarray, alphas: np.ndarray, betas: np.ndarray
-) -> np.ndarray:
-    """Inner-product joint probabilities for per-sample diagonal states.
-
-    Independent route from :func:`diagonal_closed_batch`: amplitudes are
-    contracted against explicit coefficient matrices and squared, with
-    no expansion into double-angle terms.  Returns ``(4, n)``.
-    """
-    cs = np.asarray(cs, dtype=np.float64)
-    alphas = np.asarray(alphas, dtype=np.float64)
-    betas = np.asarray(betas, dtype=np.float64)
-    if not (cs.shape == alphas.shape == betas.shape) or cs.ndim != 1:
-        raise InputError("cs, alphas and betas must be 1-d arrays of equal length")
-    if cs.size and (cs.min() < 0.0 or cs.max() > 1.0):
-        raise InputError("weights c must lie in [0, 1]")
-    coeffs = np.zeros((cs.size, 2, 2))
-    coeffs[:, 0, 0] = np.sqrt(1.0 - cs * cs)
-    coeffs[:, 1, 1] = cs
-    ka_p, ka_m = _kets(alphas)
-    kb_p, kb_m = _kets(betas)
-    out = np.empty((4, cs.size))
-    for row, (left, right) in enumerate(
-        [(ka_p, kb_p), (ka_p, kb_m), (ka_m, kb_p), (ka_m, kb_m)]
-    ):
-        amp = np.einsum("ni,nij,nj->n", left, coeffs, right)
-        out[row] = amp * amp
-    return out
-
-
-def diagonal_closed_batch(
-    cs: np.ndarray, alphas: np.ndarray, betas: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized closed forms ``(p_a, p_b, p_pp, p_mm)`` for the diagonal family."""
-    cs = np.asarray(cs, dtype=np.float64)
-    alphas = np.asarray(alphas, dtype=np.float64)
-    betas = np.asarray(betas, dtype=np.float64)
-    if not (cs.shape == alphas.shape == betas.shape) or cs.ndim != 1:
-        raise InputError("cs, alphas and betas must be 1-d arrays of equal length")
-    if cs.size and (cs.min() < 0.0 or cs.max() > 1.0):
-        raise InputError("weights c must lie in [0, 1]")
-    c2 = cs * cs
-    q2 = 1.0 - c2
-    ca2, sa2 = np.cos(alphas) ** 2, np.sin(alphas) ** 2
-    cb2, sb2 = np.cos(betas) ** 2, np.sin(betas) ** 2
-    cross = 0.5 * cs * np.sqrt(q2) * np.sin(2.0 * alphas) * np.sin(2.0 * betas)
-    p_a = q2 * ca2 + c2 * sa2
-    p_b = q2 * cb2 + c2 * sb2
-    p_pp = q2 * ca2 * cb2 + c2 * sa2 * sb2 + cross
-    p_mm = q2 * sa2 * sb2 + c2 * ca2 * cb2 + cross
-    return (p_a, p_b, p_pp, p_mm)

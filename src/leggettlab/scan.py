@@ -21,9 +21,12 @@ Families:
   states, angle grid only.
 * ``fixed-matrix`` — any supplied :class:`~leggettlab.quantum.PureTwoPhotonState`.
 
-Diagonal scans shard the ``c`` axis across worker threads; per-slice
-results are merged in axis order, so reports are identical for every
-worker count.  Fixed-state scans run on the calling thread.
+Every family shards its slices across worker threads: the ``c`` axis
+for the diagonal family, the alpha rows of a fixed state, whose tables
+are built once and shared.  A shard's scan returns its slice maxima,
+its threshold count and its first ``VIOLATION_CAP`` violations in one
+walk; shards are merged in axis order, so reports are identical for
+every worker count.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import numpy as np
 
 from .config import resolve_workers, shard_map
 from .domain import InputError, MeasurementSettings
-from .kernels import DiagonalScanner, plane_collect, plane_row_scan
+from .kernels import DiagonalScanner, PlaneScanner
 from .quantum import (
     PureTwoPhotonState,
     joint_distribution,
@@ -247,99 +250,57 @@ def grid_scan(spec: ScanSpec, *, workers: Optional[int] = None) -> ScanReport:
     """Scan every point of the grid ``spec`` describes; deterministic for any worker count."""
     started = perf_counter()
     workers = resolve_workers(workers)
+    alphas = _axis(spec.alpha_range)
+    betas = _axis(spec.beta_range)
+    threshold = 1.0 + spec.tolerance
+    # Each family scans a shard of its slices into (slice maxima, first
+    # argmax indices, threshold count, hits (k, i, j, S)), k counting slices.
     if spec.family == "diagonal":
-        report = _scan_diagonal(spec, workers)
+        cs = _axis(spec.c_range)
+        scanner = DiagonalScanner(alphas, betas)
+        u, w = DiagonalScanner.weights(cs)
+
+        def scan_shard(sl: slice):
+            max_s, arg_i, arg_j, n_over, (k, i, j, s) = scanner.scan(
+                u[sl], w[sl], threshold, VIOLATION_CAP)
+            return max_s, arg_i, arg_j, int(n_over.sum()), (k + sl.start, i, j, s)
+
+        slices, slice_points = cs.size, alphas.size * betas.size
     else:
-        report = _scan_plane(spec)
-    return replace(report, wall_time=perf_counter() - started)
+        plane = PlaneScanner(_family_state(spec).coeffs, alphas, betas)
+        cs = None
 
+        def scan_shard(sl: slice):
+            row_max, row_arg, count, (i, j, s) = plane.scan(sl, threshold, VIOLATION_CAP)
+            return row_max, np.arange(sl.start, sl.stop), row_arg, count, (i, i, j, s)
 
-def _scan_diagonal(spec: ScanSpec, workers: int) -> ScanReport:
-    cs = _axis(spec.c_range)
-    alphas = _axis(spec.alpha_range)
-    betas = _axis(spec.beta_range)
-    threshold = 1.0 + spec.tolerance
-    scanner = DiagonalScanner(alphas, betas)
-    u, w = DiagonalScanner.weights(cs)
+        slices, slice_points = alphas.size, betas.size
 
-    parts = shard_map(lambda sl: scanner.scan(u[sl], w[sl], threshold), cs.size, workers)
-    max_s = np.concatenate([p[0] for p in parts])
-    arg_i = np.concatenate([p[1] for p in parts])
-    arg_j = np.concatenate([p[2] for p in parts])
-    n_over = np.concatenate([p[3] for p in parts])
+    # Points share the axes' Python floats instead of converting one float per field.
+    c_axis = [None] * slices if cs is None else cs.tolist()
+    alpha_axis, beta_axis = alphas.tolist(), betas.tolist()
 
-    best_k = int(np.argmax(max_s))
-    best = float(max_s[best_k])
-    argmax = ScanPoint(
-        c=float(cs[best_k]),
-        alpha=float(alphas[arg_i[best_k]]),
-        beta=float(betas[arg_j[best_k]]),
-        s=best,
-    )
+    def point(k, i, j, s) -> ScanPoint:
+        return ScanPoint(c_axis[k], alpha_axis[i], beta_axis[j], float(s))
 
+    parts = shard_map(scan_shard, slices, workers)
+    max_s, arg_i, arg_j = (np.concatenate([part[n] for part in parts]) for n in range(3))
     violations: list[ScanPoint] = []
-    for k in np.nonzero(n_over > 0)[0]:
-        if len(violations) >= VIOLATION_CAP:
-            break
-        room = VIOLATION_CAP - len(violations)
-        i_idx, j_idx, s_vals = scanner.collect(float(u[k]), float(w[k]), threshold, room)
-        for i, j, s in zip(i_idx, j_idx, s_vals):
-            violations.append(ScanPoint(float(cs[k]), float(alphas[i]), float(betas[j]), float(s)))
-
-    slice_maxima = tuple(
-        ScanPoint(float(cs[k]), float(alphas[arg_i[k]]), float(betas[arg_j[k]]), float(max_s[k]))
-        for k in range(cs.size)
-    )
+    for part in parts:
+        violations += map(point, *(hits[:VIOLATION_CAP - len(violations)] for hits in part[4]))
+    slice_maxima = tuple(map(point, range(slices), arg_i, arg_j, max_s))
+    best = int(np.argmax(max_s))
     return ScanReport(
         family=spec.family,
-        max_s=best,
-        argmax=argmax,
-        grid_points=int(cs.size) * int(alphas.size) * int(betas.size),
+        max_s=float(max_s[best]),
+        argmax=slice_maxima[best],
+        grid_points=slices * slice_points,
         violations=tuple(violations),
-        violation_count=int(n_over.sum()),
-        first_order_predicted_violations=_predicted_violations(cs, spec.eps_ladder),
+        violation_count=sum(part[3] for part in parts),
+        first_order_predicted_violations=() if cs is None else _predicted_violations(cs, spec.eps_ladder),
         slice_maxima=slice_maxima,
         tolerance=spec.tolerance,
-        wall_time=0.0,
-    )
-
-
-def _scan_plane(spec: ScanSpec) -> ScanReport:
-    state = _family_state(spec)
-    alphas = _axis(spec.alpha_range)
-    betas = _axis(spec.beta_range)
-    threshold = 1.0 + spec.tolerance
-    row_max, row_arg, count = plane_row_scan(state.coeffs, alphas, betas, threshold)
-
-    best_i = int(np.argmax(row_max))
-    best = float(row_max[best_i])
-    argmax = ScanPoint(
-        c=None, alpha=float(alphas[best_i]), beta=float(betas[row_arg[best_i]]), s=best
-    )
-
-    violations: tuple[ScanPoint, ...] = ()
-    if count > 0:
-        i_idx, j_idx, s_vals = plane_collect(state.coeffs, alphas, betas, threshold, VIOLATION_CAP)
-        violations = tuple(
-            ScanPoint(None, float(alphas[i]), float(betas[j]), float(s))
-            for i, j, s in zip(i_idx, j_idx, s_vals)
-        )
-
-    slice_maxima = tuple(
-        ScanPoint(None, float(alphas[i]), float(betas[row_arg[i]]), float(row_max[i]))
-        for i in range(alphas.size)
-    )
-    return ScanReport(
-        family=spec.family,
-        max_s=best,
-        argmax=argmax,
-        grid_points=int(alphas.size) * int(betas.size),
-        violations=violations,
-        violation_count=int(count),
-        first_order_predicted_violations=(),
-        slice_maxima=slice_maxima,
-        tolerance=spec.tolerance,
-        wall_time=0.0,
+        wall_time=perf_counter() - started,
     )
 
 

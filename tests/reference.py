@@ -1,0 +1,160 @@
+"""Brute-force references that the tests compare the package against.
+
+Each evaluates one point at a time, in the operation order of the
+engine it checks, so that agreement can be required bit for bit; the
+vectorised diagonal-family probabilities are the independent oracle of
+the closed forms.
+"""
+
+import numpy as np
+
+from leggettlab.domain import InputError
+from leggettlab.kernels import DiagonalScanner
+from leggettlab.quantum import _kets
+
+
+def _diagonal_scan_py(u, w, ca2, sa2, s2a, cb2, sb2, s2b, threshold):
+    """Reference implementation of the per-``c`` scan, one point at a time.
+
+    For each c: fill one row of S at a time, reduce its maximum, rescan
+    for the first attaining column, and count and list threshold
+    crossings.  The expression is evaluated as ((u*x) + y) + (w*z) with
+    x = |p - q|, y = p*q + sp*sq, z = za*zb, the operation order of the
+    engine.  Returns ``(max_s, arg_i, arg_j, n_over, hits)``, ``hits``
+    holding ``(k, i, j, S)`` arrays of every crossing in (k, i, j) order.
+    """
+    nc = u.shape[0]
+    na = ca2.shape[0]
+    nb = cb2.shape[0]
+    max_s = np.empty(nc, dtype=np.float64)
+    arg_i = np.zeros(nc, dtype=np.int64)
+    arg_j = np.zeros(nc, dtype=np.int64)
+    n_over = np.zeros(nc, dtype=np.int64)
+    hits = []
+    row = np.empty(nb, dtype=np.float64)
+    for k in range(nc):
+        uu = u[k]
+        ww = w[k]
+        best = -np.inf
+        best_i = 0
+        best_j = 0
+        count = 0
+        for i in range(na):
+            p = ca2[i]
+            sp = sa2[i]
+            za = s2a[i]
+            for j in range(nb):
+                x = p - cb2[j]
+                if x < 0.0:
+                    x = -x
+                row[j] = uu * x + (p * cb2[j] + sp * sb2[j]) + ww * (za * s2b[j])
+            row_best = row[0]
+            for j in range(1, nb):
+                if row[j] > row_best:
+                    row_best = row[j]
+            if row_best > best:
+                for j in range(nb):
+                    if row[j] == row_best:
+                        best = row_best
+                        best_i = i
+                        best_j = j
+                        break
+            for j in range(nb):
+                if row[j] > threshold:
+                    count += 1
+                    hits.append((k, i, j, row[j]))
+        max_s[k] = best
+        arg_i[k] = best_i
+        arg_j[k] = best_j
+        n_over[k] = count
+    return max_s, arg_i, arg_j, n_over, _hit_arrays(hits, 4)
+
+
+def _hit_arrays(hits, width):
+    """``width`` arrays, integer indices then the S values, of a list of hit tuples."""
+    columns = list(zip(*hits)) or [()] * width
+    return tuple(np.array(col, dtype=np.float64 if n == width - 1 else np.int64)
+                 for n, col in enumerate(columns))
+
+
+def trig_tables(angles):
+    """``(cos^2, sin^2, sin 2x)`` of an angle axis, as the engine builds them."""
+    return np.cos(angles) ** 2, np.sin(angles) ** 2, np.sin(2.0 * angles)
+
+
+def reference_scan(alphas, betas, cs, threshold):
+    u, w = DiagonalScanner.weights(cs)
+    return _diagonal_scan_py(u, w, *trig_tables(alphas), *trig_tables(betas), threshold)
+
+
+def plane_reference(scanner, threshold):
+    """``(row_max, row_arg, count, hits)`` of a :class:`~leggettlab.kernels.PlaneScanner`, point by point.
+
+    S is formed from the scanner's tables as ``(|r0 - k0| + (r1 k1 + r2 k2))
+    + r3 k3``, the engine's order with ``u = w = 1``; ``hits`` holds
+    ``(i, j, S)`` arrays of every crossing in row-major order.
+    """
+    r0, r1, r2, r3 = (t.tolist() for t in scanner._rows)
+    k0, k1, k2, k3 = (t.tolist() for t in scanner._cols)
+    row_max, row_arg, hits = [], [], []
+    for i in range(len(r0)):
+        row = [abs(r0[i] - k0[j]) + (r1[i] * k1[j] + r2[i] * k2[j]) + r3[i] * k3[j]
+               for j in range(len(k0))]
+        best = max(row)
+        row_max.append(best)
+        row_arg.append(row.index(best))
+        hits.extend((i, j, s) for j, s in enumerate(row) if s > threshold)
+    return np.array(row_max), np.array(row_arg, dtype=np.int64), len(hits), _hit_arrays(hits, 3)
+
+
+def diagonal_joint_probabilities(
+    cs: np.ndarray, alphas: np.ndarray, betas: np.ndarray
+) -> np.ndarray:
+    """Inner-product joint probabilities for per-sample diagonal states.
+
+    Independent route from :func:`diagonal_closed_batch`: amplitudes are
+    contracted against explicit coefficient matrices and squared, with
+    no expansion into double-angle terms.  Returns ``(4, n)``.
+    """
+    cs = np.asarray(cs, dtype=np.float64)
+    alphas = np.asarray(alphas, dtype=np.float64)
+    betas = np.asarray(betas, dtype=np.float64)
+    if not (cs.shape == alphas.shape == betas.shape) or cs.ndim != 1:
+        raise InputError("cs, alphas and betas must be 1-d arrays of equal length")
+    if cs.size and (cs.min() < 0.0 or cs.max() > 1.0):
+        raise InputError("weights c must lie in [0, 1]")
+    coeffs = np.zeros((cs.size, 2, 2))
+    coeffs[:, 0, 0] = np.sqrt(1.0 - cs * cs)
+    coeffs[:, 1, 1] = cs
+    ka_p, ka_m = _kets(alphas)
+    kb_p, kb_m = _kets(betas)
+    out = np.empty((4, cs.size))
+    for row, (left, right) in enumerate(
+        [(ka_p, kb_p), (ka_p, kb_m), (ka_m, kb_p), (ka_m, kb_m)]
+    ):
+        amp = np.einsum("ni,nij,nj->n", left, coeffs, right)
+        out[row] = amp * amp
+    return out
+
+
+def diagonal_closed_batch(
+    cs: np.ndarray, alphas: np.ndarray, betas: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Vectorized closed forms ``(p_a, p_b, p_pp, p_mm)`` for the diagonal family."""
+    cs = np.asarray(cs, dtype=np.float64)
+    alphas = np.asarray(alphas, dtype=np.float64)
+    betas = np.asarray(betas, dtype=np.float64)
+    if not (cs.shape == alphas.shape == betas.shape) or cs.ndim != 1:
+        raise InputError("cs, alphas and betas must be 1-d arrays of equal length")
+    if cs.size and (cs.min() < 0.0 or cs.max() > 1.0):
+        raise InputError("weights c must lie in [0, 1]")
+    c2 = cs * cs
+    q2 = 1.0 - c2
+    ca2, sa2 = np.cos(alphas) ** 2, np.sin(alphas) ** 2
+    cb2, sb2 = np.cos(betas) ** 2, np.sin(betas) ** 2
+    cross = 0.5 * cs * np.sqrt(q2) * np.sin(2.0 * alphas) * np.sin(2.0 * betas)
+    p_a = q2 * ca2 + c2 * sa2
+    p_b = q2 * cb2 + c2 * sb2
+    p_pp = q2 * ca2 * cb2 + c2 * sa2 * sb2 + cross
+    p_mm = q2 * sa2 * sb2 + c2 * ca2 * cb2 + cross
+    return (p_a, p_b, p_pp, p_mm)

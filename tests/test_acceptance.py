@@ -37,8 +37,8 @@ from leggettlab import (
 )
 from leggettlab.cli import main
 from leggettlab.kernels import DiagonalScanner
-from leggettlab.quantum import diagonal_closed_batch, diagonal_joint_probabilities
 from leggettlab.scan import _axis
+from reference import diagonal_closed_batch, diagonal_joint_probabilities
 
 SAMPLE = 100_000
 
@@ -283,8 +283,7 @@ def test_criterion_8_special_states():
     scanner = DiagonalScanner(alphas, betas)
     c = 1.0 / math.sqrt(2.0)
     u, w = DiagonalScanner.weights(np.array([c]))
-    i_idx, j_idx, s_vals = scanner.collect(float(u[0]), float(w[0]), -math.inf,
-                                           alphas.size * betas.size)
+    _, _, _, _, (_, i_idx, j_idx, s_vals) = scanner.scan(u, w, -math.inf, alphas.size * betas.size)
     expected = np.cos(alphas[i_idx] - betas[j_idx]) ** 2
     balanced_error = float(np.max(np.abs(s_vals - expected)))
     for k in range(0, i_idx.size, 9973):

@@ -12,75 +12,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from leggettlab import kernels, positive_parity_state, singlet_state
-from leggettlab.kernels import DiagonalScanner, plane_collect, plane_row_scan
+from leggettlab.kernels import DiagonalScanner, PlaneScanner, plane_row_scan
 from leggettlab.quantum import PureTwoPhotonState
 from leggettlab.scan import _axis, _diagonal_lhs, _plane_lhs
+from reference import _diagonal_scan_py, plane_reference, reference_scan, trig_tables
 
 GOLDEN = Path(__file__).parent / "data" / "diagonal_golden.npz"
-
-
-def _diagonal_scan_py(u, w, ca2, sa2, s2a, cb2, sb2, s2b, threshold):
-    """Reference implementation of the per-``c`` scan, one point at a time.
-
-    For each c: fill one row of S at a time, reduce its maximum, rescan
-    for the first attaining column, and count threshold crossings.  The
-    expression is evaluated as ((u*x) + y) + (w*z) with x = |p - q|,
-    y = p*q + sp*sq, z = za*zb, the operation order of the engine.
-    """
-    nc = u.shape[0]
-    na = ca2.shape[0]
-    nb = cb2.shape[0]
-    max_s = np.empty(nc, dtype=np.float64)
-    arg_i = np.zeros(nc, dtype=np.int64)
-    arg_j = np.zeros(nc, dtype=np.int64)
-    n_over = np.zeros(nc, dtype=np.int64)
-    row = np.empty(nb, dtype=np.float64)
-    for k in range(nc):
-        uu = u[k]
-        ww = w[k]
-        best = -np.inf
-        best_i = 0
-        best_j = 0
-        count = 0
-        for i in range(na):
-            p = ca2[i]
-            sp = sa2[i]
-            za = s2a[i]
-            for j in range(nb):
-                x = p - cb2[j]
-                if x < 0.0:
-                    x = -x
-                row[j] = uu * x + (p * cb2[j] + sp * sb2[j]) + ww * (za * s2b[j])
-            row_best = row[0]
-            for j in range(1, nb):
-                if row[j] > row_best:
-                    row_best = row[j]
-            if row_best > best:
-                for j in range(nb):
-                    if row[j] == row_best:
-                        best = row_best
-                        best_i = i
-                        best_j = j
-                        break
-            if row_best > threshold:
-                for j in range(nb):
-                    if row[j] > threshold:
-                        count += 1
-        max_s[k] = best
-        arg_i[k] = best_i
-        arg_j[k] = best_j
-        n_over[k] = count
-    return max_s, arg_i, arg_j, n_over
-
-
-def trig_tables(angles):
-    """``(cos^2, sin^2, sin 2x)`` of an angle axis, as the engine builds them."""
-    return np.cos(angles) ** 2, np.sin(angles) ** 2, np.sin(2.0 * angles)
-
-
-def reference_scan(alphas, betas, cs, threshold):
-    u, w = DiagonalScanner.weights(cs)
-    return _diagonal_scan_py(u, w, *trig_tables(alphas), *trig_tables(betas), threshold)
 
 
 def random_state(seed, complex_coeffs):
@@ -103,7 +40,7 @@ def scan_grid(threshold=1.0 + 1e-9):
     betas = np.linspace(0.0, math.pi, 59)
     scanner = DiagonalScanner(alphas, betas)
     u, w = DiagonalScanner.weights(cs)
-    return scanner.scan(u, w, threshold), (cs, alphas, betas)
+    return scanner.scan(u, w, threshold, 0)[:4], (cs, alphas, betas)
 
 
 def golden_cases():
@@ -149,7 +86,7 @@ class TestDiagonalScanner:
         betas = np.linspace(0.0, math.pi / 2.0, 11)
         scanner = DiagonalScanner(alphas, betas)
         u, w = DiagonalScanner.weights(np.array([0.0]))
-        max_s, arg_i, arg_j, _ = scanner.scan(u, w, 1.0 + 1e-9)
+        max_s, arg_i, arg_j, _, _ = scanner.scan(u, w, 1.0 + 1e-9, 0)
         assert max_s[0] == 1.0
         assert (arg_i[0], arg_j[0]) == (0, 0)
 
@@ -158,7 +95,7 @@ class TestDiagonalScanner:
         betas = np.linspace(0.0, math.pi, 23)
         u, w = DiagonalScanner.weights(np.array([0.2, 0.5]))
         scanner = DiagonalScanner(alphas, betas)
-        _, _, _, n_over = scanner.scan(u, w, 0.9)
+        _, _, _, n_over, _ = scanner.scan(u, w, 0.9, 0)
         for k, c in enumerate((0.2, 0.5)):
             brute = sum(
                 _diagonal_lhs(c, a, b) > 0.9 for a in alphas for b in betas
@@ -171,10 +108,9 @@ class TestDiagonalScanner:
         scanner = DiagonalScanner(alphas, betas)
         cs = np.array([0.35])
         u, w = DiagonalScanner.weights(cs)
-        _, _, _, n_over = scanner.scan(u, w, 0.95)
-        i_idx, j_idx, s_vals = scanner.collect(float(u[0]), float(w[0]), 0.95,
-                                               alphas.size * betas.size)
-        assert i_idx.size == n_over[0]
+        _, _, _, n_over, (k_idx, i_idx, j_idx, s_vals) = scanner.scan(
+            u, w, 0.95, alphas.size * betas.size)
+        assert i_idx.size == n_over[0] and not k_idx.any()
         for i, j, s in zip(i_idx, j_idx, s_vals):
             assert s == pytest.approx(
                 _diagonal_lhs(0.35, alphas[i], betas[j]), abs=1e-15
@@ -192,9 +128,10 @@ class TestDiagonalScanner:
         cs = np.array([0.0, 0.35, 1.0 / math.sqrt(2.0), 1.0])
         with mock.patch.object(kernels, "_BLOCK_ELEMS", 3 * betas.size + 1):
             scanner = DiagonalScanner(alphas, betas)
-            got = scanner.scan(*DiagonalScanner.weights(cs), 0.9)
-        for g, want in zip(got, reference_scan(alphas, betas, cs, 0.9)):
-            assert np.array_equal(g, want)
+            got = scanner.scan(*DiagonalScanner.weights(cs), 0.9, cs.size * alphas.size * betas.size)
+        want = reference_scan(alphas, betas, cs, 0.9)
+        for g, r in zip(got[:4] + got[4], want[:4] + want[4]):
+            assert np.array_equal(g, r)
 
     def test_memory_is_bounded_by_the_block(self):
         u, w = DiagonalScanner.weights(np.array([0.35]))
@@ -202,7 +139,7 @@ class TestDiagonalScanner:
             (2000, 2000, 1.0 + 1e-9, 4_000_000),
             (2000, 2000, 1.0 - 1e-12, 4_000_000),
             # Every row falls back and every point is over the threshold:
-            # a collect with room for every point would return all 4 M.
+            # a scan with room for every point would return all 4 M.
             (2000, 2000, -math.inf, 10_000),
             (1 << 17, 16, 1.0 + 1e-9, 1 << 21),
         ):
@@ -211,34 +148,44 @@ class TestDiagonalScanner:
             tracemalloc.start()
             try:
                 scanner = DiagonalScanner(alphas, betas)
-                scanner.scan(u, w, threshold)
-                scanner.collect(float(u[0]), float(w[0]), threshold, limit)
+                scanner.scan(u, w, threshold, limit)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
             assert peak < 8 * 2**20, (na, nb, threshold)
 
+    def test_hits_memory_is_bounded_by_the_limit(self):
+        # 701 slices of 41 x 41 points, all over the threshold: holding
+        # every slice's hits until the scan ends would take about 19 MB.
+        grid = np.linspace(0.0, math.pi, 41)
+        u, w = DiagonalScanner.weights(np.linspace(0.0, 0.7, 701))
+        scanner = DiagonalScanner(grid, grid)
+        tracemalloc.start()
+        try:
+            _, _, _, n_over, hits = scanner.scan(u, w, -math.inf, 10_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert n_over.sum() == u.size * grid.size**2 and hits[0].size == 10_000
+        assert peak < 2 * 2**20
+
 
 def check_against_reference(alphas, betas, u, w, threshold, block_elems=None):
-    """Scan tuples and every collected ``(i, j, S)`` equal the pure-Python reference bit for bit."""
+    """Scan tuples and hits equal the pure-Python reference bit for bit, at every limit.
+
+    With n hits in all, the limits 0, 1, n - 1, n and n + 5 cut the list
+    inside a chunk, between slices, or not at all.
+    """
+    want = _diagonal_scan_py(u, w, *trig_tables(alphas), *trig_tables(betas), threshold)
+    n = want[4][0].size
     with mock.patch.object(kernels, "_BLOCK_ELEMS", block_elems or kernels._BLOCK_ELEMS):
         scanner = DiagonalScanner(alphas, betas)
-        got = scanner.scan(u, w, threshold)
-        every = alphas.size * betas.size
-        collected = [scanner.collect(float(u[k]), float(w[k]), threshold, every)
-                     for k in range(u.size)]
-    ca2, sa2, s2a = trig_tables(alphas)
-    cb2, sb2, s2b = trig_tables(betas)
-    want = _diagonal_scan_py(u, w, ca2, sa2, s2a, cb2, sb2, s2b, threshold)
-    for g, r in zip(got, want):
-        assert np.array_equal(g, r)
-    for k, (i_idx, j_idx, s_vals) in enumerate(collected):
-        assert i_idx.size == want[3][k]
-        for i, j, s in zip(i_idx, j_idx, s_vals):
-            x = abs(ca2[i] - cb2[j])
-            ref = u[k] * x + (ca2[i] * cb2[j] + sa2[i] * sb2[j]) + w[k] * (s2a[i] * s2b[j])
-            assert s == ref and s > threshold
-        assert np.all(np.diff(i_idx * betas.size + j_idx) > 0)
+        for limit in sorted({0, 1, max(n - 1, 0), n, n + 5}):
+            got = scanner.scan(u, w, threshold, limit)
+            for g, r in zip(got[:4], want[:4]):
+                assert np.array_equal(g, r)
+            for g, r in zip(got[4], want[4]):
+                assert np.array_equal(g, r[:limit]), limit
 
 
 def axis_strategy(n, layout):
@@ -306,9 +253,10 @@ def test_windows_evaluate_a_small_part_of_the_grid(origin, threshold):
         return full_rows(block, pending, u_k, w_k)
 
     with mock.patch.object(scanner, "_full_rows", counted):
-        got = scanner.scan(u, w, threshold)
-    for g, want in zip(got, reference_scan(grid, grid, cs, threshold)):
-        assert np.array_equal(g, want)
+        got = scanner.scan(u, w, threshold, cs.size * grid.size**2)
+    want = reference_scan(grid, grid, cs, threshold)
+    for g, r in zip(got[:4] + got[4], want[:4] + want[4]):
+        assert np.array_equal(g, r)
     # The stencils hold 12 of 315 columns per row; at most 2 rows per slice
     # (R = 0 at alpha = 0 when c is 0 or 1) are evaluated in full.
     assert sum(fallback) <= 2 * cs.size
@@ -330,7 +278,7 @@ def test_slices_sharing_full_rows_match_reference(cs):
         return full_rows(block, pending, u_k, w_k)
 
     with mock.patch.object(scanner, "_full_rows", counted):
-        scanner.scan(u, w, 1.0 - 1e-5)
+        scanner.scan(u, w, 1.0 - 1e-5, 0)
     assert len({n for chunk in counts for _, n in chunk}) > 1
     check_against_reference(grid, grid, u, w, 1.0 - 1e-5)
 
@@ -360,7 +308,7 @@ def mp_s(u, w, alpha, beta):
 def test_float_error_bound_against_mpmath(c, alpha, beta):
     u, w = (float(v[0]) for v in DiagonalScanner.weights(np.array([c])))
     scanner = DiagonalScanner(np.array([alpha]), np.array([beta]))
-    s_float = float(scanner.collect(u, w, -math.inf, 1)[2][0])
+    s_float = float(scanner.scan(np.array([u]), np.array([w]), -math.inf, 1)[4][3][0])
     assert ROUNDING < kernels._SLACK
     assert abs(s_float - mp_s(u, w, alpha, beta)) <= ROUNDING
 
@@ -397,41 +345,44 @@ def test_float_error_bound_against_mpmath(c, alpha, beta):
 @pytest.mark.parametrize("threshold", [1.0 - 1e-5, 1.0 - 1e-3, 0.9, -math.inf])
 @pytest.mark.parametrize("block_elems", [None, 200])
 def test_limited_collect_is_prefix_of_unlimited(threshold, block_elems):
-    """``collect(..., limit)`` returns the row-major prefix of length ``limit`` of the full collect.
+    """A scan's hits at ``limit`` are the (k, i, j)-ordered prefix of length ``limit`` of all hits.
 
     At 1 - 1e-5, 3 of the 194 rows of both slices go to the block
     engine, at 1 - 1e-3 38 of them, at 0.9 and -inf all.  200-element
     blocks give many chunks and blocks, so a limit is reached inside
-    and between them.
+    and between them, and inside either slice.
     """
     alphas = np.linspace(0.0, math.pi, 97)
     betas = np.linspace(0.1, math.pi + 0.1, 89)
     u, w = DiagonalScanner.weights(np.array([0.0, 0.3]))
     with mock.patch.object(kernels, "_BLOCK_ELEMS", block_elems or kernels._BLOCK_ELEMS):
         scanner = DiagonalScanner(alphas, betas)
-        for k in range(u.size):
-            full = scanner.collect(float(u[k]), float(w[k]), threshold,
-                                   alphas.size * betas.size)
-            n = full[0].size
-            assert n > 0 and n == scanner.scan(u[k:k + 1], w[k:k + 1], threshold)[3][0]
-            for limit in sorted({0, 1, 2, 7, n // 3, n // 2, n - 1, n, n + 5}):
-                got = scanner.collect(float(u[k]), float(w[k]), threshold, limit)
-                for g, f in zip(got, full):
-                    assert np.array_equal(g, f[:limit]), (k, limit)
+        full = scanner.scan(u, w, threshold, 2 * alphas.size * betas.size)
+        n = full[4][0].size
+        first = int(full[3][0])
+        assert 0 < first < n == full[3].sum()
+        assert np.array_equal(full[4][0], np.repeat([0, 1], full[3]))
+        assert np.all(np.diff(full[4][1] * betas.size + full[4][2])[first:] > 0)
+        for limit in sorted({0, 1, 2, 7, n // 3, first - 1, first, first + 1, n - 1, n, n + 5}):
+            got = scanner.scan(u, w, threshold, limit)
+            for g, f in zip(got[:4], full[:4]):
+                assert np.array_equal(g, f), limit
+            for g, f in zip(got[4], full[4]):
+                assert np.array_equal(g, f[:limit]), limit
 
 
 def test_golden_fixture_bitwise():
     golden = np.load(GOLDEN)
     for name, (alphas, betas, cs, threshold) in golden_cases().items():
         scanner = DiagonalScanner(alphas, betas)
-        got = scanner.scan(*DiagonalScanner.weights(cs), threshold)
+        got = scanner.scan(*DiagonalScanner.weights(cs), threshold, 0)
         for field, value in zip(("max_s", "arg_i", "arg_j", "n_over"), got):
             assert np.array_equal(value, golden[f"{name}.{field}"]), (name, field)
     alphas, betas, cs, threshold = golden_cases()["negtol"]
     u, w = DiagonalScanner.weights(cs)
     k = GOLDEN_COLLECT_K
-    got = DiagonalScanner(alphas, betas).collect(float(u[k]), float(w[k]), threshold,
-                                                 alphas.size * betas.size)
+    got = DiagonalScanner(alphas, betas).scan(u[k:k + 1], w[k:k + 1], threshold,
+                                               alphas.size * betas.size)[4][1:]
     for field, value in zip(("i", "j", "s"), got):
         assert np.array_equal(value, golden[f"collect.{field}"]), field
 
@@ -440,26 +391,27 @@ class TestPlaneKernels:
     def test_singlet_rows_match_closed_form(self):
         alphas = np.linspace(0.0, math.pi, 41)
         betas = np.linspace(0.0, math.pi, 43)
-        row_max, row_arg, count = plane_row_scan(
-            singlet_state().coeffs, alphas, betas, 1.0 + 1e-9
+        row_max, row_arg, count, hits = plane_row_scan(
+            singlet_state().coeffs, alphas, betas, 1.0 + 1e-9, 10
         )
         # S = sin^2(beta - alpha) for the antisymmetric state.
         for i, a in enumerate(alphas):
             expected = max(math.sin(b - a) ** 2 for b in betas)
             assert row_max[i] == pytest.approx(expected, abs=1e-12)
-        assert count == 0
+        assert count == 0 and all(h.size == 0 for h in hits)
 
     def test_row_blocks_are_seamless(self):
         alphas = np.linspace(0.0, math.pi, 103)  # not a multiple of the block size
         betas = np.linspace(0.0, math.pi, 37)
         coeffs = singlet_state().coeffs
-        with mock.patch.object(kernels, "_BLOCK_ELEMS", 16 * betas.size):
-            small = plane_row_scan(coeffs, alphas, betas, 2.0)
-        with mock.patch.object(kernels, "_BLOCK_ELEMS", 4096 * betas.size):
-            big = plane_row_scan(coeffs, alphas, betas, 2.0)
-        assert np.array_equal(small[0], big[0])
-        assert np.array_equal(small[1], big[1])
-        assert small[2] == big[2]
+        runs = []
+        for rows in (16, 4096):
+            with mock.patch.object(kernels, "_BLOCK_ELEMS", rows * betas.size):
+                runs.append(plane_row_scan(coeffs, alphas, betas, 0.5, alphas.size * betas.size))
+        small, big = runs
+        assert small[2] == big[2] > 0
+        for a, b in zip(small[:2] + small[3], big[:2] + big[3]):
+            assert np.array_equal(a, b)
 
     def test_collect_is_row_major_and_complete(self):
         alphas = np.linspace(0.0, math.pi, 51)
@@ -467,14 +419,14 @@ class TestPlaneKernels:
         coeffs = singlet_state().coeffs
         threshold = 0.9
         with mock.patch.object(kernels, "_BLOCK_ELEMS", 8 * betas.size):
-            i_idx, j_idx, s_vals = plane_collect(coeffs, alphas, betas, threshold,
-                                                 alphas.size * betas.size)
-            _, _, count = plane_row_scan(coeffs, alphas, betas, threshold)
+            _, _, count, (i_idx, j_idx, s_vals) = plane_row_scan(
+                coeffs, alphas, betas, threshold, alphas.size * betas.size)
         assert i_idx.size == count
         keys = i_idx * betas.size + j_idx
         assert np.all(np.diff(keys) > 0)
         for i, j, s in zip(i_idx, j_idx, s_vals):
             assert s == pytest.approx(math.sin(betas[j] - alphas[i]) ** 2, abs=1e-12)
+            assert s > threshold
 
     def test_memory_is_bounded_by_the_block(self):
         alphas = np.linspace(0.0, math.pi, 300)
@@ -482,9 +434,8 @@ class TestPlaneKernels:
         coeffs = singlet_state().coeffs
         tracemalloc.start()
         try:
-            plane_row_scan(coeffs, alphas, betas, 1.0 + 1e-9)
-            plane_collect(coeffs, alphas, betas, 1.0 + 1e-9, alphas.size * betas.size)
-            plane_collect(coeffs, alphas, betas, -math.inf, 10_000)
+            plane_row_scan(coeffs, alphas, betas, 1.0 + 1e-9, alphas.size * betas.size)
+            plane_row_scan(coeffs, alphas, betas, -math.inf, 10_000)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -496,20 +447,23 @@ class TestPlaneKernels:
         betas = np.linspace(0.0, math.pi, 53)
         coeffs = random_state(3, complex_coeffs=True).coeffs
         with mock.patch.object(kernels, "_BLOCK_ELEMS", 4 * betas.size):
-            full = plane_collect(coeffs, alphas, betas, threshold, alphas.size * betas.size)
-            n = full[0].size
-            assert n > 0 and n == plane_row_scan(coeffs, alphas, betas, threshold)[2]
+            full = plane_row_scan(coeffs, alphas, betas, threshold, alphas.size * betas.size)
+            n = full[3][0].size
+            assert n > 0 and n == full[2]
             for limit in sorted({0, 1, 2, 7, n // 3, n // 2, n - 1, n, n + 5}):
-                got = plane_collect(coeffs, alphas, betas, threshold, limit)
-                for g, f in zip(got, full):
+                got = plane_row_scan(coeffs, alphas, betas, threshold, limit)
+                for g, f in zip(got[:2], full[:2]):
+                    assert np.array_equal(g, f), limit
+                assert got[2] == n
+                for g, f in zip(got[3], full[3]):
                     assert np.array_equal(g, f[:limit]), limit
 
     def test_collect_empty_when_nothing_crosses(self):
         alphas = np.linspace(0.0, 1.0, 11)
         betas = np.linspace(0.0, 1.0, 11)
-        i_idx, j_idx, s_vals = plane_collect(singlet_state().coeffs, alphas, betas, 2.0,
-                                             alphas.size * betas.size)
-        assert i_idx.size == j_idx.size == s_vals.size == 0
+        _, _, count, (i_idx, j_idx, s_vals) = plane_row_scan(
+            singlet_state().coeffs, alphas, betas, 2.0, alphas.size * betas.size)
+        assert count == i_idx.size == j_idx.size == s_vals.size == 0
 
 
 @pytest.mark.parametrize("name", sorted(FIXED_STATES))
@@ -521,15 +475,43 @@ def test_fixed_state_bits_independent_of_block_height(name):
     runs = []
     for block_elems in (betas.size, kernels._BLOCK_ELEMS):  # one-row blocks, then the default
         with mock.patch.object(kernels, "_BLOCK_ELEMS", block_elems):
-            runs.append(
-                plane_row_scan(coeffs, alphas, betas, threshold)
-                + plane_collect(coeffs, alphas, betas, threshold,
-                                alphas.size * betas.size)
-            )
+            row_max, row_arg, count, hits = plane_row_scan(
+                coeffs, alphas, betas, threshold, alphas.size * betas.size)
+            runs.append((row_max, row_arg, np.array(count)) + hits)
     one_row, default = runs
     assert one_row[3].size > 0
     for a, b in zip(one_row, default):
         assert np.array_equal(a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(FIXED_STATES)), na=st.integers(1, 12),
+       nb=st.integers(1, 12), threshold=st.sampled_from([-math.inf, 0.5, 0.9, 1.0 - 1e-12, 1.0]),
+       block_rows=st.integers(1, 5))
+def test_fixed_state_rows_and_hits_match_reference(data, name, na, nb, threshold, block_rows):
+    """Row scans of any split of the rows equal the point-by-point reference, at every limit.
+
+    With n hits in all, the limits 0, 1, n - 1, n and n + 5 cut the list
+    inside a block of ``block_rows`` rows, inside a row range, or not at all.
+    """
+    alphas = data.draw(axis_strategy(na, "random"))
+    betas = data.draw(axis_strategy(nb, "random"))
+    scanner = PlaneScanner(FIXED_STATES[name].coeffs, alphas, betas)
+    row_max, row_arg, n, hits = plane_reference(scanner, threshold)
+    cut = data.draw(st.integers(0, na))
+    with mock.patch.object(kernels, "_BLOCK_ELEMS", block_rows * nb):
+        for limit in sorted({0, 1, max(n - 1, 0), n, n + 5}):
+            got = scanner.scan(slice(None), threshold, limit)
+            assert np.array_equal(got[0], row_max) and np.array_equal(got[1], row_arg)
+            assert got[2] == n
+            for g, r in zip(got[3], hits):
+                assert np.array_equal(g, r[:limit]), limit
+            head, tail = scanner.scan(slice(0, cut), threshold, limit), scanner.scan(slice(cut, na), threshold, limit)
+            assert np.array_equal(np.concatenate([head[0], tail[0]]), row_max)
+            assert np.array_equal(np.concatenate([head[1], tail[1]]), row_arg)
+            assert head[2] + tail[2] == n
+            for g_head, g_tail, r in zip(head[3], tail[3], hits):
+                assert np.array_equal(np.concatenate([g_head, g_tail])[:limit], r[:limit]), limit
 
 
 @settings(max_examples=60, deadline=None)
@@ -544,8 +526,8 @@ def test_fixed_state_matches_scalar_probability_form(re_im, complex_coeffs, alph
     norm = np.linalg.norm(coeffs)
     assume(norm > 1e-3)
     state = PureTwoPhotonState((coeffs / norm).reshape(2, 2))
-    i_idx, j_idx, s_vals = plane_collect(state.coeffs, np.array(alphas), np.array(betas), -math.inf,
-                                           len(alphas) * len(betas))
+    _, _, _, (i_idx, j_idx, s_vals) = plane_row_scan(
+        state.coeffs, np.array(alphas), np.array(betas), -math.inf, len(alphas) * len(betas))
     assert i_idx.size == len(alphas) * len(betas)
     for i, j, s in zip(i_idx, j_idx, s_vals):
         assert abs(s - _plane_lhs(state, alphas[i], betas[j])) <= 1e-14

@@ -20,13 +20,8 @@ from leggettlab import (
     positive_parity_state,
     singlet_state,
 )
-from leggettlab.quantum import (
-    analyzer_ket,
-    diagonal_closed_batch,
-    diagonal_joint_probabilities,
-    joint_probabilities,
-    orthogonal_ket,
-)
+from leggettlab.quantum import analyzer_ket, joint_probabilities, orthogonal_ket
+from reference import diagonal_closed_batch, diagonal_joint_probabilities
 
 RT2 = 1.0 / math.sqrt(2.0)
 

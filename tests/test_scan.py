@@ -5,12 +5,16 @@ import math
 import os
 import threading
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leggettlab import (
     InputError,
+    PureTwoPhotonState,
     ScanPoint,
     ScanReport,
     ScanSpec,
@@ -20,8 +24,11 @@ from leggettlab import (
     singlet_state,
     write_csv,
 )
+from leggettlab import scan as scan_module
 from leggettlab.config import ENV_THREADS, resolve_workers, shard_map
+from leggettlab.kernels import PlaneScanner
 from leggettlab.scan import MAX_AXIS_POINTS, VIOLATION_CAP, _axis, _axis_size
+from reference import plane_reference, reference_scan
 
 
 class TestScanSpec:
@@ -269,6 +276,58 @@ class TestGridScanPlanes:
         assert named.max_s == supplied.max_s
         assert named.argmax.alpha == supplied.argmax.alpha
         assert named.argmax.beta == supplied.argmax.beta
+
+
+def _spec_state(family, seed):
+    """``(family, state)`` of a ScanSpec: a named family, or a random real or complex state."""
+    if family not in ("real", "complex"):
+        return family, None
+    rng = np.random.default_rng(seed)
+    coeffs = rng.normal(size=4) + (1j * rng.normal(size=4) if family == "complex" else 0.0)
+    return "fixed-matrix", PureTwoPhotonState((coeffs / np.linalg.norm(coeffs)).reshape(2, 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(family=st.sampled_from(["diagonal", "singlet", "positive-parity", "real", "complex"]),
+       seed=st.integers(0, 2**16), nc=st.integers(1, 6), na=st.integers(1, 8), nb=st.integers(1, 8),
+       step=st.floats(0.05, 0.8), tolerance=st.sampled_from([-1.5, -0.5, -1e-3, -1e-12, 1e-9]),
+       workers=st.integers(1, 3))
+def test_violations_match_reference_across_shards(family, seed, nc, na, nb, step, tolerance, workers):
+    """Slice maxima, count and capped violations equal the point-by-point reference.
+
+    Slices are c values or alpha rows, split into up to 3 shards.  With
+    n violations in all, caps of 0, 1, n - 1, n and n + 5 cut the list
+    inside a slice, between slices or shards, or not at all.
+    """
+    family, state = _spec_state(family, seed)
+    spec = ScanSpec(family=family, c_range=(0.0, (nc - 1) * 0.1, 0.1),
+                    alpha_range=(0.0, (na - 1) * step, step),
+                    beta_range=(0.3, 0.3 + (nb - 1) * step, step),
+                    refine=False, tolerance=tolerance, state=state)
+    alphas, betas = _axis(spec.alpha_range), _axis(spec.beta_range)
+    threshold = 1.0 + tolerance
+    if family == "diagonal":
+        cs = _axis(spec.c_range)
+        max_s, arg_i, arg_j, n_over, (k, i, j, s) = reference_scan(alphas, betas, cs, threshold)
+        weight = [float(c) for c in cs]
+        count = int(n_over.sum())
+    else:
+        scanner = PlaneScanner(scan_module._family_state(spec).coeffs, alphas, betas)
+        max_s, arg_j, count, (i, j, s) = plane_reference(scanner, threshold)
+        arg_i, k, weight = np.arange(alphas.size), i, [None] * alphas.size
+    maxima = tuple(ScanPoint(weight[n], float(alphas[arg_i[n]]), float(betas[arg_j[n]]), float(max_s[n]))
+                   for n in range(len(weight)))
+    hits = [ScanPoint(weight[a], float(alphas[b]), float(betas[c]), float(d))
+            for a, b, c, d in zip(k, i, j, s)]
+    assert count == len(hits)
+    with mock.patch.object(os, "cpu_count", lambda: 3):
+        for cap in sorted({0, 1, max(count - 1, 0), count, count + 5}):
+            with mock.patch.object(scan_module, "VIOLATION_CAP", cap):
+                report = grid_scan(spec, workers=workers)
+            assert report.slice_maxima == maxima
+            assert report.argmax == maxima[int(np.argmax(max_s))]
+            assert report.violation_count == count
+            assert report.violations == tuple(hits[:cap]), cap
 
 
 class TestRefine:
