@@ -29,7 +29,11 @@ range of a fixed state's alpha rows this way.
 
 A scan lists the points over its threshold where it counts them: each
 returns its maxima, its counts and its first ``limit`` such points, in
-one walk over the grid.  Memory stays O(``limit`` + block) at any
+one walk over the grid.  A diagonal scan walks chunks of rows in the
+outer loop and ``c`` slices in the inner one, so it lists a slice's
+points only while fewer than ``limit`` counted points rank before them,
+and cuts what it holds back to the first ``limit`` whenever it holds
+more than twice that.  Memory stays O(``limit`` + block) at any
 threshold.
 
 Ridge certification (diagonal family)
