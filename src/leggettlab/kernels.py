@@ -456,13 +456,8 @@ class DiagonalScanner:
         arg_i, arg_j = np.divmod(np.array(key, dtype=np.int64), nb)
         return np.array(max_s), arg_i, arg_j, n_over, (hit_k, hit_i, hit_j, hit_s)
 
-    def collect(
-        self, u_k: float, w_k: float, threshold: float, limit: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The first ``limit`` ``(i, j, S)`` with ``S > threshold`` for one ``c``: the hits of :meth:`scan`.
-
-        Kept only for benchmark tooling that wraps it by name.
-        """
+    def collect(self, u_k: float, w_k: float, threshold: float, limit: int) -> tuple[np.ndarray, ...]:
+        """The ``(i, j, S)`` hits of :meth:`scan` for one ``c``; kept for tooling that wraps it by name."""
         return self.scan(np.array([u_k]), np.array([w_k]), threshold, limit)[4][1:]
 
 
@@ -532,25 +527,16 @@ class PlaneScanner:
             if row_max[at].max() > threshold:
                 over = s > threshold
                 if room > 0:
-                    at = np.flatnonzero(over)
-                    count += at.size
-                    at = at[:room]
-                    hits.append((at // nb + (start + offset), at % nb, s.ravel()[at]))
-                    room -= at.size
+                    flat = np.flatnonzero(over)
+                    count += flat.size
+                    flat = flat[:room]
+                    hits.append((flat // nb + (start + offset), flat % nb, s.ravel()[flat]))
+                    room -= flat.size
                 else:
                     count += int(np.count_nonzero(over))
         return row_max, row_arg, count, tuple(np.concatenate(part) for part in zip(*hits))
 
 
-def plane_row_scan(
-    coeffs: np.ndarray,
-    alphas: np.ndarray,
-    betas: np.ndarray,
-    threshold: float,
-    limit: int,
-) -> tuple[np.ndarray, np.ndarray, int, tuple[np.ndarray, ...]]:
-    """:meth:`PlaneScanner.scan` over every row of a fixed state's grid.
-
-    Kept only for benchmark tooling that wraps it by name.
-    """
+def plane_row_scan(coeffs, alphas, betas, threshold: float, limit: int) -> tuple:
+    """:meth:`PlaneScanner.scan` over every row of a grid; kept for tooling that wraps it by name."""
     return PlaneScanner(coeffs, alphas, betas).scan(slice(None), threshold, limit)
