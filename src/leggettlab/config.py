@@ -7,9 +7,10 @@ One process-level knob:
   construction; this knob only trades wall time.
 
 Any worker count, explicit or from the environment, is capped at the
-number of CPUs, so a large request never starts more threads than can
-run at once.  :func:`shard_map` is the one place that starts worker
-threads.
+number of CPUs this process may run on (its affinity mask, where the
+platform has one, else ``os.cpu_count()``), so a large request or a
+``taskset`` run never starts more threads than can run at once.
+:func:`shard_map` is the one place that starts worker threads.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ ENV_THREADS = "LEGGETTLAB_THREADS"
 
 
 def resolve_workers(workers: int | None = None) -> int:
-    """Explicit argument, else ``LEGGETTLAB_THREADS``, else 1; at most ``os.cpu_count()``."""
+    """Explicit argument, else ``LEGGETTLAB_THREADS``, else 1; at most the CPUs this process may use."""
     if workers is None:
         raw = os.environ.get(ENV_THREADS)
         if raw is None:
@@ -38,7 +39,9 @@ def resolve_workers(workers: int | None = None) -> int:
     workers = int(workers)
     if workers < 1:
         raise InputError(f"worker count must be >= 1, got {workers}")
-    return min(workers, os.cpu_count() or 1)
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity is not None else os.cpu_count()
+    return min(workers, cpus or 1)
 
 
 def shard_map(fn: Callable[[slice], object], n: int, workers: int) -> list:

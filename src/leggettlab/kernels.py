@@ -60,8 +60,13 @@ first maximum in row-major order is among the evaluated points, and
 not above the threshold, so it is not counted.  A row that is not
 certified (R near 0, windows wider than the stencil at low thresholds,
 or ``(u, w)`` off ``u^2 + 4 w^2 = 1``) is evaluated in full by the
-block engine.  Windows are read in chunks of at most ``_BLOCK_ELEMS / 2``
-candidate points with reused buffers, so memory is O(chunk + axes).
+block engine.  Windows are read in chunks of whole alpha rows, at most
+``_CHUNK_CANDIDATES`` candidate points, with reused buffers, so memory
+is O(chunk + axes).  Each ``c`` makes a fixed number of numpy calls per
+chunk, both roots of every row in one ``(2, n)`` array: on a paper axis
+of 3142 rows, one chunk, calls long enough for worker threads to run
+them side by side.  Chunks are sized apart from the block engine's
+blocks, whose smaller size suits evaluating full rows.
 :meth:`DiagonalScanner.scan` walks the chunks in the outer loop and the
 ``c`` slices in the inner one, so the block engine builds the tables of
 a chunk's uncertified rows once and evaluates them for every ``c`` that
@@ -101,6 +106,7 @@ with one is certified only when its stencil already holds every column.
 from __future__ import annotations
 
 import math
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -119,6 +125,9 @@ _BLOCK_ELEMS = 32 * 1024
 # Stencil columns on each side of a root; a row holds two roots.
 _SIDE = 3
 _WIDTH = 4 * _SIDE
+# Stencil candidates per chunk of whole alpha rows: a chunk's five
+# buffers take 40 bytes per candidate, at most 1.9 MB.
+_CHUNK_CANDIDATES = 48 * 1024
 # The slack of the window depth D and the angular margin of a window
 # (module docstring).
 _SLACK = 1e-13
@@ -166,7 +175,8 @@ def _gather(rows, cols, block: slice, idx: np.ndarray, x, y, z) -> None:
     np.take(k0, idx, out=z, mode="clip")
     np.subtract(r0, z, out=x)
     np.abs(x, out=x)
-    np.take(k1, idx, out=z, mode="clip")
+    if k1 is not k0:  # the diagonal family's k1 is k0
+        np.take(k1, idx, out=z, mode="clip")
     np.multiply(r1, z, out=y)
     np.take(k2, idx, out=z, mode="clip")
     np.multiply(r2, z, out=z)
@@ -232,6 +242,7 @@ class DiagonalScanner:
         order = np.argsort(phase, kind="stable")
         wrap, pos = np.divmod(np.arange(-_SIDE, betas.size + _SIDE), betas.size)
         self._phase = phase[order][pos] + math.pi * wrap
+        self._sorted_phase = self._phase[_SIDE:_SIDE + betas.size]
         self._phase_col = order[pos]
         self._margin = _ANGLE_MARGIN * float(np.max(np.abs(betas), initial=1.0))
         # No stencil reaches farther from its root than half its span.
@@ -244,20 +255,19 @@ class DiagonalScanner:
         return np.abs(1.0 - 2.0 * cs * cs), cs * np.sqrt(1.0 - cs * cs)
 
     def _chunks(self):
-        """Yield ``(block, trig, buffers)`` for chunks of at most ``_BLOCK_ELEMS / 2`` candidates.
+        """Yield ``(block, trig, buffers)`` for chunks of whole alpha rows, at most ``_CHUNK_CANDIDATES`` candidates each.
 
         ``block`` is a slice of alpha rows and ``trig`` their ``(cos a, sin
         a)``.  Every chunk shares ``buffers = (idx, cols, x, y, z)``, all
-        views of one allocation: on a long axis that is large enough for
-        the C allocator to map it on its own and return it to the system
-        when the call ends.  Five separate buffers of up to 128 KB stayed
-        in the worker threads' heaps instead, which raised the census
-        scan's peak RSS by about 1 MB.  The rows are split into as few
-        chunks as the size allows, of equal height.
+        views of one allocation of at most 1.9 MB.  The rows are split
+        into as few chunks as the cap allows, of equal height: a paper
+        axis of 3142 rows is one chunk, so each ``c`` makes one pass of
+        long numpy calls, which run while other workers hold the
+        interpreter.  The cap keeps memory O(chunk + axes) on any axis.
         """
         ca2, _, sa2, s2a = self._rows
         na = ca2.size
-        chunks = max(1, -(-na // max(1, _BLOCK_ELEMS // (2 * _WIDTH))))
+        chunks = max(1, -(-na // max(1, _CHUNK_CANDIDATES // _WIDTH)))
         height = max(1, -(-na // chunks))
         store = np.empty((5, height, _WIDTH))
         buffers = tuple(store[:2].view(np.int64)) + tuple(store[2:])
@@ -266,29 +276,25 @@ class DiagonalScanner:
             trig = np.sqrt(ca2[block]), np.copysign(np.sqrt(sa2[block]), s2a[block])
             yield block, trig, buffers
 
-    def _stencil(self, block: slice, trig, c: float, s: float, u_k: float, w_k: float, buffers):
+    def _stencil(self, block: slice, trig, roots: np.ndarray, u_k: float, w_k: float, buffers):
         """``(cols, S, radii, covers)`` of the stencils of the alpha rows ``block``.
 
-        ``cols[i]`` holds the stencil columns of row ``block.start + i``
-        around both roots and ``S[i]`` their values; ``radii`` and
-        ``covers`` hold per root and row the radius R and the angular
-        distance from the root to the farthest stencil column on the
-        nearer side.
+        ``roots`` is ``(s, c)``: the two roots of a row are those of
+        ``(s cos a, c sin a)`` and ``(c cos a, s sin a)``, taken in one
+        ``(2, n)`` pass.  ``cols[i]`` holds the stencil columns of row
+        ``block.start + i`` around both roots and ``S[i]`` their values;
+        ``radii`` and ``covers`` hold per root and row the radius R and
+        the angular distance from the root to the farthest stencil column
+        on the nearer side.
         """
-        nb = self._cols[0].size
-        sorted_phase = self._phase[_SIDE:_SIDE + nb]
         n = block.stop - block.start
         idx_buf, cols_buf, x, y, z = buffers
-        idx = idx_buf[:n]
         cos_a, sin_a = trig
-        radii, covers = [], []
-        for half, (a, b) in enumerate(((s, c), (c, s))):
-            radius, phase = _root(a * cos_a, b * sin_a)
-            p = np.searchsorted(sorted_phase, phase, side="right")
-            covers.append(np.minimum(phase - self._phase[p],
-                                     self._phase[p + (2 * _SIDE - 1)] - phase))
-            radii.append(radius)
-            np.add(p[:, None], np.arange(2 * _SIDE), out=idx[:, half * 2 * _SIDE:(half + 1) * 2 * _SIDE])
+        radii, phase = _root(np.multiply.outer(roots, cos_a), np.multiply.outer(roots[::-1], sin_a))
+        p = np.searchsorted(self._sorted_phase, phase, side="right")
+        covers = np.minimum(phase - self._phase[p], self._phase[p + (2 * _SIDE - 1)] - phase)
+        idx = idx_buf[:n]
+        np.add(p.T[:, :, None], np.arange(2 * _SIDE), out=idx.reshape(n, 2, 2 * _SIDE))
         cols = cols_buf[:n]
         np.take(self._phase_col, idx, out=cols, mode="clip")
         xb, yb, zb = x[:n], y[:n], z[:n]
@@ -296,16 +302,16 @@ class DiagonalScanner:
         return cols, _evaluate(xb, yb, zb, u_k, w_k, xb, zb), radii, covers
 
     def _certified(self, radii, covers, level: float, slack: float) -> np.ndarray:
-        """Rows whose stencils reach past both windows of depth ``(1 - level + slack) / 2``."""
-        reach = np.sqrt(np.maximum((1.0 - level + slack) / 2.0, 0.0))
-        sure = np.ones(radii[0].shape, dtype=bool)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for radius, cover in zip(radii, covers):
-                ratio = reach / radius
-                half = np.arcsin(np.minimum(ratio, 0.5))
-                half[ratio > 0.5] = math.pi / 2.0
-                sure &= half + self._margin < cover
-        return sure
+        """Rows whose stencils reach past both windows of depth ``(1 - level + slack) / 2``.
+
+        R = 0 divides by zero: :meth:`scan` ignores divide and invalid
+        floating-point errors, once per call.
+        """
+        ratio = math.sqrt(max((1.0 - level + slack) / 2.0, 0.0)) / radii
+        half = np.arcsin(np.minimum(ratio, 0.5))
+        half[ratio > 0.5] = math.pi / 2.0
+        half += self._margin
+        return (half < covers).all(axis=0)
 
     def _may_certify(self, threshold: float, slack: float) -> bool:
         """Whether any row could be certified at the threshold's window depth D.
@@ -363,15 +369,20 @@ class DiagonalScanner:
         keys, first = np.unique((start + i_idx) * nb + cols[i_idx, m_idx], return_index=True)
         return keys, vals[i_idx, m_idx][first]
 
+    @np.errstate(divide="ignore", invalid="ignore")  # R = 0 in _certified
     def scan(
-        self, u: np.ndarray, w: np.ndarray, threshold: float, limit: int
+        self, u: np.ndarray, w: np.ndarray, threshold: float, limit: int,
+        budget: Optional[Callable[[int], int]] = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
         """Per-``c`` grid maxima, first argmax indices, threshold counts, and the first hits.
 
         The hits are ``(k, i, j, S)`` arrays of the first ``limit``
         points with ``S > threshold`` in (k, i, j) order, recorded where
         they are counted: the certified stencil points and every point
-        of a full row.
+        of a full row.  ``budget``, if given, is called with the points
+        counted so far and returns how many the caller may still keep in
+        all, a number that may only shrink; the scan then lists at most
+        that many (:func:`_listable`).
         """
         u = np.ascontiguousarray(u, dtype=np.float64)
         w = np.ascontiguousarray(w, dtype=np.float64)
@@ -381,9 +392,9 @@ class DiagonalScanner:
         max_s, key = [-math.inf] * nc, [0] * nc
         n_over = np.zeros(nc, dtype=np.int64)
         # Per slice, parts of (keys i * nb + j, values), each sorted by key,
-        # of the hits that may still rank among the first `limit`.
+        # of the hits that may still rank among the first `listable`.
         held: list[list] = [[] for _ in range(nc)]
-        n_held, spent = 0, nc
+        n_held, spent, listable = 0, nc, limit
 
         def offer(k, value, at):
             # Ties go to the smaller key: the first maximum in row-major order.
@@ -393,37 +404,43 @@ class DiagonalScanner:
 
         def room(k):
             # How many of slice k's next hits may still rank among the first
-            # `limit`: every counted hit of an earlier slice ranks before them.
-            # It only shrinks, and it is at most the room of an earlier slice,
-            # so once it is spent no later slice lists a hit.
-            nonlocal spent
-            left = 0 if k >= spent else limit - int(n_over[:k].sum()) - int(ahead[k])
+            # `listable`: every counted hit of an earlier slice ranks before
+            # them.  It only shrinks, and it is at most the room of an earlier
+            # slice, so once it is spent no later slice lists a hit.  By then
+            # the budget has heard a count that fills it.
+            nonlocal spent, listable
+            if k >= spent:
+                return 0
+            listable = _listable(limit, budget, int(n_over.sum()))
+            left = listable - int(n_over[:k].sum()) - int(ahead[k])
             if left <= 0:
-                spent = min(spent, k)
+                spent = k
             return left
 
         def hold(k, keys, vals):
             nonlocal n_held
             held[k].append((keys, vals))
             n_held += keys.size
-            if n_held > 2 * limit:
-                n_held = _keep_first(held, limit)
+            if n_held > 2 * listable:
+                n_held = _keep_first(held, listable)
 
         pairs = [_pair(u[k], w[k]) for k in range(nc)]
+        roots = np.array([(s, c) for c, s, _ in pairs])
         hopeful = [self._may_certify(threshold, slack) for _, _, slack in pairs]
         for block, trig, buffers in self._chunks():
             # Hits of each slice known to rank before its next full-row hits.
             ahead = n_over.copy()
             pending = []
-            for k, (c, s, slack) in enumerate(pairs):
+            for k, (_, _, slack) in enumerate(pairs):
                 if not hopeful[k]:
                     pending.append((k, None))
                     continue
-                cols, vals, radii, covers = self._stencil(block, trig, c, s, u[k], w[k], buffers)
+                cols, vals, radii, covers = self._stencil(block, trig, roots[k], u[k], w[k], buffers)
                 top = vals.max()
                 if top >= max_s[k]:
-                    i_idx, m_idx = np.nonzero(vals == top)
-                    offer(k, top, int(((block.start + i_idx) * nb + cols[i_idx, m_idx]).min()))
+                    # The first row holding the top holds its smallest key.
+                    i = int(np.argmax(vals == top)) // _WIDTH
+                    offer(k, top, (block.start + i) * nb + int(cols[i][vals[i] == top].min()))
                 sure = self._certified(radii, covers, min(max_s[k], threshold), slack)
                 if top > threshold:
                     keys, hit_vals = self._hits(block.start, cols, vals, sure, threshold, nb)
@@ -449,7 +466,7 @@ class DiagonalScanner:
                         found = int(np.count_nonzero(over))
                     n_over[k] += found
                     ahead[k] += found
-        _keep_first(held, limit)
+        _keep_first(held, listable)
         kept = [(np.full(keys.size, k), keys, vals) for k, parts in enumerate(held) for keys, vals in parts]
         hit_k, keys, hit_s = (np.concatenate(part) for part in zip(_NO_HITS, *kept))
         hit_i, hit_j = np.divmod(keys, nb)
@@ -459,6 +476,16 @@ class DiagonalScanner:
     def collect(self, u_k: float, w_k: float, threshold: float, limit: int) -> tuple[np.ndarray, ...]:
         """The ``(i, j, S)`` hits of :meth:`scan` for one ``c``; kept for tooling that wraps it by name."""
         return self.scan(np.array([u_k]), np.array([w_k]), threshold, limit)[4][1:]
+
+
+def _listable(limit: int, budget: Optional[Callable[[int], int]], counted: int) -> int:
+    """How many hits a scan may list in all: ``limit``, or less when its ``budget`` says so.
+
+    ``budget`` hears the ``counted`` points over the threshold so far,
+    so that a caller running several scans at once can tell the later
+    ones when the earlier ones have filled what it keeps.
+    """
+    return limit if budget is None else min(limit, budget(counted))
 
 
 def _keep_first(held: list, limit: int) -> int:
@@ -505,20 +532,22 @@ class PlaneScanner:
                       (at_45[0] + at_45[3]) - 0.5)
 
     def scan(
-        self, rows: slice, threshold: float, limit: int
+        self, rows: slice, threshold: float, limit: int,
+        budget: Optional[Callable[[int], int]] = None,
     ) -> tuple[np.ndarray, np.ndarray, int, tuple[np.ndarray, ...]]:
         """Maxima and first attaining columns of the alpha rows ``rows``, their threshold count, and the first hits.
 
         The hits are ``(i, j, S)`` arrays of the first ``limit`` points
         with ``S > threshold`` in row-major order; ``i`` counts from the
-        grid's first row.
+        grid's first row.  ``budget`` may lower the limit as in
+        :meth:`DiagonalScanner.scan`.
         """
         start, stop, _ = rows.indices(self._rows[0].size)
         nb = self._cols[0].size
         sub = tuple(r[start:stop] for r in self._rows)
         row_max = np.empty(stop - start)
         row_arg = np.zeros(stop - start, dtype=np.int64)
-        count, room, hits = 0, limit, [_NO_HITS]
+        count, listed, hits = 0, 0, [_NO_HITS]
         for offset, x, y, z in _blocks(sub, self._cols):
             s = _evaluate(x, y, z, 1.0, 1.0, x, z)
             at = slice(offset, offset + s.shape[0])
@@ -526,12 +555,13 @@ class PlaneScanner:
             row_max[at] = s[np.arange(s.shape[0]), row_arg[at]]
             if row_max[at].max() > threshold:
                 over = s > threshold
+                room = _listable(limit, budget, count) - listed
                 if room > 0:
                     flat = np.flatnonzero(over)
                     count += flat.size
                     flat = flat[:room]
                     hits.append((flat // nb + (start + offset), flat % nb, s.ravel()[flat]))
-                    room -= flat.size
+                    listed += flat.size
                 else:
                     count += int(np.count_nonzero(over))
         return row_max, row_arg, count, tuple(np.concatenate(part) for part in zip(*hits))

@@ -159,7 +159,9 @@ class TestScan:
     ])
     @pytest.mark.parametrize("tolerance", ["1e-9", "-1e-4"])
     def test_fixed_state_reports_independent_of_workers(self, capsys, monkeypatch, family, tolerance):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # --workers 2 is not capped to 1
+        # --workers 2 is not capped to 1, whichever CPU count the cap reads.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         reports = []
         for workers in ("1", "2"):
             code, out, _ = run(capsys, "scan", *family, "--step", "0.01",

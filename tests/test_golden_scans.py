@@ -76,7 +76,9 @@ def _load() -> dict:
 @pytest.mark.parametrize("workers", WORKERS)
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_scan_bytes_match_golden(case, workers, tmp_path, monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # --workers 2 is not capped to 1
+    # --workers 2 is not capped to 1, whichever CPU count the cap reads.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     got = _run(case, workers, tmp_path)
     want = _load()[case]
     assert got["exit"] == want["exit"]

@@ -1,5 +1,6 @@
 """Diagonal scan engine against a pure-Python reference and a golden fixture; plane kernels."""
 
+import contextlib
 import math
 import tracemalloc
 from pathlib import Path
@@ -62,6 +63,13 @@ def golden_cases():
 GOLDEN_COLLECT_K = 0
 
 
+def sizes(block_elems=None):
+    """Blocks of ``block_elems`` points and stencil chunks of half as many candidates; None keeps both defaults."""
+    if block_elems is None:
+        return contextlib.nullcontext()
+    return mock.patch.multiple(kernels, _BLOCK_ELEMS=block_elems, _CHUNK_CANDIDATES=block_elems // 2)
+
+
 class TestDiagonalScanner:
     def test_weights_formula(self):
         cs = np.array([0.0, 0.3, 1.0 / math.sqrt(2.0), 1.0])
@@ -121,13 +129,15 @@ class TestDiagonalScanner:
         assert np.all(np.diff(keys) > 0)
 
     def test_block_seams_match_reference(self):
-        # 23 alpha rows in blocks of 3 leave a partial last block; the
-        # c = 0 plateau puts equal maxima on both sides of every seam.
+        # 23 alpha rows in blocks of 3 and stencil chunks of 2 leave a
+        # partial last block; the c = 0 plateau puts equal maxima on both
+        # sides of every seam.
         alphas = np.linspace(0.0, math.pi, 23)
         betas = np.linspace(0.0, math.pi, 19)
         cs = np.array([0.0, 0.35, 1.0 / math.sqrt(2.0), 1.0])
-        with mock.patch.object(kernels, "_BLOCK_ELEMS", 3 * betas.size + 1):
+        with sizes(3 * betas.size + 1):
             scanner = DiagonalScanner(alphas, betas)
+            assert len(list(scanner._chunks())) == 12
             got = scanner.scan(*DiagonalScanner.weights(cs), 0.9, cs.size * alphas.size * betas.size)
         want = reference_scan(alphas, betas, cs, 0.9)
         for g, r in zip(got[:4] + got[4], want[:4] + want[4]):
@@ -142,6 +152,8 @@ class TestDiagonalScanner:
             # a scan with room for every point would return all 4 M.
             (2000, 2000, -math.inf, 10_000),
             (1 << 17, 16, 1.0 + 1e-9, 1 << 21),
+            # One chunk of all 2^16 rows would hold 31 MB of buffers.
+            (1 << 16, 512, 1.0 - 1e-12, 1 << 22),
         ):
             alphas = np.linspace(0.0, math.pi, na)
             betas = np.linspace(0.0, math.pi, nb)
@@ -178,7 +190,7 @@ def check_against_reference(alphas, betas, u, w, threshold, block_elems=None):
     """
     want = _diagonal_scan_py(u, w, *trig_tables(alphas), *trig_tables(betas), threshold)
     n = want[4][0].size
-    with mock.patch.object(kernels, "_BLOCK_ELEMS", block_elems or kernels._BLOCK_ELEMS):
+    with sizes(block_elems):
         scanner = DiagonalScanner(alphas, betas)
         for limit in sorted({0, 1, max(n - 1, 0), n, n + 5}):
             got = scanner.scan(u, w, threshold, limit)
@@ -216,8 +228,8 @@ THRESHOLDS = st.sampled_from([-math.inf, 0.5, 1.0 - 1e-12, 1.0 + 1e-9])
        block_elems=st.integers(1, 100))
 def test_engine_matches_reference_bitwise(data, na, nb, layout, weights, threshold, block_elems):
     # Axes of 1-9 points are shorter than a root's stencil, so stencils wrap
-    # around the phase circle and repeat columns; small _BLOCK_ELEMS give
-    # full-row fallbacks block seams.
+    # around the phase circle and repeat columns; small sizes give stencil
+    # chunks and full-row fallbacks seams.
     if layout == "plateau":  # exact ties at c = 0: the first row-major maximum must win
         alphas = np.linspace(0.0, math.pi, na)
         betas = np.linspace(0.0, math.pi / 2.0, nb)
@@ -349,14 +361,15 @@ def test_limited_collect_is_prefix_of_unlimited(threshold, block_elems):
 
     At 1 - 1e-5, 3 of the 194 rows of both slices go to the block
     engine, at 1 - 1e-3 38 of them, at 0.9 and -inf all.  200-element
-    blocks give many chunks and blocks, so a limit is reached inside
-    and between them, and inside either slice.
+    blocks and 100-candidate chunks give many of both, so a limit is
+    reached inside and between them, and inside either slice.
     """
     alphas = np.linspace(0.0, math.pi, 97)
     betas = np.linspace(0.1, math.pi + 0.1, 89)
     u, w = DiagonalScanner.weights(np.array([0.0, 0.3]))
-    with mock.patch.object(kernels, "_BLOCK_ELEMS", block_elems or kernels._BLOCK_ELEMS):
+    with sizes(block_elems):
         scanner = DiagonalScanner(alphas, betas)
+        assert len(list(scanner._chunks())) == (1 if block_elems is None else 13)
         full = scanner.scan(u, w, threshold, 2 * alphas.size * betas.size)
         n = full[4][0].size
         first = int(full[3][0])
@@ -385,6 +398,35 @@ def test_golden_fixture_bitwise():
                                                alphas.size * betas.size)[4][1:]
     for field, value in zip(("i", "j", "s"), got):
         assert np.array_equal(value, golden[f"collect.{field}"]), field
+
+
+@pytest.mark.parametrize("family", ["diagonal", "complex3"])
+@pytest.mark.parametrize("room", [0, 1, 37, 10**9])
+def test_budget_lowers_the_limit_and_hears_growing_counts(family, room):
+    """A budget lowers what a scan lists to a prefix of its hits; counts and maxima stay."""
+    alphas = np.linspace(0.0, math.pi, 97)
+    betas = np.linspace(0.1, math.pi + 0.1, 89)
+    if family == "diagonal":
+        scanner, args = DiagonalScanner(alphas, betas), DiagonalScanner.weights(np.array([0.0, 0.3]))
+    else:
+        scanner, args = PlaneScanner(FIXED_STATES[family].coeffs, alphas, betas), (slice(None),)
+    heard = []
+
+    def budget(counted):
+        heard.append(counted)
+        return room
+
+    limit = 2 * alphas.size * betas.size
+    with sizes(400):
+        full = scanner.scan(*args, 0.9, limit)
+        got = scanner.scan(*args, 0.9, limit, budget)
+    for g, f in zip(got[:-1], full[:-1]):
+        assert np.array_equal(g, f)
+    n = np.sum(full[-2])
+    assert 0 < n == full[-1][0].size
+    for g, f in zip(got[-1], full[-1]):
+        assert np.array_equal(g, f[:room])
+    assert heard and heard == sorted(heard) and heard[-1] < n
 
 
 class TestPlaneKernels:

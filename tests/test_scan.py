@@ -3,6 +3,7 @@
 import csv
 import math
 import os
+import sys
 import threading
 from dataclasses import replace
 from unittest import mock
@@ -24,9 +25,10 @@ from leggettlab import (
     singlet_state,
     write_csv,
 )
+from leggettlab import kernels
 from leggettlab import scan as scan_module
 from leggettlab.config import ENV_THREADS, resolve_workers, shard_map
-from leggettlab.kernels import PlaneScanner
+from leggettlab.kernels import DiagonalScanner, PlaneScanner
 from leggettlab.scan import MAX_AXIS_POINTS, VIOLATION_CAP, _axis, _axis_size
 from reference import plane_reference, reference_scan
 
@@ -164,13 +166,87 @@ class TestGridScanDiagonal:
         many = grid_scan(ScanSpec(**COARSE), workers=4)
         assert replace(one, wall_time=0.0) == replace(many, wall_time=0.0)
 
+    @pytest.mark.parametrize("tolerance", [1e-9, -1e-12, -1e-5])
+    def test_workers_agree_across_stencil_chunks(self, monkeypatch, tolerance):
+        # 158 alpha rows in chunks of at most 40: four chunks, cut mid-grid,
+        # under each of the two shards of c slices.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(kernels, "_CHUNK_CANDIDATES", 40 * kernels._WIDTH)
+        spec = ScanSpec(c_range=(0.0, 0.7, 0.05), alpha_range=(0.0, math.pi, 0.02),
+                        beta_range=(0.0, math.pi, 0.02), refine=False, tolerance=tolerance)
+        assert len(list(DiagonalScanner(_axis(spec.alpha_range), _axis(spec.beta_range))._chunks())) == 4
+        one = grid_scan(spec, workers=1)
+        two = grid_scan(spec, workers=2)
+        assert replace(one, wall_time=0.0) == replace(two, wall_time=0.0)
+        assert (one.violation_count > 0) == (tolerance < 0)
+
+    def test_later_shard_lists_nothing_once_the_cap_is_full(self, monkeypatch):
+        # Nearly every point is over 0.1, so the first shard's first slices
+        # fill the cap.  The second shard starts once the first has ended.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        spec = ScanSpec(c_range=(0.0, 0.1, 0.01), alpha_range=(0.0, math.pi, 0.05),
+                        beta_range=(0.0, math.pi, 0.05), refine=False, tolerance=-0.9)
+        first_u = DiagonalScanner.weights(_axis(spec.c_range))[0][0]
+        first_done = threading.Event()
+        listed = {}
+        scan = DiagonalScanner.scan
+
+        def in_order(self, u, *args):
+            first = u[0] == first_u
+            if not first:
+                assert first_done.wait(timeout=60)
+            result = scan(self, u, *args)
+            listed["first" if first else "second"] = (int(result[3].sum()), result[4][0].size)
+            if first:
+                first_done.set()
+            return result
+
+        monkeypatch.setattr(DiagonalScanner, "scan", in_order)
+        two = grid_scan(spec, workers=2)
+        counted = listed["first"][0]
+        assert listed == {"first": (counted, VIOLATION_CAP), "second": (two.violation_count - counted, 0)}
+        assert counted > VIOLATION_CAP and two.violation_count > counted
+        monkeypatch.undo()
+        assert replace(two, wall_time=0.0) == replace(grid_scan(spec, workers=1), wall_time=0.0)
+
+    @pytest.mark.parametrize("family", ["diagonal", "singlet"])
+    def test_shared_listing_budget_under_thread_switches(self, monkeypatch, family):
+        # Six shards on any host, switching threads every microsecond: a
+        # shard that stopped listing before the shards ahead of it filled
+        # the cap would lose violations the report keeps.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(6)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        monkeypatch.setattr(scan_module, "VIOLATION_CAP", 700)
+        spec = ScanSpec(family=family, c_range=(0.0, 0.5, 0.05), alpha_range=(0.0, math.pi, 0.05),
+                        beta_range=(0.0, math.pi, 0.05), refine=False, tolerance=-0.5)
+        one = grid_scan(spec, workers=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            many = grid_scan(spec, workers=6)
+        finally:
+            sys.setswitchinterval(interval)
+        assert replace(one, wall_time=0.0) == replace(many, wall_time=0.0)
+        assert len(one.violations) == 700 < one.violation_count
+
     def test_worker_request_capped_at_cpu_count(self, monkeypatch):
         # Only resolved here: a pool of this size is never started.
-        cap = os.cpu_count() or 1
+        cap = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
         assert resolve_workers(10**6) == cap
         monkeypatch.setenv(ENV_THREADS, str(10**6))
         assert resolve_workers() == cap
         assert resolve_workers(1) == 1
+        # A taskset or cpuset run sees fewer CPUs than the machine has.
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5}, raising=False)
+        assert resolve_workers(4) == 1
+        # Without an affinity mask the machine's CPU count caps, 1 when unknown.
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert resolve_workers(4) == 4
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert resolve_workers(4) == 1
 
     def test_shard_map_slices(self):
         n = 10**15
@@ -320,7 +396,8 @@ def test_violations_match_reference_across_shards(family, seed, nc, na, nb, step
     hits = [ScanPoint(weight[a], float(alphas[b]), float(betas[c]), float(d))
             for a, b, c, d in zip(k, i, j, s)]
     assert count == len(hits)
-    with mock.patch.object(os, "cpu_count", lambda: 3):
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1, 2}, create=True), \
+            mock.patch.object(os, "cpu_count", lambda: 3):
         for cap in sorted({0, 1, max(count - 1, 0), count, count + 5}):
             with mock.patch.object(scan_module, "VIOLATION_CAP", cap):
                 report = grid_scan(spec, workers=workers)
