@@ -402,16 +402,16 @@ class DiagonalScanner:
             if value > max_s[k] or (value == max_s[k] and at < key[k]):
                 max_s[k], key[k] = value, at
 
-        def room(k):
-            # How many of slice k's next hits may still rank among the first
-            # `listable`: every counted hit of an earlier slice ranks before
-            # them.  It only shrinks, and it is at most the room of an earlier
-            # slice, so once it is spent no later slice lists a hit.  By then
-            # the budget has heard a count that fills it.
+        def room(k, found):
+            # How many of the `found` hits slice k has just counted may still
+            # rank among the first `listable`: every counted hit of an earlier
+            # slice ranks before them.  It only shrinks, and it is at most the
+            # room of an earlier slice, so once it is spent no later slice
+            # lists a hit.  By then the budget has heard a count that fills it.
             nonlocal spent, listable
             if k >= spent:
                 return 0
-            listable = _listable(limit, budget, int(n_over.sum()))
+            listable = _listable(limit, budget, int(n_over.sum()) + found)
             left = listable - int(n_over[:k].sum()) - int(ahead[k])
             if left <= 0:
                 spent = k
@@ -444,7 +444,7 @@ class DiagonalScanner:
                 sure = self._certified(radii, covers, min(max_s[k], threshold), slack)
                 if top > threshold:
                     keys, hit_vals = self._hits(block.start, cols, vals, sure, threshold, nb)
-                    left = room(k)
+                    left = room(k, keys.size)
                     if left > 0:
                         hold(k, keys[:left], hit_vals[:left])
                     n_over[k] += keys.size
@@ -456,14 +456,12 @@ class DiagonalScanner:
                 offer(k, top, int(rows[flat // nb]) * nb + flat % nb)
                 if top > threshold:
                     over = s > threshold
-                    left = room(k)
+                    found = int(np.count_nonzero(over))
+                    left = room(k, found)
                     if left > 0:
                         # Each kept hit has fewer than `left` of these before it.
-                        at = np.flatnonzero(over)
-                        found, at = at.size, at[:left]
+                        at = np.flatnonzero(over)[:left]
                         hold(k, rows[at // nb] * nb + at % nb, s.ravel()[at])
-                    else:
-                        found = int(np.count_nonzero(over))
                     n_over[k] += found
                     ahead[k] += found
         _keep_first(held, listable)
@@ -555,15 +553,12 @@ class PlaneScanner:
             row_max[at] = s[np.arange(s.shape[0]), row_arg[at]]
             if row_max[at].max() > threshold:
                 over = s > threshold
+                count += int(np.count_nonzero(over))
                 room = _listable(limit, budget, count) - listed
                 if room > 0:
-                    flat = np.flatnonzero(over)
-                    count += flat.size
-                    flat = flat[:room]
+                    flat = np.flatnonzero(over)[:room]
                     hits.append((flat // nb + (start + offset), flat % nb, s.ravel()[flat]))
                     listed += flat.size
-                else:
-                    count += int(np.count_nonzero(over))
         return row_max, row_arg, count, tuple(np.concatenate(part) for part in zip(*hits))
 
 
