@@ -260,12 +260,13 @@ class DiagonalScanner:
         ``block`` is a slice of alpha rows and ``trig`` their ``(cos a, sin
         a)``.  Every chunk shares ``buffers = (idx, cols, x, y, z)``, all
         views of one allocation of at most 1.9 MB.  The rows are split
-        into as few chunks as the cap allows, of equal height: a paper axis of 3142 rows is one chunk of 1.5 MB, so each
-        ``c`` makes one pass of long numpy calls, which run while other
-        workers hold the interpreter.  That raised the peak RSS of
-        ``scan --eps-preset --workers 2`` by 2.5 MB and of the census scan
-        by 0.6 MB, against chunks of at most 16 K candidates.  The cap
-        keeps memory O(chunk + axes) on any axis.
+        into as few chunks as the cap allows, of equal height: a paper
+        axis of 3142 rows is one chunk of 1.5 MB, so each ``c`` makes one
+        pass of long numpy calls, which run while other workers hold the
+        interpreter.  That raised the peak RSS of ``scan --eps-preset
+        --workers 2`` by 2.5 MB and of the census scan by 0.6 MB, against
+        chunks of at most 16 K candidates.  The cap keeps memory
+        O(chunk + axes) on any axis.
         """
         ca2, _, sa2, s2a = self._rows
         na = ca2.size
