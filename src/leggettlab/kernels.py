@@ -125,8 +125,8 @@ _BLOCK_ELEMS = 32 * 1024
 # Stencil columns on each side of a root; a row holds two roots.
 _SIDE = 3
 _WIDTH = 4 * _SIDE
-# Stencil candidates per chunk of whole alpha rows: a chunk's five
-# buffers take 40 bytes per candidate, at most 1.9 MB.
+# Stencil candidates per chunk of whole alpha rows: a chunk's four
+# buffers take 32 bytes per candidate, at most 1.5 MB.
 _CHUNK_CANDIDATES = 48 * 1024
 # The slack of the window depth D and the angular margin of a window
 # (module docstring).
@@ -169,7 +169,7 @@ def _blocks(rows, cols):
 
 
 def _gather(rows, cols, block: slice, idx: np.ndarray, x, y, z) -> None:
-    """x, y and z of :func:`_blocks` at columns ``idx[i]`` of the rows ``block``, in place."""
+    """x, y and z of :func:`_blocks` at entries ``idx[i]`` of the column tables for the rows ``block``, in place."""
     r0, r1, r2, r3 = (r[block, None] for r in rows)
     k0, k1, k2, k3 = cols
     np.take(k0, idx, out=z, mode="clip")
@@ -244,6 +244,9 @@ class DiagonalScanner:
         self._phase = phase[order][pos] + math.pi * wrap
         self._sorted_phase = self._phase[_SIDE:_SIDE + betas.size]
         self._phase_col = order[pos]
+        # The beta tables in that order, so that stencils gather by position.
+        cb2s, sb2s, s2bs = (t[self._phase_col] for t in (cb2, sb2, s2b))
+        self._stencil_cols = (cb2s, cb2s, sb2s, s2bs)
         self._margin = _ANGLE_MARGIN * float(np.max(np.abs(betas), initial=1.0))
         # No stencil reaches farther from its root than half its span.
         self._span = float(np.max(self._phase[2 * _SIDE - 1:] - self._phase[:1 - 2 * _SIDE])) / 2.0
@@ -258,13 +261,13 @@ class DiagonalScanner:
         """Yield ``(block, trig, buffers)`` for chunks of whole alpha rows, at most ``_CHUNK_CANDIDATES`` candidates each.
 
         ``block`` is a slice of alpha rows and ``trig`` their ``(cos a, sin
-        a)``.  Every chunk shares ``buffers = (idx, cols, x, y, z)``, all
-        views of one allocation of at most 1.9 MB.  The rows are split
+        a)``.  Every chunk shares ``buffers = (idx, x, y, z)``, all views
+        of one allocation of at most 1.5 MB.  The rows are split
         into as few chunks as the cap allows, of equal height: a paper
-        axis of 3142 rows is one chunk of 1.5 MB, so each ``c`` makes one
+        axis of 3142 rows is one chunk of 1.2 MB, so each ``c`` makes one
         pass of long numpy calls, which run while other workers hold the
         interpreter.  That raised the peak RSS of ``scan --eps-preset
-        --workers 2`` by 2.5 MB and of the census scan by 0.6 MB, against
+        --workers 2`` by 1.9 MB and of the census scan by 0.5 MB, against
         chunks of at most 16 K candidates.  The cap keeps memory
         O(chunk + axes) on any axis.
         """
@@ -272,37 +275,40 @@ class DiagonalScanner:
         na = ca2.size
         chunks = max(1, -(-na // max(1, _CHUNK_CANDIDATES // _WIDTH)))
         height = max(1, -(-na // chunks))
-        store = np.empty((5, height, _WIDTH))
-        buffers = tuple(store[:2].view(np.int64)) + tuple(store[2:])
+        store = np.empty((4, height, _WIDTH))
+        buffers = (store[0].view(np.int64), *store[1:])
         for start in range(0, na, height):
             block = slice(start, min(na, start + height))
             trig = np.sqrt(ca2[block]), np.copysign(np.sqrt(sa2[block]), s2a[block])
             yield block, trig, buffers
 
     def _stencil(self, block: slice, trig, roots: np.ndarray, u_k: float, w_k: float, buffers):
-        """``(cols, S, radii, covers)`` of the stencils of the alpha rows ``block``.
+        """``(idx, S, radii, covers)`` of the stencils of the alpha rows ``block``.
 
         ``roots`` is ``(s, c)``: the two roots of a row are those of
         ``(s cos a, c sin a)`` and ``(c cos a, s sin a)``, taken in one
-        ``(2, n)`` pass.  ``cols[i]`` holds the stencil columns of row
-        ``block.start + i`` around both roots and ``S[i]`` their values;
-        ``radii`` and ``covers`` hold per root and row the radius R and
-        the angular distance from the root to the farthest stencil column
-        on the nearer side.
+        ``(2, n)`` pass.  ``idx[i]`` holds the phase-order positions of
+        the stencil columns of row ``block.start + i`` around both roots
+        (``_phase_col[idx[i]]`` are the columns) and ``S[i]`` their
+        values; ``radii`` and ``covers`` hold per root and row the radius
+        R and the angular distance from the root to the farthest stencil
+        column on the nearer side.
         """
         n = block.stop - block.start
-        idx_buf, cols_buf, x, y, z = buffers
+        idx_buf, x, y, z = buffers
         cos_a, sin_a = trig
         radii, phase = _root(np.multiply.outer(roots, cos_a), np.multiply.outer(roots[::-1], sin_a))
         p = np.searchsorted(self._sorted_phase, phase, side="right")
-        covers = np.minimum(phase - self._phase[p], self._phase[p + (2 * _SIDE - 1)] - phase)
+        covers = self._phase[p]
+        np.subtract(phase, covers, out=covers)
+        far = self._phase[p + (2 * _SIDE - 1)]
+        np.subtract(far, phase, out=far)
+        np.minimum(covers, far, out=covers)
         idx = idx_buf[:n]
         np.add(p.T[:, :, None], np.arange(2 * _SIDE), out=idx.reshape(n, 2, 2 * _SIDE))
-        cols = cols_buf[:n]
-        np.take(self._phase_col, idx, out=cols, mode="clip")
         xb, yb, zb = x[:n], y[:n], z[:n]
-        _gather(self._rows, self._cols, block, cols, xb, yb, zb)
-        return cols, _evaluate(xb, yb, zb, u_k, w_k, xb, zb), radii, covers
+        _gather(self._rows, self._stencil_cols, block, idx, xb, yb, zb)
+        return idx, _evaluate(xb, yb, zb, u_k, w_k, xb, zb), radii, covers
 
     def _certified(self, radii, covers, level: float, slack: float) -> np.ndarray:
         """Rows whose stencils reach past both windows of depth ``(1 - level + slack) / 2``.
@@ -360,8 +366,7 @@ class DiagonalScanner:
                     s[~keep] = -np.inf
                 yield k, at, s
 
-    @staticmethod
-    def _hits(start, cols, vals, sure, threshold, nb) -> tuple[np.ndarray, np.ndarray]:
+    def _hits(self, start, idx, vals, sure, threshold, nb) -> tuple[np.ndarray, np.ndarray]:
         """Sorted distinct keys ``i * nb + j`` and values of the stencil points over threshold.
 
         Only certified rows count: the others are evaluated in full.
@@ -369,7 +374,8 @@ class DiagonalScanner:
         mask = vals > threshold
         mask &= sure[:, None]
         i_idx, m_idx = np.nonzero(mask)
-        keys, first = np.unique((start + i_idx) * nb + cols[i_idx, m_idx], return_index=True)
+        cols = self._phase_col[idx[i_idx, m_idx]]
+        keys, first = np.unique((start + i_idx) * nb + cols, return_index=True)
         return keys, vals[i_idx, m_idx][first]
 
     @np.errstate(divide="ignore", invalid="ignore")  # R = 0 in _certified
@@ -439,15 +445,16 @@ class DiagonalScanner:
                 if not hopeful[k]:
                     pending.append((k, None))
                     continue
-                cols, vals, radii, covers = self._stencil(block, trig, roots[k], u[k], w[k], buffers)
+                idx, vals, radii, covers = self._stencil(block, trig, roots[k], u[k], w[k], buffers)
                 top = vals.max()
                 if top >= max_s[k]:
                     # The first row holding the top holds its smallest key.
                     i = int(np.argmax(vals == top)) // _WIDTH
-                    offer(k, top, (block.start + i) * nb + int(cols[i][vals[i] == top].min()))
+                    j = int(self._phase_col[idx[i][vals[i] == top]].min())
+                    offer(k, top, (block.start + i) * nb + j)
                 sure = self._certified(radii, covers, min(max_s[k], threshold), slack)
                 if top > threshold:
-                    keys, hit_vals = self._hits(block.start, cols, vals, sure, threshold, nb)
+                    keys, hit_vals = self._hits(block.start, idx, vals, sure, threshold, nb)
                     left = room(k, keys.size)
                     if left > 0:
                         hold(k, keys[:left], hit_vals[:left])
