@@ -169,14 +169,16 @@ def _blocks(rows, cols):
 
 
 def _gather(rows, cols, block: slice, idx: np.ndarray, x, y, z) -> None:
-    """x, y and z of :func:`_blocks` at entries ``idx[i]`` of the column tables for the rows ``block``, in place."""
+    """x, y and z of :func:`_blocks` at entries ``idx[i]`` of the column tables for the rows ``block``, in place.
+
+    Only the diagonal family gathers, and its ``k1`` is ``k0``: one
+    gather serves both.
+    """
     r0, r1, r2, r3 = (r[block, None] for r in rows)
-    k0, k1, k2, k3 = cols
+    k0, _, k2, k3 = cols
     np.take(k0, idx, out=z, mode="clip")
     np.subtract(r0, z, out=x)
     np.abs(x, out=x)
-    if k1 is not k0:  # the diagonal family's k1 is k0
-        np.take(k1, idx, out=z, mode="clip")
     np.multiply(r1, z, out=y)
     np.take(k2, idx, out=z, mode="clip")
     np.multiply(r2, z, out=z)
