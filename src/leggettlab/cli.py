@@ -53,6 +53,9 @@ EXIT_USAGE = 2
 EXIT_VIOLATION = 3
 EXIT_INTERNAL = 4
 
+# Points per axis of the hv Frechet check; one LP call solves each row.
+_MAX_FRECHET_GRID = 1 << 12
+
 
 class _ArgumentError(Exception):
     pass
@@ -229,7 +232,10 @@ def _cmd_scan(args) -> int:
     if spec.refine:
         report = refine(report, spec)
     if args.csv is not None:
-        write_csv(report, args.csv)
+        try:
+            write_csv(report, args.csv)
+        except OSError as exc:
+            raise InputError(f"cannot write CSV file: {exc}") from None
 
     inputs = {
         "family": spec.family,
@@ -316,8 +322,8 @@ def _cmd_mc(args) -> int:
 def _cmd_hv(args) -> int:
     if args.models < 1:
         raise InputError(f"--models must be >= 1, got {args.models}")
-    if args.frechet_grid < 0:
-        raise InputError(f"--frechet-grid must be >= 0, got {args.frechet_grid}")
+    if not 0 <= args.frechet_grid <= _MAX_FRECHET_GRID:
+        raise InputError(f"--frechet-grid must be in [0, {_MAX_FRECHET_GRID}], got {args.frechet_grid}")
     max_overshoot = 0.0
     first_triple = None
     # Models come in chunks of streams 0, 1, ...; row 0 of the first chunk
@@ -325,8 +331,11 @@ def _cmd_hv(args) -> int:
     for offset, weights, responses in _model_chunks(args.labels, args.seed, 0, args.models):
         if offset == 0 and args.emit_model is not None:
             model = HVModel(weights=weights[0], responses=responses[0])
-            with open(args.emit_model, "w", encoding="utf-8") as fh:
-                fh.write(model_to_json(model) + "\n")
+            try:
+                with open(args.emit_model, "w", encoding="utf-8") as fh:
+                    fh.write(model_to_json(model) + "\n")
+            except OSError as exc:
+                raise InputError(f"cannot write model file: {exc}") from None
         a_bar, b_bar, ab_bar = _averages(weights, responses)
         if first_triple is None:
             first_triple = CorrelationTriple(float(a_bar[0]), float(b_bar[0]), float(ab_bar[0]))

@@ -248,6 +248,9 @@ def random_model(label_count: int, seed: int, stream: int = 0) -> HVModel:
 # temporaries hold about 50 bytes per label, some 200 KB in all; chunks
 # of 2^15 labels raised the peak RSS of ``hv`` by 0.2 MB.
 _CHUNK_LABELS = 1 << 12
+# Labels per model, checked before anything is drawn: a model of 2^20
+# labels raises the peak RSS of ``hv --models 1`` from 37 to 63 MB.
+_MAX_LABELS = 1 << 20
 
 
 def _model_chunks(label_count: int, seed: int, first: int, count: int):
@@ -263,8 +266,8 @@ def _model_chunks(label_count: int, seed: int, first: int, count: int):
     ``Philox(key=...)`` does, and makes the same two calls.
     """
     label_count = int(label_count)
-    if label_count < 1:
-        raise InputError(f"label_count must be >= 1, got {label_count}")
+    if not 1 <= label_count <= _MAX_LABELS:
+        raise InputError(f"label_count must be in [1, {_MAX_LABELS}], got {label_count}")
     for name, v in (("seed", seed), ("stream", first)):
         if not isinstance(v, (int, np.integer)) or not 0 <= int(v) < 2**64:
             raise InputError(f"{name} must be an integer in [0, 2^64), got {v!r}")

@@ -44,12 +44,12 @@ holds, and on an alpha row both probabilities are sinusoids in beta:
     p_+- = R1^2 sin^2(b - phi1),  R1 (cos phi1, sin phi1) = (s cos a, c sin a),
     p_-+ = R2^2 sin^2(b - phi2),  R2 (cos phi2, sin phi2) = (c cos a, s sin a).
 
-``u`` fixes ``{c, s} = {sqrt((1 - u)/2), sqrt((1 + u)/2)}`` and swapping
-c and s swaps the two roots, so ``(u, w)`` is all a slice needs.  Let L
-be ``min(M, threshold)``, where M is the largest S evaluated so far in
-the slice, and ``D = (1 - L + slack) / 2``.  A point with
-``S_float >= L`` has ``min(p_+-, p_-+) <= D``, so its beta lies within
-``arcsin(sqrt(D) / R)`` of ``phi + k pi`` for one of the two roots.
+A slice is given its ``c``; ``s = sqrt(1 - c^2)`` and the weights ``(u,
+w)`` follow (:meth:`DiagonalScanner.weights`).  Let L be ``min(M,
+threshold)``, where M is the largest S evaluated so far in the slice,
+and ``D = (1 - L + _SLACK) / 2``.  A point with ``S_float >= L`` has
+``min(p_+-, p_-+) <= D``, so its beta lies within ``arcsin(sqrt(D) /
+R)`` of ``phi + k pi`` for one of the two roots.
 :class:`DiagonalScanner` evaluates a stencil of ``_SIDE`` beta columns
 on each side of each root (columns sorted once by ``b mod pi``, the
 order padded circularly) with the block engine's tables and operation
@@ -58,15 +58,15 @@ plus ``_ANGLE_MARGIN``.  Every point of a certified row outside its
 stencils then has ``S_float < L``: strictly below the maximum, so the
 first maximum in row-major order is among the evaluated points, and
 not above the threshold, so it is not counted.  A row that is not
-certified (R near 0, windows wider than the stencil at low thresholds,
-or ``(u, w)`` off ``u^2 + 4 w^2 = 1``) is evaluated in full by the
-block engine.  Windows are read in chunks of whole alpha rows, at most
-``_CHUNK_CANDIDATES`` candidate points, with reused buffers, so memory
-is O(chunk + axes).  Each ``c`` makes a fixed number of numpy calls per
-chunk, both roots of every row in one ``(2, n)`` array: on a paper axis
-of 3142 rows, one chunk, calls long enough for worker threads to run
-them side by side.  Chunks are sized apart from the block engine's
-blocks, whose smaller size suits evaluating full rows.
+certified (R near 0, or windows wider than the stencil at low
+thresholds) is evaluated in full by the block engine.  Windows are read
+in chunks of whole alpha rows, at most ``_CHUNK_CANDIDATES`` candidate
+points, with reused buffers, so memory is O(chunk + axes).  Each ``c``
+makes a fixed number of numpy calls per chunk, both roots of every row
+in one ``(2, n)`` array: on a paper axis of 3142 rows, one chunk, calls
+long enough for worker threads to run them side by side.  Chunks are
+sized apart from the block engine's blocks, whose smaller size suits
+evaluating full rows.
 :meth:`DiagonalScanner.scan` walks the chunks in the outer loop and the
 ``c`` slices in the inner one, so the block engine builds the tables of
 a chunk's uncertified rows once and evaluates them for every ``c`` that
@@ -77,30 +77,40 @@ At ``L = 1 - t`` it is about ``sqrt(t / 2) / R``, which passes the
 stencil once ``t > 2 (_SIDE h R)^2`` (1.8e-5 R^2 at h = 1e-3): at lower
 thresholds, or in slices whose maximum stays that far below 1, most
 rows are evaluated in full, at about the cost of the dense engine (a
-slice whose threshold alone rules out every row skips its stencils).
+scan whose threshold alone rules out every row skips its stencils).
 
 Float error.  With unit roundoff e = 2^-53 and numpy's float64 sin/cos
 within 4 ulp (8e relative), the tables carry relative errors of at most
 18e (squares) and 8e (``sin 2t``).  For ``0 <= u <= 1`` and ``|w| <= 1``
 the five operations then give ``|x - x*| <= 37e``, ``|y - y*| <= 38e``,
 ``|z - z*| <= 17e``, ``|u x + y - (.)*| <= 78e`` and ``|S_float - S*|
-<= 99e < 100e = 1.1e-14``, where ``*`` marks exact values at
-the float angles.  ``|S* - (1 - 2 min p)|`` at ``{c, s}`` recovered from
-u is at most ``|w - c s|``, which :func:`_pair` adds to the slack; its
-own rounding (c, s and c s to 4e relative) is below 3e.  ``_SLACK =
-1e-13`` covers both with a factor of 9.  The roots come from
-``sqrt(cos^2 a)`` and ``copysign(sqrt(sin^2 a), sin 2a)`` (10e
-relative), ``arctan2`` (4 ulp) and ``remainder(., pi)`` (2e-16, plus
-``|pi - fl(pi)| = 1.3e-16`` per period of the angle), so phases are
-exact to within 3e-15 plus ``4e-17 |beta|``; radii to within 20e
-relative, which moves a window of ``arcsin(x)``, ``x <= 1/2``, by
-at most 30e.  These bounds hold for ``R >= 2 sqrt(D) >= 4e-7``, the
-only rows that can be certified: below that, where ``sin^2`` may even
-underflow, a row is evaluated in full whatever its computed root.
-``_ANGLE_MARGIN * max(1, max |beta|)`` covers these errors more than
-300 times over.  Windows wider than ``pi/6``
-(``sqrt(D) / R > 1/2``) are taken as the whole half-period, so a row
-with one is certified only when its stencil already holds every column.
+<= 99e``, where ``*`` marks exact values at the float angles and
+weights.  The windows are those of ``p_+-`` and ``p_-+`` at the float c
+and ``s = fl(sqrt(fl(1 - fl(c^2))))``, the s of ``w = fl(c s)``.  At any
+c and s, with ``N = c^2 + s^2``, ``X = |cos^2 a - cos^2 b|``, ``Y =
+cos^2 a cos^2 b + sin^2 a sin^2 b`` and ``Z = sin 2a sin 2b``, S is
+``|s^2 - c^2| X + N Y + c s Z = N - 2 min(p_+-, p_-+)``, so
+
+    S* - (1 - 2 min p) = (u - |s^2 - c^2|) X + (N - 1)(1 - Y) + (w - c s) Z.
+
+X and Y lie in [0, 1] and ``|Z| <= 1``.  ``|N - 1| < 4e``: the rounding
+of ``c^2``, of ``1 - c^2`` and of the square root.  ``|u - |1 - 2c^2||
+< 4e`` (``2 c^2`` is exact once ``c^2`` is rounded), so ``|u - |s^2 -
+c^2|| < 8e``; and ``|w - c s| < e``.  Hence ``|S_float - (1 - 2 min
+p)| < 112e = 1.25e-14``, which ``_SLACK = 1e-13`` covers with a factor
+of 8.  The roots come from the float s and c times ``sqrt(cos^2 a)``
+and ``copysign(sqrt(sin^2 a), sin 2a)`` (10e relative), ``arctan2`` (4
+ulp) and ``remainder(., pi)`` (2e-16, plus ``|pi - fl(pi)| = 1.3e-16``
+per period of the angle), so phases are exact to within 3e-15 plus
+``4e-17 |beta|``; radii to within 20e relative, which moves a window of
+``arcsin(x)``, ``x <= 1/2``, by at most 30e.  These bounds hold for ``R
+>= 2 sqrt(D) >= 4e-7``, the only rows that can be certified: below
+that, where ``sin^2`` may even underflow, a row is evaluated in full
+whatever its computed root.  ``_ANGLE_MARGIN * max(1, max |beta|)``
+covers these errors more than 300 times over.  Windows wider than
+``pi/6`` (``sqrt(D) / R > 1/2``) are taken as the whole half-period, so
+a row with one is certified only when its stencil already holds every
+column.
 """
 
 from __future__ import annotations
@@ -115,7 +125,6 @@ from .quantum import PureTwoPhotonState, joint_probabilities
 __all__ = [
     "DiagonalScanner",
     "PlaneScanner",
-    "plane_row_scan",
 ]
 
 # Points per alpha-row block: 32 K float64 values are 256 KB per array,
@@ -197,23 +206,6 @@ def _evaluate(x, y, z, u_k, w_k, s, t) -> np.ndarray:
     np.multiply(z, w_k, out=t)
     s += t
     return s
-
-
-def _pair(u: float, w: float) -> tuple[float, float, float]:
-    """``(c, s, slack)``: the weights ``u`` fixes, and the slack of the window depth.
-
-    c takes w's sign, so that ``c s`` approximates w.  The slack is
-    ``_SLACK`` plus ``|w - c s|``, the most by which S can differ from
-    ``1 - 2 min(p_+-, p_-+)`` at these c and s.  Weights outside
-    ``0 <= u <= 1``, ``|w| <= 1`` (and NaN) get an infinite slack, so
-    every row of the slice is evaluated in full.
-    """
-    u, w = float(u), float(w)
-    if not (0.0 <= u <= 1.0 and abs(w) <= 1.0):
-        return 0.0, 1.0, math.inf
-    c = math.copysign(math.sqrt((1.0 - u) / 2.0), w)
-    s = math.sqrt((1.0 + u) / 2.0)
-    return c, s, _SLACK + abs(w - c * s)
 
 
 def _root(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -312,28 +304,29 @@ class DiagonalScanner:
         _gather(self._rows, self._stencil_cols, block, idx, xb, yb, zb)
         return idx, _evaluate(xb, yb, zb, u_k, w_k, xb, zb), radii, covers
 
-    def _certified(self, radii, covers, level: float, slack: float) -> np.ndarray:
-        """Rows whose stencils reach past both windows of depth ``(1 - level + slack) / 2``.
+    def _certified(self, radii, covers, level: float) -> np.ndarray:
+        """Rows whose stencils reach past both windows of depth ``(1 - level + _SLACK) / 2``.
 
-        R = 0 divides by zero: :meth:`scan` ignores divide and invalid
-        floating-point errors, once per call.
+        R = 0 divides by zero and a subnormal R overflows: :meth:`scan`
+        ignores divide, overflow and invalid floating-point errors, once
+        per call.
         """
-        ratio = math.sqrt(max((1.0 - level + slack) / 2.0, 0.0)) / radii
+        ratio = math.sqrt(max((1.0 - level + _SLACK) / 2.0, 0.0)) / radii
         half = np.arcsin(np.minimum(ratio, 0.5))
         half[ratio > 0.5] = math.pi / 2.0
         half += self._margin
         return (half < covers).all(axis=0)
 
-    def _may_certify(self, threshold: float, slack: float) -> bool:
+    def _may_certify(self, threshold: float) -> bool:
         """Whether any row could be certified at the threshold's window depth D.
 
         Every level is at most the threshold and every R at most 1, so
         every window is at least ``arcsin(sqrt(D) / 2)`` wide (the 2
         leaves room for rounding).  When that reaches the widest
         stencil's half-span, no row can be certified: every row of the
-        slice is evaluated in full, and its stencils need not be.
+        scan is evaluated in full, and its stencils need not be.
         """
-        reach = math.sqrt(max((1.0 - threshold + slack) / 2.0, 0.0))
+        reach = math.sqrt(max((1.0 - threshold + _SLACK) / 2.0, 0.0))
         return math.asin(min(reach / 2.0, 0.5)) < self._span
 
     def _full_rows(self, block: slice, pending, u, w):
@@ -380,25 +373,25 @@ class DiagonalScanner:
         keys, first = np.unique((start + i_idx) * nb + cols, return_index=True)
         return keys, vals[i_idx, m_idx][first]
 
-    @np.errstate(divide="ignore", invalid="ignore")  # R = 0 in _certified
+    @np.errstate(divide="ignore", over="ignore", invalid="ignore")  # R near 0 in _certified
     def scan(
-        self, u: np.ndarray, w: np.ndarray, threshold: float, limit: int,
+        self, cs: np.ndarray, threshold: float, limit: int,
         budget: Optional[Callable[[int], int]] = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
         """Per-``c`` grid maxima, first argmax indices, threshold counts, and the first hits.
 
-        The hits are ``(k, i, j, S)`` arrays of the first ``limit``
-        points with ``S > threshold`` in (k, i, j) order, recorded where
-        they are counted: the certified stencil points and every point
-        of a full row.  ``budget``, if given, is called with the points
+        ``cs`` holds the weights ``0 <= c <= 1``.  The hits are ``(k, i,
+        j, S)`` arrays of the first ``limit`` points with ``S >
+        threshold`` in (k, i, j) order, recorded where they are counted:
+        the certified stencil points and every point of a full row.  ``budget``, if given, is called with the points
         counted so far and returns how many the caller may still keep in
         all, a number that may only shrink; the scan then lists at most
         that many (:func:`_listable`).
         """
-        u = np.ascontiguousarray(u, dtype=np.float64)
-        w = np.ascontiguousarray(w, dtype=np.float64)
+        cs = np.ascontiguousarray(cs, dtype=np.float64)
+        u, w = self.weights(cs)
         threshold = float(threshold)
-        nc = u.shape[0]
+        nc = cs.shape[0]
         nb = self._cols[0].size
         max_s, key = [-math.inf] * nc, [0] * nc
         n_over = np.zeros(nc, dtype=np.int64)
@@ -436,17 +429,14 @@ class DiagonalScanner:
             if n_held > 2 * listable:
                 n_held = _keep_first(held, listable)
 
-        pairs = [_pair(u[k], w[k]) for k in range(nc)]
-        roots = np.array([(s, c) for c, s, _ in pairs])
-        hopeful = [self._may_certify(threshold, slack) for _, _, slack in pairs]
+        # (s, c) per slice, s as in the weights w = c s.
+        roots = np.stack([np.sqrt(1.0 - cs * cs), cs], axis=1)
+        hopeful = self._may_certify(threshold)
         for block, trig, buffers in self._chunks():
             # Hits of each slice known to rank before its next full-row hits.
             ahead = n_over.copy()
-            pending = []
-            for k, (_, _, slack) in enumerate(pairs):
-                if not hopeful[k]:
-                    pending.append((k, None))
-                    continue
+            pending = [] if hopeful else [(k, None) for k in range(nc)]
+            for k in range(nc) if hopeful else ():
                 idx, vals, radii, covers = self._stencil(block, trig, roots[k], u[k], w[k], buffers)
                 top = vals.max()
                 if top >= max_s[k]:
@@ -454,7 +444,7 @@ class DiagonalScanner:
                     i = int(np.argmax(vals == top)) // _WIDTH
                     j = int(self._phase_col[idx[i][vals[i] == top]].min())
                     offer(k, top, (block.start + i) * nb + j)
-                sure = self._certified(radii, covers, min(max_s[k], threshold), slack)
+                sure = self._certified(radii, covers, min(max_s[k], threshold))
                 if top > threshold:
                     keys, hit_vals = self._hits(block.start, idx, vals, sure, threshold, nb)
                     left = room(k, keys.size)
@@ -484,9 +474,9 @@ class DiagonalScanner:
         arg_i, arg_j = np.divmod(np.array(key, dtype=np.int64), nb)
         return np.array(max_s), arg_i, arg_j, n_over, (hit_k, hit_i, hit_j, hit_s)
 
-    def collect(self, u_k: float, w_k: float, threshold: float, limit: int) -> tuple[np.ndarray, ...]:
+    def collect(self, c: float, threshold: float, limit: int) -> tuple[np.ndarray, ...]:
         """The ``(i, j, S)`` hits of :meth:`scan` for one ``c``; kept for tooling that wraps it by name."""
-        return self.scan(np.array([u_k]), np.array([w_k]), threshold, limit)[4][1:]
+        return self.scan(np.array([c]), threshold, limit)[4][1:]
 
 
 def _listable(limit: int, budget: Optional[Callable[[int], int]], counted: int) -> int:
@@ -574,7 +564,3 @@ class PlaneScanner:
                     listed += flat.size
         return row_max, row_arg, count, tuple(np.concatenate(part) for part in zip(*hits))
 
-
-def plane_row_scan(coeffs, alphas, betas, threshold: float, limit: int) -> tuple:
-    """:meth:`PlaneScanner.scan` over every row of a grid; kept for tooling that wraps it by name."""
-    return PlaneScanner(coeffs, alphas, betas).scan(slice(None), threshold, limit)

@@ -272,11 +272,10 @@ def grid_scan(spec: ScanSpec, *, workers: Optional[int] = None) -> ScanReport:
     if spec.family == "diagonal":
         cs = _axis(spec.c_range)
         scanner = DiagonalScanner(alphas, betas)
-        u, w = DiagonalScanner.weights(cs)
 
         def scan_shard(sl: slice):
             max_s, arg_i, arg_j, n_over, (k, i, j, s) = scanner.scan(
-                u[sl], w[sl], threshold, VIOLATION_CAP, partial(budget, sl.start))
+                cs[sl], threshold, VIOLATION_CAP, partial(budget, sl.start))
             return max_s, arg_i, arg_j, int(n_over.sum()), (k + sl.start, i, j, s)
 
         slices, slice_points = cs.size, alphas.size * betas.size

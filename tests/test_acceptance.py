@@ -282,8 +282,7 @@ def test_criterion_8_special_states():
     betas = _axis((0.0, math.pi, 0.01))
     scanner = DiagonalScanner(alphas, betas)
     c = 1.0 / math.sqrt(2.0)
-    u, w = DiagonalScanner.weights(np.array([c]))
-    _, _, _, _, (_, i_idx, j_idx, s_vals) = scanner.scan(u, w, -math.inf, alphas.size * betas.size)
+    _, _, _, _, (_, i_idx, j_idx, s_vals) = scanner.scan(np.array([c]), -math.inf, alphas.size * betas.size)
     expected = np.cos(alphas[i_idx] - betas[j_idx]) ** 2
     balanced_error = float(np.max(np.abs(s_vals - expected)))
     for k in range(0, i_idx.size, 9973):

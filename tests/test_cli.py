@@ -143,6 +143,16 @@ class TestScan:
         assert lines[0] == "c,alpha,beta,S"
         assert len(lines) > 1
 
+    @pytest.mark.parametrize("argv", [
+        ("scan", "--family", "singlet", "--step", "0.2", "--csv"),
+        ("hv", "--models", "1", "--frechet-grid", "0", "--emit-model"),
+    ])
+    def test_unwritable_output_is_usage_error(self, capsys, tmp_path, argv):
+        code, out, err = run(capsys, *argv, str(tmp_path / "absent" / "out"))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: cannot write") and "Traceback" not in err
+
     def test_fixed_matrix_via_coeffs(self, capsys):
         direct = run_json(capsys, "scan", "--family", "singlet", "--step", "0.2", "--no-refine")
         coeffs = f"0,{RT2!r},{-RT2!r},0"
@@ -264,9 +274,12 @@ class TestHv:
 
     def test_validation(self, capsys):
         assert run(capsys, "hv", "--labels", "0")[0] == EXIT_USAGE
+        assert run(capsys, "hv", "--labels", str(2**20 + 1), "--models", "1",
+                   "--frechet-grid", "0")[0] == EXIT_USAGE
         assert run(capsys, "hv", "--models", "0")[0] == EXIT_USAGE
         assert run(capsys, "hv", "--seed", "-1")[0] == EXIT_USAGE
         assert run(capsys, "hv", "--frechet-grid", "-1")[0] == EXIT_USAGE
+        assert run(capsys, "hv", "--models", "1", "--frechet-grid", str(2**12 + 1))[0] == EXIT_USAGE
         assert run(capsys, "hv", "--method", "lp")[0] == EXIT_USAGE
 
 

@@ -234,6 +234,8 @@ class TestRandomModel:
         with pytest.raises(InputError):
             random_model(0, seed=1)
         with pytest.raises(InputError):
+            random_model(2**20 + 1, 0)
+        with pytest.raises(InputError):
             random_model(10, seed=-1)
         with pytest.raises(InputError):
             random_model(10, seed=1.5)

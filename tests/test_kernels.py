@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from leggettlab import kernels, positive_parity_state, singlet_state
-from leggettlab.kernels import DiagonalScanner, PlaneScanner, plane_row_scan
+from leggettlab.kernels import DiagonalScanner, PlaneScanner
 from leggettlab.quantum import PureTwoPhotonState
 from leggettlab.scan import _axis, _diagonal_lhs, _plane_lhs
 from reference import _diagonal_scan_py, plane_reference, reference_scan, trig_tables
@@ -40,8 +40,7 @@ def scan_grid(threshold=1.0 + 1e-9):
     alphas = np.linspace(0.0, math.pi, 61)
     betas = np.linspace(0.0, math.pi, 59)
     scanner = DiagonalScanner(alphas, betas)
-    u, w = DiagonalScanner.weights(cs)
-    return scanner.scan(u, w, threshold, 0)[:4], (cs, alphas, betas)
+    return scanner.scan(cs, threshold, 0)[:4], (cs, alphas, betas)
 
 
 def golden_cases():
@@ -93,17 +92,15 @@ class TestDiagonalScanner:
         alphas = np.array([0.0, 0.5])
         betas = np.linspace(0.0, math.pi / 2.0, 11)
         scanner = DiagonalScanner(alphas, betas)
-        u, w = DiagonalScanner.weights(np.array([0.0]))
-        max_s, arg_i, arg_j, _, _ = scanner.scan(u, w, 1.0 + 1e-9, 0)
+        max_s, arg_i, arg_j, _, _ = scanner.scan(np.array([0.0]), 1.0 + 1e-9, 0)
         assert max_s[0] == 1.0
         assert (arg_i[0], arg_j[0]) == (0, 0)
 
     def test_threshold_counts(self):
         alphas = np.linspace(0.0, math.pi, 21)
         betas = np.linspace(0.0, math.pi, 23)
-        u, w = DiagonalScanner.weights(np.array([0.2, 0.5]))
         scanner = DiagonalScanner(alphas, betas)
-        _, _, _, n_over, _ = scanner.scan(u, w, 0.9, 0)
+        _, _, _, n_over, _ = scanner.scan(np.array([0.2, 0.5]), 0.9, 0)
         for k, c in enumerate((0.2, 0.5)):
             brute = sum(
                 _diagonal_lhs(c, a, b) > 0.9 for a in alphas for b in betas
@@ -114,10 +111,8 @@ class TestDiagonalScanner:
         alphas = np.linspace(0.0, math.pi, 31)
         betas = np.linspace(0.0, math.pi, 29)
         scanner = DiagonalScanner(alphas, betas)
-        cs = np.array([0.35])
-        u, w = DiagonalScanner.weights(cs)
         _, _, _, n_over, (k_idx, i_idx, j_idx, s_vals) = scanner.scan(
-            u, w, 0.95, alphas.size * betas.size)
+            np.array([0.35]), 0.95, alphas.size * betas.size)
         assert i_idx.size == n_over[0] and not k_idx.any()
         for i, j, s in zip(i_idx, j_idx, s_vals):
             assert s == pytest.approx(
@@ -138,13 +133,13 @@ class TestDiagonalScanner:
         with sizes(3 * betas.size + 1):
             scanner = DiagonalScanner(alphas, betas)
             assert len(list(scanner._chunks())) == 12
-            got = scanner.scan(*DiagonalScanner.weights(cs), 0.9, cs.size * alphas.size * betas.size)
+            got = scanner.scan(cs, 0.9, cs.size * alphas.size * betas.size)
         want = reference_scan(alphas, betas, cs, 0.9)
         for g, r in zip(got[:4] + got[4], want[:4] + want[4]):
             assert np.array_equal(g, r)
 
     def test_memory_is_bounded_by_the_block(self):
-        u, w = DiagonalScanner.weights(np.array([0.35]))
+        cs = np.array([0.35])
         for na, nb, threshold, limit in (
             (2000, 2000, 1.0 + 1e-9, 4_000_000),
             (2000, 2000, 1.0 - 1e-12, 4_000_000),
@@ -160,7 +155,7 @@ class TestDiagonalScanner:
             tracemalloc.start()
             try:
                 scanner = DiagonalScanner(alphas, betas)
-                scanner.scan(u, w, threshold, limit)
+                scanner.scan(cs, threshold, limit)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -170,30 +165,30 @@ class TestDiagonalScanner:
         # 701 slices of 41 x 41 points, all over the threshold: holding
         # every slice's hits until the scan ends would take about 19 MB.
         grid = np.linspace(0.0, math.pi, 41)
-        u, w = DiagonalScanner.weights(np.linspace(0.0, 0.7, 701))
+        cs = np.linspace(0.0, 0.7, 701)
         scanner = DiagonalScanner(grid, grid)
         tracemalloc.start()
         try:
-            _, _, _, n_over, hits = scanner.scan(u, w, -math.inf, 10_000)
+            _, _, _, n_over, hits = scanner.scan(cs, -math.inf, 10_000)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert n_over.sum() == u.size * grid.size**2 and hits[0].size == 10_000
+        assert n_over.sum() == cs.size * grid.size**2 and hits[0].size == 10_000
         assert peak < 2 * 2**20
 
 
-def check_against_reference(alphas, betas, u, w, threshold, block_elems=None):
+def check_against_reference(alphas, betas, cs, threshold, block_elems=None):
     """Scan tuples and hits equal the pure-Python reference bit for bit, at every limit.
 
     With n hits in all, the limits 0, 1, n - 1, n and n + 5 cut the list
     inside a chunk, between slices, or not at all.
     """
-    want = _diagonal_scan_py(u, w, *trig_tables(alphas), *trig_tables(betas), threshold)
+    want = _diagonal_scan_py(*DiagonalScanner.weights(cs), *trig_tables(alphas), *trig_tables(betas), threshold)
     n = want[4][0].size
     with sizes(block_elems):
         scanner = DiagonalScanner(alphas, betas)
         for limit in sorted({0, 1, max(n - 1, 0), n, n + 5}):
-            got = scanner.scan(u, w, threshold, limit)
+            got = scanner.scan(cs, threshold, limit)
             for g, r in zip(got[:4], want[:4]):
                 assert np.array_equal(g, r)
             for g, r in zip(got[4], want[4]):
@@ -210,23 +205,17 @@ def axis_strategy(n, layout):
     )
 
 
-WEIGHTS = st.one_of(
-    st.lists(st.sampled_from([0.0, 1.0 / math.sqrt(2.0), 1.0]) | st.floats(0.0, 1.0),
-             min_size=1, max_size=4).map(lambda cs: DiagonalScanner.weights(np.array(cs))),
-    # Pairs off u^2 + 4 w^2 = 1 (and outside [0, 1]) go through full rows.
-    st.lists(st.tuples(st.floats(-0.5, 1.5), st.floats(-1.5, 1.5)), min_size=1, max_size=4).map(
-        lambda pairs: tuple(np.array(v) for v in zip(*pairs))
-    ),
-)
+WEIGHTS = st.lists(st.sampled_from([0.0, 1.0 / math.sqrt(2.0), 1.0]) | st.floats(0.0, 1.0),
+                   min_size=1, max_size=4).map(np.array)
 THRESHOLDS = st.sampled_from([-math.inf, 0.5, 1.0 - 1e-12, 1.0 + 1e-9])
 
 
 @settings(max_examples=80, deadline=None)
 @given(data=st.data(), na=st.integers(1, 9), nb=st.integers(1, 9),
-       layout=st.sampled_from(["random", "grid", "plateau"]), weights=WEIGHTS,
+       layout=st.sampled_from(["random", "grid", "plateau"]), cs=WEIGHTS,
        threshold=st.sampled_from([-math.inf, 0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-9]),
        block_elems=st.integers(1, 100))
-def test_engine_matches_reference_bitwise(data, na, nb, layout, weights, threshold, block_elems):
+def test_engine_matches_reference_bitwise(data, na, nb, layout, cs, threshold, block_elems):
     # Axes of 1-9 points are shorter than a root's stencil, so stencils wrap
     # around the phase circle and repeat columns; small sizes give stencil
     # chunks and full-row fallbacks seams.
@@ -236,26 +225,25 @@ def test_engine_matches_reference_bitwise(data, na, nb, layout, weights, thresho
     else:
         alphas = data.draw(axis_strategy(na, layout))
         betas = data.draw(axis_strategy(nb, layout))
-    check_against_reference(alphas, betas, *weights, threshold, block_elems)
+    check_against_reference(alphas, betas, cs, threshold, block_elems)
 
 
 @settings(max_examples=25, deadline=None)
-@given(data=st.data(), na=st.integers(10, 60), nb=st.integers(20, 90), weights=WEIGHTS,
+@given(data=st.data(), na=st.integers(10, 60), nb=st.integers(20, 90), cs=WEIGHTS,
        threshold=THRESHOLDS, block_elems=st.sampled_from([1, 100, 4096]))
-def test_windows_match_reference_on_pruned_grids(data, na, nb, weights, threshold, block_elems):
+def test_windows_match_reference_on_pruned_grids(data, na, nb, cs, threshold, block_elems):
     # Steps short enough for stencils to leave most columns out.
     alphas = data.draw(axis_strategy(na, "grid"))
     origin, step = data.draw(st.tuples(st.floats(-math.pi, math.pi), st.floats(0.005, 0.05)))
     betas = origin + step * np.arange(nb)
-    check_against_reference(alphas, betas, *weights, threshold, block_elems)
+    check_against_reference(alphas, betas, cs, threshold, block_elems)
 
 
 @pytest.mark.parametrize("origin", [0.0, 0.37 * 1e-2])
 @pytest.mark.parametrize("threshold", [1.0 + 1e-9, 1.0 - 1e-12])
 def test_windows_evaluate_a_small_part_of_the_grid(origin, threshold):
     grid = _axis((origin, math.pi + origin, 1e-2))
-    cs = np.array([0.0, 0.05, 0.3, 1.0 / math.sqrt(2.0), 1.0])
-    u, w = DiagonalScanner.weights(cs)
+    cs = np.array([0.0, 0.05, 0.3, 1.0 / math.sqrt(2.0), 0.9, 1.0])
     scanner = DiagonalScanner(grid, grid)
     fallback = []
     full_rows = scanner._full_rows
@@ -265,7 +253,7 @@ def test_windows_evaluate_a_small_part_of_the_grid(origin, threshold):
         return full_rows(block, pending, u_k, w_k)
 
     with mock.patch.object(scanner, "_full_rows", counted):
-        got = scanner.scan(u, w, threshold, cs.size * grid.size**2)
+        got = scanner.scan(cs, threshold, cs.size * grid.size**2)
     want = reference_scan(grid, grid, cs, threshold)
     for g, r in zip(got[:4] + got[4], want[:4] + want[4]):
         assert np.array_equal(g, r)
@@ -280,7 +268,7 @@ def test_slices_sharing_full_rows_match_reference(cs):
     # alpha = pi/2 and 0 for c = 0 and 0.05, but not the same rows, and
     # none for c = 0.3.  The slices of one scan share the full-row tables.
     grid = _axis((0.0, math.pi, 1e-2))
-    u, w = DiagonalScanner.weights(np.array(cs))
+    cs = np.array(cs)
     scanner = DiagonalScanner(grid, grid)
     counts = []
     full_rows = scanner._full_rows
@@ -290,9 +278,9 @@ def test_slices_sharing_full_rows_match_reference(cs):
         return full_rows(block, pending, u_k, w_k)
 
     with mock.patch.object(scanner, "_full_rows", counted):
-        scanner.scan(u, w, 1.0 - 1e-5, 0)
+        scanner.scan(cs, 1.0 - 1e-5, 0)
     assert len({n for chunk in counts for _, n in chunk}) > 1
-    check_against_reference(grid, grid, u, w, 1.0 - 1e-5)
+    check_against_reference(grid, grid, cs, 1.0 - 1e-5)
 
 
 # D >= _SLACK / 2 - 2^-53, and a row is certified only where sqrt(D) / R <= 1/2.
@@ -300,6 +288,8 @@ CERTIFIABLE_RADIUS = 2.0 * math.sqrt(kernels._SLACK / 2.0 - 2.0**-53)
 # The kernels docstring's bound on |S_float - S_exact| at the float angles, 99 e
 # with e = 2^-53, rounded up.
 ROUNDING = 100 * 2.0**-53
+# Its bound on |S_exact - (1 - 2 min p)| at the float c and s: 4 e + 8 e + e.
+IDENTITY_GAP = 13 * 2.0**-53
 
 
 def mp_s(u, w, alpha, beta):
@@ -320,28 +310,25 @@ def mp_s(u, w, alpha, beta):
 def test_float_error_bound_against_mpmath(c, alpha, beta):
     u, w = (float(v[0]) for v in DiagonalScanner.weights(np.array([c])))
     scanner = DiagonalScanner(np.array([alpha]), np.array([beta]))
-    s_float = float(scanner.scan(np.array([u]), np.array([w]), -math.inf, 1)[4][3][0])
-    assert ROUNDING < kernels._SLACK
+    s_float = float(scanner.scan(np.array([c]), -math.inf, 1)[4][3][0])
+    assert ROUNDING + IDENTITY_GAP < kernels._SLACK
     assert abs(s_float - mp_s(u, w, alpha, beta)) <= ROUNDING
 
-    # The identity form at the {c, s} that u fixes, and its roots mod pi.
-    c_f, s_f, slack = kernels._pair(u, w)
+    # The identity form at the float c and the s of w = c s, and its roots mod pi.
+    s_f = math.sqrt(1.0 - c * c)
+    assert w == c * s_f
     ca2, sa2, s2a = (float(t[0]) for t in kernels._trig(np.array([alpha])))
     cos_a, sin_a = math.sqrt(ca2), math.copysign(math.sqrt(sa2), s2a)
     with mpmath.workdps(50):
-        c_mp = mpmath.sqrt((1 - mpmath.mpf(u)) / 2)
-        s_mp = mpmath.sqrt((1 + mpmath.mpf(u)) / 2)
-        c_mp = c_mp if w >= 0 else -c_mp
+        c_mp, s_mp = mpmath.mpf(c), mpmath.mpf(s_f)
         ma, mb = mpmath.mpf(alpha), mpmath.mpf(beta)
         p = [(a * mpmath.cos(ma) * mpmath.sin(mb) - b * mpmath.sin(ma) * mpmath.cos(mb)) ** 2
              for a, b in ((s_mp, c_mp), (c_mp, s_mp))]
-        s_id = 1 - 2 * min(p)
-        # |w - c s| is the slack's second term; c s itself is rounded to 3 ulp.
-        assert abs(s_float - s_id) <= slack - kernels._SLACK + ROUNDING + 4 * 2.0**-53
-        for (a_f, b_f), (a, b) in zip(((s_f, c_f), (c_f, s_f)), ((s_mp, c_mp), (c_mp, s_mp))):
+        assert abs(s_float - (1 - 2 * min(p))) <= ROUNDING + IDENTITY_GAP
+        for a_f, b_f in ((s_f, c), (c, s_f)):
             radius, phase = (float(v[0]) for v in
                              kernels._root(np.array([a_f * cos_a]), np.array([b_f * sin_a])))
-            x, y = a * mpmath.cos(ma), b * mpmath.sin(ma)
+            x, y = mpmath.mpf(a_f) * mpmath.cos(ma), mpmath.mpf(b_f) * mpmath.sin(ma)
             exact_radius = mpmath.sqrt(x * x + y * y)
             if exact_radius < CERTIFIABLE_RADIUS:
                 # Never certified (sqrt(D) / R > 1/2); sin^2 may even underflow here.
@@ -366,18 +353,18 @@ def test_limited_collect_is_prefix_of_unlimited(threshold, block_elems):
     """
     alphas = np.linspace(0.0, math.pi, 97)
     betas = np.linspace(0.1, math.pi + 0.1, 89)
-    u, w = DiagonalScanner.weights(np.array([0.0, 0.3]))
+    cs = np.array([0.0, 0.3])
     with sizes(block_elems):
         scanner = DiagonalScanner(alphas, betas)
         assert len(list(scanner._chunks())) == (1 if block_elems is None else 13)
-        full = scanner.scan(u, w, threshold, 2 * alphas.size * betas.size)
+        full = scanner.scan(cs, threshold, 2 * alphas.size * betas.size)
         n = full[4][0].size
         first = int(full[3][0])
         assert 0 < first < n == full[3].sum()
         assert np.array_equal(full[4][0], np.repeat([0, 1], full[3]))
         assert np.all(np.diff(full[4][1] * betas.size + full[4][2])[first:] > 0)
         for limit in sorted({0, 1, 2, 7, n // 3, first - 1, first, first + 1, n - 1, n, n + 5}):
-            got = scanner.scan(u, w, threshold, limit)
+            got = scanner.scan(cs, threshold, limit)
             for g, f in zip(got[:4], full[:4]):
                 assert np.array_equal(g, f), limit
             for g, f in zip(got[4], full[4]):
@@ -388,14 +375,12 @@ def test_golden_fixture_bitwise():
     golden = np.load(GOLDEN)
     for name, (alphas, betas, cs, threshold) in golden_cases().items():
         scanner = DiagonalScanner(alphas, betas)
-        got = scanner.scan(*DiagonalScanner.weights(cs), threshold, 0)
+        got = scanner.scan(cs, threshold, 0)
         for field, value in zip(("max_s", "arg_i", "arg_j", "n_over"), got):
             assert np.array_equal(value, golden[f"{name}.{field}"]), (name, field)
     alphas, betas, cs, threshold = golden_cases()["negtol"]
-    u, w = DiagonalScanner.weights(cs)
     k = GOLDEN_COLLECT_K
-    got = DiagonalScanner(alphas, betas).scan(u[k:k + 1], w[k:k + 1], threshold,
-                                               alphas.size * betas.size)[4][1:]
+    got = DiagonalScanner(alphas, betas).scan(cs[k:k + 1], threshold, alphas.size * betas.size)[4][1:]
     for field, value in zip(("i", "j", "s"), got):
         assert np.array_equal(value, golden[f"collect.{field}"]), field
 
@@ -407,7 +392,7 @@ def test_budget_lowers_the_limit_and_hears_growing_counts(family, room):
     alphas = np.linspace(0.0, math.pi, 97)
     betas = np.linspace(0.1, math.pi + 0.1, 89)
     if family == "diagonal":
-        scanner, args = DiagonalScanner(alphas, betas), DiagonalScanner.weights(np.array([0.0, 0.3]))
+        scanner, args = DiagonalScanner(alphas, betas), (np.array([0.0, 0.3]),)
     else:
         scanner, args = PlaneScanner(FIXED_STATES[family].coeffs, alphas, betas), (slice(None),)
     heard = []
@@ -433,9 +418,8 @@ class TestPlaneKernels:
     def test_singlet_rows_match_closed_form(self):
         alphas = np.linspace(0.0, math.pi, 41)
         betas = np.linspace(0.0, math.pi, 43)
-        row_max, row_arg, count, hits = plane_row_scan(
-            singlet_state().coeffs, alphas, betas, 1.0 + 1e-9, 10
-        )
+        scanner = PlaneScanner(singlet_state().coeffs, alphas, betas)
+        row_max, row_arg, count, hits = scanner.scan(slice(None), 1.0 + 1e-9, 10)
         # S = sin^2(beta - alpha) for the antisymmetric state.
         for i, a in enumerate(alphas):
             expected = max(math.sin(b - a) ** 2 for b in betas)
@@ -445,11 +429,11 @@ class TestPlaneKernels:
     def test_row_blocks_are_seamless(self):
         alphas = np.linspace(0.0, math.pi, 103)  # not a multiple of the block size
         betas = np.linspace(0.0, math.pi, 37)
-        coeffs = singlet_state().coeffs
+        scanner = PlaneScanner(singlet_state().coeffs, alphas, betas)
         runs = []
         for rows in (16, 4096):
             with mock.patch.object(kernels, "_BLOCK_ELEMS", rows * betas.size):
-                runs.append(plane_row_scan(coeffs, alphas, betas, 0.5, alphas.size * betas.size))
+                runs.append(scanner.scan(slice(None), 0.5, alphas.size * betas.size))
         small, big = runs
         assert small[2] == big[2] > 0
         for a, b in zip(small[:2] + small[3], big[:2] + big[3]):
@@ -458,11 +442,10 @@ class TestPlaneKernels:
     def test_collect_is_row_major_and_complete(self):
         alphas = np.linspace(0.0, math.pi, 51)
         betas = np.linspace(0.0, math.pi, 53)
-        coeffs = singlet_state().coeffs
+        scanner = PlaneScanner(singlet_state().coeffs, alphas, betas)
         threshold = 0.9
         with mock.patch.object(kernels, "_BLOCK_ELEMS", 8 * betas.size):
-            _, _, count, (i_idx, j_idx, s_vals) = plane_row_scan(
-                coeffs, alphas, betas, threshold, alphas.size * betas.size)
+            _, _, count, (i_idx, j_idx, s_vals) = scanner.scan(slice(None), threshold, alphas.size * betas.size)
         assert i_idx.size == count
         keys = i_idx * betas.size + j_idx
         assert np.all(np.diff(keys) > 0)
@@ -476,8 +459,9 @@ class TestPlaneKernels:
         coeffs = singlet_state().coeffs
         tracemalloc.start()
         try:
-            plane_row_scan(coeffs, alphas, betas, 1.0 + 1e-9, alphas.size * betas.size)
-            plane_row_scan(coeffs, alphas, betas, -math.inf, 10_000)
+            scanner = PlaneScanner(coeffs, alphas, betas)
+            scanner.scan(slice(None), 1.0 + 1e-9, alphas.size * betas.size)
+            scanner.scan(slice(None), -math.inf, 10_000)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -487,13 +471,13 @@ class TestPlaneKernels:
     def test_limited_collect_is_prefix_of_unlimited(self, threshold):
         alphas = np.linspace(0.0, math.pi, 51)
         betas = np.linspace(0.0, math.pi, 53)
-        coeffs = random_state(3, complex_coeffs=True).coeffs
+        scanner = PlaneScanner(random_state(3, complex_coeffs=True).coeffs, alphas, betas)
         with mock.patch.object(kernels, "_BLOCK_ELEMS", 4 * betas.size):
-            full = plane_row_scan(coeffs, alphas, betas, threshold, alphas.size * betas.size)
+            full = scanner.scan(slice(None), threshold, alphas.size * betas.size)
             n = full[3][0].size
             assert n > 0 and n == full[2]
             for limit in sorted({0, 1, 2, 7, n // 3, n // 2, n - 1, n, n + 5}):
-                got = plane_row_scan(coeffs, alphas, betas, threshold, limit)
+                got = scanner.scan(slice(None), threshold, limit)
                 for g, f in zip(got[:2], full[:2]):
                     assert np.array_equal(g, f), limit
                 assert got[2] == n
@@ -503,22 +487,21 @@ class TestPlaneKernels:
     def test_collect_empty_when_nothing_crosses(self):
         alphas = np.linspace(0.0, 1.0, 11)
         betas = np.linspace(0.0, 1.0, 11)
-        _, _, count, (i_idx, j_idx, s_vals) = plane_row_scan(
-            singlet_state().coeffs, alphas, betas, 2.0, alphas.size * betas.size)
+        scanner = PlaneScanner(singlet_state().coeffs, alphas, betas)
+        _, _, count, (i_idx, j_idx, s_vals) = scanner.scan(slice(None), 2.0, alphas.size * betas.size)
         assert count == i_idx.size == j_idx.size == s_vals.size == 0
 
 
 @pytest.mark.parametrize("name", sorted(FIXED_STATES))
 def test_fixed_state_bits_independent_of_block_height(name):
-    coeffs = FIXED_STATES[name].coeffs
     alphas = np.linspace(0.0, math.pi, 301)
     betas = np.linspace(0.0, math.pi, 307)
+    scanner = PlaneScanner(FIXED_STATES[name].coeffs, alphas, betas)
     threshold = 0.9
     runs = []
     for block_elems in (betas.size, kernels._BLOCK_ELEMS):  # one-row blocks, then the default
         with mock.patch.object(kernels, "_BLOCK_ELEMS", block_elems):
-            row_max, row_arg, count, hits = plane_row_scan(
-                coeffs, alphas, betas, threshold, alphas.size * betas.size)
+            row_max, row_arg, count, hits = scanner.scan(slice(None), threshold, alphas.size * betas.size)
             runs.append((row_max, row_arg, np.array(count)) + hits)
     one_row, default = runs
     assert one_row[3].size > 0
@@ -568,8 +551,8 @@ def test_fixed_state_matches_scalar_probability_form(re_im, complex_coeffs, alph
     norm = np.linalg.norm(coeffs)
     assume(norm > 1e-3)
     state = PureTwoPhotonState((coeffs / norm).reshape(2, 2))
-    _, _, _, (i_idx, j_idx, s_vals) = plane_row_scan(
-        state.coeffs, np.array(alphas), np.array(betas), -math.inf, len(alphas) * len(betas))
+    scanner = PlaneScanner(state.coeffs, np.array(alphas), np.array(betas))
+    _, _, _, (i_idx, j_idx, s_vals) = scanner.scan(slice(None), -math.inf, len(alphas) * len(betas))
     assert i_idx.size == len(alphas) * len(betas)
     for i, j, s in zip(i_idx, j_idx, s_vals):
         assert abs(s - _plane_lhs(state, alphas[i], betas[j])) <= 1e-14

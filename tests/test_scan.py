@@ -188,16 +188,16 @@ class TestGridScanDiagonal:
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         spec = ScanSpec(c_range=(0.0, 0.1, 0.01), alpha_range=(0.0, math.pi, 0.05),
                         beta_range=(0.0, math.pi, 0.05), refine=False, tolerance=-0.9)
-        first_u = DiagonalScanner.weights(_axis(spec.c_range))[0][0]
+        first_c = _axis(spec.c_range)[0]
         first_done = threading.Event()
         listed = {}
         scan = DiagonalScanner.scan
 
-        def in_order(self, u, *args):
-            first = u[0] == first_u
+        def in_order(self, cs, *args):
+            first = cs[0] == first_c
             if not first:
                 assert first_done.wait(timeout=60)
-            result = scan(self, u, *args)
+            result = scan(self, cs, *args)
             listed["first" if first else "second"] = (int(result[3].sum()), result[4][0].size)
             if first:
                 first_done.set()
