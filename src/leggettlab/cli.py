@@ -8,14 +8,17 @@ plus a top-level ``"seed"`` where randomness is involved.  Floats carry
 17 significant digits (exact round-trip).  Angles are radians unless
 ``--degrees`` is given; reports always store radians.
 
-Exit codes: 0 success; 2 invalid flags or domain errors; 3 a scan found
-a bound violation above tolerance (so scripts can detect one without
-parsing output); 4 an internal check failed (the LP solver reported a
-failure, or an exact evaluation disagreed with its cross-check).
+Exit codes: 0 success; 2 invalid flags or domain errors, including an
+output file that cannot be written (checked before the work starts); 3 a
+scan found a bound violation above tolerance (so scripts can detect one
+without parsing output); 4 an internal check failed (the LP solver
+reported a failure, or an exact evaluation disagreed with its
+cross-check) or the process ran out of memory.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import sys
 from argparse import ArgumentParser
@@ -165,6 +168,16 @@ def _emit(command: str, inputs: dict, results: dict, seed: Optional[int] = None)
     print(render(envelope))
 
 
+@contextlib.contextmanager
+def _output(path: Optional[str], what: str):
+    """The text file ``path`` opened for writing, or None without a path; failing to write it is a usage error."""
+    try:
+        with contextlib.nullcontext() if path is None else open(path, "w", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise InputError(f"cannot write {what} file: {exc}") from None
+
+
 def _triple_dict(triple) -> dict:
     return {"a_bar": triple.a_bar, "b_bar": triple.b_bar, "ab_bar": triple.ab_bar}
 
@@ -228,14 +241,12 @@ def _cmd_scan(args) -> int:
         state=state,
         eps_ladder=ladder,
     )
-    report = grid_scan(spec, workers=args.workers)
-    if spec.refine:
-        report = refine(report, spec)
-    if args.csv is not None:
-        try:
-            write_csv(report, args.csv)
-        except OSError as exc:
-            raise InputError(f"cannot write CSV file: {exc}") from None
+    with _output(args.csv, "CSV") as csv_file:
+        report = grid_scan(spec, workers=args.workers)
+        if spec.refine:
+            report = refine(report, spec)
+        if csv_file is not None:
+            write_csv(report, csv_file)
 
     inputs = {
         "family": spec.family,
@@ -328,19 +339,15 @@ def _cmd_hv(args) -> int:
     first_triple = None
     # Models come in chunks of streams 0, 1, ...; row 0 of the first chunk
     # is the model random_model(--labels, --seed, stream=0) returns.
-    for offset, weights, responses in _model_chunks(args.labels, args.seed, 0, args.models):
-        if offset == 0 and args.emit_model is not None:
-            model = HVModel(weights=weights[0], responses=responses[0])
-            try:
-                with open(args.emit_model, "w", encoding="utf-8") as fh:
-                    fh.write(model_to_json(model) + "\n")
-            except OSError as exc:
-                raise InputError(f"cannot write model file: {exc}") from None
-        a_bar, b_bar, ab_bar = _averages(weights, responses)
-        if first_triple is None:
-            first_triple = CorrelationTriple(float(a_bar[0]), float(b_bar[0]), float(ab_bar[0]))
-        _, _, margin = _bounds(a_bar, b_bar, ab_bar)
-        max_overshoot = max(max_overshoot, float(np.max(-margin)))
+    with _output(args.emit_model, "model") as model_file:
+        for offset, weights, responses in _model_chunks(args.labels, args.seed, 0, args.models):
+            if offset == 0 and model_file is not None:
+                model_file.write(model_to_json(HVModel(weights=weights[0], responses=responses[0])) + "\n")
+            a_bar, b_bar, ab_bar = _averages(weights, responses)
+            if first_triple is None:
+                first_triple = CorrelationTriple(float(a_bar[0]), float(b_bar[0]), float(ab_bar[0]))
+            _, _, margin = _bounds(a_bar, b_bar, ab_bar)
+            max_overshoot = max(max_overshoot, float(np.max(-margin)))
 
     frechet = None
     if args.frechet_grid > 0:
@@ -430,6 +437,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except ArithmeticError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except MemoryError:
+        print("error: out of memory; use a coarser grid or fewer points", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -13,13 +13,15 @@ objective has absolute-value kinks, so no gradients).
 
 Families:
 
-* ``diagonal`` — the two-parameter entangled family over a ``c`` axis;
-  hot path, runs on :class:`~leggettlab.kernels.DiagonalScanner`, which
-  evaluates only the points near each row's two roots that a
-  closed-form bound cannot exclude, and every row it cannot certify.
+* ``diagonal`` — the two-parameter entangled family over a ``c`` axis,
+  on :class:`~leggettlab.kernels.DiagonalScanner`.
 * ``singlet`` and ``positive-parity`` — fixed maximally entangled
   states, angle grid only.
 * ``fixed-matrix`` — any supplied :class:`~leggettlab.quantum.PureTwoPhotonState`.
+
+The fixed states run on :class:`~leggettlab.kernels.PlaneScanner`.  Both
+scanners evaluate only the points near each alpha row's two roots that
+a closed-form bound cannot exclude, and every row they cannot certify.
 
 Every family shards its slices across worker threads: the ``c`` axis
 for the diagonal family, the alpha rows of a fixed state, whose tables
@@ -32,6 +34,7 @@ before it have counted ``VIOLATION_CAP`` of them.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import threading
 from dataclasses import dataclass, replace
@@ -270,26 +273,21 @@ def grid_scan(spec: ScanSpec, *, workers: Optional[int] = None) -> ScanReport:
     # Each family scans a shard of its slices into (slice maxima, first
     # argmax indices, threshold count, hits (k, i, j, S)), k counting slices.
     if spec.family == "diagonal":
-        cs = _axis(spec.c_range)
-        scanner = DiagonalScanner(alphas, betas)
+        cs, scanner = _axis(spec.c_range), DiagonalScanner(alphas, betas)
 
         def scan_shard(sl: slice):
             max_s, arg_i, arg_j, n_over, (k, i, j, s) = scanner.scan(
                 cs[sl], threshold, VIOLATION_CAP, partial(budget, sl.start))
             return max_s, arg_i, arg_j, int(n_over.sum()), (k + sl.start, i, j, s)
-
-        slices, slice_points = cs.size, alphas.size * betas.size
     else:
-        plane = PlaneScanner(_family_state(spec).coeffs, alphas, betas)
-        cs = None
+        cs, scanner = None, PlaneScanner(_family_state(spec).coeffs, alphas, betas)
 
         def scan_shard(sl: slice):
-            row_max, row_arg, count, (i, j, s) = plane.scan(
+            row_max, row_arg, count, (i, j, s) = scanner.scan(
                 sl, threshold, VIOLATION_CAP, partial(budget, sl.start))
             return row_max, np.arange(sl.start, sl.stop), row_arg, count, (i, i, j, s)
 
-        slices, slice_points = alphas.size, betas.size
-
+    slices = alphas.size if cs is None else cs.size
     # Points share the axes' Python floats instead of converting one float per field.
     c_axis = [None] * slices if cs is None else cs.tolist()
     alpha_axis, beta_axis = alphas.tolist(), betas.tolist()
@@ -308,7 +306,7 @@ def grid_scan(spec: ScanSpec, *, workers: Optional[int] = None) -> ScanReport:
         family=spec.family,
         max_s=float(max_s[best]),
         argmax=slice_maxima[best],
-        grid_points=slices * slice_points,
+        grid_points=alphas.size * betas.size * (1 if cs is None else cs.size),
         violations=tuple(violations),
         violation_count=sum(part[3] for part in parts),
         first_order_predicted_violations=() if cs is None else _predicted_violations(cs, spec.eps_ladder),
@@ -379,10 +377,11 @@ def _line_max(
 def refine(report: ScanReport, spec: ScanSpec) -> ScanReport:
     """Polish the argmax inside its bracketing grid cells.
 
-    Coordinate-wise line maximization cycles over the active axes until
-    positions move < 1e-11 and the value improves < 1e-15.  max_s never
-    decreases; the argmax stays within one grid step of the original.
-    A grid with a single point on every active axis is returned as-is.
+    Coordinate-wise line maximization cycles over the active axes for at
+    most 40 rounds, until positions move < 1e-11 and the value improves
+    < 1e-15, and ends where round 40 would once a round repeats an earlier
+    state.  max_s never decreases; the argmax stays within one grid step
+    of the original.  A grid of one point on every active axis is returned as-is.
     """
     if not isinstance(report, ScanReport):
         raise InputError("refine expects a ScanReport")
@@ -393,32 +392,33 @@ def refine(report: ScanReport, spec: ScanSpec) -> ScanReport:
     started = perf_counter()
 
     if spec.family == "diagonal":
-        axes = [("c", _axis(spec.c_range)), ("alpha", _axis(spec.alpha_range)),
-                ("beta", _axis(spec.beta_range))]
-        coords = [report.argmax.c, report.argmax.alpha, report.argmax.beta]
+        ranges, coords = (spec.c_range, spec.alpha_range, spec.beta_range), list(report.argmax[:3])
 
         def objective(pt: Sequence[float]) -> float:
             return _diagonal_lhs(pt[0], pt[1], pt[2])
 
     else:
         state = _family_state(spec)
-        axes = [("alpha", _axis(spec.alpha_range)), ("beta", _axis(spec.beta_range))]
-        coords = [report.argmax.alpha, report.argmax.beta]
+        ranges, coords = (spec.alpha_range, spec.beta_range), list(report.argmax[1:3])
 
         def objective(pt: Sequence[float]) -> float:
             return _plane_lhs(state, pt[0], pt[1])
 
     brackets = []
-    for (name, grid), coord in zip(axes, coords):
+    for grid, coord in zip(map(_axis, ranges), coords):
         idx = int(np.argmin(np.abs(grid - coord)))
-        lo = float(grid[max(idx - 1, 0)])
-        hi = float(grid[min(idx + 1, grid.size - 1)])
-        brackets.append((lo, hi))
+        brackets.append((float(grid[max(idx - 1, 0)]), float(grid[min(idx + 1, grid.size - 1)])))
     if all(lo == hi for lo, hi in brackets):
         return report
 
     value = report.max_s
-    for _ in range(40):
+    # Each round is a pure function of (coords, value): a repeat cycles on.
+    seen: dict = {}
+    for round_ in range(40):
+        first = seen.setdefault(tuple(map(float.hex, (*coords, value))), round_)
+        if first < round_:
+            *coords, value = map(float.fromhex, list(seen)[first + (40 - first) % (round_ - first)])
+            break
         improved = 0.0
         moved = 0.0
         for k, (lo, hi) in enumerate(brackets):
@@ -438,21 +438,17 @@ def refine(report: ScanReport, spec: ScanSpec) -> ScanReport:
         if improved < 1e-15 and moved < 1e-11:
             break
 
-    if spec.family == "diagonal":
-        argmax = ScanPoint(c=coords[0], alpha=coords[1], beta=coords[2], s=value)
-    else:
-        argmax = ScanPoint(c=None, alpha=coords[0], beta=coords[1], s=value)
     return replace(
         report,
         max_s=max(report.max_s, value),
-        argmax=argmax,
+        argmax=ScanPoint(*coords, value) if spec.family == "diagonal" else ScanPoint(None, *coords, value),
         refined=True,
         wall_time=report.wall_time + (perf_counter() - started),
     )
 
 
-def write_csv(report: ScanReport, path: str) -> str:
-    """Write the slice-maxima curve as ``c,alpha,beta,S`` rows for plotting."""
+def write_csv(report: ScanReport, path):
+    """Write the slice-maxima curve as ``c,alpha,beta,S`` rows for plotting, to a path or an open text file."""
     lines = ["c,alpha,beta,S"]
     for point in report.slice_maxima:
         c_field = "" if point.c is None else format(point.c, ".17g")
@@ -460,6 +456,6 @@ def write_csv(report: ScanReport, path: str) -> str:
             f"{c_field},{format(point.alpha, '.17g')},"
             f"{format(point.beta, '.17g')},{format(point.s, '.17g')}"
         )
-    with open(path, "w", encoding="utf-8") as fh:
+    with contextlib.nullcontext(path) if hasattr(path, "write") else open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
     return path

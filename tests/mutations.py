@@ -1,0 +1,79 @@
+"""Mutation check of the certified ridge scan: every mutation below must make a certificate test fail.
+
+Run from the repository root:
+
+    python tests/mutations.py
+
+For each mutation the script copies ``src/``, ``tests/`` and
+``pyproject.toml`` into a temporary directory, applies one textual edit to
+the copy's ``leggettlab/kernels.py`` and runs ``tests/test_certificate.py``
+there.  It prints CAUGHT when a test fails and MISSED when all pass, after
+checking that the unmutated copy passes.  It exits 1 when a mutation is
+missed or its text no longer occurs in ``kernels.py``.  pytest does not
+collect this file: its name does not start with ``test_``.
+"""
+
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+KERNELS = Path("src", "leggettlab", "kernels.py")
+
+# name -> (text in kernels.py, replacement)
+MUTATIONS = {
+    "certify every row": (
+        "return (half < covers).all(axis=0)",
+        "return np.ones(covers.shape[-1], dtype=bool)"),
+    "drop the p_min term": (
+        "2.0 * xy.imag**2 / ((xx + yy) + r2) - _ROOT_ERROR",
+        "0.0 * xx - _ROOT_ERROR"),
+    "drop the norm defect from the slack": (
+        "_SLACK + 2.0 * abs(norm - 1.0)",
+        "_SLACK"),
+    "gather k0 in place of k1 for fixed states": (
+        '    if k1 is not k0:\n        np.take(k1, idx, out=z, mode="clip")\n',
+        ""),
+    "drop the circular padding": (
+        "self._phase = phase[order][pos] + math.pi * wrap",
+        "self._phase = phase[order][pos]"),
+}
+
+
+def _run(edit) -> bool:
+    """Whether ``tests/test_certificate.py`` passes on a copy with ``edit`` applied (None: unchanged)."""
+    with tempfile.TemporaryDirectory() as scratch:
+        copy = Path(scratch)
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, copy / name, ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(ROOT / "pyproject.toml", copy)
+        if edit is not None:
+            path = copy / KERNELS
+            text = path.read_text(encoding="utf-8")
+            path.write_text(text.replace(*edit, 1), encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "tests/test_certificate.py"],
+            cwd=copy, capture_output=True, text=True, timeout=600)
+        return proc.returncode == 0
+
+
+def main() -> int:
+    text = (ROOT / KERNELS).read_text(encoding="utf-8")
+    if not _run(None):
+        print("the unmutated copy fails tests/test_certificate.py")
+        return 1
+    missed = 0
+    for name, (old, new) in MUTATIONS.items():
+        if text.count(old) != 1:
+            verdict = "NOT APPLICABLE"
+        else:
+            verdict = "MISSED" if _run((old, new)) else "CAUGHT"
+        missed += verdict != "CAUGHT"
+        print(f"{verdict}: {name}")
+    return 1 if missed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -6,11 +6,16 @@ vectorised diagonal-family probabilities are the independent oracle of
 the closed forms.
 """
 
+from dataclasses import replace
+from time import perf_counter
+
 import numpy as np
 
+from leggettlab import kernels
 from leggettlab.domain import InputError
 from leggettlab.kernels import DiagonalScanner
 from leggettlab.quantum import _kets
+from leggettlab.scan import ScanPoint, _axis, _diagonal_lhs, _family_state, _line_max, _plane_lhs
 
 
 def _diagonal_scan_py(u, w, ca2, sa2, s2a, cb2, sb2, s2b, threshold):
@@ -105,6 +110,80 @@ def plane_reference(scanner, threshold):
         row_arg.append(row.index(best))
         hits.extend((i, j, s) for j, s in enumerate(row) if s > threshold)
     return np.array(row_max), np.array(row_arg, dtype=np.int64), len(hits), _hit_arrays(hits, 3)
+
+
+def dense_plane_scan(scanner, threshold):
+    """``(row_max, row_arg, count, hits)`` of a :class:`~leggettlab.kernels.PlaneScanner` from the block engine over every row.
+
+    The dense walk the scanner ran before its rows were certified: each
+    block of rows from ``kernels._blocks``, S from ``kernels._evaluate``
+    with ``u = w = 1``, and ``hits`` holding ``(i, j, S)`` arrays of every
+    crossing in row-major order.
+    """
+    nb = scanner._cols[0].size
+    row_max, row_arg, hits = [], [], []
+    for offset, x, y, z in kernels._blocks(scanner._rows, scanner._cols):
+        s = kernels._evaluate(x, y, z, 1.0, 1.0, x, z)
+        arg = np.argmax(s, axis=1)
+        row_arg.append(arg)
+        row_max.append(s[np.arange(s.shape[0]), arg])
+        flat = np.flatnonzero(s > threshold)
+        hits.append((flat // nb + offset, flat % nb, s.ravel()[flat]))
+    i, j, s = (np.concatenate(part) for part in zip(*hits))
+    return np.concatenate(row_max), np.concatenate(row_arg), i.size, (i, j, s)
+
+
+def refine_reference(report, spec):
+    """:func:`leggettlab.scan.refine` as it ran before it stopped at a cycle: every one of its 40 rounds.
+
+    Returns the refined report and the number of objective calls.
+    """
+    calls = [0]
+    if spec.family == "diagonal":
+        ranges, coords = (spec.c_range, spec.alpha_range, spec.beta_range), list(report.argmax[:3])
+
+        def objective(pt):
+            calls[0] += 1
+            return _diagonal_lhs(pt[0], pt[1], pt[2])
+
+    else:
+        state = _family_state(spec)
+        ranges, coords = (spec.alpha_range, spec.beta_range), list(report.argmax[1:3])
+
+        def objective(pt):
+            calls[0] += 1
+            return _plane_lhs(state, pt[0], pt[1])
+
+    brackets = []
+    for grid, coord in zip(map(_axis, ranges), coords):
+        idx = int(np.argmin(np.abs(grid - coord)))
+        brackets.append((float(grid[max(idx - 1, 0)]), float(grid[min(idx + 1, grid.size - 1)])))
+    if all(lo == hi for lo, hi in brackets):
+        return report, 0
+    started = perf_counter()
+    value = report.max_s
+    for _ in range(40):
+        improved = 0.0
+        moved = 0.0
+        for k, (lo, hi) in enumerate(brackets):
+            if lo == hi:
+                continue
+
+            def along(t, k=k):
+                probe = list(coords)
+                probe[k] = t
+                return objective(probe)
+
+            new_x, new_f = _line_max(along, lo, hi, coords[k], value)
+            improved += new_f - value
+            moved += abs(new_x - coords[k])
+            coords[k] = new_x
+            value = new_f
+        if improved < 1e-15 and moved < 1e-11:
+            break
+    argmax = ScanPoint(*coords, value) if spec.family == "diagonal" else ScanPoint(None, *coords, value)
+    return replace(report, max_s=max(report.max_s, value), argmax=argmax, refined=True,
+                   wall_time=report.wall_time + (perf_counter() - started)), calls[0]
 
 
 def diagonal_joint_probabilities(

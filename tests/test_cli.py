@@ -153,6 +153,28 @@ class TestScan:
         assert out == ""
         assert err.startswith("error: cannot write") and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, work", [
+        (("scan", "--family", "singlet", "--step", "0.2", "--csv"), "grid_scan"),
+        (("hv", "--models", "1", "--frechet-grid", "0", "--emit-model"), "_model_chunks"),
+    ])
+    def test_unwritable_output_fails_before_the_work(self, capsys, monkeypatch, tmp_path, argv, work):
+        def never(*args, **kwargs):
+            raise AssertionError(f"{work} ran before the output was opened")
+
+        monkeypatch.setattr(cli, work, never)
+        code, out, err = run(capsys, *argv, str(tmp_path / "absent" / "out"))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: cannot write") and "Traceback" not in err
+
+    def test_out_of_memory_is_an_internal_error(self, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "grid_scan", exhausted)
+        code, out, err = run(capsys, "scan", "--family", "singlet", "--step", "0.2")
+        assert (code, out) == (EXIT_INTERNAL, "")
+        assert err.startswith("error: out of memory") and err.count("\n") == 1
+
     def test_fixed_matrix_via_coeffs(self, capsys):
         direct = run_json(capsys, "scan", "--family", "singlet", "--step", "0.2", "--no-refine")
         coeffs = f"0,{RT2!r},{-RT2!r},0"

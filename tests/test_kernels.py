@@ -556,3 +556,53 @@ def test_fixed_state_matches_scalar_probability_form(re_im, complex_coeffs, alph
     assert i_idx.size == len(alphas) * len(betas)
     for i, j, s in zip(i_idx, j_idx, s_vals):
         assert abs(s - _plane_lhs(state, alphas[i], betas[j])) <= 1e-14
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(FIXED_STATES)), na=st.integers(10, 50),
+       nb=st.integers(20, 90), layout=st.sampled_from(["grid", "wrap"]),
+       threshold=st.sampled_from([-math.inf, 0.5, 1.0 - 1e-3, 1.0 - 1e-12, 1.0, 1.0 + 1e-9]),
+       block_elems=st.sampled_from([1, 100, 4096]))
+def test_fixed_state_windows_match_reference_on_pruned_grids(data, name, na, nb, layout, threshold, block_elems):
+    """Certified rows of singlet, positive-parity, real and complex states equal the point-by-point reference.
+
+    Steps short enough for stencils to leave most columns out.  The
+    ``wrap`` layout runs beta over two periods, so the columns b and b +
+    pi of a root tie up to rounding and the first maximum must win.
+    """
+    alphas = data.draw(axis_strategy(na, "grid"))
+    if layout == "wrap":
+        betas = np.linspace(0.0, 2.0 * math.pi, nb)
+    else:
+        origin, step = data.draw(st.tuples(st.floats(-math.pi, math.pi), st.floats(0.005, 0.05)))
+        betas = origin + step * np.arange(nb)
+    scanner = PlaneScanner(FIXED_STATES[name].coeffs, alphas, betas)
+    row_max, row_arg, n, hits = plane_reference(scanner, threshold)
+    with sizes(block_elems):
+        for limit in sorted({0, 1, max(n - 1, 0), n, n + 5}):
+            got = scanner.scan(slice(None), threshold, limit)
+            assert np.array_equal(got[0], row_max) and np.array_equal(got[1], row_arg)
+            assert got[2] == n
+            for g, r in zip(got[3], hits):
+                assert np.array_equal(g, r[:limit]), limit
+
+
+@pytest.mark.parametrize("name", sorted(FIXED_STATES))
+def test_fixed_state_rows_are_certified(name):
+    # At 1 - 1e-12 on a 1e-2 grid every row of these states is certified, so
+    # only stencil points are evaluated, and the rows still match the reference.
+    grid = _axis((0.0037, math.pi + 0.0037, 1e-2))
+    scanner = PlaneScanner(FIXED_STATES[name].coeffs, grid, grid)
+    fallback = []
+    full_rows = scanner._full_rows
+
+    def counted(block, pending, u_k, w_k):
+        fallback.extend(int(block.stop - block.start if mask is None else mask.sum()) for _, mask in pending)
+        return full_rows(block, pending, u_k, w_k)
+
+    with mock.patch.object(scanner, "_full_rows", counted):
+        got = scanner.scan(slice(None), 1.0 - 1e-12, grid.size**2)
+    want = plane_reference(scanner, 1.0 - 1e-12)
+    for g, r in zip(got[:3] + got[3], want[:3] + want[3]):
+        assert np.array_equal(g, r)
+    assert sum(fallback) == 0

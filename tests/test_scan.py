@@ -30,7 +30,7 @@ from leggettlab import scan as scan_module
 from leggettlab.config import ENV_THREADS, resolve_workers, shard_map
 from leggettlab.kernels import DiagonalScanner, PlaneScanner
 from leggettlab.scan import MAX_AXIS_POINTS, VIOLATION_CAP, _axis, _axis_size
-from reference import plane_reference, reference_scan
+from reference import plane_reference, reference_scan, refine_reference
 
 
 class TestScanSpec:
@@ -433,6 +433,24 @@ class TestRefine:
         assert abs(polished.argmax.c - coarse.argmax.c) <= 0.05 + 1e-12
         assert abs(polished.argmax.alpha - coarse.argmax.alpha) <= 0.05 + 1e-12
         assert abs(polished.argmax.beta - coarse.argmax.beta) <= 0.05 + 1e-12
+
+    @pytest.mark.parametrize("step", [5e-4, 1e-2])
+    def test_stops_at_its_cycle_with_the_40_round_result(self, monkeypatch, step):
+        # On the benchmark toolkit's fixed-matrix state at step 5e-4 the
+        # ascent alternates between two points from round 1 to round 40; at
+        # 1e-2 it meets its stop rule.  Either way the result is the 40-round
+        # loop's, bit for bit.
+        coeffs = np.array([[0.3018015947633647, 0.7228650868819381], [0.5339238809738273, 0.3182878459685576]])
+        spec = ScanSpec(family="fixed-matrix", state=PureTwoPhotonState(coeffs),
+                        alpha_range=(0.0, math.pi, step), beta_range=(0.0, math.pi, step))
+        report = grid_scan(spec)
+        want, want_calls = refine_reference(report, spec)
+        calls = []
+        plane_lhs = scan_module._plane_lhs
+        monkeypatch.setattr(scan_module, "_plane_lhs", lambda *args: calls.append(args) or plane_lhs(*args))
+        got = refine(report, spec)
+        assert replace(got, wall_time=0.0) == replace(want, wall_time=0.0)
+        assert len(calls) * (10 if step == 5e-4 else 1) == want_calls
 
     def test_family_mismatch_rejected(self):
         report = grid_scan(ScanSpec(**COARSE))
