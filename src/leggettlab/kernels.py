@@ -58,6 +58,9 @@ at low thresholds) go to the block engine, which builds a chunk's
 uncertified rows once for every ``c`` that needs them.  Scans list the
 points over the threshold where they count them, keeping the first
 ``limit``: memory is O(``limit`` + chunk + axes) at any threshold.
+A chunk's stencils are laid out root-major, ``(2 roots, 2 _SIDE
+columns, rows)``: each stencil column is one contiguous run over the
+rows, along which every alpha table broadcasts.
 With L within about 1e-13 of 1, a window is some 3e-7 / R rad wide.  At
 ``L = 1 - t`` it is about ``sqrt(t / 2) / R``, which passes the stencil
 once ``t > 2 (_SIDE h R)^2`` (1.8e-5 R^2 at step h = 1e-3): at lower
@@ -81,7 +84,8 @@ with ``|N - 1| < 4e``, ``|u - |s^2 - c^2|| < 8e`` and ``|w - c s| < e``,
 so ``|S_float - (1 - 2 min p)| < 112e = 1.25e-14``: the slack is
 ``_SLACK = 1e-13``.  The roots come from s, c, ``sqrt(cos^2 a)`` and
 ``copysign(sqrt(sin^2 a), sin 2a)`` (10e relative), ``arctan2`` (4 ulp)
-and ``remainder(., pi)`` (2e-16, plus ``|pi - fl(pi)| = 1.3e-16`` per
+and its fold mod pi by one masked add, equal to ``remainder(., pi)``
+bit for bit (2e-16, plus ``|pi - fl(pi)| = 1.3e-16`` per
 period): phases are exact to within 3e-15 plus ``4e-17 |beta|``, radii
 to within 20e relative, which moves a window of ``arcsin(x)``, ``x <=
 1/2``, by at most 30e, for ``R >= 2 sqrt(D) >= 4e-7``, the only rows
@@ -172,11 +176,12 @@ def _blocks(rows, cols):
 
 
 def _gather(rows, cols, block: slice, idx: np.ndarray, x, y, z) -> None:
-    """x, y and z of :func:`_blocks` at entries ``idx[i]`` of the column tables for the rows ``block``, in place.
+    """x, y and z of :func:`_blocks` at entries ``idx[:, i]`` of the column tables for the rows ``block``, in place.
 
-    The diagonal family's ``k1`` is its ``k0``: one gather serves both.
+    Rows run along the last axis, so each alpha table broadcasts along
+    it; the diagonal family's ``k1`` is its ``k0``: one gather serves both.
     """
-    r0, r1, r2, r3 = (r[block, None] for r in rows)
+    r0, r1, r2, r3 = (r[block] for r in rows)
     k0, k1, k2, k3 = cols
     np.take(k0, idx, out=z, mode="clip")
     np.subtract(r0, z, out=x)
@@ -203,9 +208,16 @@ def _evaluate(x, y, z, u_k, w_k, s, t) -> np.ndarray:
     return s
 
 
+def _fold(phase: np.ndarray) -> np.ndarray:
+    """``np.remainder(phase, pi)`` of ``phase`` in [-pi, pi], bit for bit, in place: -pi + pi and -0 + 0 are +0."""
+    phase[phase == math.pi] = 0.0
+    phase += (phase < 0.0) * math.pi
+    return phase
+
+
 def _root(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Radius R and phase phi mod pi of the points ``(x, y)``: ``R^2 sin^2(b - phi)`` is 0 at phi."""
-    return np.hypot(x, y), np.remainder(np.arctan2(y, x), math.pi)
+    return np.hypot(x, y), _fold(np.arctan2(y, x))
 
 
 class _RidgeScanner:
@@ -235,40 +247,40 @@ class _RidgeScanner:
     def _chunks(self, rows: slice = slice(None)):
         """Yield ``(block, buffers)`` for as few equal chunks of the alpha rows ``rows`` as hold at most ``_CHUNK_CANDIDATES`` candidates each.
 
-        Every chunk shares ``buffers = (idx, x, y, z)``, views of one
-        allocation of at most 1.5 MB.  A paper axis of 3142 rows is one
-        chunk, so each ``c`` makes one pass of long numpy calls, which
-        run while other workers hold the interpreter.
+        ``buffers = (idx, x, y, z)`` are ``(_WIDTH, rows)`` views of one
+        allocation of at most 1.5 MB that every chunk shares.  A paper axis
+        of 3142 rows is one chunk, so each ``c`` makes one pass of long
+        numpy calls, which run while other workers hold the interpreter.
         """
         start, stop, _ = rows.indices(self._rows[0].size)
         chunks = max(1, -(-(stop - start) // max(1, _CHUNK_CANDIDATES // _WIDTH)))
         height = max(1, -(-(stop - start) // chunks))
-        store = np.empty((4, height, _WIDTH))
-        buffers = (store[0].view(np.int64), *store[1:])
+        store = np.empty((4, _WIDTH * height))
         for first in range(start, stop, height):
-            yield slice(first, min(stop, first + height)), buffers
+            block = slice(first, min(stop, first + height))
+            idx, x, y, z = store[:, :_WIDTH * (block.stop - first)].reshape(4, _WIDTH, -1)
+            yield block, (idx.view(np.int64), x, y, z)
 
     def _stencil(self, block: slice, phase: np.ndarray, u_k: float, w_k: float, buffers):
         """``(idx, S, covers)`` of the stencils around the ``(2, n)`` root phases of the alpha rows ``block``.
 
-        ``idx[i]`` holds the phase-order positions of row ``block.start +
-        i``'s stencil columns (``_phase_col[idx[i]]``), ``S[i]`` their
-        values; ``covers`` holds per root and row the angular distance to
-        the farthest stencil column on the nearer side.
+        Root-major, ``(_WIDTH, n)``: ``idx[m, i]`` is the phase-order
+        position (``_phase_col[idx[m, i]]``) of stencil column m of row
+        ``block.start + i``, m < ``2 _SIDE`` around its first root, and
+        ``S[m, i]`` its value.  ``covers`` holds per root and row the
+        angular distance to the farthest stencil column on the nearer side.
         """
         n = block.stop - block.start
-        idx_buf, x, y, z = buffers
         p = np.searchsorted(self._sorted_phase, phase, side="right")
         covers = self._phase[p]
         np.subtract(phase, covers, out=covers)
         far = self._phase[p + (2 * _SIDE - 1)]
         np.subtract(far, phase, out=far)
         np.minimum(covers, far, out=covers)
-        idx = idx_buf[:n]
-        np.add(p.T[:, :, None], np.arange(2 * _SIDE), out=idx.reshape(n, 2, 2 * _SIDE))
-        xb, yb, zb = x[:n], y[:n], z[:n]
-        _gather(self._rows, self._stencil_cols, block, idx, xb, yb, zb)
-        return idx, _evaluate(xb, yb, zb, u_k, w_k, xb, zb), covers
+        idx, x, y, z = buffers
+        np.add(p[:, None, :], np.arange(2 * _SIDE)[:, None], out=idx.reshape(2, 2 * _SIDE, n))
+        _gather(self._rows, self._stencil_cols, block, idx, x, y, z)
+        return idx, _evaluate(x, y, z, u_k, w_k, x, z), covers
 
     @staticmethod
     def _certified(radii, covers, depth, tolerance) -> np.ndarray:
@@ -316,11 +328,12 @@ class _RidgeScanner:
         """Per-k threshold counts and first hits of the weights ``(u[k], w[k])`` over the alpha rows ``rows``.
 
         Per chunk and k, ``roots(k, block)`` gives ``(R, phase, floor, tolerance)`` of each
-        row's two roots; ``offer(k, at, S, idx)`` records the maxima of rows ``at`` evaluated
-        at stencil positions ``idx`` (None: every column) and returns their level L and
-        whether any S is over the threshold.  A row is certified when its stencils reach
-        past windows of depth ``(1 - L + slack) / 2 - floor``; with ``hopeful`` false no
-        stencil is evaluated.  Hits come per k as ``(keys i * nb + j, S)`` parts by key.
+        row's two roots; ``offer(k, at, S, idx)`` records the maxima of rows ``at``, S
+        either ``(rows, nb)`` with idx None or a ``(_WIDTH, rows)`` stencil at positions
+        ``idx``, and returns their level L and whether any S is over the threshold.  A row
+        is certified when its stencils reach past windows of depth ``(1 - L + slack) / 2 -
+        floor``; with ``hopeful`` false no stencil is evaluated.  Hits come per k as
+        ``(keys i * nb + j, S)`` parts by key.
         """
         nc, nb = len(u), self._cols[0].size
         n_over = np.zeros(nc, dtype=np.int64)
@@ -363,12 +376,12 @@ class _RidgeScanner:
                 sure = self._certified(radii, covers, (1.0 - level + self._slack) / 2.0 - floor, tolerance)
                 if over:
                     # Only certified rows count here: the others are evaluated in full.
-                    i_idx, m_idx = np.nonzero((vals > threshold) & sure[:, None])
-                    cols = self._phase_col[idx[i_idx, m_idx]]
+                    m_idx, i_idx = np.nonzero((vals > threshold) & sure)
+                    cols = self._phase_col[idx[m_idx, i_idx]]
                     keys, first = np.unique((block.start + i_idx) * nb + cols, return_index=True)
                     left = room(k, keys.size)
                     if left > 0:
-                        hold(k, keys[:left], vals[i_idx, m_idx][first][:left])
+                        hold(k, keys[:left], vals[m_idx, i_idx][first][:left])
                     n_over[k] += keys.size
                 if not sure.all():
                     pending.append((k, ~sure if sure.any() else None))
@@ -450,10 +463,14 @@ class DiagonalScanner(_RidgeScanner):
         def offer(k, at, s, idx):
             # The first maximum in row-major order: its first row, and its
             # smallest column there; ties go to the smaller key.
-            i, j = divmod(int(np.argmax(s)), s.shape[1])
-            top = float(s[i, j])
-            if idx is not None:
-                j = int(self._phase_col[idx[i][s[i] == top]].min())
+            if idx is None:
+                i, j = divmod(int(np.argmax(s)), s.shape[1])
+                top = float(s[i, j])
+            else:
+                tops = s.max(axis=0)
+                i = int(np.argmax(tops))
+                top = float(tops[i])
+                j = int(self._phase_col[idx[:, i][s[:, i] == top]].min())
             at_key = int(at[i]) * nb + j
             if top > max_s[k] or (top == max_s[k] and at_key < key[k]):
                 max_s[k], key[k] = top, at_key
@@ -524,7 +541,7 @@ class PlaneScanner(_RidgeScanner):
         r2 = np.hypot(xx - yy, 2.0 * xy.real)
         return np.stack([
             np.sqrt(r2 - _ROOT_ERROR),
-            np.remainder(np.arctan2(2.0 * xy.real, xx - yy) / 2.0, math.pi),
+            _fold(np.arctan2(2.0 * xy.real, xx - yy) / 2.0),
             2.0 * xy.imag**2 / ((xx + yy) + r2) - _ROOT_ERROR,  # x = y = 0: nan, never certified
             self._margin + _ROOT_ERROR / (r2 - _ROOT_ERROR),
         ])
@@ -547,14 +564,17 @@ class PlaneScanner(_RidgeScanner):
         row_max, row_arg = np.empty(stop - start), np.zeros(stop - start, dtype=np.int64)
 
         def offer(k, at, s, idx):
-            j = np.argmax(s, axis=1)
-            top = s[np.arange(j.size), j]
-            if idx is not None:
-                j = np.where(s == top[:, None], self._phase_col[idx], nb).min(axis=1)
+            if idx is None:
+                j = np.argmax(s, axis=1)
+                top = s[np.arange(j.size), j]
+            else:
+                top = s.max(axis=0)
+                j = np.where(s == top, self._phase_col[idx], nb).min(axis=0)
             row_max[at - start], row_arg[at - start] = top, j
             return np.minimum(top, threshold), top.max() > threshold
 
-        n_over, held = self._walk(slice(start, stop), (1.0,), (1.0,), threshold, limit, budget, True,
+        # A beta axis no wider than a row's stencils is cheaper to walk dense.
+        n_over, held = self._walk(slice(start, stop), (1.0,), (1.0,), threshold, limit, budget, nb > _WIDTH,
                                   lambda k, block: self._roots(block), offer)
         keys, vals = held[0][0] if held[0] else _NO_HITS[1:]
         return row_max, row_arg, int(n_over[0]), (*np.divmod(keys, nb), vals)

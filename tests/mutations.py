@@ -39,6 +39,18 @@ MUTATIONS = {
     "drop the circular padding": (
         "self._phase = phase[order][pos] + math.pi * wrap",
         "self._phase = phase[order][pos]"),
+    "drop the threshold from the diagonal window depth": (
+        "return min(max_s[k], threshold), top > threshold",
+        "return max_s[k], top > threshold"),
+    "diagonal roots (c, c)": (
+        "roots = np.stack([np.sqrt(1.0 - cs * cs), cs], axis=1)",
+        "roots = np.stack([cs, cs], axis=1)"),
+    "drop the listing budget": (
+        "listable = limit if budget is None else min(limit, budget(int(n_over.sum()) + found))",
+        "listable = limit"),
+    "first diagonal stencil maximum in layout order": (
+        "i = int(np.argmax(tops))",
+        "i = int(np.argmax(s)) % tops.size"),
 }
 
 

@@ -1,4 +1,4 @@
-"""The certified ridge scan of fixed states against the dense block engine and the float-error bound.
+"""The certified ridge scans against the dense block engine, and the fixed-state float-error bound.
 
 ``tests/mutations.py`` runs this file against deliberately broken copies
 of the kernels; each of its mutations must make a test here fail.
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from leggettlab import kernels
 from leggettlab.domain import PROB_ATOL
-from leggettlab.kernels import PlaneScanner
+from leggettlab.kernels import DiagonalScanner, PlaneScanner
 from leggettlab.quantum import PureTwoPhotonState
 from leggettlab.scan import _axis
 from reference import dense_plane_scan
@@ -58,6 +58,45 @@ def test_certified_scan_matches_dense_at_toolkit_scale(coeffs, band):
             assert want[2] > 0 and 0 < sum(fallback) < grid.size
         else:
             assert sum(fallback) == 0
+
+
+# Hits listed per scan below: all of them at 1 - 1e-12, the first few slices' at 1 - 1e-6.
+CENSUS_LISTED = 2**17
+
+
+@pytest.mark.parametrize("origin", [0.0, 0.37 * 1e-3])
+def test_certified_diagonal_scan_matches_dense_at_census_scale(origin):
+    """Per-c maxima, first argmax, counts and listed hits on the census grid (71 x 3142^2), certified and dense.
+
+    The dense scan sends every row through the block engine.  At ``1 -
+    1e-12`` every row is certified but those with R = 0 (alpha = 0 at c =
+    0); at ``1 - 1e-6`` some windows pass their stencils, and about 15 % of
+    the rows are evaluated in full (7637 and 1 196 437 points over the
+    threshold at origin 0).  The certified scan's limit would list every
+    hit, so only its budget cuts the list.
+    """
+    grid = _axis((origin, math.pi + origin, 1e-3))
+    cs = _axis((0.0, 0.7, 1e-2))
+    scanner = DiagonalScanner(grid, grid)
+    full_rows = scanner._full_rows
+    for threshold in (1.0 - 1e-12, 1.0 - 1e-6):
+        fallback = []
+
+        def counted(block, pending, u, w):
+            fallback.extend(int(mask.sum()) for _, mask in pending)
+            return full_rows(block, pending, u, w)
+
+        with mock.patch.object(scanner, "_may_certify", lambda threshold: False):
+            want = scanner.scan(cs, threshold, CENSUS_LISTED)
+        count = int(want[3].sum())
+        with mock.patch.object(scanner, "_full_rows", counted):
+            got = scanner.scan(cs, threshold, count + 1, budget=lambda found: CENSUS_LISTED)
+        for g, w in zip(got[:4] + got[4], want[:4] + want[4]):
+            assert np.array_equal(g, w)
+        if threshold > 1.0 - 1e-9:
+            assert 0 < count < CENSUS_LISTED and sum(fallback) <= 2
+        else:
+            assert count > CENSUS_LISTED and 0 < sum(fallback) < cs.size * grid.size // 4
 
 
 # The kernels docstring's bound on |S_float - S*| for a fixed state's tables, 285 e.

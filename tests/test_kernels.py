@@ -341,6 +341,23 @@ def test_float_error_bound_against_mpmath(c, alpha, beta):
         assert min(gap, mpmath.pi - gap) <= 1e-14 < kernels._ANGLE_MARGIN
 
 
+def test_phase_fold_is_remainder_bit_for_bit():
+    # arctan2 gives +-0, +-pi (y = +-0 or tiny, x < 0), subnormals, and tiny
+    # negatives that fold to fl(pi); the fixed states fold half the angle.
+    special = np.array([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e-17, -1e-17, 1e300, -1e300])
+    rng = np.random.default_rng(12)
+    y = np.concatenate([np.repeat(special, special.size), rng.normal(size=4096), rng.normal(size=4096) * 1e-16])
+    x = np.concatenate([np.tile(special, special.size), rng.normal(size=4096), rng.normal(size=4096)])
+    phase = np.arctan2(y, x)
+    assert {0.0, math.pi, -math.pi} <= set(phase.tolist()) and np.signbit(phase[phase == 0.0]).any()
+    assert (np.abs(phase[phase != 0.0]) < 2.3e-308).any()
+    radius, folded = kernels._root(x, y)
+    assert np.array_equal(radius, np.hypot(x, y))
+    for got, want in ((folded, np.remainder(phase, math.pi)),
+                      (kernels._fold(phase / 2.0), np.remainder(phase / 2.0, math.pi))):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 @pytest.mark.parametrize("threshold", [1.0 - 1e-5, 1.0 - 1e-3, 0.9, -math.inf])
 @pytest.mark.parametrize("block_elems", [None, 200])
 def test_limited_collect_is_prefix_of_unlimited(threshold, block_elems):
@@ -511,7 +528,7 @@ def test_fixed_state_bits_independent_of_block_height(name):
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), name=st.sampled_from(sorted(FIXED_STATES)), na=st.integers(1, 12),
-       nb=st.integers(1, 12), threshold=st.sampled_from([-math.inf, 0.5, 0.9, 1.0 - 1e-12, 1.0]),
+       nb=st.integers(1, 24), threshold=st.sampled_from([-math.inf, 0.5, 0.9, 1.0 - 1e-12, 1.0]),
        block_rows=st.integers(1, 5))
 def test_fixed_state_rows_and_hits_match_reference(data, name, na, nb, threshold, block_rows):
     """Row scans of any split of the rows equal the point-by-point reference, at every limit.
