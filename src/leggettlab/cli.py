@@ -28,10 +28,12 @@ import numpy as np
 
 from . import __version__
 from ._json import render
+from .config import resolve_workers
 from .domain import CorrelationTriple, InputError, MeasurementSettings
 from .hidden_variables import (
     HVModel,
     _averages,
+    _check_model_keys,
     _model_chunks,
     ensemble_averages,
     frechet_range,
@@ -241,8 +243,9 @@ def _cmd_scan(args) -> int:
         state=state,
         eps_ladder=ladder,
     )
+    workers = resolve_workers(args.workers)  # checked before the CSV file is truncated
     with _output(args.csv, "CSV") as csv_file:
-        report = grid_scan(spec, workers=args.workers)
+        report = grid_scan(spec, workers=workers)
         if spec.refine:
             report = refine(report, spec)
         if csv_file is not None:
@@ -335,6 +338,7 @@ def _cmd_hv(args) -> int:
         raise InputError(f"--models must be >= 1, got {args.models}")
     if not 0 <= args.frechet_grid <= _MAX_FRECHET_GRID:
         raise InputError(f"--frechet-grid must be in [0, {_MAX_FRECHET_GRID}], got {args.frechet_grid}")
+    _check_model_keys(args.labels, args.seed, 0)  # before the model file is truncated
     max_overshoot = 0.0
     first_triple = None
     # Models come in chunks of streams 0, 1, ...; row 0 of the first chunk

@@ -253,6 +253,17 @@ _CHUNK_LABELS = 1 << 12
 _MAX_LABELS = 1 << 20
 
 
+def _check_model_keys(label_count: int, seed: int, stream: int) -> int:
+    """The label count of the models keyed ``(seed, stream)``; raises InputError on any invalid input."""
+    label_count = int(label_count)
+    if not 1 <= label_count <= _MAX_LABELS:
+        raise InputError(f"label_count must be in [1, {_MAX_LABELS}], got {label_count}")
+    for name, v in (("seed", seed), ("stream", stream)):
+        if not isinstance(v, (int, np.integer)) or not 0 <= int(v) < 2**64:
+            raise InputError(f"{name} must be an integer in [0, 2^64), got {v!r}")
+    return label_count
+
+
 def _model_chunks(label_count: int, seed: int, first: int, count: int):
     """Yield ``(offset, weights, responses)`` for the models of streams ``first .. first + count - 1``.
 
@@ -265,12 +276,7 @@ def _model_chunks(label_count: int, seed: int, first: int, count: int):
     from key ``(seed, stream)`` and counter 0, as a new
     ``Philox(key=...)`` does, and makes the same two calls.
     """
-    label_count = int(label_count)
-    if not 1 <= label_count <= _MAX_LABELS:
-        raise InputError(f"label_count must be in [1, {_MAX_LABELS}], got {label_count}")
-    for name, v in (("seed", seed), ("stream", first)):
-        if not isinstance(v, (int, np.integer)) or not 0 <= int(v) < 2**64:
-            raise InputError(f"{name} must be an integer in [0, 2^64), got {v!r}")
+    label_count = _check_model_keys(label_count, seed, first)
     bits = np.random.Philox(key=np.array([seed, first], dtype=np.uint64))
     gen = np.random.Generator(bits)
     fresh = bits.state

@@ -114,7 +114,6 @@ with ``R^2 <= _ROOT_ERROR`` is evaluated in full.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -324,7 +323,7 @@ class _RidgeScanner:
                     s[~keep] = -np.inf
                 yield k, at, s
 
-    def _walk(self, rows: slice, u, w, threshold: float, limit: int, budget, hopeful: bool, roots, offer):
+    def _walk(self, rows: slice, u, w, threshold: float, limit: int, hopeful: bool, roots, offer):
         """Per-k threshold counts and first hits of the weights ``(u[k], w[k])`` over the alpha rows ``rows``.
 
         Per chunk and k, ``roots(k, block)`` gives ``(R, phase, floor, tolerance)`` of each
@@ -332,27 +331,25 @@ class _RidgeScanner:
         either ``(rows, nb)`` with idx None or a ``(_WIDTH, rows)`` stencil at positions
         ``idx``, and returns their level L and whether any S is over the threshold.  A row
         is certified when its stencils reach past windows of depth ``(1 - L + slack) / 2 -
-        floor``; with ``hopeful`` false no stencil is evaluated.  Hits come per k as
-        ``(keys i * nb + j, S)`` parts by key.
+        floor``; with ``hopeful`` false no stencil is evaluated.  The first ``limit`` hits
+        come as ``(k, keys i * nb + j, S)`` arrays in (k, key) order.
         """
         nc, nb = len(u), self._cols[0].size
         n_over = np.zeros(nc, dtype=np.int64)
         # Per slice, parts of (keys i * nb + j, values), each sorted by key,
-        # of the hits that may still rank among the first `listable`.
+        # of the hits that may still rank among the first `limit`.
         held: list[list] = [[] for _ in range(nc)]
-        n_held, spent, listable = 0, nc, limit
+        n_held, spent = 0, nc
 
-        def room(k, found):
+        def room(k):
             # How many of the hits slice k has just counted may still rank among
-            # the first `listable`, after every counted hit of an earlier slice.
+            # the first `limit`, after every counted hit of an earlier slice.
             # It only shrinks and is at most an earlier slice's room, so once it
-            # is spent no later slice lists a hit.  The budget hears `found` at
-            # once, so by then it has heard a count that fills it.
-            nonlocal spent, listable
+            # is spent no later slice lists a hit.
+            nonlocal spent
             if k >= spent:
                 return 0
-            listable = limit if budget is None else min(limit, budget(int(n_over.sum()) + found))
-            left = listable - int(n_over[:k].sum()) - int(ahead[k])
+            left = limit - int(n_over[:k].sum()) - int(ahead[k])
             if left <= 0:
                 spent = k
             return left
@@ -361,8 +358,8 @@ class _RidgeScanner:
             nonlocal n_held
             held[k].append((keys, vals))
             n_held += keys.size
-            if n_held > 2 * listable:
-                n_held = _keep_first(held, listable)
+            if n_held > 2 * limit:
+                n_held = _keep_first(held, limit)
 
         for block, buffers in self._chunks(rows):
             at = np.arange(block.start, block.stop)
@@ -379,7 +376,7 @@ class _RidgeScanner:
                     m_idx, i_idx = np.nonzero((vals > threshold) & sure)
                     cols = self._phase_col[idx[m_idx, i_idx]]
                     keys, first = np.unique((block.start + i_idx) * nb + cols, return_index=True)
-                    left = room(k, keys.size)
+                    left = room(k)
                     if left > 0:
                         hold(k, keys[:left], vals[m_idx, i_idx][first][:left])
                     n_over[k] += keys.size
@@ -389,15 +386,16 @@ class _RidgeScanner:
                 if offer(k, rows_k, s, None)[1]:
                     over = s > threshold
                     found = int(np.count_nonzero(over))
-                    left = room(k, found)
+                    left = room(k)
                     if left > 0:
                         # Each kept hit has fewer than `left` of these before it.
                         flat = np.flatnonzero(over)[:left]
                         hold(k, rows_k[flat // nb] * nb + flat % nb, s.ravel()[flat])
                     n_over[k] += found
                     ahead[k] += found
-        _keep_first(held, listable)
-        return n_over, held
+        _keep_first(held, limit)
+        kept = [(np.full(keys.size, k), keys, vals) for k, parts in enumerate(held) for keys, vals in parts]
+        return n_over, tuple(np.concatenate(part) for part in zip(_NO_HITS, *kept))
 
 
 class DiagonalScanner(_RidgeScanner):
@@ -435,17 +433,13 @@ class DiagonalScanner(_RidgeScanner):
 
     @np.errstate(divide="ignore", over="ignore", invalid="ignore")  # R near 0 in _certified
     def scan(
-        self, cs: np.ndarray, threshold: float, limit: int,
-        budget: Optional[Callable[[int], int]] = None,
+        self, cs: np.ndarray, threshold: float, limit: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
         """Per-``c`` grid maxima, first argmax indices, threshold counts, and the first hits.
 
         ``cs`` holds the weights ``0 <= c <= 1``.  The hits are ``(k, i,
         j, S)`` arrays of the first ``limit`` points with ``S > threshold``
-        in (k, i, j) order.  ``budget``, if given, hears the points counted
-        so far and returns how many the caller may still keep in all, a
-        number that may only shrink: a caller running several scans at
-        once tells the later ones when the earlier ones have filled it.
+        in (k, i, j) order.
         """
         cs = np.ascontiguousarray(cs, dtype=np.float64)
         threshold = float(threshold)
@@ -476,10 +470,8 @@ class DiagonalScanner(_RidgeScanner):
                 max_s[k], key[k] = top, at_key
             return min(max_s[k], threshold), top > threshold
 
-        n_over, held = self._walk(slice(None), *self.weights(cs), threshold, limit, budget,
-                                  self._may_certify(threshold), root, offer)
-        kept = [(np.full(keys.size, k), keys, vals) for k, parts in enumerate(held) for keys, vals in parts]
-        hit_k, keys, hit_s = (np.concatenate(part) for part in zip(_NO_HITS, *kept))
+        n_over, (hit_k, keys, hit_s) = self._walk(slice(None), *self.weights(cs), threshold, limit,
+                                                  self._may_certify(threshold), root, offer)
         hit_i, hit_j = np.divmod(keys, nb)
         arg_i, arg_j = np.divmod(np.array(key, dtype=np.int64), nb)
         return np.array(max_s), arg_i, arg_j, n_over, (hit_k, hit_i, hit_j, hit_s)
@@ -548,15 +540,13 @@ class PlaneScanner(_RidgeScanner):
 
     @np.errstate(divide="ignore", over="ignore", invalid="ignore")  # R near 0 in _certified
     def scan(
-        self, rows: slice, threshold: float, limit: int,
-        budget: Optional[Callable[[int], int]] = None,
+        self, rows: slice, threshold: float, limit: int
     ) -> tuple[np.ndarray, np.ndarray, int, tuple[np.ndarray, ...]]:
         """Maxima and first attaining columns of the alpha rows ``rows``, their threshold count, and the first hits.
 
         The hits are ``(i, j, S)`` arrays of the first ``limit`` points
         with ``S > threshold`` in row-major order; ``i`` counts from the
-        grid's first row.  ``budget`` may lower the limit as in
-        :meth:`DiagonalScanner.scan`.
+        grid's first row.
         """
         start, stop, _ = rows.indices(self._rows[0].size)
         threshold = float(threshold)
@@ -574,7 +564,6 @@ class PlaneScanner(_RidgeScanner):
             return np.minimum(top, threshold), top.max() > threshold
 
         # A beta axis no wider than a row's stencils is cheaper to walk dense.
-        n_over, held = self._walk(slice(start, stop), (1.0,), (1.0,), threshold, limit, budget, nb > _WIDTH,
-                                  lambda k, block: self._roots(block), offer)
-        keys, vals = held[0][0] if held[0] else _NO_HITS[1:]
+        n_over, (_, keys, vals) = self._walk(slice(start, stop), (1.0,), (1.0,), threshold, limit, nb > _WIDTH,
+                                             lambda k, block: self._roots(block), offer)
         return row_max, row_arg, int(n_over[0]), (*np.divmod(keys, nb), vals)

@@ -28,17 +28,16 @@ for the diagonal family, the alpha rows of a fixed state, whose tables
 are built once and shared.  A shard's scan returns its slice maxima,
 its threshold count and its first ``VIOLATION_CAP`` violations in one
 walk; shards are merged in axis order, so reports are identical for
-every worker count.  A shard stops listing violations once the shards
-before it have counted ``VIOLATION_CAP`` of them.
+every worker count.  Shards share no mutable state: listed violations
+take O(workers x ``VIOLATION_CAP``) memory, and the merge keeps the
+first ``VIOLATION_CAP`` of them.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
-import threading
 from dataclasses import dataclass, replace
-from functools import partial
 from time import perf_counter
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -259,32 +258,19 @@ def grid_scan(spec: ScanSpec, *, workers: Optional[int] = None) -> ScanReport:
     alphas = _axis(spec.alpha_range)
     betas = _axis(spec.beta_range)
     threshold = 1.0 + spec.tolerance
-    # Violations counted so far by the shard starting at each slice.  A
-    # shard's violations rank after all of those of the shards before it,
-    # so it lists them only while those leave room under the cap.
-    counted: dict[int, int] = {}
-    lock = threading.Lock()
-
-    def budget(start: int, count: int) -> int:
-        with lock:
-            counted[start] = count
-            return VIOLATION_CAP - sum(n for first, n in counted.items() if first < start)
-
     # Each family scans a shard of its slices into (slice maxima, first
     # argmax indices, threshold count, hits (k, i, j, S)), k counting slices.
     if spec.family == "diagonal":
         cs, scanner = _axis(spec.c_range), DiagonalScanner(alphas, betas)
 
         def scan_shard(sl: slice):
-            max_s, arg_i, arg_j, n_over, (k, i, j, s) = scanner.scan(
-                cs[sl], threshold, VIOLATION_CAP, partial(budget, sl.start))
+            max_s, arg_i, arg_j, n_over, (k, i, j, s) = scanner.scan(cs[sl], threshold, VIOLATION_CAP)
             return max_s, arg_i, arg_j, int(n_over.sum()), (k + sl.start, i, j, s)
     else:
         cs, scanner = None, PlaneScanner(_family_state(spec).coeffs, alphas, betas)
 
         def scan_shard(sl: slice):
-            row_max, row_arg, count, (i, j, s) = scanner.scan(
-                sl, threshold, VIOLATION_CAP, partial(budget, sl.start))
+            row_max, row_arg, count, (i, j, s) = scanner.scan(sl, threshold, VIOLATION_CAP)
             return row_max, np.arange(sl.start, sl.stop), row_arg, count, (i, i, j, s)
 
     slices = alphas.size if cs is None else cs.size

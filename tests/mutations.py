@@ -1,4 +1,4 @@
-"""Mutation check of the certified ridge scan: every mutation below must make a certificate test fail.
+"""Mutation check of the certified ridge scan: every mutation below must make a kernel test fail.
 
 Run from the repository root:
 
@@ -7,7 +7,7 @@ Run from the repository root:
 For each mutation the script copies ``src/``, ``tests/`` and
 ``pyproject.toml`` into a temporary directory, applies one textual edit to
 the copy's ``leggettlab/kernels.py`` and runs ``tests/test_certificate.py``
-there.  It prints CAUGHT when a test fails and MISSED when all pass, after
+and ``tests/test_kernels.py`` there.  It prints CAUGHT when a test fails and MISSED when all pass, after
 checking that the unmutated copy passes.  It exits 1 when a mutation is
 missed or its text no longer occurs in ``kernels.py``.  pytest does not
 collect this file: its name does not start with ``test_``.
@@ -45,9 +45,9 @@ MUTATIONS = {
     "diagonal roots (c, c)": (
         "roots = np.stack([np.sqrt(1.0 - cs * cs), cs], axis=1)",
         "roots = np.stack([cs, cs], axis=1)"),
-    "drop the listing budget": (
-        "listable = limit if budget is None else min(limit, budget(int(n_over.sum()) + found))",
-        "listable = limit"),
+    "room counts the chunk's certified hits": (
+        "int(ahead[k])",
+        "int(n_over[k])"),
     "first diagonal stencil maximum in layout order": (
         "i = int(np.argmax(tops))",
         "i = int(np.argmax(s)) % tops.size"),
@@ -55,7 +55,7 @@ MUTATIONS = {
 
 
 def _run(edit) -> bool:
-    """Whether ``tests/test_certificate.py`` passes on a copy with ``edit`` applied (None: unchanged)."""
+    """Whether the kernel tests pass on a copy with ``edit`` applied (None: unchanged)."""
     with tempfile.TemporaryDirectory() as scratch:
         copy = Path(scratch)
         for name in ("src", "tests"):
@@ -66,7 +66,8 @@ def _run(edit) -> bool:
             text = path.read_text(encoding="utf-8")
             path.write_text(text.replace(*edit, 1), encoding="utf-8")
         proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "tests/test_certificate.py"],
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+             "tests/test_certificate.py", "tests/test_kernels.py"],
             cwd=copy, capture_output=True, text=True, timeout=600)
         return proc.returncode == 0
 
@@ -74,7 +75,7 @@ def _run(edit) -> bool:
 def main() -> int:
     text = (ROOT / KERNELS).read_text(encoding="utf-8")
     if not _run(None):
-        print("the unmutated copy fails tests/test_certificate.py")
+        print("the unmutated copy fails the kernel tests")
         return 1
     missed = 0
     for name, (old, new) in MUTATIONS.items():

@@ -1,7 +1,8 @@
 """The certified ridge scans against the dense block engine, and the fixed-state float-error bound.
 
-``tests/mutations.py`` runs this file against deliberately broken copies
-of the kernels; each of its mutations must make a test here fail.
+``tests/mutations.py`` runs this file and ``tests/test_kernels.py``
+against deliberately broken copies of the kernels; each of its mutations
+must make a test in one of them fail.
 """
 
 import math
@@ -72,8 +73,8 @@ def test_certified_diagonal_scan_matches_dense_at_census_scale(origin):
     1e-12`` every row is certified but those with R = 0 (alpha = 0 at c =
     0); at ``1 - 1e-6`` some windows pass their stencils, and about 15 % of
     the rows are evaluated in full (7637 and 1 196 437 points over the
-    threshold at origin 0).  The certified scan's limit would list every
-    hit, so only its budget cuts the list.
+    threshold at origin 0).  Both scans list at most ``CENSUS_LISTED``
+    hits, which cuts the list only at ``1 - 1e-6``.
     """
     grid = _axis((origin, math.pi + origin, 1e-3))
     cs = _axis((0.0, 0.7, 1e-2))
@@ -90,7 +91,7 @@ def test_certified_diagonal_scan_matches_dense_at_census_scale(origin):
             want = scanner.scan(cs, threshold, CENSUS_LISTED)
         count = int(want[3].sum())
         with mock.patch.object(scanner, "_full_rows", counted):
-            got = scanner.scan(cs, threshold, count + 1, budget=lambda found: CENSUS_LISTED)
+            got = scanner.scan(cs, threshold, CENSUS_LISTED)
         for g, w in zip(got[:4] + got[4], want[:4] + want[4]):
             assert np.array_equal(g, w)
         if threshold > 1.0 - 1e-9:

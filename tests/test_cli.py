@@ -15,6 +15,7 @@ import scipy.optimize
 import leggettlab
 from leggettlab import MeasurementSettings, cli, ensemble_averages, model_from_json, reduced_lhs_exact
 from leggettlab._json import render
+from leggettlab.config import ENV_THREADS
 from leggettlab.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 
 RT2 = 1.0 / math.sqrt(2.0)
@@ -165,6 +166,23 @@ class TestScan:
         code, out, err = run(capsys, *argv, str(tmp_path / "absent" / "out"))
         assert (code, out) == (EXIT_USAGE, "")
         assert err.startswith("error: cannot write") and "Traceback" not in err
+
+    @pytest.mark.parametrize("threads, argv", [
+        (None, ("scan", "--family", "singlet", "--step", "0.2", "--workers", "0", "--csv")),
+        ("x", ("scan", "--family", "singlet", "--step", "0.2", "--csv")),
+        (None, ("hv", "--models", "1", "--frechet-grid", "0", "--seed", "-1", "--emit-model")),
+        (None, ("hv", "--models", "1", "--frechet-grid", "0", "--labels", "0", "--emit-model")),
+    ])
+    def test_invalid_input_leaves_the_output_file_alone(self, capsys, monkeypatch, tmp_path, threads, argv):
+        monkeypatch.delenv(ENV_THREADS, raising=False)
+        if threads is not None:
+            monkeypatch.setenv(ENV_THREADS, threads)
+        path = tmp_path / "out"
+        path.write_bytes(b"earlier output\n")
+        code, out, err = run(capsys, *argv, str(path))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert path.read_bytes() == b"earlier output\n"
 
     def test_out_of_memory_is_an_internal_error(self, capsys, monkeypatch):
         def exhausted(*args, **kwargs):

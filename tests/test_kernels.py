@@ -402,35 +402,6 @@ def test_golden_fixture_bitwise():
         assert np.array_equal(value, golden[f"collect.{field}"]), field
 
 
-@pytest.mark.parametrize("family", ["diagonal", "complex3"])
-@pytest.mark.parametrize("room", [0, 1, 37, 10**9])
-def test_budget_lowers_the_limit_and_hears_growing_counts(family, room):
-    """A budget lowers what a scan lists to a prefix of its hits; counts and maxima stay."""
-    alphas = np.linspace(0.0, math.pi, 97)
-    betas = np.linspace(0.1, math.pi + 0.1, 89)
-    if family == "diagonal":
-        scanner, args = DiagonalScanner(alphas, betas), (np.array([0.0, 0.3]),)
-    else:
-        scanner, args = PlaneScanner(FIXED_STATES[family].coeffs, alphas, betas), (slice(None),)
-    heard = []
-
-    def budget(counted):
-        heard.append(counted)
-        return room
-
-    limit = 2 * alphas.size * betas.size
-    with sizes(400):
-        full = scanner.scan(*args, 0.9, limit)
-        got = scanner.scan(*args, 0.9, limit, budget)
-    for g, f in zip(got[:-1], full[:-1]):
-        assert np.array_equal(g, f)
-    n = np.sum(full[-2])
-    assert 0 < n == full[-1][0].size
-    for g, f in zip(got[-1], full[-1]):
-        assert np.array_equal(g, f[:room])
-    assert heard and heard == sorted(heard) and heard[-1] <= n
-
-
 class TestPlaneKernels:
     def test_singlet_rows_match_closed_form(self):
         alphas = np.linspace(0.0, math.pi, 41)
