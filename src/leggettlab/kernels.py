@@ -61,6 +61,26 @@ points over the threshold where they count them, keeping the first
 A chunk's stencils are laid out root-major, ``(2 roots, 2 _SIDE
 columns, rows)``: each stencil column is one contiguous run over the
 rows, along which every alpha table broadcasts.
+
+Most rows of a diagonal slice need no stencil at all.  Per ``c`` the
+scanner first evaluates one seed row, the row whose nearest column lies
+deepest in a sinusoid (smallest ``R near``, ``near`` the angular distance
+from a root to its nearest column on either side), and takes ``L =
+min(max(M, top), threshold)`` with ``top`` the seed's stencil maximum.  A
+row whose windows at that L hold no column (``half + margin < near`` at
+both roots) has ``S_float < L`` at every point: it is the cover test with
+a stencil of no columns, so the same float-error bound holds with
+``near`` in place of the distance to the farthest stencil column.  Such a
+row holds neither the first maximum nor a hit, and none of its points is
+evaluated; the seed row itself either reaches L or is such a row.  The
+other (live) rows of a batch of ``c`` are gathered in one call, offered
+slice by slice, and certified as above at the level they raise.  A ``c``
+whose rows are all live (low thresholds) takes the whole chunk at once.
+On the paper grid about 6 of 3142 rows per ``c`` are live.  Fixed states
+skip no row: each row is a slice of its own.  A pass computes the roots of
+4 slices at a time on long axes, so that its five ``(2, slices, rows)``
+arrays take no more memory than a chunk's stencil buffers, and of 256
+``(slice, row)`` pairs on short axes (:meth:`_RidgeScanner._walk`).
 With L within about 1e-13 of 1, a window is some 3e-7 / R rad wide.  At
 ``L = 1 - t`` it is about ``sqrt(t / 2) / R``, which passes the stencil
 once ``t > 2 (_SIDE h R)^2`` (1.8e-5 R^2 at step h = 1e-3): at lower
@@ -210,13 +230,17 @@ def _evaluate(x, y, z, u_k, w_k, s, t) -> np.ndarray:
 def _fold(phase: np.ndarray) -> np.ndarray:
     """``np.remainder(phase, pi)`` of ``phase`` in [-pi, pi], bit for bit, in place: -pi + pi and -0 + 0 are +0."""
     phase[phase == math.pi] = 0.0
-    phase += (phase < 0.0) * math.pi
+    np.add(phase, math.pi, out=phase, where=phase < 0.0)
+    phase += 0.0
     return phase
 
 
-def _root(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Radius R and phase phi mod pi of the points ``(x, y)``: ``R^2 sin^2(b - phi)`` is 0 at phi."""
-    return np.hypot(x, y), _fold(np.arctan2(y, x))
+def _root(x: np.ndarray, y: np.ndarray, out=(None, None)) -> tuple[np.ndarray, np.ndarray]:
+    """Radius R and phase phi mod pi of the points ``(x, y)``: ``R^2 sin^2(b - phi)`` is 0 at phi.
+
+    ``out`` may name buffers for R and phi; phi's may be y's.
+    """
+    return np.hypot(x, y, out=out[0]), _fold(np.arctan2(y, x, out=out[1]))
 
 
 class _RidgeScanner:
@@ -244,54 +268,42 @@ class _RidgeScanner:
         self._margin = _ANGLE_MARGIN * float(np.max(np.abs(betas), initial=1.0))
 
     def _chunks(self, rows: slice = slice(None)):
-        """Yield ``(block, buffers)`` for as few equal chunks of the alpha rows ``rows`` as hold at most ``_CHUNK_CANDIDATES`` candidates each.
+        """Yield as few equal chunks of the alpha rows ``rows`` as hold at most ``_CHUNK_CANDIDATES`` candidates each.
 
-        ``buffers = (idx, x, y, z)`` are ``(_WIDTH, rows)`` views of one
-        allocation of at most 1.5 MB that every chunk shares.  A paper axis
-        of 3142 rows is one chunk, so each ``c`` makes one pass of long
-        numpy calls, which run while other workers hold the interpreter.
+        A paper axis of 3142 rows is one chunk.  :meth:`_walk` passes a
+        chunk's roots for a batch of slices at a time, in long numpy calls
+        that run while other workers hold the interpreter.
         """
         start, stop, _ = rows.indices(self._rows[0].size)
         chunks = max(1, -(-(stop - start) // max(1, _CHUNK_CANDIDATES // _WIDTH)))
         height = max(1, -(-(stop - start) // chunks))
-        store = np.empty((4, _WIDTH * height))
         for first in range(start, stop, height):
-            block = slice(first, min(stop, first + height))
-            idx, x, y, z = store[:, :_WIDTH * (block.stop - first)].reshape(4, _WIDTH, -1)
-            yield block, (idx.view(np.int64), x, y, z)
+            yield slice(first, min(stop, first + height))
 
-    def _stencil(self, block: slice, phase: np.ndarray, u_k: float, w_k: float, buffers):
-        """``(idx, S, covers)`` of the stencils around the ``(2, n)`` root phases of the alpha rows ``block``.
+    def _reach(self, phase: np.ndarray, p: np.ndarray, m: int, out=(None, None)) -> np.ndarray:
+        """Per root, the angular distance to its m-th column on the nearer side (m = 1: the nearest column).
 
-        Root-major, ``(_WIDTH, n)``: ``idx[m, i]`` is the phase-order
-        position (``_phase_col[idx[m, i]]``) of stencil column m of row
-        ``block.start + i``, m < ``2 _SIDE`` around its first root, and
-        ``S[m, i]`` its value.  ``covers`` holds per root and row the
-        angular distance to the farthest stencil column on the nearer side.
+        ``p`` holds the roots' phase-order positions (``searchsorted``);
+        ``out`` may name two buffers of their shape, the first for the result.
         """
-        n = block.stop - block.start
-        p = np.searchsorted(self._sorted_phase, phase, side="right")
-        covers = self._phase[p]
-        np.subtract(phase, covers, out=covers)
-        far = self._phase[p + (2 * _SIDE - 1)]
-        np.subtract(far, phase, out=far)
-        np.minimum(covers, far, out=covers)
-        idx, x, y, z = buffers
-        np.add(p[:, None, :], np.arange(2 * _SIDE)[:, None], out=idx.reshape(2, 2 * _SIDE, n))
-        _gather(self._rows, self._stencil_cols, block, idx, x, y, z)
-        return idx, _evaluate(x, y, z, u_k, w_k, x, z), covers
+        left = np.take(self._phase[_SIDE - m:], p, out=out[0], mode="clip")
+        np.subtract(phase, left, out=left)
+        right = np.take(self._phase[_SIDE - 1 + m:], p, out=out[1], mode="clip")
+        np.subtract(right, phase, out=right)
+        return np.minimum(left, right, out=left)
 
     @staticmethod
-    def _certified(radii, covers, depth, tolerance) -> np.ndarray:
-        """Rows whose stencils reach past both windows ``arcsin(sqrt(depth) / R)`` plus ``tolerance``.
+    def _windows(radii, depth, tolerance, out=None) -> np.ndarray:
+        """Half-widths ``arcsin(sqrt(depth) / R)`` plus ``tolerance`` of the windows around roots of radius R.
 
         R = 0 divides by zero and a subnormal R overflows: the scans ignore those errors.
         """
-        ratio = np.sqrt(np.maximum(depth, 0.0)) / radii
-        half = np.arcsin(np.minimum(ratio, 0.5))
-        half[ratio > 0.5] = math.pi / 2.0
+        ratio = np.divide(np.sqrt(np.maximum(depth, 0.0)), radii, out=out)
+        wide = ratio > 0.5
+        half = np.arcsin(np.minimum(ratio, 0.5, out=ratio), out=ratio)
+        half[wide] = math.pi / 2.0
         half += tolerance
-        return (half < covers).all(axis=0)
+        return half
 
     def _full_rows(self, block: slice, pending, u, w):
         """Yield ``(k, rows, S block)`` for the rows of ``block`` that slice k left uncertified.
@@ -323,18 +335,27 @@ class _RidgeScanner:
                     s[~keep] = -np.inf
                 yield k, at, s
 
-    def _walk(self, rows: slice, u, w, threshold: float, limit: int, hopeful: bool, roots, offer):
-        """Per-k threshold counts and first hits of the weights ``(u[k], w[k])`` over the alpha rows ``rows``.
+    def _walk(self, rows: slice, u, w, threshold: float, limit: int, hopeful: bool, roots, per_row: bool):
+        """Maxima, first argmax keys, threshold counts and first hits of the weights ``(u[k], w[k])`` over the alpha rows ``rows``.
 
-        Per chunk and k, ``roots(k, block)`` gives ``(R, phase, floor, tolerance)`` of each
-        row's two roots; ``offer(k, at, S, idx)`` records the maxima of rows ``at``, S
-        either ``(rows, nb)`` with idx None or a ``(_WIDTH, rows)`` stencil at positions
-        ``idx``, and returns their level L and whether any S is over the threshold.  A row
-        is certified when its stencils reach past windows of depth ``(1 - L + slack) / 2 -
-        floor``; with ``hopeful`` false no stencil is evaluated.  The first ``limit`` hits
-        come as ``(k, keys i * nb + j, S)`` arrays in (k, key) order.
+        A slice is one k, or with ``per_row`` one alpha row (k is then 0);
+        keys are ``i * nb + j``, and each slice's key is that of its first
+        maximum in row-major order.  Per chunk and batch ``ks`` of k,
+        ``roots(ks, block, out)`` gives ``(R, phase, floor, tolerance)`` of
+        each row's two roots: R and phase ``(2, len(ks), rows)`` arrays that
+        may use the ``(4, 2, len(ks), rows)`` buffer ``out``, floor and
+        tolerance broadcasting to them.  Without ``per_row``, a seed row per
+        k sets a level and only the rows whose windows hold a column are
+        evaluated.  A row is certified when its stencils reach past windows
+        of depth ``(1 - L + slack) / 2 - floor``; with ``hopeful`` false no
+        stencil is evaluated.  Returns ``(maxima, keys, counts, hits)``, the
+        hits ``(k, key, S)`` arrays of the first ``limit`` in (k, key) order.
         """
-        nc, nb = len(u), self._cols[0].size
+        u, w = np.asarray(u, dtype=np.float64), np.asarray(w, dtype=np.float64)
+        nc, na, nb = u.size, self._rows[0].size, self._cols[0].size
+        start, stop, _ = rows.indices(na)
+        max_s = np.full(stop - start if per_row else nc, -np.inf)
+        key = np.zeros(max_s.size, dtype=np.int64)
         n_over = np.zeros(nc, dtype=np.int64)
         # Per slice, parts of (keys i * nb + j, values), each sorted by key,
         # of the hits that may still rank among the first `limit`.
@@ -361,29 +382,138 @@ class _RidgeScanner:
             if n_held > 2 * limit:
                 n_held = _keep_first(held, limit)
 
-        for block, buffers in self._chunks(rows):
-            at = np.arange(block.start, block.stop)
+        def merge(slices, tops, keys):
+            # Each of the distinct `slices` keeps the larger maximum; ties go to the smaller key.
+            now = max_s[slices]
+            win = (tops > now) | ((tops == now) & (keys < key[slices]))
+            max_s[slices[win]], key[slices[win]] = tops[win], keys[win]
+
+        def offer(slices, at, vals, idx):
+            # The stencils `vals` at positions `idx` of one slice, or of pairs sorted
+            # by slice: a slice's first maximum lies in the first of its rows that
+            # reaches the slice's top, at the smallest column there.
+            tops = vals.max(axis=0)
+            if np.ndim(slices):
+                starts = np.flatnonzero(np.diff(slices, prepend=-1))
+                reach = np.repeat(np.maximum.reduceat(tops, starts), np.diff(starts, append=tops.size))
+                slices = slices[starts]
+            else:
+                starts, reach, slices = np.zeros(1, dtype=np.intp), tops.max(), np.array([slices])
+            attained = np.flatnonzero(tops == reach)
+            first = attained[np.searchsorted(attained, starts)]
+            best = tops[first]
+            cols = np.where(vals[:, first] == best, self._phase_col[idx[:, first]], nb).min(axis=0)
+            merge(slices, best, at[first] * nb + cols)
+            return tops
+
+        def count(k, keys, vals):
+            # Count and hold the hits `keys` of slice k, each once (short axes repeat columns in a stencil).
+            keys, first = np.unique(keys, return_index=True)
+            left = room(k)
+            if left > 0:
+                hold(k, keys[:left], vals[first][:left])
+            n_over[k] += keys.size
+
+        blocks = list(self._chunks(rows))
+        height = max((b.stop - b.start for b in blocks), default=0)
+        # Pairs (slice, row) per stencil call: a chunk's rows, or on short axes a
+        # sixteenth of the rows the chunk budget allows (96 KB of buffers).
+        # Slices per pass: a pass keeps five (2, slices, rows) arrays, 10 values
+        # per slice and row, no more than the 4 _WIDTH per row of a chunk's
+        # stencil buffers; on short axes, as many slices as fill a call.
+        cap = max(height, _CHUNK_CANDIDATES // (16 * _WIDTH))
+        batch = max(1, min(nc, max(4 * _WIDTH // 10, cap // max(height, 1))))
+        store = np.empty((4, _WIDTH * cap)) if hopeful else None
+        pass_store = np.empty((4, 2 * batch * height)) if hopeful else None
+
+        for block in blocks:
+            n = block.stop - block.start
+            at_block = np.arange(block.start, block.stop)
             # Hits of each slice known to rank before its next full-row hits.
             ahead = n_over.copy()
             pending = [] if hopeful else [(k, None) for k in range(nc)]
-            for k in range(nc) if hopeful else ():
-                radii, phase, floor, tolerance = roots(k, block)
-                idx, vals, covers = self._stencil(block, phase, u[k], w[k], buffers)
-                level, over = offer(k, at, vals, idx)
-                sure = self._certified(radii, covers, (1.0 - level + self._slack) / 2.0 - floor, tolerance)
-                if over:
-                    # Only certified rows count here: the others are evaluated in full.
-                    m_idx, i_idx = np.nonzero((vals > threshold) & sure)
-                    cols = self._phase_col[idx[m_idx, i_idx]]
-                    keys, first = np.unique((block.start + i_idx) * nb + cols, return_index=True)
-                    left = room(k)
-                    if left > 0:
-                        hold(k, keys[:left], vals[m_idx, i_idx][first][:left])
-                    n_over[k] += keys.size
-                if not sure.all():
-                    pending.append((k, ~sure if sure.any() else None))
+            for lo in range(0, nc, batch) if hopeful else ():
+                ks = np.arange(lo, min(nc, lo + batch))
+                out = pass_store[:, :2 * ks.size * n].reshape(4, 2, ks.size, n)
+                radii, phase, floor, tolerance = roots(ks, block, out)
+                p = np.searchsorted(self._sorted_phase, phase, side="right")
+
+                def stencil(sel, at):
+                    # The (_WIDTH, pairs) stencils of the pairs `sel` = (batch
+                    # index, row offset) at alpha rows `at`, root-major.
+                    idx, x, y, z = store[:, :_WIDTH * at.size].reshape(4, _WIDTH, at.size)
+                    idx = idx.view(np.int64)
+                    np.add(p[(slice(None),) + sel][:, None, :], np.arange(2 * _SIDE)[:, None],
+                           out=idx.reshape(2, 2 * _SIDE, at.size))
+                    _gather(self._rows, self._stencil_cols, block if at is at_block else at, idx, x, y, z)
+                    return idx, _evaluate(x, y, z, u[ks[sel[0]]], w[ks[sel[0]]], x, z)
+
+                def pairs(b, i):
+                    # The pairs (b, i) in stencil calls of at most `cap`.
+                    for first in range(0, b.size, cap):
+                        sel = b[first:first + cap], i[first:first + cap]
+                        yield sel, block.start + sel[1]
+
+                if per_row:
+                    calls = [((0, slice(None)), at_block)]
+                else:
+                    near = self._reach(phase, p, 1, out[2:])
+                    # Each k's seed row, whose nearest column lies deepest in a
+                    # sinusoid (R near is about sqrt(p) there), sets a level its
+                    # top point reaches or passes.
+                    dip = np.multiply(radii, near, out=out[3])
+                    seeds = np.minimum(*dip, out=dip[0]).argmin(axis=1)
+                    seeded = np.concatenate([stencil(sel, at)[1].max(axis=0)
+                                             for sel, at in pairs(np.arange(ks.size), seeds)])
+                    level = np.minimum(np.maximum(max_s[ks], seeded), threshold)
+                    half = self._windows(radii, (1.0 - level[:, None] + self._slack) / 2.0 - floor, tolerance,
+                                         out[3])
+                    # Rows whose windows hold no column are below the level throughout.
+                    live = ~(half < near).all(axis=0)
+                    whole = live.all(axis=1)
+                    live[whole] = False
+                    calls = [((b, slice(None)), at_block) for b in np.flatnonzero(whole).tolist()]
+                    calls += pairs(*np.nonzero(live))
+                full = np.zeros((ks.size, n), dtype=bool)
+                for sel, at in calls:
+                    sub = (slice(None),) + sel
+                    idx, vals = stencil(sel, at)
+                    # One k per call, or per pair; a slice per row, or per k.
+                    k_sel = ks[sel[0]]
+                    slices = at - start if per_row else k_sel
+                    tops = offer(slices, at, vals, idx)
+                    level = np.minimum(max_s[slices], threshold)
+                    half = self._windows(radii[sub], (1.0 - level + self._slack) / 2.0 - _at(floor, sub),
+                                         _at(tolerance, sub))
+                    covers = self._reach(phase[sub], p[sub], _SIDE)
+                    sure = (half < covers).all(axis=0)
+                    if tops.max() > threshold:
+                        # Only certified rows count here: the others are evaluated in full.
+                        m_idx, i_idx = np.nonzero((vals > threshold) & sure)
+                        keys = at[i_idx] * nb + self._phase_col[idx[m_idx, i_idx]]
+                        if np.ndim(k_sel):
+                            k_sel = k_sel[i_idx]
+                            for k in np.unique(k_sel).tolist():
+                                count(k, keys[k_sel == k], vals[m_idx, i_idx][k_sel == k])
+                        else:
+                            count(int(k_sel), keys, vals[m_idx, i_idx])
+                    full[sel] = ~sure
+                for b in np.flatnonzero(full.any(axis=1)).tolist():
+                    pending.append((int(ks[b]), None if full[b].all() else full[b]))
             for k, rows_k, s in self._full_rows(block, pending, u, w):
-                if offer(k, rows_k, s, None)[1]:
+                if per_row:
+                    cols = np.argmax(s, axis=1)
+                    tops = s[np.arange(cols.size), cols]
+                    merge(rows_k - start, tops, rows_k * nb + cols)
+                    top = tops.max()
+                else:
+                    # One candidate per k and block, merged as scalars: `merge` costs
+                    # about ten numpy calls, a tenth of a block's evaluation.
+                    i, j = divmod(int(np.argmax(s)), nb)
+                    top, at_key = s[i, j], int(rows_k[i]) * nb + j
+                    if top > max_s[k] or (top == max_s[k] and at_key < key[k]):
+                        max_s[k], key[k] = top, at_key
+                if top > threshold:
                     over = s > threshold
                     found = int(np.count_nonzero(over))
                     left = room(k)
@@ -395,7 +525,12 @@ class _RidgeScanner:
                     ahead[k] += found
         _keep_first(held, limit)
         kept = [(np.full(keys.size, k), keys, vals) for k, parts in enumerate(held) for keys, vals in parts]
-        return n_over, tuple(np.concatenate(part) for part in zip(_NO_HITS, *kept))
+        return max_s, key, n_over, tuple(np.concatenate(part) for part in zip(_NO_HITS, *kept))
+
+
+def _at(values, sub):
+    """``values[sub]``, or ``values`` itself when it is a scalar."""
+    return values[sub] if np.ndim(values) else values
 
 
 class DiagonalScanner(_RidgeScanner):
@@ -431,7 +566,7 @@ class DiagonalScanner(_RidgeScanner):
         reach = math.sqrt(max((1.0 - threshold + _SLACK) / 2.0, 0.0))
         return math.asin(min(reach / 2.0, 0.5)) < self._span
 
-    @np.errstate(divide="ignore", over="ignore", invalid="ignore")  # R near 0 in _certified
+    @np.errstate(divide="ignore", over="ignore", invalid="ignore")  # R near 0 in _windows
     def scan(
         self, cs: np.ndarray, threshold: float, limit: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
@@ -442,39 +577,19 @@ class DiagonalScanner(_RidgeScanner):
         in (k, i, j) order.
         """
         cs = np.ascontiguousarray(cs, dtype=np.float64)
-        threshold = float(threshold)
-        nb = self._cols[0].size
-        max_s, key = [-math.inf] * cs.size, [0] * cs.size
         # (s, c) per slice, s as in the weights w = c s.
-        roots = np.stack([np.sqrt(1.0 - cs * cs), cs], axis=1)
+        sc = np.stack([np.sqrt(1.0 - cs * cs), cs])
 
-        def root(k, block):
-            # The roots of (s cos a, c sin a) and (c cos a, s sin a) in one (2, n) pass.
-            radii, phase = _root(np.multiply.outer(roots[k], self._cos_a[block]),
-                                 np.multiply.outer(roots[k][::-1], self._sin_a[block]))
-            return radii, phase, 0.0, self._margin
+        def root(ks, block, out):
+            # The roots of (s cos a, c sin a) and (c cos a, s sin a), (2, len(ks), rows) in one pass.
+            x = np.multiply(sc[:, ks, None], self._cos_a[block], out=out[2])
+            y = np.multiply(sc[::-1, ks, None], self._sin_a[block], out=out[1])
+            return (*_root(x, y, out[:2]), 0.0, self._margin)
 
-        def offer(k, at, s, idx):
-            # The first maximum in row-major order: its first row, and its
-            # smallest column there; ties go to the smaller key.
-            if idx is None:
-                i, j = divmod(int(np.argmax(s)), s.shape[1])
-                top = float(s[i, j])
-            else:
-                tops = s.max(axis=0)
-                i = int(np.argmax(tops))
-                top = float(tops[i])
-                j = int(self._phase_col[idx[:, i][s[:, i] == top]].min())
-            at_key = int(at[i]) * nb + j
-            if top > max_s[k] or (top == max_s[k] and at_key < key[k]):
-                max_s[k], key[k] = top, at_key
-            return min(max_s[k], threshold), top > threshold
-
-        n_over, (hit_k, keys, hit_s) = self._walk(slice(None), *self.weights(cs), threshold, limit,
-                                                  self._may_certify(threshold), root, offer)
-        hit_i, hit_j = np.divmod(keys, nb)
-        arg_i, arg_j = np.divmod(np.array(key, dtype=np.int64), nb)
-        return np.array(max_s), arg_i, arg_j, n_over, (hit_k, hit_i, hit_j, hit_s)
+        max_s, key, n_over, (hit_k, keys, hit_s) = self._walk(
+            slice(None), *self.weights(cs), float(threshold), limit, self._may_certify(threshold), root, False)
+        nb = self._cols[0].size
+        return max_s, *np.divmod(key, nb), n_over, (hit_k, *np.divmod(keys, nb), hit_s)
 
     def collect(self, c: float, threshold: float, limit: int) -> tuple[np.ndarray, ...]:
         """The ``(i, j, S)`` hits of :meth:`scan` for one ``c``; kept for tooling that wraps it by name."""
@@ -538,7 +653,7 @@ class PlaneScanner(_RidgeScanner):
             self._margin + _ROOT_ERROR / (r2 - _ROOT_ERROR),
         ])
 
-    @np.errstate(divide="ignore", over="ignore", invalid="ignore")  # R near 0 in _certified
+    @np.errstate(divide="ignore", over="ignore", invalid="ignore")  # R near 0 in _windows
     def scan(
         self, rows: slice, threshold: float, limit: int
     ) -> tuple[np.ndarray, np.ndarray, int, tuple[np.ndarray, ...]]:
@@ -548,22 +663,9 @@ class PlaneScanner(_RidgeScanner):
         with ``S > threshold`` in row-major order; ``i`` counts from the
         grid's first row.
         """
-        start, stop, _ = rows.indices(self._rows[0].size)
-        threshold = float(threshold)
         nb = self._cols[0].size
-        row_max, row_arg = np.empty(stop - start), np.zeros(stop - start, dtype=np.int64)
-
-        def offer(k, at, s, idx):
-            if idx is None:
-                j = np.argmax(s, axis=1)
-                top = s[np.arange(j.size), j]
-            else:
-                top = s.max(axis=0)
-                j = np.where(s == top, self._phase_col[idx], nb).min(axis=0)
-            row_max[at - start], row_arg[at - start] = top, j
-            return np.minimum(top, threshold), top.max() > threshold
-
         # A beta axis no wider than a row's stencils is cheaper to walk dense.
-        n_over, (_, keys, vals) = self._walk(slice(start, stop), (1.0,), (1.0,), threshold, limit, nb > _WIDTH,
-                                             lambda k, block: self._roots(block), offer)
-        return row_max, row_arg, int(n_over[0]), (*np.divmod(keys, nb), vals)
+        row_max, key, n_over, (_, keys, vals) = self._walk(
+            rows, (1.0,), (1.0,), float(threshold), limit, nb > _WIDTH,
+            lambda ks, block, out: self._roots(block)[:, :, None], True)
+        return row_max, key % nb, int(n_over[0]), (*np.divmod(keys, nb), vals)

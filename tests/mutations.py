@@ -25,8 +25,8 @@ KERNELS = Path("src", "leggettlab", "kernels.py")
 # name -> (text in kernels.py, replacement)
 MUTATIONS = {
     "certify every row": (
-        "return (half < covers).all(axis=0)",
-        "return np.ones(covers.shape[-1], dtype=bool)"),
+        "sure = (half < covers).all(axis=0)",
+        "sure = np.ones(covers.shape[-1], dtype=bool)"),
     "drop the p_min term": (
         "2.0 * xy.imag**2 / ((xx + yy) + r2) - _ROOT_ERROR",
         "0.0 * xx - _ROOT_ERROR"),
@@ -39,18 +39,27 @@ MUTATIONS = {
     "drop the circular padding": (
         "self._phase = phase[order][pos] + math.pi * wrap",
         "self._phase = phase[order][pos]"),
-    "drop the threshold from the diagonal window depth": (
-        "return min(max_s[k], threshold), top > threshold",
-        "return max_s[k], top > threshold"),
+    "drop the threshold from the window depth": (
+        "level = np.minimum(max_s[slices], threshold)",
+        "level = max_s[slices]"),
     "diagonal roots (c, c)": (
-        "roots = np.stack([np.sqrt(1.0 - cs * cs), cs], axis=1)",
-        "roots = np.stack([cs, cs], axis=1)"),
+        "sc = np.stack([np.sqrt(1.0 - cs * cs), cs])",
+        "sc = np.stack([cs, cs])"),
     "room counts the chunk's certified hits": (
         "int(ahead[k])",
         "int(n_over[k])"),
     "first diagonal stencil maximum in layout order": (
-        "i = int(np.argmax(tops))",
-        "i = int(np.argmax(s)) % tops.size"),
+        "attained = np.flatnonzero(tops == reach)",
+        "attained = np.flatnonzero(vals == reach) % tops.size"),
+    "the live test compares against covers in place of near": (
+        "near = self._reach(phase, p, 1, out[2:])",
+        "near = self._reach(phase, p, _SIDE, out[2:])"),
+    "the live test needs both roots' windows to hold a column": (
+        "live = ~(half < near).all(axis=0)",
+        "live = ~(half < near).any(axis=0)"),
+    "drop the threshold from the seed level": (
+        "level = np.minimum(np.maximum(max_s[ks], seeded), threshold)",
+        "level = np.maximum(max_s[ks], seeded)"),
 }
 
 

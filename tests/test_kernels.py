@@ -262,6 +262,32 @@ def test_windows_evaluate_a_small_part_of_the_grid(origin, threshold):
     assert sum(fallback) <= 2 * cs.size
 
 
+@pytest.mark.parametrize("origin", [0.0, 0.37 * 1e-2])
+@pytest.mark.parametrize("threshold", [1.0 + 1e-9, 1.0 - 1e-12])
+def test_stencils_are_gathered_only_on_rows_whose_windows_hold_a_column(origin, threshold):
+    # Each c's seed row sets a level; a row whose windows at that level hold
+    # no grid column is below it throughout, and its stencils are skipped.
+    # Not at c = 1/sqrt(2), whose roots sit at b = a on every row, nor at c = 0
+    # or 1 on a grid that holds b = 0 or pi/2, every row's root.
+    grid = _axis((origin, math.pi + origin, 1e-2))
+    cs = np.array([0.05, 0.3, 0.5, 0.9])
+    scanner = DiagonalScanner(grid, grid)
+    gathered = []
+    gather = kernels._gather
+
+    def counted(rows, cols, block, idx, x, y, z):
+        gathered.append(idx.shape[-1])
+        return gather(rows, cols, block, idx, x, y, z)
+
+    with mock.patch.object(kernels, "_gather", counted):
+        got = scanner.scan(cs, threshold, cs.size * grid.size**2)
+    want = reference_scan(grid, grid, cs, threshold)
+    for g, r in zip(got[:4] + got[4], want[:4] + want[4]):
+        assert np.array_equal(g, r)
+    # Seeds and live rows together: at most 5 % of the 315 rows per c.
+    assert 0 < sum(gathered) <= 0.05 * grid.size * cs.size
+
+
 @pytest.mark.parametrize("cs", [(0.05, 0.0, 0.3), (0.0, 0.05, 0.3)])
 def test_slices_sharing_full_rows_match_reference(cs):
     # At 1 - 1e-5 a window passes the stencil where R < 0.075: rows near
