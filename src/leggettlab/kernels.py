@@ -74,13 +74,10 @@ a stencil of no columns, so the same float-error bound holds with
 row holds neither the first maximum nor a hit, and none of its points is
 evaluated; the seed row itself either reaches L or is such a row.  The
 other (live) rows of a batch of ``c`` are gathered in one call, offered
-slice by slice, and certified as above at the level they raise.  A ``c``
-whose rows are all live (low thresholds) takes the whole chunk at once.
-On the paper grid about 6 of 3142 rows per ``c`` are live.  Fixed states
-skip no row: each row is a slice of its own.  A pass computes the roots of
-4 slices at a time on long axes, so that its five ``(2, slices, rows)``
-arrays take no more memory than a chunk's stencil buffers, and of 256
-``(slice, row)`` pairs on short axes (:meth:`_RidgeScanner._walk`).
+slice by slice, and certified as above at the level they raise, never
+below the seed's.  A ``c`` whose rows are all live (low thresholds) is
+taken in runs of whole rows.  On the paper grid about 6 of 3142 rows per
+``c`` are live.  Fixed states skip no row: each row is a slice of its own.
 With L within about 1e-13 of 1, a window is some 3e-7 / R rad wide.  At
 ``L = 1 - t`` it is about ``sqrt(t / 2) / R``, which passes the stencil
 once ``t > 2 (_SIDE h R)^2`` (1.8e-5 R^2 at step h = 1e-3): at lower
@@ -88,6 +85,18 @@ thresholds most rows are evaluated in full, at about the dense engine's
 cost (a diagonal scan whose threshold rules out every row skips its
 stencils).  A fixed state's row whose maximum lies far below 1 has L at
 its top, and a window about as wide as the top's distance from its root.
+
+A walk (:meth:`_RidgeScanner._walk`) holds one budget of a chunk's
+stencil buffers, 32 bytes per candidate (1.2 MB on the paper axis), or on
+an axis of a few rows 8 bytes per row a chunk may hold (32 KB).  A
+pass of b slices takes 10 values per slice and row: R, phase and their
+column positions, kept until its last stencil call, and two arrays for
+the live test.  So ``b = budget / (10 rows + 4 _WIDTH)``, the second term
+for the seeds' stencils: 4 slices on the paper axis, 46 on an axis of 4
+rows.  The live rows' stencils, 4 ``_WIDTH`` values per pair,
+then fill the budget past R and phase, over the live test's arrays: 1571
+pairs per call on the paper axis, so a slice whose rows are all live
+takes two calls.  Each call's windows reuse its spent stencil buffers.
 
 Float error, diagonal family.  With unit roundoff e = 2^-53 and numpy's
 float64 sin/cos within 4 ulp (8e relative), the tables carry relative
@@ -270,7 +279,7 @@ class _RidgeScanner:
     def _chunks(self, rows: slice = slice(None)):
         """Yield as few equal chunks of the alpha rows ``rows`` as hold at most ``_CHUNK_CANDIDATES`` candidates each.
 
-        A paper axis of 3142 rows is one chunk.  :meth:`_walk` passes a
+        A paper axis of 3142 rows is one chunk.  :meth:`_walk` forms a
         chunk's roots for a batch of slices at a time, in long numpy calls
         that run while other workers hold the interpreter.
         """
@@ -389,21 +398,17 @@ class _RidgeScanner:
             max_s[slices[win]], key[slices[win]] = tops[win], keys[win]
 
         def offer(slices, at, vals, idx):
-            # The stencils `vals` at positions `idx` of one slice, or of pairs sorted
-            # by slice: a slice's first maximum lies in the first of its rows that
-            # reaches the slice's top, at the smallest column there.
+            # The stencils `vals` at positions `idx` of pairs sorted by slice and row: a
+            # slice's first maximum lies in the first of its rows that reaches the
+            # slice's top, at the smallest column there.
             tops = vals.max(axis=0)
-            if np.ndim(slices):
-                starts = np.flatnonzero(np.diff(slices, prepend=-1))
-                reach = np.repeat(np.maximum.reduceat(tops, starts), np.diff(starts, append=tops.size))
-                slices = slices[starts]
-            else:
-                starts, reach, slices = np.zeros(1, dtype=np.intp), tops.max(), np.array([slices])
+            starts = np.flatnonzero(np.diff(slices, prepend=-1))
+            reach = np.repeat(np.maximum.reduceat(tops, starts), np.diff(starts, append=tops.size))
             attained = np.flatnonzero(tops == reach)
             first = attained[np.searchsorted(attained, starts)]
             best = tops[first]
             cols = np.where(vals[:, first] == best, self._phase_col[idx[:, first]], nb).min(axis=0)
-            merge(slices, best, at[first] * nb + cols)
+            merge(slices[first], best, at[first] * nb + cols)
             return tops
 
         def count(k, keys, vals):
@@ -416,15 +421,17 @@ class _RidgeScanner:
 
         blocks = list(self._chunks(rows))
         height = max((b.stop - b.start for b in blocks), default=0)
-        # Pairs (slice, row) per stencil call: a chunk's rows, or on short axes a
-        # sixteenth of the rows the chunk budget allows (96 KB of buffers).
-        # Slices per pass: a pass keeps five (2, slices, rows) arrays, 10 values
-        # per slice and row, no more than the 4 _WIDTH per row of a chunk's
-        # stencil buffers; on short axes, as many slices as fill a call.
-        cap = max(height, _CHUNK_CANDIDATES // (16 * _WIDTH))
-        batch = max(1, min(nc, max(4 * _WIDTH // 10, cap // max(height, 1))))
-        store = np.empty((4, _WIDTH * cap)) if hopeful else None
-        pass_store = np.empty((4, 2 * batch * height)) if hopeful else None
+        # One budget per walk: a chunk's stencil buffers, 4 _WIDTH values per row;
+        # on short axes, one value per row a chunk may hold; at least one slice's
+        # pass.  A pass of `batch` slices takes 10 values per slice and row: R,
+        # phase and their positions, which it keeps, and two (2, slices, rows)
+        # arrays for its live test; each seed's stencil takes 4 _WIDTH.  Stencil
+        # calls then fill the store past R and phase.
+        budget = max(4 * _WIDTH * height, _CHUNK_CANDIDATES // _WIDTH, 10 * height + 4 * _WIDTH)
+        batch = max(1, min(nc, budget // (10 * height + 4 * _WIDTH)))
+        cap = (budget - 6 * batch * height) // (4 * _WIDTH)
+        # The positions are searchsorted's own array, the rest of the budget.
+        store = np.empty(budget - 2 * batch * height) if hopeful else None
 
         for block in blocks:
             n = block.stop - block.start
@@ -434,69 +441,70 @@ class _RidgeScanner:
             pending = [] if hopeful else [(k, None) for k in range(nc)]
             for lo in range(0, nc, batch) if hopeful else ():
                 ks = np.arange(lo, min(nc, lo + batch))
-                out = pass_store[:, :2 * ks.size * n].reshape(4, 2, ks.size, n)
+                out = store[:8 * ks.size * n].reshape(4, 2, ks.size, n)
                 radii, phase, floor, tolerance = roots(ks, block, out)
                 p = np.searchsorted(self._sorted_phase, phase, side="right")
 
-                def stencil(sel, at):
-                    # The (_WIDTH, pairs) stencils of the pairs `sel` = (batch
-                    # index, row offset) at alpha rows `at`, root-major.
-                    idx, x, y, z = store[:, :_WIDTH * at.size].reshape(4, _WIDTH, at.size)
+                def stencil(sel, rows, at, region):
+                    # The (_WIDTH, pairs) stencils of the pairs `sel` = (batch index, row
+                    # offset) on the alpha rows `rows` (numbered `at`), root-major, in
+                    # `region`; returns (idx, S, y), y free for the caller.
+                    idx, x, y, z = region[:4 * _WIDTH * at.size].reshape(4, _WIDTH, at.size)
                     idx = idx.view(np.int64)
                     np.add(p[(slice(None),) + sel][:, None, :], np.arange(2 * _SIDE)[:, None],
                            out=idx.reshape(2, 2 * _SIDE, at.size))
-                    _gather(self._rows, self._stencil_cols, block if at is at_block else at, idx, x, y, z)
-                    return idx, _evaluate(x, y, z, u[ks[sel[0]]], w[ks[sel[0]]], x, z)
-
-                def pairs(b, i):
-                    # The pairs (b, i) in stencil calls of at most `cap`.
-                    for first in range(0, b.size, cap):
-                        sel = b[first:first + cap], i[first:first + cap]
-                        yield sel, block.start + sel[1]
+                    _gather(self._rows, self._stencil_cols, rows, idx, x, y, z)
+                    return idx, _evaluate(x, y, z, u[ks[sel[0]]], w[ks[sel[0]]], x, z), y
 
                 if per_row:
-                    calls = [((0, slice(None)), at_block)]
+                    whole, live, seeded = [0], np.zeros((1, n), dtype=bool), np.full(1, -np.inf)
                 else:
                     near = self._reach(phase, p, 1, out[2:])
                     # Each k's seed row, whose nearest column lies deepest in a
                     # sinusoid (R near is about sqrt(p) there), sets a level its
-                    # top point reaches or passes.
+                    # top point reaches or passes.  Its stencils take the store's
+                    # end, clear of near and the scratch array.
                     dip = np.multiply(radii, near, out=out[3])
                     seeds = np.minimum(*dip, out=dip[0]).argmin(axis=1)
-                    seeded = np.concatenate([stencil(sel, at)[1].max(axis=0)
-                                             for sel, at in pairs(np.arange(ks.size), seeds)])
-                    level = np.minimum(np.maximum(max_s[ks], seeded), threshold)
+                    top = stencil((np.arange(ks.size), seeds), block.start + seeds, block.start + seeds,
+                                  store[-4 * _WIDTH * ks.size:])[1].max(axis=0)
+                    seeded = np.maximum(max_s[ks], top)
+                    level = np.minimum(seeded, threshold)
                     half = self._windows(radii, (1.0 - level[:, None] + self._slack) / 2.0 - floor, tolerance,
                                          out[3])
                     # Rows whose windows hold no column are below the level throughout.
                     live = ~(half < near).all(axis=0)
-                    whole = live.all(axis=1)
+                    whole = np.flatnonzero(live.all(axis=1)).tolist()
                     live[whole] = False
-                    calls = [((b, slice(None)), at_block) for b in np.flatnonzero(whole).tolist()]
-                    calls += pairs(*np.nonzero(live))
+                # Calls (sel, rows, at) of at most `cap` pairs: runs of a slice's rows
+                # where all are live, then the other live pairs.
+                b_live, i_live = np.nonzero(live)
+                calls = [((b, slice(r, r + cap)), slice(block.start + r, block.start + min(n, r + cap)),
+                          at_block[r:r + cap]) for b in whole for r in range(0, n, cap)]
+                calls += [((b_live[r:r + cap], i_live[r:r + cap]),) + (block.start + i_live[r:r + cap],) * 2
+                          for r in range(0, b_live.size, cap)]
                 full = np.zeros((ks.size, n), dtype=bool)
-                for sel, at in calls:
+                for sel, rows_sel, at in calls:
                     sub = (slice(None),) + sel
-                    idx, vals = stencil(sel, at)
-                    # One k per call, or per pair; a slice per row, or per k.
-                    k_sel = ks[sel[0]]
-                    slices = at - start if per_row else k_sel
+                    idx, vals, free = stencil(sel, rows_sel, at, store[4 * batch * height:])
+                    # A slice per pair: its k, or with per_row its row.
+                    k_at = np.full(at.shape, ks[sel[0]])
+                    slices = at - start if per_row else k_at
                     tops = offer(slices, at, vals, idx)
-                    level = np.minimum(max_s[slices], threshold)
+                    level = np.minimum(np.maximum(max_s[slices], seeded[sel[0]]), threshold)
                     half = self._windows(radii[sub], (1.0 - level + self._slack) / 2.0 - _at(floor, sub),
-                                         _at(tolerance, sub))
-                    covers = self._reach(phase[sub], p[sub], _SIDE)
+                                         _at(tolerance, sub), free[4:6])
+                    covers = self._reach(phase[sub], p[sub], _SIDE, (free[:2], free[2:4]))
                     sure = (half < covers).all(axis=0)
                     if tops.max() > threshold:
                         # Only certified rows count here: the others are evaluated in full.
-                        m_idx, i_idx = np.nonzero((vals > threshold) & sure)
+                        # Taken pair by pair, each slice's hits form one run.
+                        i_idx, m_idx = np.nonzero(((vals > threshold) & sure).T)
                         keys = at[i_idx] * nb + self._phase_col[idx[m_idx, i_idx]]
-                        if np.ndim(k_sel):
-                            k_sel = k_sel[i_idx]
-                            for k in np.unique(k_sel).tolist():
-                                count(k, keys[k_sel == k], vals[m_idx, i_idx][k_sel == k])
-                        else:
-                            count(int(k_sel), keys, vals[m_idx, i_idx])
+                        hit_k, hit_s = k_at[i_idx], vals[m_idx, i_idx]
+                        runs = np.flatnonzero(np.diff(hit_k, prepend=-1)).tolist() + [hit_k.size]
+                        for a, b in zip(runs, runs[1:]):
+                            count(int(hit_k[a]), keys[a:b], hit_s[a:b])
                     full[sel] = ~sure
                 for b in np.flatnonzero(full.any(axis=1)).tolist():
                     pending.append((int(ks[b]), None if full[b].all() else full[b]))
@@ -507,8 +515,8 @@ class _RidgeScanner:
                     merge(rows_k - start, tops, rows_k * nb + cols)
                     top = tops.max()
                 else:
-                    # One candidate per k and block, merged as scalars: `merge` costs
-                    # about ten numpy calls, a tenth of a block's evaluation.
+                    # One candidate per k and block, compared as scalars: through `merge`
+                    # it cost the all-rows-in-full scan about a quarter more time.
                     i, j = divmod(int(np.argmax(s)), nb)
                     top, at_key = s[i, j], int(rows_k[i]) * nb + j
                     if top > max_s[k] or (top == max_s[k] and at_key < key[k]):

@@ -40,8 +40,8 @@ MUTATIONS = {
         "self._phase = phase[order][pos] + math.pi * wrap",
         "self._phase = phase[order][pos]"),
     "drop the threshold from the window depth": (
-        "level = np.minimum(max_s[slices], threshold)",
-        "level = max_s[slices]"),
+        "level = np.minimum(np.maximum(max_s[slices], seeded[sel[0]]), threshold)",
+        "level = np.maximum(max_s[slices], seeded[sel[0]])"),
     "diagonal roots (c, c)": (
         "sc = np.stack([np.sqrt(1.0 - cs * cs), cs])",
         "sc = np.stack([cs, cs])"),
@@ -58,8 +58,8 @@ MUTATIONS = {
         "live = ~(half < near).all(axis=0)",
         "live = ~(half < near).any(axis=0)"),
     "drop the threshold from the seed level": (
-        "level = np.minimum(np.maximum(max_s[ks], seeded), threshold)",
-        "level = np.maximum(max_s[ks], seeded)"),
+        "level = np.minimum(seeded, threshold)",
+        "level = seeded"),
 }
 
 
