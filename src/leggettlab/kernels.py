@@ -56,8 +56,10 @@ maximum in row-major order is among the evaluated points, and not over
 the threshold.  Other rows (R near 0, or windows wider than the stencil
 at low thresholds) go to the block engine, which builds a chunk's
 uncertified rows once for every ``c`` that needs them.  Scans list the
-points over the threshold where they count them, keeping the first
-``limit``: memory is O(``limit`` + chunk + axes) at any threshold.
+points over the threshold where they count them, in one flat list that
+one sort on (slice, key) trims to its first ``limit`` whenever it passes
+``2 limit``: memory is O(``limit`` + chunk + axes) at any threshold, plus
+the per-slice maxima, keys and counts, three arrays of O(slices).
 A chunk's stencils are laid out root-major, ``(2 roots, 2 _SIDE
 columns, rows)``: each stencil column is one contiguous run over the
 rows, along which every alpha table broadcasts.
@@ -359,6 +361,14 @@ class _RidgeScanner:
         of depth ``(1 - L + slack) / 2 - floor``; with ``hopeful`` false no
         stencil is evaluated.  Returns ``(maxima, keys, counts, hits)``, the
         hits ``(k, key, S)`` arrays of the first ``limit`` in (k, key) order.
+
+        Hits arrive in no global order: a chunk's full rows follow its
+        stencils, and a slice's stencil hits may follow a later slice's.  A
+        listing call's hits share one k and rise in key, so it holds at most
+        its first ``limit``.  Past ``2 limit`` held hits one sort on (k, key)
+        keeps the first ``limit``, and the last of them becomes ``cut``: no
+        hit after it can rank, so a later call whose first ``(k, key)`` lies
+        past ``cut`` lists nothing.
         """
         u, w = np.asarray(u, dtype=np.float64), np.asarray(w, dtype=np.float64)
         nc, na, nb = u.size, self._rows[0].size, self._cols[0].size
@@ -366,30 +376,22 @@ class _RidgeScanner:
         max_s = np.full(stop - start if per_row else nc, -np.inf)
         key = np.zeros(max_s.size, dtype=np.int64)
         n_over = np.zeros(nc, dtype=np.int64)
-        # Per slice, parts of (keys i * nb + j, values), each sorted by key,
-        # of the hits that may still rank among the first `limit`.
-        held: list[list] = [[] for _ in range(nc)]
-        n_held, spent = 0, nc
-
-        def room(k):
-            # How many of the hits slice k has just counted may still rank among
-            # the first `limit`, after every counted hit of an earlier slice.
-            # It only shrinks and is at most an earlier slice's room, so once it
-            # is spent no later slice lists a hit.
-            nonlocal spent
-            if k >= spent:
-                return 0
-            left = limit - int(n_over[:k].sum()) - int(ahead[k])
-            if left <= 0:
-                spent = k
-            return left
+        # Parts (k, keys i * nb + j, values) of the hits that may still rank among
+        # the first `limit`, and `cut`: (k, key) past which none can.  Before any
+        # trim every hit ranks before `cut`; with no room, none does.
+        parts: list[tuple] = []
+        n_held, cut = 0, (nc if limit else -1, 0)
 
         def hold(k, keys, vals):
-            nonlocal n_held
-            held[k].append((keys, vals))
+            # The hits `keys`, ascending, of slice k: only the first `limit` may rank.
+            nonlocal n_held, cut
+            keys, vals = keys[:limit], vals[:limit]
+            parts.append((np.full(keys.size, k), keys, vals))
             n_held += keys.size
             if n_held > 2 * limit:
-                n_held = _keep_first(held, limit)
+                parts[:] = [_first(parts, limit)]
+                n_held = limit
+                cut = (int(parts[0][0][-1]), int(parts[0][1][-1]))
 
         def merge(slices, tops, keys):
             # Each of the distinct `slices` keeps the larger maximum; ties go to the smaller key.
@@ -414,9 +416,8 @@ class _RidgeScanner:
         def count(k, keys, vals):
             # Count and hold the hits `keys` of slice k, each once (short axes repeat columns in a stencil).
             keys, first = np.unique(keys, return_index=True)
-            left = room(k)
-            if left > 0:
-                hold(k, keys[:left], vals[first][:left])
+            if (k, int(keys[0])) < cut:
+                hold(k, keys, vals[first])
             n_over[k] += keys.size
 
         blocks = list(self._chunks(rows))
@@ -436,8 +437,6 @@ class _RidgeScanner:
         for block in blocks:
             n = block.stop - block.start
             at_block = np.arange(block.start, block.stop)
-            # Hits of each slice known to rank before its next full-row hits.
-            ahead = n_over.copy()
             pending = [] if hopeful else [(k, None) for k in range(nc)]
             for lo in range(0, nc, batch) if hopeful else ():
                 ks = np.arange(lo, min(nc, lo + batch))
@@ -523,17 +522,12 @@ class _RidgeScanner:
                         max_s[k], key[k] = top, at_key
                 if top > threshold:
                     over = s > threshold
-                    found = int(np.count_nonzero(over))
-                    left = room(k)
-                    if left > 0:
-                        # Each kept hit has fewer than `left` of these before it.
-                        flat = np.flatnonzero(over)[:left]
+                    n_over[k] += int(np.count_nonzero(over))
+                    if (k, int(rows_k[0]) * nb) < cut:
+                        # Row-major, so the block's hits rise in key: its first `limit` may rank.
+                        flat = np.flatnonzero(over)[:limit]
                         hold(k, rows_k[flat // nb] * nb + flat % nb, s.ravel()[flat])
-                    n_over[k] += found
-                    ahead[k] += found
-        _keep_first(held, limit)
-        kept = [(np.full(keys.size, k), keys, vals) for k, parts in enumerate(held) for keys, vals in parts]
-        return max_s, key, n_over, tuple(np.concatenate(part) for part in zip(_NO_HITS, *kept))
+        return max_s, key, n_over, _first(parts, limit)
 
 
 def _at(values, sub):
@@ -604,21 +598,11 @@ class DiagonalScanner(_RidgeScanner):
         return self.scan(np.array([c]), threshold, limit)[4][1:]
 
 
-def _keep_first(held: list, limit: int) -> int:
-    """Keep the first ``limit`` hits of per-slice ``(keys, values)`` lists, in place; return how many.
-
-    Each part is sorted by key; a slice's parts are merged into one.  A hit is dropped
-    only when ``limit`` found hits rank before it, so later finds never bring it back.
-    """
-    room = limit
-    for k, parts in enumerate(held):
-        if len(parts) > 1:
-            keys, vals = (np.concatenate(part) for part in zip(*parts))
-            order = np.argsort(keys)
-            parts = [(keys[order], vals[order])]
-        held[k] = [(keys[:room], vals[:room]) for keys, vals in parts if room > 0]
-        room -= sum(keys.size for keys, _ in held[k])
-    return limit - room
+def _first(parts: list, limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The first ``limit`` hits in (k, key) order of the ``(k, key, S)`` arrays ``parts``."""
+    ks, keys, vals = (np.concatenate(part) for part in zip(_NO_HITS, *parts))
+    order = np.lexsort((keys, ks))[:limit]
+    return ks[order], keys[order], vals[order]
 
 
 class PlaneScanner(_RidgeScanner):

@@ -45,9 +45,6 @@ MUTATIONS = {
     "diagonal roots (c, c)": (
         "sc = np.stack([np.sqrt(1.0 - cs * cs), cs])",
         "sc = np.stack([cs, cs])"),
-    "room counts the chunk's certified hits": (
-        "int(ahead[k])",
-        "int(n_over[k])"),
     "first diagonal stencil maximum in layout order": (
         "attained = np.flatnonzero(tops == reach)",
         "attained = np.flatnonzero(vals == reach) % tops.size"),
@@ -60,6 +57,12 @@ MUTATIONS = {
     "drop the threshold from the seed level": (
         "level = np.minimum(seeded, threshold)",
         "level = seeded"),
+    "the trim keeps hits in arrival order": (
+        "np.lexsort((keys, ks))[:limit]",
+        "np.arange(keys.size)[:limit]"),
+    "a full-row block lists its last hits": (
+        "np.flatnonzero(over)[:limit]",
+        "np.flatnonzero(over)[-limit:]"),
 }
 
 

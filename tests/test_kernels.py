@@ -176,6 +176,22 @@ class TestDiagonalScanner:
         assert n_over.sum() == cs.size * grid.size**2 and hits[0].size == 10_000
         assert peak < 2 * 2**20
 
+    def test_slice_memory_is_a_few_arrays(self):
+        # 2^16 slices of 4 x 4 points, none over the threshold: the scan's
+        # per-slice arrays take about 3.5 MB, and no Python object per slice
+        # (an empty list each would add about 4 MB) may join them.
+        grid = np.linspace(0.0, math.pi, 4)
+        cs = np.linspace(0.0, 1.0, 1 << 16)
+        scanner = DiagonalScanner(grid, grid)
+        tracemalloc.start()
+        try:
+            _, _, _, n_over, hits = scanner.scan(cs, 1.0 + 1e-9, 10_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert n_over.sum() == 0 and hits[0].size == 0
+        assert peak < 6 * 2**20
+
 
 def check_against_reference(alphas, betas, cs, threshold, block_elems=None):
     """Scan tuples and hits equal the pure-Python reference bit for bit, at every limit.
