@@ -66,20 +66,21 @@ rows, along which every alpha table broadcasts.
 
 Most rows of a diagonal slice need no stencil at all.  Per ``c`` the
 scanner first evaluates one seed row, the row whose nearest column lies
-deepest in a sinusoid (smallest ``R near``, ``near`` the angular distance
-from a root to its nearest column on either side), and takes ``L =
-min(max(M, top), threshold)`` with ``top`` the seed's stencil maximum.  A
-row whose windows at that L hold no column (``half + margin < near`` at
-both roots) has ``S_float < L`` at every point: it is the cover test with
-a stencil of no columns, so the same float-error bound holds with
-``near`` in place of the distance to the farthest stencil column.  Such a
-row holds neither the first maximum nor a hit, and none of its points is
-evaluated; the seed row itself either reaches L or is such a row.  The
-other (live) rows of a batch of ``c`` are gathered in one call, offered
-slice by slice, and certified as above at the level they raise, never
-below the seed's.  A ``c`` whose rows are all live (low thresholds) is
-taken in runs of whole rows.  On the paper grid about 6 of 3142 rows per
-``c`` are live.  Fixed states skip no row: each row is a slice of its own.
+deepest in a sinusoid (smallest ``dip = R^2 max(near - margin, 0)^2``,
+``near`` the angular distance from a root to its nearest column on either
+side), and takes ``L = min(max(M, top), threshold)`` with ``top`` the
+seed's stencil maximum.  A row whose windows at that L hold no column at
+either root has ``S_float < L`` at every point: it is the cover test with a
+stencil of no columns, so the same float-error bound holds with ``near``
+in place of the distance to the farthest stencil column.  Such a row holds
+neither the first maximum nor a hit, and none of its points is evaluated;
+the seed row itself either reaches L or is such a row.  A screen finds
+these rows with no arcsin (:meth:`DiagonalScanner._dead`).  The other
+(live) rows of a batch of ``c`` are gathered in one call, offered slice by
+slice, and certified as above at the level they raise, never below the
+seed's.  A ``c`` whose rows are all live (low thresholds) is taken in runs
+of whole rows.  On the paper grid about 7 of 3142 rows per ``c`` are
+live.  Fixed states skip no row: each row is a slice of its own.
 With L within about 1e-13 of 1, a window is some 3e-7 / R rad wide.  At
 ``L = 1 - t`` it is about ``sqrt(t / 2) / R``, which passes the stencil
 once ``t > 2 (_SIDE h R)^2`` (1.8e-5 R^2 at step h = 1e-3): at lower
@@ -88,20 +89,18 @@ cost (a diagonal scan whose threshold rules out every row skips its
 stencils).  A fixed state's row whose maximum lies far below 1 has L at
 its top, and a window about as wide as the top's distance from its root.
 
-A walk (:meth:`_RidgeScanner._walk`) holds one budget of a chunk's
-stencil buffers, 32 bytes per candidate (1.2 MB on the paper axis), or on
-an axis of a few rows 8 bytes per row a chunk may hold (32 KB).  A
-pass of b slices takes 10 values per slice and row: R, phase and their
-column positions, kept until its last stencil call, and two arrays for
-the live test.  So ``b = budget / (10 rows + 4 _WIDTH)``, the second term
-for the seeds' stencils: 4 slices on the paper axis, 46 on an axis of 4
-rows.  The live rows' stencils, 4 ``_WIDTH`` values per pair,
-then fill the budget past R and phase, over the live test's arrays: 1571
-pairs per call on the paper axis, so a slice whose rows are all live
-takes two calls.  Each call's windows reuse its spent stencil buffers.
+A walk (:meth:`_RidgeScanner._walk`) holds one store.  A pass of
+``_PASS`` slices keeps there each root's dip and a scratch array, 4 values
+per slice and row of a chunk (0.8 MB on the paper axis); on an axis of a
+few rows the store holds 8 bytes per row a chunk may hold (32 KB), and the
+seeds' stencils bound a pass (64 slices on 4 rows).  Column positions come
+from a bucket table (:meth:`_RidgeScanner._locate`).  Live pairs recompute
+their roots and evaluate their stencils in the whole store, 8 + 4
+``_WIDTH`` values each: 1795 per call on the paper axis, so a slice whose
+rows are all live takes two calls.  Their windows reuse spent buffers.
 
 Float error, diagonal family.  With unit roundoff e = 2^-53 and numpy's
-float64 sin/cos within 4 ulp (8e relative), the tables carry relative
+float64 sin, cos and tan within 4 ulp (8e relative), the tables carry relative
 errors of at most 18e (squares) and 8e (``sin 2t``), and for ``0 <= u <=
 1``, ``|w| <= 1`` the five operations give ``|S_float - S*| <= 99e``,
 ``*`` marking exact values at the float angles and weights.  With the
@@ -113,16 +112,14 @@ sin 2a sin 2b``:
 
 with ``|N - 1| < 4e``, ``|u - |s^2 - c^2|| < 8e`` and ``|w - c s| < e``,
 so ``|S_float - (1 - 2 min p)| < 112e = 1.25e-14``: the slack is
-``_SLACK = 1e-13``.  The roots come from s, c, ``sqrt(cos^2 a)`` and
-``copysign(sqrt(sin^2 a), sin 2a)`` (10e relative), ``arctan2`` (4 ulp)
-and its fold mod pi by one masked add, equal to ``remainder(., pi)``
-bit for bit (2e-16, plus ``|pi - fl(pi)| = 1.3e-16`` per
-period): phases are exact to within 3e-15 plus ``4e-17 |beta|``, radii
-to within 20e relative, which moves a window of ``arcsin(x)``, ``x <=
-1/2``, by at most 30e, for ``R >= 2 sqrt(D) >= 4e-7``, the only rows
-that can be certified.  ``_ANGLE_MARGIN * max(1, max |beta|)`` covers
-them 300 times over.  A window wider than ``pi/6`` (``sqrt(D) / R >
-1/2``) counts as the whole half-period.
+``_SLACK = 1e-13``.  Phases (``arctan2``, 4 ulp, of ``c T`` or ``s T``
+against s or c, T = tan a) are within 3e-15, and near within 1e-15 more
+plus ``4e-17 |beta|``; R^2 is within 20e, which moves a window of
+``arcsin(x)``, ``x <= 1/2``, by under 10e for ``R >= 2 sqrt(D) >= 4e-7``,
+the only rows that can be certified.  ``_ANGLE_MARGIN * max(1, max
+|beta|)`` covers them 200 times over.  A window wider than ``pi/6``
+counts as the whole half-period.  The screen's factor ``1 + 1e-14``
+covers its own rounding and that of :meth:`_windows` (under 40e).
 
 Float error, fixed states.  ``joint_probabilities`` multiplies float
 kets (8e relative) into C and sums four terms, so an amplitude lies
@@ -162,9 +159,11 @@ _BLOCK_ELEMS = 32 * 1024
 # Stencil columns on each side of a root; a row holds two roots.
 _SIDE = 3
 _WIDTH = 4 * _SIDE
-# Stencil candidates per chunk of whole alpha rows: a chunk's four
-# buffers take 32 bytes per candidate, at most 1.5 MB.
+# Stencil candidates per chunk of whole alpha rows, 4096 rows of _WIDTH.
 _CHUNK_CANDIDATES = 48 * 1024
+# Slices per pass of a ridge walk, 4 store values per row each: 12 were faster
+# but raised the census scan's peak RSS by 0.5 MB over 8.
+_PASS = 8
 # The slack of the window depth D, the angular margin of a window, and the
 # error bound of a fixed state's R^2 and p_min (module docstring).
 _SLACK = 1e-13
@@ -246,14 +245,6 @@ def _fold(phase: np.ndarray) -> np.ndarray:
     return phase
 
 
-def _root(x: np.ndarray, y: np.ndarray, out=(None, None)) -> tuple[np.ndarray, np.ndarray]:
-    """Radius R and phase phi mod pi of the points ``(x, y)``: ``R^2 sin^2(b - phi)`` is 0 at phi.
-
-    ``out`` may name buffers for R and phi; phi's may be y's.
-    """
-    return np.hypot(x, y, out=out[0]), _fold(np.arctan2(y, x, out=out[1]))
-
-
 class _RidgeScanner:
     """A family's tables and its beta columns in phase order, walked by :meth:`_walk` (module docstring).
 
@@ -277,6 +268,14 @@ class _RidgeScanner:
         taken: dict = {}
         self._stencil_cols = tuple(taken.setdefault(id(k), k[self._phase_col]) for k in cols)
         self._margin = _ANGLE_MARGIN * float(np.max(np.abs(betas), initial=1.0))
+        # The first position of each of `buckets` equal buckets of [0, pi], at most
+        # 1 MB: a phase's bucket is floor(phase * scale), the same float map for
+        # columns and roots, so no column of a later bucket lies at or below it.
+        buckets = min(2 * betas.size, 2**17 - 2)
+        self._scale = buckets / math.pi
+        self._bucket = np.searchsorted((self._sorted_phase * self._scale).astype(np.int64), np.arange(buckets + 2))
+        self._steps = int(np.diff(self._bucket).max())
+        self._upper = np.append(self._sorted_phase, np.inf)
 
     def _chunks(self, rows: slice = slice(None)):
         """Yield as few equal chunks of the alpha rows ``rows`` as hold at most ``_CHUNK_CANDIDATES`` candidates each.
@@ -291,25 +290,34 @@ class _RidgeScanner:
         for first in range(start, stop, height):
             yield slice(first, min(stop, first + height))
 
-    def _reach(self, phase: np.ndarray, p: np.ndarray, m: int, out=(None, None)) -> np.ndarray:
-        """Per root, the angular distance to its m-th column on the nearer side (m = 1: the nearest column).
+    def _locate(self, phase: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """``np.searchsorted(sorted column phases, phase, side="right")`` for phases in [0, fl(pi)], in the int64 ``out``.
 
-        ``p`` holds the roots' phase-order positions (``searchsorted``);
-        ``out`` may name two buffers of their shape, the first for the result.
+        From the first position of the phase's bucket, each step passes one
+        more column at or below it; no bucket holds more than ``_steps``.
         """
-        left = np.take(self._phase[_SIDE - m:], p, out=out[0], mode="clip")
+        np.multiply(phase, self._scale, out=out, casting="unsafe")  # truncation, the floor of a phase >= 0
+        np.take(self._bucket, out, out=out, mode="clip")
+        for _ in range(self._steps):
+            np.take(self._upper, out, out=scratch, mode="clip")
+            out += np.less_equal(scratch, phase, out=scratch.view(np.int64))
+        return out
+
+    def _reach(self, phase: np.ndarray, p: np.ndarray, out) -> np.ndarray:
+        """Per root at position ``p``, the distance to its ``_SIDE``-th column on the nearer side, in ``out[0]`` (``out[1]`` scratch)."""
+        left = np.take(self._phase, p, out=out[0], mode="clip")
         np.subtract(phase, left, out=left)
-        right = np.take(self._phase[_SIDE - 1 + m:], p, out=out[1], mode="clip")
+        right = np.take(self._phase[2 * _SIDE - 1:], p, out=out[1], mode="clip")
         np.subtract(right, phase, out=right)
         return np.minimum(left, right, out=left)
 
     @staticmethod
-    def _windows(radii, depth, tolerance, out=None) -> np.ndarray:
-        """Half-widths ``arcsin(sqrt(depth) / R)`` plus ``tolerance`` of the windows around roots of radius R.
+    def _windows(r2, depth, tolerance, out=None) -> np.ndarray:
+        """Half-widths ``arcsin(sqrt(depth) / R)`` plus ``tolerance`` of the windows around roots of radius ``R = sqrt(r2)``.
 
         R = 0 divides by zero and a subnormal R overflows: the scans ignore those errors.
         """
-        ratio = np.divide(np.sqrt(np.maximum(depth, 0.0)), radii, out=out)
+        ratio = np.divide(np.sqrt(np.maximum(depth, 0.0)), np.sqrt(r2, out=out), out=out)
         wide = ratio > 0.5
         half = np.arcsin(np.minimum(ratio, 0.5, out=ratio), out=ratio)
         half[wide] = math.pi / 2.0
@@ -346,17 +354,17 @@ class _RidgeScanner:
                     s[~keep] = -np.inf
                 yield k, at, s
 
-    def _walk(self, rows: slice, u, w, threshold: float, limit: int, hopeful: bool, roots, per_row: bool):
+    def _walk(self, rows: slice, u, w, threshold: float, limit: int, hopeful: bool, roots, screen):
         """Maxima, first argmax keys, threshold counts and first hits of the weights ``(u[k], w[k])`` over the alpha rows ``rows``.
 
-        A slice is one k, or with ``per_row`` one alpha row (k is then 0);
-        keys are ``i * nb + j``, and each slice's key is that of its first
-        maximum in row-major order.  Per chunk and batch ``ks`` of k,
-        ``roots(ks, block, out)`` gives ``(R, phase, floor, tolerance)`` of
-        each row's two roots: R and phase ``(2, len(ks), rows)`` arrays that
-        may use the ``(4, 2, len(ks), rows)`` buffer ``out``, floor and
-        tolerance broadcasting to them.  Without ``per_row``, a seed row per
-        k sets a level and only the rows whose windows hold a column are
+        A slice is one k, or without a ``screen`` one alpha row (k is then
+        0); keys are ``i * nb + j``, and each slice's key is that of its first
+        maximum in row-major order.  ``roots(k, rows, out)`` gives ``(R^2,
+        phase, floor, tolerance)`` of the weights k on the alpha rows
+        ``rows``: R^2 and phase ``(2, ...)`` arrays in the first two of the
+        three buffers ``out`` (the third is scratch).  ``screen(ks, block,
+        out)`` gives the dips (:meth:`DiagonalScanner._dips`) of a batch in
+        ``out``; a seed row per k then sets a level and only live rows are
         evaluated.  A row is certified when its stencils reach past windows
         of depth ``(1 - L + slack) / 2 - floor``; with ``hopeful`` false no
         stencil is evaluated.  Returns ``(maxima, keys, counts, hits)``, the
@@ -372,6 +380,7 @@ class _RidgeScanner:
         """
         u, w = np.asarray(u, dtype=np.float64), np.asarray(w, dtype=np.float64)
         nc, na, nb = u.size, self._rows[0].size, self._cols[0].size
+        per_row = screen is None
         start, stop, _ = rows.indices(na)
         max_s = np.full(stop - start if per_row else nc, -np.inf)
         key = np.zeros(max_s.size, dtype=np.int64)
@@ -404,8 +413,10 @@ class _RidgeScanner:
             # slice's first maximum lies in the first of its rows that reaches the
             # slice's top, at the smallest column there.
             tops = vals.max(axis=0)
-            starts = np.flatnonzero(np.diff(slices, prepend=-1))
-            reach = np.repeat(np.maximum.reduceat(tops, starts), np.diff(starts, append=tops.size))
+            head = np.ones(tops.size, dtype=bool)
+            np.not_equal(slices[1:], slices[:-1], out=head[1:])
+            starts = np.flatnonzero(head)
+            reach = np.repeat(np.maximum.reduceat(tops, starts), np.append(starts[1:], tops.size) - starts)
             attained = np.flatnonzero(tops == reach)
             first = attained[np.searchsorted(attained, starts)]
             best = tops[first]
@@ -422,17 +433,27 @@ class _RidgeScanner:
 
         blocks = list(self._chunks(rows))
         height = max((b.stop - b.start for b in blocks), default=0)
-        # One budget per walk: a chunk's stencil buffers, 4 _WIDTH values per row;
-        # on short axes, one value per row a chunk may hold; at least one slice's
-        # pass.  A pass of `batch` slices takes 10 values per slice and row: R,
-        # phase and their positions, which it keeps, and two (2, slices, rows)
-        # arrays for its live test; each seed's stencil takes 4 _WIDTH.  Stencil
-        # calls then fill the store past R and phase.
-        budget = max(4 * _WIDTH * height, _CHUNK_CANDIDATES // _WIDTH, 10 * height + 4 * _WIDTH)
-        batch = max(1, min(nc, budget // (10 * height + 4 * _WIDTH)))
-        cap = (budget - 6 * batch * height) // (4 * _WIDTH)
-        # The positions are searchsorted's own array, the rest of the budget.
-        store = np.empty(budget - 2 * batch * height) if hopeful else None
+        # One store per walk: a pass of _PASS slices, each root's dip and scratch per
+        # row; on short axes, one value per row a chunk may hold.  Stencil calls
+        # then take the whole store, 8 + 4 _WIDTH values per pair.
+        pair = 8 + 4 * _WIDTH
+        budget = max(4 * _PASS * height, _CHUNK_CANDIDATES // _WIDTH, 2 * height + pair)
+        batch = max(1, min(nc, budget // max(4 * height, 2 * height + pair)))
+        cap = budget // pair
+        store = np.empty(budget) if hopeful else None
+
+        def evaluate(b_sel, rows, at, region):
+            # Roots, positions and (_WIDTH, pairs) root-major stencils of the pairs
+            # (ks[b_sel], rows), rows numbered `at`, in `region`; y is returned free.
+            m = at.size
+            state = region[:8 * m].reshape(4, 2, m)
+            found = roots(ks[b_sel], rows, state[:3])
+            p = self._locate(found[1], state[3].view(np.int64), state[2])
+            idx, x, y, z = region[8 * m:pair * m].reshape(4, _WIDTH, m)
+            idx = idx.view(np.int64)
+            np.add(p[:, None, :], np.arange(2 * _SIDE)[:, None], out=idx.reshape(2, 2 * _SIDE, m))
+            _gather(self._rows, self._stencil_cols, rows, idx, x, y, z)
+            return found, p, idx, _evaluate(x, y, z, u[ks[b_sel]], w[ks[b_sel]], x, z), y
 
         for block in blocks:
             n = block.stop - block.start
@@ -440,60 +461,41 @@ class _RidgeScanner:
             pending = [] if hopeful else [(k, None) for k in range(nc)]
             for lo in range(0, nc, batch) if hopeful else ():
                 ks = np.arange(lo, min(nc, lo + batch))
-                out = store[:8 * ks.size * n].reshape(4, 2, ks.size, n)
-                radii, phase, floor, tolerance = roots(ks, block, out)
-                p = np.searchsorted(self._sorted_phase, phase, side="right")
-
-                def stencil(sel, rows, at, region):
-                    # The (_WIDTH, pairs) stencils of the pairs `sel` = (batch index, row
-                    # offset) on the alpha rows `rows` (numbered `at`), root-major, in
-                    # `region`; returns (idx, S, y), y free for the caller.
-                    idx, x, y, z = region[:4 * _WIDTH * at.size].reshape(4, _WIDTH, at.size)
-                    idx = idx.view(np.int64)
-                    np.add(p[(slice(None),) + sel][:, None, :], np.arange(2 * _SIDE)[:, None],
-                           out=idx.reshape(2, 2 * _SIDE, at.size))
-                    _gather(self._rows, self._stencil_cols, rows, idx, x, y, z)
-                    return idx, _evaluate(x, y, z, u[ks[sel[0]]], w[ks[sel[0]]], x, z), y
-
                 if per_row:
                     whole, live, seeded = [0], np.zeros((1, n), dtype=bool), np.full(1, -np.inf)
                 else:
-                    near = self._reach(phase, p, 1, out[2:])
-                    # Each k's seed row, whose nearest column lies deepest in a
-                    # sinusoid (R near is about sqrt(p) there), sets a level its
-                    # top point reaches or passes.  Its stencils take the store's
-                    # end, clear of near and the scratch array.
-                    dip = np.multiply(radii, near, out=out[3])
-                    seeds = np.minimum(*dip, out=dip[0]).argmin(axis=1)
-                    top = stencil((np.arange(ks.size), seeds), block.start + seeds, block.start + seeds,
-                                  store[-4 * _WIDTH * ks.size:])[1].max(axis=0)
+                    # Each k's seed row, whose nearest column lies deepest in a sinusoid
+                    # (the smallest dip, about p there), sets a level its top point
+                    # reaches or passes.  The seeds, then the dead flags, follow the dips.
+                    dip = screen(ks, block, store[:4 * ks.size * n].reshape(2, 2, ks.size, n))
+                    spare = store[2 * ks.size * n:]
+                    seeds = np.minimum(*dip, out=spare[:ks.size * n].reshape(ks.size, n)).argmin(axis=1)
+                    top = evaluate(np.arange(ks.size), block.start + seeds, block.start + seeds, spare)[3].max(axis=0)
                     seeded = np.maximum(max_s[ks], top)
                     level = np.minimum(seeded, threshold)
-                    half = self._windows(radii, (1.0 - level[:, None] + self._slack) / 2.0 - floor, tolerance,
-                                         out[3])
                     # Rows whose windows hold no column are below the level throughout.
-                    live = ~(half < near).all(axis=0)
+                    dead = self._dead(dip, (1.0 - level[:, None] + self._slack) / 2.0,
+                                      spare.view(np.bool_)[:dip.size].reshape(dip.shape))
+                    live = ~dead.all(axis=0)
                     whole = np.flatnonzero(live.all(axis=1)).tolist()
                     live[whole] = False
-                # Calls (sel, rows, at) of at most `cap` pairs: runs of a slice's rows
-                # where all are live, then the other live pairs.
+                # Calls (batch indices, rows, at) of at most `cap` pairs: runs of a
+                # slice's rows where all are live, then the other live pairs.
                 b_live, i_live = np.nonzero(live)
-                calls = [((b, slice(r, r + cap)), slice(block.start + r, block.start + min(n, r + cap)),
-                          at_block[r:r + cap]) for b in whole for r in range(0, n, cap)]
-                calls += [((b_live[r:r + cap], i_live[r:r + cap]),) + (block.start + i_live[r:r + cap],) * 2
+                calls = [([b], slice(block.start + r, block.start + min(n, r + cap)), at_block[r:r + cap])
+                         for b in whole for r in range(0, n, cap)]
+                calls += [(b_live[r:r + cap],) + (block.start + i_live[r:r + cap],) * 2
                           for r in range(0, b_live.size, cap)]
                 full = np.zeros((ks.size, n), dtype=bool)
-                for sel, rows_sel, at in calls:
-                    sub = (slice(None),) + sel
-                    idx, vals, free = stencil(sel, rows_sel, at, store[4 * batch * height:])
+                for b_sel, rows_sel, at in calls:
+                    (r2, phase, floor, tolerance), p, idx, vals, free = evaluate(b_sel, rows_sel, at, store)
                     # A slice per pair: its k, or with per_row its row.
-                    k_at = np.full(at.shape, ks[sel[0]])
+                    k_at = np.full(at.shape, ks[b_sel])
                     slices = at - start if per_row else k_at
                     tops = offer(slices, at, vals, idx)
-                    level = np.minimum(np.maximum(max_s[slices], seeded[sel[0]]), threshold)
-                    half = self._windows(radii[sub], (1.0 - level + self._slack) / 2.0 - _at(floor, sub),
-                                         _at(tolerance, sub), free[4:6])
-                    covers = self._reach(phase[sub], p[sub], _SIDE, (free[:2], free[2:4]))
+                    level = np.minimum(np.maximum(max_s[slices], seeded[b_sel]), threshold)
+                    half = self._windows(r2, (1.0 - level + self._slack) / 2.0 - floor, tolerance, free[4:6])
+                    covers = self._reach(phase, p, (free[:2], free[2:4]))
                     sure = (half < covers).all(axis=0)
                     if tops.max() > threshold:
                         # Only certified rows count here: the others are evaluated in full.
@@ -501,10 +503,10 @@ class _RidgeScanner:
                         i_idx, m_idx = np.nonzero(((vals > threshold) & sure).T)
                         keys = at[i_idx] * nb + self._phase_col[idx[m_idx, i_idx]]
                         hit_k, hit_s = k_at[i_idx], vals[m_idx, i_idx]
-                        runs = np.flatnonzero(np.diff(hit_k, prepend=-1)).tolist() + [hit_k.size]
-                        for a, b in zip(runs, runs[1:]):
+                        runs = (np.flatnonzero(hit_k[1:] != hit_k[:-1]) + 1).tolist()
+                        for a, b in zip([0] + runs, runs + [hit_k.size]) if hit_k.size else ():
                             count(int(hit_k[a]), keys[a:b], hit_s[a:b])
-                    full[sel] = ~sure
+                    full[b_sel, at - block.start] = ~sure
                 for b in np.flatnonzero(full.any(axis=1)).tolist():
                     pending.append((int(ks[b]), None if full[b].all() else full[b]))
             for k, rows_k, s in self._full_rows(block, pending, u, w):
@@ -530,11 +532,6 @@ class _RidgeScanner:
         return max_s, key, n_over, _first(parts, limit)
 
 
-def _at(values, sub):
-    """``values[sub]``, or ``values`` itself when it is a scalar."""
-    return values[sub] if np.ndim(values) else values
-
-
 class DiagonalScanner(_RidgeScanner):
     """Reusable scanner over a fixed (alpha, beta) grid for the diagonal family.
 
@@ -546,7 +543,13 @@ class DiagonalScanner(_RidgeScanner):
         ca2, sa2, s2a = _trig(alphas)
         cb2, sb2, s2b = _trig(betas)
         super().__init__((ca2, ca2, sa2, s2a), (cb2, cb2, sb2, s2b), betas, _SLACK)
-        self._cos_a, self._sin_a = np.sqrt(ca2), np.copysign(np.sqrt(sa2), s2a)
+        self._tan_a = np.tan(np.asarray(alphas, dtype=np.float64))
+        # Midpoints and half-gaps of the gaps between columns, indexed by the position
+        # of the column on the right, and the screen's factor (:meth:`_dead`).
+        nb = cb2.size
+        left, right = self._phase[_SIDE - 1:_SIDE + nb], self._phase[_SIDE:_SIDE + nb + 1]
+        self._mid, self._gap = (left + right) / 2.0, (right - left) / 2.0
+        self._screen = max((math.pi / 3.0) ** 2, 4.0 * float(self._gap.max()) ** 2) * (1.0 + 1e-14)
         # No stencil reaches farther from its root than half its span.
         self._span = float(np.max(self._phase[2 * _SIDE - 1:] - self._phase[:1 - 2 * _SIDE])) / 2.0
 
@@ -568,6 +571,61 @@ class DiagonalScanner(_RidgeScanner):
         reach = math.sqrt(max((1.0 - threshold + _SLACK) / 2.0, 0.0))
         return math.asin(min(reach / 2.0, 0.5)) < self._span
 
+    def _phases(self, sc: np.ndarray, k, rows, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """Phases in [0, pi] of the roots ``(s cos a, c sin a)`` and ``(c cos a, s sin a)``, ``(s, c) = sc[:, k]``, in ``out``.
+
+        ``arctan2(c T, s)`` and ``arctan2(s T, c)``, ``T = tan a``, with both
+        arguments negated where the first is negative; ``scratch`` is float.
+        """
+        np.multiply(sc[::-1, k], self._tan_a[rows], out=out)
+        np.copysign(sc[:, k], out, out=scratch)
+        return np.arctan2(np.abs(out, out=out), scratch, out=out)
+
+    def _roots(self, sc: np.ndarray, k, rows, out) -> tuple:
+        """``(R^2, phase, floor, tolerance)`` of the roots of :meth:`_phases`, R^2 and phase in ``out[0]`` and ``out[1]``, ``out[2]`` scratch."""
+        r2, phase, scratch = out
+        sc2 = sc[:, k] ** 2
+        np.multiply(sc2, self._rows[0][rows], out=r2)
+        r2 += np.multiply(sc2[::-1], self._rows[2][rows], out=scratch)
+        return r2, self._phases(sc, k, rows, phase, scratch), 0.0, self._margin
+
+    def _near(self, phase: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """Per root, in place of its ``phase``, the distance ``gap[p] - |phase - mid[p]|`` to its nearest column.
+
+        The position p fills the int64 ``out``; ``scratch`` is float.
+        """
+        self._locate(phase, out, scratch)
+        np.subtract(phase, np.take(self._mid, out, out=scratch, mode="clip"), out=phase)
+        np.abs(phase, out=phase)
+        return np.subtract(np.take(self._gap, out, out=scratch, mode="clip"), phase, out=phase)
+
+    def _dips(self, sc: np.ndarray, ks: np.ndarray, block: slice, out) -> np.ndarray:
+        """``R^2 max(near - margin, 0)^2`` per root of the weights ``ks`` on the alpha rows ``block``, in ``out[0]`` (``out[1]`` scratch)."""
+        dip, scratch = out
+        k = ks[:, None]
+        self._phases(sc, k, block, dip, scratch)
+        for r in range(2):
+            self._near(dip[r], scratch[0].view(np.int64), scratch[1])
+        np.maximum(np.subtract(dip, self._margin, out=dip), 0.0, out=dip)
+        np.square(dip, out=dip)
+        sc2 = sc[:, k] ** 2
+        for r in range(2):
+            np.multiply(sc2[r], self._rows[0][block], out=scratch[0])
+            scratch[0] += np.multiply(sc2[1 - r], self._rows[2][block], out=scratch[1])
+            dip[r] *= scratch[0]
+        return dip
+
+    def _dead(self, dip: np.ndarray, depth, out=None) -> np.ndarray:
+        """Where a root's window (:meth:`_windows`) surely holds no column, from its ``dip`` (:meth:`_dips`).
+
+        For ``x = sqrt(depth) / R <= 1/2``, ``arcsin x <= (pi / 3) x``: the
+        window is narrower than near when ``R^2 >= 4 depth`` and ``dip > (pi /
+        3)^2 depth``.  near is at most the largest half-gap G, so ``dip > 4
+        G^2 depth`` implies the first.  The factor ``1 + 1e-14`` covers the
+        float error of both tests against :meth:`_windows` (module docstring).
+        """
+        return np.greater(dip, self._screen * np.maximum(depth, 0.0), out=out)
+
     @np.errstate(divide="ignore", over="ignore", invalid="ignore")  # R near 0 in _windows
     def scan(
         self, cs: np.ndarray, threshold: float, limit: int
@@ -582,14 +640,9 @@ class DiagonalScanner(_RidgeScanner):
         # (s, c) per slice, s as in the weights w = c s.
         sc = np.stack([np.sqrt(1.0 - cs * cs), cs])
 
-        def root(ks, block, out):
-            # The roots of (s cos a, c sin a) and (c cos a, s sin a), (2, len(ks), rows) in one pass.
-            x = np.multiply(sc[:, ks, None], self._cos_a[block], out=out[2])
-            y = np.multiply(sc[::-1, ks, None], self._sin_a[block], out=out[1])
-            return (*_root(x, y, out[:2]), 0.0, self._margin)
-
         max_s, key, n_over, (hit_k, keys, hit_s) = self._walk(
-            slice(None), *self.weights(cs), float(threshold), limit, self._may_certify(threshold), root, False)
+            slice(None), *self.weights(cs), float(threshold), limit, self._may_certify(threshold),
+            lambda k, rows, out: self._roots(sc, k, rows, out), lambda ks, block, out: self._dips(sc, ks, block, out))
         nb = self._cols[0].size
         return max_s, *np.divmod(key, nb), n_over, (hit_k, *np.divmod(keys, nb), hit_s)
 
@@ -631,7 +684,7 @@ class PlaneScanner(_RidgeScanner):
         self._alphas, self._coeffs = alphas, state.coeffs
 
     def _roots(self, block: slice) -> np.ndarray:
-        """``(R, phase, floor, tolerance)`` of p_+- and p_-+ as ``|x sin b - y cos b|^2`` on the alpha rows ``block``."""
+        """``(R^2, phase, floor, tolerance)`` of p_+- and p_-+ as ``|x sin b - y cos b|^2`` on the alpha rows ``block``."""
         cos_a, sin_a = np.cos(self._alphas[block]), np.sin(self._alphas[block])
         (c00, c01), (c10, c11) = self._coeffs
         x = np.stack([cos_a * c00 + sin_a * c10, cos_a * c11 - sin_a * c01])
@@ -639,7 +692,7 @@ class PlaneScanner(_RidgeScanner):
         xx, yy, xy = x.real**2 + x.imag**2, y.real**2 + y.imag**2, x * y.conj()
         r2 = np.hypot(xx - yy, 2.0 * xy.real)
         return np.stack([
-            np.sqrt(r2 - _ROOT_ERROR),
+            r2 - _ROOT_ERROR,
             _fold(np.arctan2(2.0 * xy.real, xx - yy) / 2.0),
             2.0 * xy.imag**2 / ((xx + yy) + r2) - _ROOT_ERROR,  # x = y = 0: nan, never certified
             self._margin + _ROOT_ERROR / (r2 - _ROOT_ERROR),
@@ -659,5 +712,5 @@ class PlaneScanner(_RidgeScanner):
         # A beta axis no wider than a row's stencils is cheaper to walk dense.
         row_max, key, n_over, (_, keys, vals) = self._walk(
             rows, (1.0,), (1.0,), float(threshold), limit, nb > _WIDTH,
-            lambda ks, block, out: self._roots(block)[:, :, None], True)
+            lambda k, rows, out: self._roots(rows), None)
         return row_max, key % nb, int(n_over[0]), (*np.divmod(keys, nb), vals)

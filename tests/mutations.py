@@ -40,8 +40,8 @@ MUTATIONS = {
         "self._phase = phase[order][pos] + math.pi * wrap",
         "self._phase = phase[order][pos]"),
     "drop the threshold from the window depth": (
-        "level = np.minimum(np.maximum(max_s[slices], seeded[sel[0]]), threshold)",
-        "level = np.maximum(max_s[slices], seeded[sel[0]])"),
+        "level = np.minimum(np.maximum(max_s[slices], seeded[b_sel]), threshold)",
+        "level = np.maximum(max_s[slices], seeded[b_sel])"),
     "diagonal roots (c, c)": (
         "sc = np.stack([np.sqrt(1.0 - cs * cs), cs])",
         "sc = np.stack([cs, cs])"),
@@ -49,11 +49,11 @@ MUTATIONS = {
         "attained = np.flatnonzero(tops == reach)",
         "attained = np.flatnonzero(vals == reach) % tops.size"),
     "the live test compares against covers in place of near": (
-        "near = self._reach(phase, p, 1, out[2:])",
-        "near = self._reach(phase, p, _SIDE, out[2:])"),
+        "left, right = self._phase[_SIDE - 1:_SIDE + nb], self._phase[_SIDE:_SIDE + nb + 1]",
+        "left, right = self._phase[:nb + 1], self._phase[2 * _SIDE - 1:]"),
     "the live test needs both roots' windows to hold a column": (
-        "live = ~(half < near).all(axis=0)",
-        "live = ~(half < near).any(axis=0)"),
+        "live = ~dead.all(axis=0)",
+        "live = ~dead.any(axis=0)"),
     "drop the threshold from the seed level": (
         "level = np.minimum(seeded, threshold)",
         "level = seeded"),
@@ -63,6 +63,17 @@ MUTATIONS = {
     "a full-row block lists its last hits": (
         "np.flatnonzero(over)[:limit]",
         "np.flatnonzero(over)[-limit:]"),
+    "drop the bucket correction": (
+        "for _ in range(self._steps):",
+        "for _ in range(0):"),
+    "drop the screen's float-error term": (
+        "4.0 * float(self._gap.max()) ** 2) * (1.0 + 1e-14)",
+        "4.0 * float(self._gap.max()) ** 2)"),
+    "c and s swapped in one root's phase": (
+        "np.multiply(sc[::-1, k], self._tan_a[rows], out=out)\n"
+        "        np.copysign(sc[:, k], out, out=scratch)",
+        "np.multiply(sc[[0, 0]][:, k], self._tan_a[rows], out=out)\n"
+        "        np.copysign(sc[[1, 1]][:, k], out, out=scratch)"),
 }
 
 

@@ -133,6 +133,38 @@ def dense_plane_scan(scanner, threshold):
     return np.concatenate(row_max), np.concatenate(row_arg), i.size, (i, j, s)
 
 
+def dense_diagonal_scan(scanner, cs, threshold, limit):
+    """``(max_s, arg_i, arg_j, n_over, hits)`` of a :class:`~leggettlab.kernels.DiagonalScanner` from the block engine over every row.
+
+    Each block of rows from ``kernels._blocks`` serves every c, S from
+    ``kernels._evaluate``; ``hits`` holds ``(k, i, j, S)`` arrays of the
+    first ``limit`` crossings in (k, i, j) order.
+    """
+    u, w = DiagonalScanner.weights(cs)
+    nb = scanner._cols[0].size
+    max_s, key = np.full(cs.size, -np.inf), np.zeros(cs.size, dtype=np.int64)
+    n_over = np.zeros(cs.size, dtype=np.int64)
+    hits = [[] for _ in range(cs.size)]
+    s = t = None
+    for offset, x, y, z in kernels._blocks(scanner._rows, scanner._cols):
+        if s is None:
+            s, t = np.empty_like(x), np.empty_like(x)
+        n = x.shape[0]
+        for k in range(cs.size):
+            v = kernels._evaluate(x, y, z, u[k], w[k], s[:n], t[:n])
+            flat = int(np.argmax(v))
+            if v.flat[flat] > max_s[k]:  # row-major blocks: ties keep the first maximum
+                max_s[k], key[k] = v.flat[flat], offset * nb + flat
+            if v.flat[flat] > threshold:
+                over = np.flatnonzero(v > threshold)
+                n_over[k] += over.size
+                room = limit - sum(part.size for part, _ in hits[k])
+                hits[k].append((offset * nb + over[:room], v.ravel()[over[:room]]))
+    listed = [(np.full(keys.size, k), keys, vals) for k in range(cs.size) for keys, vals in hits[k]]
+    ks, keys, vals = (np.concatenate(part)[:limit] for part in zip(kernels._NO_HITS, *listed))
+    return max_s, *np.divmod(key, nb), n_over, (ks, *np.divmod(keys, nb), vals)
+
+
 def refine_reference(report, spec):
     """:func:`leggettlab.scan.refine` as it ran before it stopped at a cycle: every one of its 40 rounds.
 

@@ -146,10 +146,10 @@ def test_fixed_state_float_error_bound_against_mpmath(re_im, complex_coeffs, def
         assert abs(s_float - (1 - 2 * min(p))) <= ROUNDING + 1.5 * abs(n - 1) <= scanner._slack
         with np.errstate(divide="ignore", invalid="ignore"):  # x = y = 0 on a row of a rank-one state
             roots = scanner._roots(slice(0, 1))[:, :, 0].T
-        for (x, y), (radius, phase, floor, tolerance) in zip(pairs, roots):
-            if not radius > 0.0:
+        for (x, y), (r2_float, phase, floor, tolerance) in zip(pairs, roots):
+            if not r2_float > 0.0:
                 continue  # never certified
             r2, exact_phase, p_min = _mp_roots(x, y)
-            assert floor <= p_min and radius <= mpmath.sqrt(r2)
+            assert floor <= p_min and r2_float <= r2
             gap = abs(mpmath.mpf(float(phase)) - exact_phase) % mpmath.pi
             assert min(gap, mpmath.pi - gap) <= tolerance - 1e-14

@@ -356,31 +356,51 @@ def test_float_error_bound_against_mpmath(c, alpha, beta):
     assert ROUNDING + IDENTITY_GAP < kernels._SLACK
     assert abs(s_float - mp_s(u, w, alpha, beta)) <= ROUNDING
 
-    # The identity form at the float c and the s of w = c s, and its roots mod pi.
+    # The identity form at the float c and the s of w = c s.
     s_f = math.sqrt(1.0 - c * c)
     assert w == c * s_f
-    ca2, sa2, s2a = (float(t[0]) for t in kernels._trig(np.array([alpha])))
-    cos_a, sin_a = math.sqrt(ca2), math.copysign(math.sqrt(sa2), s2a)
     with mpmath.workdps(50):
         c_mp, s_mp = mpmath.mpf(c), mpmath.mpf(s_f)
         ma, mb = mpmath.mpf(alpha), mpmath.mpf(beta)
         p = [(a * mpmath.cos(ma) * mpmath.sin(mb) - b * mpmath.sin(ma) * mpmath.cos(mb)) ** 2
              for a, b in ((s_mp, c_mp), (c_mp, s_mp))]
         assert abs(s_float - (1 - 2 * min(p))) <= ROUNDING + IDENTITY_GAP
-        for a_f, b_f in ((s_f, c), (c, s_f)):
-            radius, phase = (float(v[0]) for v in
-                             kernels._root(np.array([a_f * cos_a]), np.array([b_f * sin_a])))
-            x, y = mpmath.mpf(a_f) * mpmath.cos(ma), mpmath.mpf(b_f) * mpmath.sin(ma)
-            exact_radius = mpmath.sqrt(x * x + y * y)
-            if exact_radius < CERTIFIABLE_RADIUS:
-                # Never certified (sqrt(D) / R > 1/2); sin^2 may even underflow here.
-                assert radius < 2 * CERTIFIABLE_RADIUS
-                continue
-            assert abs(radius - exact_radius) <= 1e-14 * exact_radius
-            gap = abs(mpmath.mpf(phase) - mpmath.atan2(y, x)) % mpmath.pi
-            assert min(gap, mpmath.pi - gap) <= 1e-14
         gap = abs(mpmath.mpf(float(np.remainder(beta, math.pi))) - mb) % mpmath.pi
         assert min(gap, mpmath.pi - gap) <= 1e-14 < kernels._ANGLE_MARGIN
+
+
+# The kernels docstring's bounds on a diagonal root at the float angle, c and s:
+# R^2 within 20 e relative, the phase within 3e-15 mod pi.
+R2_ERROR = 20 * 2.0**-53
+PHASE_ERROR = 3e-15
+SPECIAL_ALPHAS = (0.0, math.pi / 2.0, math.pi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    c=st.sampled_from([0.0, 1.0 / math.sqrt(2.0), 1.0]) | st.floats(0.0, 1.0),
+    alpha=st.sampled_from(SPECIAL_ALPHAS) | st.sampled_from(SPECIAL_ALPHAS).flatmap(
+        lambda a: st.floats(a - 1e-3, a + 1e-3)) | st.floats(-2.0 * math.pi, 2.0 * math.pi),
+)
+def test_root_error_bound_against_mpmath(c, alpha):
+    # Phases arctan2(c T, s) and arctan2(s T, c) from T = tan a, R^2 from the squared tables.
+    scanner = DiagonalScanner(np.array([alpha]), np.array([0.0]))
+    sc = np.array([[math.sqrt(1.0 - c * c)], [c]])
+    r2, phase, floor, tolerance = scanner._roots(sc, np.array([0]), slice(None), np.empty((3, 2, 1)))
+    assert floor == 0.0 and tolerance == scanner._margin
+    with mpmath.workdps(50):
+        s_mp, c_mp, ma = mpmath.mpf(float(sc[0, 0])), mpmath.mpf(c), mpmath.mpf(alpha)
+        for (a, b), r2_float, phase_float in zip(((s_mp, c_mp), (c_mp, s_mp)), r2[:, 0], phase[:, 0]):
+            assert 0.0 <= phase_float <= math.pi
+            x, y = a * mpmath.cos(ma), b * mpmath.sin(ma)
+            exact = x * x + y * y
+            if exact < CERTIFIABLE_RADIUS**2:
+                # Never certified (sqrt(D) / R > 1/2); sin^2 may even underflow here.
+                assert r2_float < 4 * CERTIFIABLE_RADIUS**2
+                continue
+            assert abs(r2_float - exact) <= R2_ERROR * exact
+            gap = abs(mpmath.mpf(float(phase_float)) - mpmath.atan2(y, x)) % mpmath.pi
+            assert min(gap, mpmath.pi - gap) <= PHASE_ERROR
 
 
 def test_phase_fold_is_remainder_bit_for_bit():
@@ -393,11 +413,88 @@ def test_phase_fold_is_remainder_bit_for_bit():
     phase = np.arctan2(y, x)
     assert {0.0, math.pi, -math.pi} <= set(phase.tolist()) and np.signbit(phase[phase == 0.0]).any()
     assert (np.abs(phase[phase != 0.0]) < 2.3e-308).any()
-    radius, folded = kernels._root(x, y)
-    assert np.array_equal(radius, np.hypot(x, y))
-    for got, want in ((folded, np.remainder(phase, math.pi)),
+    for got, want in ((kernels._fold(phase.copy()), np.remainder(phase, math.pi)),
                       (kernels._fold(phase / 2.0), np.remainder(phase / 2.0, math.pi))):
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _steps_around(values, steps):
+    """``values`` moved by each of ``steps`` ulps, along a new last axis."""
+    values = np.asarray(values, dtype=np.float64)[..., None]
+    return values + np.spacing(np.abs(values)) * np.asarray(steps, dtype=np.float64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), nb=st.sampled_from([1, 2]) | st.integers(1, 40), na=st.integers(1, 30),
+       layout=st.sampled_from(["random", "grid", "periods"]), cs=WEIGHTS)
+def test_bucket_positions_and_live_screen(data, nb, na, layout, cs):
+    """Bucketed column positions equal searchsorted's, and the screen kills no row the exact windows keep.
+
+    Axes: random, shifted uniform grids, and beta over more than pi, whose
+    phases repeat, of any length from one column.  Phases: every column's,
+    the ulps around them, 0, fl(pi) and the roots of the weights ``cs``.
+    The screen is checked at random depths and, where its float-error term
+    decides, at depths within a few ulps of R^2 / 4 (x = 1/2) and near
+    distances within a few ulps of the exact window.
+    """
+    if layout == "periods":
+        origin, span = data.draw(st.tuples(st.floats(-math.pi, math.pi), st.floats(math.pi, 4.0 * math.pi)))
+        betas = np.linspace(origin, origin + span, nb)
+    else:
+        betas = data.draw(axis_strategy(nb, layout))
+    scanner = DiagonalScanner(data.draw(axis_strategy(na, "random")), betas)
+    sc = np.stack([np.sqrt(1.0 - cs * cs), cs])
+    r2, phase, _, tolerance = scanner._roots(sc, np.arange(cs.size)[:, None], slice(None),
+                                             np.empty((3, 2, cs.size, na)))
+    cols = scanner._sorted_phase
+    phases = np.clip(np.concatenate([_steps_around(cols, [-1, 0, 1]).ravel(), [0.0, math.pi], phase.ravel()]),
+                     0.0, math.pi)
+    got = scanner._locate(phases, np.empty(phases.shape, dtype=np.int64), np.empty(phases.shape))
+    assert np.array_equal(got, np.searchsorted(cols, phases, side="right"))
+
+    # near: the distance to the nearest column on either side of each root.
+    p = np.searchsorted(cols, phase, side="right")
+    want = np.minimum(phase - scanner._phase[kernels._SIDE - 1 + p], scanner._phase[kernels._SIDE + p] - phase)
+    near = scanner._near(phase.copy(), np.empty(phase.shape, dtype=np.int64), np.empty(phase.shape))
+    assert np.all(np.abs(near - want) <= 1e-15)
+    dips = scanner._dips(sc, np.arange(cs.size), slice(None), np.empty((2, 2, cs.size, na)))
+    assert np.array_equal(dips, r2 * np.maximum(near - tolerance, 0.0) ** 2)
+
+    def check(r2, near, depth):
+        # As the scanner forms them, near is at most the largest half-gap; the
+        # margin is positive, and 0 leaves the float error nothing to hide in.
+        near = np.minimum(near, scanner._gap.max())
+        for tol in (tolerance, 0.0):
+            dip = r2 * np.maximum(near - tol, 0.0) ** 2
+            live = ~(kernels._RidgeScanner._windows(r2, depth, tol) < near)
+            assert not (scanner._dead(dip, depth) & live).any()
+
+    with np.errstate(divide="ignore", invalid="ignore"):  # R = 0
+        for depth in data.draw(st.lists(st.floats(1e-300, 1.0) | st.floats(1e-14, 1e-6) | st.just(0.0),
+                                        min_size=1, max_size=3)):
+            check(r2, near, depth)
+        r2 = r2[r2 > 1e-200]
+        depth = _steps_around(r2 / 4.0, np.arange(-6, 7))
+        half = kernels._RidgeScanner._windows(r2[:, None], depth, tolerance)
+        for near in (_steps_around(half, np.arange(-6, 7)), np.array([scanner._gap.max()])):
+            check(r2[:, None, None], near, depth[:, :, None])
+
+
+@pytest.mark.parametrize("origin", [0.0, 0.2])
+def test_screen_holds_where_its_float_error_term_decides(origin):
+    # Three columns pi/3 apart: the largest half-gap G is fl(pi/6), so a root
+    # midway between two columns, with x = sqrt(D) / R a few ulps under 1/2,
+    # sits within a few ulps of both the screen's limit and its exact window.
+    scanner = DiagonalScanner(np.array([0.1]), origin + np.arange(3) * (math.pi / 3.0))
+    r2 = np.random.default_rng(5).uniform(1e-3, 1.0, 4000)[:, None]
+    depth = r2 / 4.0 * (1.0 + np.arange(-64, 1) * 2.0**-52)
+    dead = 0
+    for tolerance in (0.0, scanner._margin):
+        for near in (scanner._gap.max(), np.nextafter(scanner._gap.max(), 0.0)):
+            screened = scanner._dead(r2 * max(near - tolerance, 0.0) ** 2, depth)
+            assert not (screened & ~(kernels._RidgeScanner._windows(r2, depth, tolerance) < near)).any()
+            dead += int(screened.sum())
+    assert dead > 0
 
 
 @pytest.mark.parametrize("threshold", [1.0 - 1e-5, 1.0 - 1e-3, 0.9, -math.inf])
