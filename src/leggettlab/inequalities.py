@@ -45,7 +45,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .domain import PROB_ATOL, CorrelationTriple, InputError, MeasurementSettings
-from .quantum import _check_weight, diagonal_state, joint_distribution, marginals
+from .quantum import _check_weight, _probability_lhs, diagonal_state, joint_distribution
 
 __all__ = [
     "LeggettBounds",
@@ -165,10 +165,7 @@ def reduced_lhs_exact(c: float, settings: MeasurementSettings) -> float:
         + sa2 * sb2
         + c * math.sqrt(1.0 - c * c) * math.sin(2.0 * a) * math.sin(2.0 * b)
     )
-    state = diagonal_state(c)
-    p_a, p_b = marginals(state, settings)
-    dist = joint_distribution(state, settings)
-    probability_form = abs(p_a - p_b) + dist.p_pp + dist.p_mm
+    probability_form = _probability_lhs(diagonal_state(c), settings)
     if abs(closed - probability_form) > _CROSS_CHECK_ATOL:
         raise ArithmeticError(
             f"closed form {closed!r} and probability form {probability_form!r} "
@@ -258,8 +255,5 @@ def cross_term_identity(c: float, settings: MeasurementSettings) -> tuple[float,
     """
     c = _check_weight(c)
     state = diagonal_state(c)
-    p_a, p_b = marginals(state, settings)
     dist = joint_distribution(state, settings)
-    lhs = abs(p_a - p_b) + dist.p_pp + dist.p_mm
-    rhs = 1.0 - 2.0 * min(dist.p_pm, dist.p_mp)
-    return (lhs, rhs)
+    return (_probability_lhs(state, settings), 1.0 - 2.0 * min(dist.p_pm, dist.p_mp))

@@ -146,6 +146,13 @@ def marginals(state: PureTwoPhotonState, settings: MeasurementSettings) -> tuple
     return (p_a, p_b)
 
 
+def _probability_lhs(state: PureTwoPhotonState, settings: MeasurementSettings) -> float:
+    """``S = |P_A - P_B| + p_pp + p_mm`` from :func:`marginals` and :func:`joint_distribution`."""
+    p_a, p_b = marginals(state, settings)
+    dist = joint_distribution(state, settings)
+    return abs(p_a - p_b) + dist.p_pp + dist.p_mm
+
+
 def correlation_triple(dist: JointOutcomeDistribution) -> CorrelationTriple:
     """The averages ``(a_bar, b_bar, ab_bar)`` of a joint outcome distribution."""
     return CorrelationTriple(

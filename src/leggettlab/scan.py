@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+from array import array
 from dataclasses import dataclass, replace
 from time import perf_counter
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -46,13 +47,7 @@ import numpy as np
 from .config import resolve_workers, shard_map
 from .domain import InputError, MeasurementSettings
 from .kernels import DiagonalScanner, PlaneScanner
-from .quantum import (
-    PureTwoPhotonState,
-    joint_distribution,
-    marginals,
-    positive_parity_state,
-    singlet_state,
-)
+from .quantum import PureTwoPhotonState, _probability_lhs, positive_parity_state, singlet_state
 
 __all__ = [
     "FAMILIES",
@@ -78,9 +73,11 @@ VIOLATION_CAP = 10_000
 # is allocated.
 MAX_AXIS_POINTS = 1 << 20
 
+_CSV_ROWS = 4096  # curve rows formatted per write_csv chunk
+
 
 class ScanPoint(NamedTuple):
-    """One evaluated point; ``c`` is None for families without a weight axis."""
+    """One evaluated point, or the columns of :attr:`ScanReport.slice_maxima`; ``c`` is None without a weight axis."""
 
     c: Optional[float]
     alpha: float
@@ -159,8 +156,10 @@ class ScanReport:
 
     ``violations`` stores at most ``VIOLATION_CAP`` points in canonical
     (c, alpha, beta) order; ``violation_count`` is always the exact
-    total.  ``slice_maxima`` holds one row per c (diagonal family) or
-    per alpha (fixed states) — the curve the CSV export writes.
+    total.  ``slice_maxima`` is the curve the CSV export writes, one
+    entry per c (diagonal family) or per alpha (fixed states), as a
+    :class:`ScanPoint` of packed ``array("d")`` columns (they compare by
+    value, so reports compare with ``==``).
     """
 
     family: str
@@ -170,7 +169,7 @@ class ScanReport:
     violations: tuple[ScanPoint, ...]
     violation_count: int
     first_order_predicted_violations: tuple[tuple[float, float], ...]
-    slice_maxima: tuple[ScanPoint, ...]
+    slice_maxima: ScanPoint
     tolerance: float
     wall_time: float
     refined: bool = False
@@ -218,10 +217,7 @@ def _diagonal_lhs(c: float, alpha: float, beta: float) -> float:
 
 def _plane_lhs(state: PureTwoPhotonState, alpha: float, beta: float) -> float:
     """Scalar probability-form S for a fixed state."""
-    settings = MeasurementSettings(alpha=alpha, beta=beta)
-    p_a, p_b = marginals(state, settings)
-    dist = joint_distribution(state, settings)
-    return abs(p_a - p_b) + dist.p_pp + dist.p_mm
+    return _probability_lhs(state, MeasurementSettings(alpha=alpha, beta=beta))
 
 
 def _family_state(spec: ScanSpec) -> PureTwoPhotonState:
@@ -251,6 +247,12 @@ def _predicted_violations(
     return tuple(out)
 
 
+def _floats(axis: np.ndarray, idx: np.ndarray) -> list:
+    """``axis[idx]`` as Python floats, one object per distinct index, shared by the points that use it."""
+    shared = {}
+    return [shared.setdefault(n, v) for n, v in zip(idx.tolist(), axis[idx].tolist())]
+
+
 def grid_scan(spec: ScanSpec, *, workers: Optional[int] = None) -> ScanReport:
     """Scan every point of the grid ``spec`` describes; deterministic for any worker count."""
     started = perf_counter()
@@ -273,25 +275,20 @@ def grid_scan(spec: ScanSpec, *, workers: Optional[int] = None) -> ScanReport:
             row_max, row_arg, count, (i, j, s) = scanner.scan(sl, threshold, VIOLATION_CAP)
             return row_max, np.arange(sl.start, sl.stop), row_arg, count, (i, i, j, s)
 
-    slices = alphas.size if cs is None else cs.size
-    # Points share the axes' Python floats instead of converting one float per field.
-    c_axis = [None] * slices if cs is None else cs.tolist()
-    alpha_axis, beta_axis = alphas.tolist(), betas.tolist()
-
-    def point(k, i, j, s) -> ScanPoint:
-        return ScanPoint(c_axis[k], alpha_axis[i], beta_axis[j], float(s))
-
-    parts = shard_map(scan_shard, slices, workers)
+    parts = shard_map(scan_shard, alphas.size if cs is None else cs.size, workers)
     max_s, arg_i, arg_j = (np.concatenate([part[n] for part in parts]) for n in range(3))
+    columns = (cs, alphas[arg_i], betas[arg_j], max_s)
+    slice_maxima = ScanPoint(*(None if v is None else array("d", v.tobytes()) for v in columns))
     violations: list[ScanPoint] = []
     for part in parts:
-        violations += map(point, *(hits[:VIOLATION_CAP - len(violations)] for hits in part[4]))
-    slice_maxima = tuple(map(point, range(slices), arg_i, arg_j, max_s))
+        k, i, j, s = (hits[:VIOLATION_CAP - len(violations)] for hits in part[4])
+        violations += map(ScanPoint, [None] * k.size if cs is None else _floats(cs, k),
+                          _floats(alphas, i), _floats(betas, j), s.tolist())
     best = int(np.argmax(max_s))
     return ScanReport(
         family=spec.family,
         max_s=float(max_s[best]),
-        argmax=slice_maxima[best],
+        argmax=ScanPoint(*(None if v is None else v[best] for v in slice_maxima)),
         grid_points=alphas.size * betas.size * (1 if cs is None else cs.size),
         violations=tuple(violations),
         violation_count=sum(part[3] for part in parts),
@@ -434,14 +431,13 @@ def refine(report: ScanReport, spec: ScanSpec) -> ScanReport:
 
 
 def write_csv(report: ScanReport, path):
-    """Write the slice-maxima curve as ``c,alpha,beta,S`` rows for plotting, to a path or an open text file."""
-    lines = ["c,alpha,beta,S"]
-    for point in report.slice_maxima:
-        c_field = "" if point.c is None else format(point.c, ".17g")
-        lines.append(
-            f"{c_field},{format(point.alpha, '.17g')},"
-            f"{format(point.beta, '.17g')},{format(point.s, '.17g')}"
-        )
+    """Write the slice-maxima curve as ``c,alpha,beta,S`` rows, ``_CSV_ROWS`` at a time, to a path or an open text file."""
+    c, *fields = report.slice_maxima
+    row = ",{:.17g},{:.17g},{:.17g}\n"
+    if c is not None:
+        row, fields = "{:.17g}" + row, [c, *fields]
     with contextlib.nullcontext(path) if hasattr(path, "write") else open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("c,alpha,beta,S\n")
+        for start in range(0, len(fields[-1]), _CSV_ROWS):
+            fh.write("".join(map(row.format, *(v[start:start + _CSV_ROWS] for v in fields))))
     return path

@@ -1,10 +1,13 @@
 """Grid scans, argmax refinement, predicted-violation marking, and CSV export."""
 
 import csv
+import io
 import math
 import os
 import sys
 import threading
+import tracemalloc
+from array import array
 from dataclasses import replace
 from unittest import mock
 
@@ -251,10 +254,10 @@ class TestGridScanDiagonal:
 
     def test_slice_maxima_cover_c_axis(self):
         report = grid_scan(ScanSpec(**COARSE))
-        assert len(report.slice_maxima) == 15
-        assert report.max_s == max(p.s for p in report.slice_maxima)
-        cs = [p.c for p in report.slice_maxima]
-        assert cs == sorted(cs)
+        curve = report.slice_maxima
+        assert len(curve.c) == len(curve.s) == 15
+        assert report.max_s == max(curve.s)
+        assert list(curve.c) == sorted(curve.c)
 
     def test_lowered_tolerance_collects_ordered_violations(self):
         spec = ScanSpec(
@@ -325,12 +328,11 @@ class TestGridScanPlanes:
             alpha_range=(0.0, math.pi, 0.05),
             beta_range=(0.0, math.pi, 0.05),
         )
-        report = grid_scan(spec)
-        for point in report.slice_maxima:
-            best = max(
-                math.cos(point.alpha - b) ** 2 for b in _axis(spec.beta_range)
-            )
-            assert point.s == pytest.approx(best, abs=1e-12)
+        curve = grid_scan(spec).slice_maxima
+        assert curve.c is None and len(curve.s) == _axis_size(spec.alpha_range)
+        for alpha, s in zip(curve.alpha, curve.s):
+            best = max(math.cos(alpha - b) ** 2 for b in _axis(spec.beta_range))
+            assert s == pytest.approx(best, abs=1e-12)
 
     def test_fixed_matrix_reproduces_named_family(self):
         angle_kw = dict(
@@ -383,8 +385,8 @@ def test_violations_match_reference_across_shards(family, seed, nc, na, nb, step
         scanner = PlaneScanner(scan_module._family_state(spec).coeffs, alphas, betas)
         max_s, arg_j, count, (i, j, s) = plane_reference(scanner, threshold)
         arg_i, k, weight = np.arange(alphas.size), i, [None] * alphas.size
-    maxima = tuple(ScanPoint(weight[n], float(alphas[arg_i[n]]), float(betas[arg_j[n]]), float(max_s[n]))
-                   for n in range(len(weight)))
+    maxima = [ScanPoint(weight[n], float(alphas[arg_i[n]]), float(betas[arg_j[n]]), float(max_s[n]))
+              for n in range(len(weight))]
     hits = [ScanPoint(weight[a], float(alphas[b]), float(betas[c]), float(d))
             for a, b, c, d in zip(k, i, j, s)]
     assert count == len(hits)
@@ -393,7 +395,10 @@ def test_violations_match_reference_across_shards(family, seed, nc, na, nb, step
         for cap in sorted({0, 1, max(count - 1, 0), count, count + 5}):
             with mock.patch.object(scan_module, "VIOLATION_CAP", cap):
                 report = grid_scan(spec, workers=workers)
-            assert report.slice_maxima == maxima
+            curve = report.slice_maxima
+            assert (curve.c is None) == (family != "diagonal")
+            assert all(type(v) is array for v in curve if v is not None)
+            assert [ScanPoint(*(None if v is None else v[n] for v in curve)) for n in range(len(curve.s))] == maxima
             assert report.argmax == maxima[int(np.argmax(max_s))]
             assert report.violation_count == count
             assert report.violations == tuple(hits[:cap]), cap
@@ -461,6 +466,14 @@ class TestRefine:
         assert refine(report, spec) is report
 
 
+def _thin_spec(family, slices):
+    """``slices`` c values of a 4 x 4 grid (diagonal), or as many alpha rows against 4 beta columns."""
+    axis, four = (0.0, (slices - 1) / slices, 1.0 / slices), (0.0, math.pi, math.pi / 3)
+    if family == "diagonal":
+        return ScanSpec(c_range=axis, alpha_range=four, beta_range=four, refine=False)
+    return ScanSpec(family=family, alpha_range=axis, beta_range=four, refine=False)
+
+
 class TestWriteCsv:
     def test_header_and_rows(self, tmp_path):
         report = grid_scan(ScanSpec(**COARSE))
@@ -469,10 +482,11 @@ class TestWriteCsv:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["c", "alpha", "beta", "S"]
-        assert len(rows) == 1 + len(report.slice_maxima)
-        for row, point in zip(rows[1:], report.slice_maxima):
-            assert float(row[0]) == point.c
-            assert float(row[3]) == point.s
+        curve = report.slice_maxima
+        assert len(rows) == 1 + len(curve.s)
+        for row, c, s in zip(rows[1:], curve.c, curve.s):
+            assert float(row[0]) == c
+            assert float(row[3]) == s
 
     def test_plane_families_leave_c_empty(self, tmp_path):
         spec = ScanSpec(
@@ -487,6 +501,48 @@ class TestWriteCsv:
         assert rows[0] == ["c", "alpha", "beta", "S"]
         for row in rows[1:]:
             assert row[0] == ""
+
+    @pytest.mark.parametrize("family", ["diagonal", "singlet"])
+    def test_rows_across_a_chunk_boundary(self, tmp_path, family):
+        # One chunk plus 3 rows: the last chunk is short.
+        rows = scan_module._CSV_ROWS + 3
+        report = grid_scan(_thin_spec(family, rows))
+        curve = report.slice_maxima
+        assert len(curve.s) == rows
+        want = ["c,alpha,beta,S\n"]
+        for n in range(rows):
+            c = "" if curve.c is None else format(curve.c[n], ".17g")
+            want.append(f"{c},{format(curve.alpha[n], '.17g')},{format(curve.beta[n], '.17g')},"
+                        f"{format(curve.s[n], '.17g')}\n")
+        path = tmp_path / "curve.csv"
+        write_csv(report, str(path))
+        assert path.read_bytes() == "".join(want).encode()
+        text = io.StringIO()
+        write_csv(report, text)
+        assert text.getvalue() == "".join(want)
+
+
+@pytest.mark.parametrize("family", ["diagonal", "singlet"])
+def test_curve_memory_stays_bounded(tmp_path, family):
+    """2^16 c values of a 4 x 4 grid, or singlet alpha rows of 4 points: no Python object per slice.
+
+    One ScanPoint per slice peaked at 13.6 MB (diagonal) and 15.1 MB
+    (singlet) in grid_scan, and formatting the whole curve at once at
+    8.1 and 14.4 MB in write_csv."""
+    spec = _thin_spec(family, 1 << 16)
+    peaks = []
+    tracemalloc.start()
+    try:
+        report = grid_scan(spec, workers=1)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        write_csv(report, str(tmp_path / "curve.csv"))
+        peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert len(report.slice_maxima.s) == 1 << 16
+    assert peaks[0] < 11 * 2**20 and peaks[1] < 4 * 2**20, peaks
 
 
 class TestScanReportShape:
