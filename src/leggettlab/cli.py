@@ -295,7 +295,7 @@ def _cmd_mc(args) -> int:
         try:
             with open(args.model, "r", encoding="utf-8") as fh:
                 model = model_from_json(fh.read())
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read model file: {exc}") from None
         counts = simulate_hv(model, args.n, args.seed, workers=args.workers)
         analytic = ensemble_averages(model)

@@ -35,7 +35,10 @@ __all__ = [
 
 
 def _check_weights(weights) -> np.ndarray:
-    w = np.asarray(weights, dtype=np.float64)
+    try:
+        w = np.asarray(weights, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"weights must be numbers: {exc}") from None
     if w.ndim != 1 or w.size < 1:
         raise InputError("weights must be a non-empty 1-d sequence")
     _check_weight_rows(w[None])
@@ -56,10 +59,13 @@ def _check_weight_rows(weights: np.ndarray) -> None:
 
 
 def _check_signs(values, name: str, shape: tuple[int, ...]) -> np.ndarray:
-    arr = np.asarray(values)
+    try:
+        arr = np.asarray(values)
+        as_int = arr.astype(np.int8)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{name} must be an array of +1 and -1 entries: {exc}") from None
     if arr.shape != shape:
         raise InputError(f"{name} must have shape {shape}, got {arr.shape}")
-    as_int = arr.astype(np.int8)
     if not np.array_equal(as_int, arr) or not np.all(np.abs(as_int) == 1):
         raise InputError(f"{name} entries must be exactly +1 or -1")
     as_int.setflags(write=False)
@@ -324,4 +330,4 @@ def model_from_json(text: str) -> HVModel:
         responses = doc["responses"]
     except KeyError as exc:
         raise InputError(f"model JSON missing {exc.args[0]!r}") from None
-    return HVModel(weights=np.asarray(weights), responses=np.asarray(responses))
+    return HVModel(weights=weights, responses=responses)

@@ -76,11 +76,11 @@ in place of the distance to the farthest stencil column.  Such a row holds
 neither the first maximum nor a hit, and none of its points is evaluated;
 the seed row itself either reaches L or is such a row.  A screen finds
 these rows with no arcsin (:meth:`DiagonalScanner._dead`).  The other
-(live) rows of a batch of ``c`` are gathered in one call, offered slice by
-slice, and certified as above at the level they raise, never below the
-seed's.  A ``c`` whose rows are all live (low thresholds) is taken in runs
-of whole rows.  On the paper grid about 7 of 3142 rows per ``c`` are
-live.  Fixed states skip no row: each row is a slice of its own.
+(live) rows of a batch of ``c``, all of a ``c``'s rows at low thresholds,
+are gathered as (slice, row) pairs, offered slice by slice, and certified
+as above at the level they raise, never below the seed's.  On the paper
+grid about 7 of 3142 rows per ``c`` are live.  Fixed states skip no row:
+each row is a slice of its own, and every row is a live pair.
 With L within about 1e-13 of 1, a window is some 3e-7 / R rad wide.  At
 ``L = 1 - t`` it is about ``sqrt(t / 2) / R``, which passes the stencil
 once ``t > 2 (_SIDE h R)^2`` (1.8e-5 R^2 at step h = 1e-3): at lower
@@ -94,10 +94,11 @@ A walk (:meth:`_RidgeScanner._walk`) holds one store.  A pass of
 per slice and row of a chunk (0.8 MB on the paper axis); on an axis of a
 few rows the store holds 8 bytes per row a chunk may hold (32 KB), and the
 seeds' stencils bound a pass (64 slices on 4 rows).  Column positions come
-from a bucket table (:meth:`_RidgeScanner._locate`).  Live pairs recompute
-their roots and evaluate their stencils in the whole store, 8 + 4
-``_WIDTH`` values each: 1795 per call on the paper axis, so a slice whose
-rows are all live takes two calls.  Their windows reuse spent buffers.
+from a bucket table (:meth:`_RidgeScanner._locate`).  Every stencil call,
+the seeds' included, takes its pairs as index arrays of slices and rows:
+they recompute their roots and evaluate their stencils in the whole store,
+8 + 4 ``_WIDTH`` values each, up to 1795 pairs per call on the paper axis.
+A call may span slices.  Its windows reuse spent buffers.
 
 Float error, diagonal family.  With unit roundoff e = 2^-53 and numpy's
 float64 sin, cos and tan within 4 ulp (8e relative), the tables carry relative
@@ -204,13 +205,14 @@ def _blocks(rows, cols):
         yield start, xb, yb, zb
 
 
-def _gather(rows, cols, block: slice, idx: np.ndarray, x, y, z) -> None:
-    """x, y and z of :func:`_blocks` at entries ``idx[:, i]`` of the column tables for the rows ``block``, in place.
+def _gather(rows, cols, at: np.ndarray, idx: np.ndarray, x, y, z) -> None:
+    """x, y and z of :func:`_blocks` at entries ``idx[:, i]`` of the column tables for the alpha rows ``at[i]``, in place.
 
-    Rows run along the last axis, so each alpha table broadcasts along
-    it; the diagonal family's ``k1`` is its ``k0``: one gather serves both.
+    Rows arrive as an index array and run along the last axis, so each
+    alpha table broadcasts along it; the diagonal family's ``k1`` is its
+    ``k0``: one gather serves both.
     """
-    r0, r1, r2, r3 = (r[block] for r in rows)
+    r0, r1, r2, r3 = (r[at] for r in rows)
     k0, k1, k2, k3 = cols
     np.take(k0, idx, out=z, mode="clip")
     np.subtract(r0, z, out=x)
@@ -359,16 +361,17 @@ class _RidgeScanner:
 
         A slice is one k, or without a ``screen`` one alpha row (k is then
         0); keys are ``i * nb + j``, and each slice's key is that of its first
-        maximum in row-major order.  ``roots(k, rows, out)`` gives ``(R^2,
-        phase, floor, tolerance)`` of the weights k on the alpha rows
-        ``rows``: R^2 and phase ``(2, ...)`` arrays in the first two of the
-        three buffers ``out`` (the third is scratch).  ``screen(ks, block,
-        out)`` gives the dips (:meth:`DiagonalScanner._dips`) of a batch in
-        ``out``; a seed row per k then sets a level and only live rows are
-        evaluated.  A row is certified when its stencils reach past windows
-        of depth ``(1 - L + slack) / 2 - floor``; with ``hopeful`` false no
-        stencil is evaluated.  Returns ``(maxima, keys, counts, hits)``, the
-        hits ``(k, key, S)`` arrays of the first ``limit`` in (k, key) order.
+        maximum in row-major order.  ``roots(k, at, out)`` gives ``(R^2,
+        phase, floor, tolerance)`` of the pairs of weights ``k[i]`` and alpha
+        rows ``at[i]``, two index arrays: R^2 and phase ``(2, pairs)`` arrays
+        in the first two of the three buffers ``out`` (the third is
+        scratch).  ``screen(ks, block, out)`` gives the dips
+        (:meth:`DiagonalScanner._dips`) of a batch in ``out``; a seed row per
+        k then sets a level and only live rows are evaluated.  A row is
+        certified when its stencils reach past windows of depth ``(1 - L +
+        slack) / 2 - floor``; with ``hopeful`` false no stencil is evaluated.
+        Returns ``(maxima, keys, counts, hits)``, the hits ``(k, key, S)``
+        arrays of the first ``limit`` in (k, key) order.
 
         Hits arrive in no global order: a chunk's full rows follow its
         stencils, and a slice's stencil hits may follow a later slice's.  A
@@ -442,27 +445,26 @@ class _RidgeScanner:
         cap = budget // pair
         store = np.empty(budget) if hopeful else None
 
-        def evaluate(b_sel, rows, at, region):
+        def evaluate(k_at, at, region):
             # Roots, positions and (_WIDTH, pairs) root-major stencils of the pairs
-            # (ks[b_sel], rows), rows numbered `at`, in `region`; y is returned free.
+            # (k_at, at) in `region`; y is returned free.
             m = at.size
             state = region[:8 * m].reshape(4, 2, m)
-            found = roots(ks[b_sel], rows, state[:3])
+            found = roots(k_at, at, state[:3])
             p = self._locate(found[1], state[3].view(np.int64), state[2])
             idx, x, y, z = region[8 * m:pair * m].reshape(4, _WIDTH, m)
             idx = idx.view(np.int64)
             np.add(p[:, None, :], np.arange(2 * _SIDE)[:, None], out=idx.reshape(2, 2 * _SIDE, m))
-            _gather(self._rows, self._stencil_cols, rows, idx, x, y, z)
-            return found, p, idx, _evaluate(x, y, z, u[ks[b_sel]], w[ks[b_sel]], x, z), y
+            _gather(self._rows, self._stencil_cols, at, idx, x, y, z)
+            return found, p, idx, _evaluate(x, y, z, u[k_at], w[k_at], x, z), y
 
         for block in blocks:
             n = block.stop - block.start
-            at_block = np.arange(block.start, block.stop)
             pending = [] if hopeful else [(k, None) for k in range(nc)]
             for lo in range(0, nc, batch) if hopeful else ():
                 ks = np.arange(lo, min(nc, lo + batch))
                 if per_row:
-                    whole, live, seeded = [0], np.zeros((1, n), dtype=bool), np.full(1, -np.inf)
+                    live, seeded = np.ones((1, n), dtype=bool), np.full(1, -np.inf)
                 else:
                     # Each k's seed row, whose nearest column lies deepest in a sinusoid
                     # (the smallest dip, about p there), sets a level its top point
@@ -470,27 +472,21 @@ class _RidgeScanner:
                     dip = screen(ks, block, store[:4 * ks.size * n].reshape(2, 2, ks.size, n))
                     spare = store[2 * ks.size * n:]
                     seeds = np.minimum(*dip, out=spare[:ks.size * n].reshape(ks.size, n)).argmin(axis=1)
-                    top = evaluate(np.arange(ks.size), block.start + seeds, block.start + seeds, spare)[3].max(axis=0)
+                    top = evaluate(ks, block.start + seeds, spare)[3].max(axis=0)
                     seeded = np.maximum(max_s[ks], top)
                     level = np.minimum(seeded, threshold)
                     # Rows whose windows hold no column are below the level throughout.
                     dead = self._dead(dip, (1.0 - level[:, None] + self._slack) / 2.0,
                                       spare.view(np.bool_)[:dip.size].reshape(dip.shape))
                     live = ~dead.all(axis=0)
-                    whole = np.flatnonzero(live.all(axis=1)).tolist()
-                    live[whole] = False
-                # Calls (batch indices, rows, at) of at most `cap` pairs: runs of a
-                # slice's rows where all are live, then the other live pairs.
+                # Calls of at most `cap` live pairs (batch index, row), sorted by slice and row.
                 b_live, i_live = np.nonzero(live)
-                calls = [([b], slice(block.start + r, block.start + min(n, r + cap)), at_block[r:r + cap])
-                         for b in whole for r in range(0, n, cap)]
-                calls += [(b_live[r:r + cap],) + (block.start + i_live[r:r + cap],) * 2
-                          for r in range(0, b_live.size, cap)]
                 full = np.zeros((ks.size, n), dtype=bool)
-                for b_sel, rows_sel, at in calls:
-                    (r2, phase, floor, tolerance), p, idx, vals, free = evaluate(b_sel, rows_sel, at, store)
+                for r in range(0, b_live.size, cap):
+                    b_sel, at = b_live[r:r + cap], block.start + i_live[r:r + cap]
+                    k_at = ks[b_sel]
+                    (r2, phase, floor, tolerance), p, idx, vals, free = evaluate(k_at, at, store)
                     # A slice per pair: its k, or with per_row its row.
-                    k_at = np.full(at.shape, ks[b_sel])
                     slices = at - start if per_row else k_at
                     tops = offer(slices, at, vals, idx)
                     level = np.minimum(np.maximum(max_s[slices], seeded[b_sel]), threshold)
@@ -642,7 +638,7 @@ class DiagonalScanner(_RidgeScanner):
 
         max_s, key, n_over, (hit_k, keys, hit_s) = self._walk(
             slice(None), *self.weights(cs), float(threshold), limit, self._may_certify(threshold),
-            lambda k, rows, out: self._roots(sc, k, rows, out), lambda ks, block, out: self._dips(sc, ks, block, out))
+            lambda k, at, out: self._roots(sc, k, at, out), lambda ks, block, out: self._dips(sc, ks, block, out))
         nb = self._cols[0].size
         return max_s, *np.divmod(key, nb), n_over, (hit_k, *np.divmod(keys, nb), hit_s)
 
@@ -683,9 +679,9 @@ class PlaneScanner(_RidgeScanner):
             betas, _SLACK + 2.0 * abs(norm - 1.0))
         self._alphas, self._coeffs = alphas, state.coeffs
 
-    def _roots(self, block: slice) -> np.ndarray:
-        """``(R^2, phase, floor, tolerance)`` of p_+- and p_-+ as ``|x sin b - y cos b|^2`` on the alpha rows ``block``."""
-        cos_a, sin_a = np.cos(self._alphas[block]), np.sin(self._alphas[block])
+    def _roots(self, at: np.ndarray) -> np.ndarray:
+        """``(R^2, phase, floor, tolerance)`` of p_+- and p_-+ as ``|x sin b - y cos b|^2`` on the alpha rows ``at``."""
+        cos_a, sin_a = np.cos(self._alphas[at]), np.sin(self._alphas[at])
         (c00, c01), (c10, c11) = self._coeffs
         x = np.stack([cos_a * c00 + sin_a * c10, cos_a * c11 - sin_a * c01])
         y = np.stack([cos_a * c01 + sin_a * c11, sin_a * c00 - cos_a * c10])
@@ -712,5 +708,5 @@ class PlaneScanner(_RidgeScanner):
         # A beta axis no wider than a row's stencils is cheaper to walk dense.
         row_max, key, n_over, (_, keys, vals) = self._walk(
             rows, (1.0,), (1.0,), float(threshold), limit, nb > _WIDTH,
-            lambda k, rows, out: self._roots(rows), None)
+            lambda k, at, out: self._roots(at), None)
         return row_max, key % nb, int(n_over[0]), (*np.divmod(keys, nb), vals)

@@ -275,19 +275,29 @@ def grid_scan(spec: ScanSpec, *, workers: Optional[int] = None) -> ScanReport:
             row_max, row_arg, count, (i, j, s) = scanner.scan(sl, threshold, VIOLATION_CAP)
             return row_max, np.arange(sl.start, sl.stop), row_arg, count, (i, i, j, s)
 
-    parts = shard_map(scan_shard, alphas.size if cs is None else cs.size, workers)
-    max_s, arg_i, arg_j = (np.concatenate([part[n] for part in parts]) for n in range(3))
-    columns = (cs, alphas[arg_i], betas[arg_j], max_s)
-    slice_maxima = ScanPoint(*(None if v is None else array("d", v.tobytes()) for v in columns))
+    size = alphas.size if cs is None else cs.size
+    parts = shard_map(scan_shard, size, workers)
+    # The curve's packed columns, filled in place shard by shard.
+    slice_maxima = ScanPoint(*(None if cs is None and n == 0 else array("d", [0.0]) * size for n in range(4)))
+    c_col, a_col, b_col, s_col = (None if v is None else np.frombuffer(v) for v in slice_maxima)
+    if cs is not None:
+        c_col[:] = cs
+    lo = 0
+    for max_s, arg_i, arg_j, *_ in parts:
+        hi = lo + max_s.size
+        np.take(alphas, arg_i, out=a_col[lo:hi])
+        np.take(betas, arg_j, out=b_col[lo:hi])
+        s_col[lo:hi] = max_s
+        lo = hi
     violations: list[ScanPoint] = []
     for part in parts:
         k, i, j, s = (hits[:VIOLATION_CAP - len(violations)] for hits in part[4])
         violations += map(ScanPoint, [None] * k.size if cs is None else _floats(cs, k),
                           _floats(alphas, i), _floats(betas, j), s.tolist())
-    best = int(np.argmax(max_s))
+    best = int(np.argmax(s_col))
     return ScanReport(
         family=spec.family,
-        max_s=float(max_s[best]),
+        max_s=float(s_col[best]),
         argmax=ScanPoint(*(None if v is None else v[best] for v in slice_maxima)),
         grid_points=alphas.size * betas.size * (1 if cs is None else cs.size),
         violations=tuple(violations),

@@ -54,6 +54,7 @@ COMMANDS = {
     "eps-preset": ["scan", "--eps-preset"],
     "all rows in full": ["scan", "--step", "2e-3", "--c-step", "1e-2", "--tolerance=-1e-3", "--no-refine"],
     "thin": ["scan", "--c-step", "1e-6", "--step", "1", "--no-refine"],
+    "thin, 1e-5": ["scan", "--c-step", "1e-5", "--step", "1", "--no-refine"],
     "thin, csv": ["scan", "--c-step", "1e-6", "--step", "1", "--no-refine", "--csv", CSV],
     "thin singlet": ["scan", "--family", "singlet", "--alpha-step", "3e-6", "--beta-step", "1", "--no-refine"],
     "thin singlet, csv": ["scan", "--family", "singlet", "--alpha-step", "3e-6", "--beta-step", "1",
@@ -63,6 +64,9 @@ COMMANDS = {
     "singlet at -1e-3": ["scan", "--family", "singlet", "--tolerance=-1e-3", "--csv", CSV],
     "eval": ["eval", "--c", "0.37", "--alpha", "0.71", "--beta", "2.9"],
     "expand": ["expand", "--c", "0.2"],
+    "mc": ["mc", "--c", "0.37", "--alpha", "0.71", "--beta", "2.9", "--n", "1000000", "--workers", "2",
+           "--seed", "7"],
+    "hv": ["hv", "--models", "1000", "--frechet-grid", "11", "--seed", "7"],
 }
 
 WALL_TIME = re.compile(rb'"wall_time": [^,}]+')

@@ -69,6 +69,9 @@ MUTATIONS = {
     "drop the screen's float-error term": (
         "4.0 * float(self._gap.max()) ** 2) * (1.0 + 1e-14)",
         "4.0 * float(self._gap.max()) ** 2)"),
+    "offer ignores slice boundaries within a call": (
+        "np.not_equal(slices[1:], slices[:-1], out=head[1:])",
+        "head[1:] = False"),
     "c and s swapped in one root's phase": (
         "np.multiply(sc[::-1, k], self._tan_a[rows], out=out)\n"
         "        np.copysign(sc[:, k], out, out=scratch)",

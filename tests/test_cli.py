@@ -13,7 +13,7 @@ import pytest
 import scipy.optimize
 
 import leggettlab
-from leggettlab import MeasurementSettings, cli, ensemble_averages, model_from_json, reduced_lhs_exact
+from leggettlab import InputError, MeasurementSettings, cli, ensemble_averages, model_from_json, reduced_lhs_exact
 from leggettlab._json import render
 from leggettlab.config import ENV_THREADS
 from leggettlab.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
@@ -281,6 +281,28 @@ class TestMc:
         code, _, err = run(capsys, "mc", "--model", str(tmp_path / "absent.json"))
         assert code == EXIT_USAGE
         assert "cannot read model file" in err
+
+    @pytest.mark.parametrize("content", [
+        b'{"weights": ["a"], "responses": [[1, 1]]}',
+        b'{"weights": [1.0], "responses": [[1, "x"]]}',
+        b'{"weights": [1.0], "responses": [[null, 1]]}',
+        b'{"weights": [0.5, 0.5], "responses": [[1, 1], [1]]}',
+        b'{"weights": [[0.5, 0.5], [1.0]], "responses": [[1, 1], [1, 1]]}',
+        b'{"weights": [1.0], "responses": [[1, 1]]}\xff',
+    ])
+    def test_malformed_model_file(self, capsys, tmp_path, content):
+        path = tmp_path / "model.json"
+        path.write_bytes(content)
+        code, out, err = run(capsys, "mc", "--model", str(path))
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        try:
+            text = content.decode("utf-8")
+        except UnicodeDecodeError:
+            assert "cannot read model file" in err
+        else:
+            with pytest.raises(InputError):
+                model_from_json(text)
 
     def test_invalid_sample_count(self, capsys):
         code, _, _ = run(capsys, "mc", "--c", "0.3", "--alpha", "0", "--beta", "0", "--n", "0")

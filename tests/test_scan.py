@@ -528,7 +528,9 @@ def test_curve_memory_stays_bounded(tmp_path, family):
 
     One ScanPoint per slice peaked at 13.6 MB (diagonal) and 15.1 MB
     (singlet) in grid_scan, and formatting the whole curve at once at
-    8.1 and 14.4 MB in write_csv."""
+    8.1 and 14.4 MB in write_csv.  Concatenated copies of the shards'
+    columns peaked at 8.1 MB (diagonal); filled in place, 5.3 MB.  The
+    singlet's 9.7 MB is PlaneScanner's own tables."""
     spec = _thin_spec(family, 1 << 16)
     peaks = []
     tracemalloc.start()
@@ -542,7 +544,7 @@ def test_curve_memory_stays_bounded(tmp_path, family):
     finally:
         tracemalloc.stop()
     assert len(report.slice_maxima.s) == 1 << 16
-    assert peaks[0] < 11 * 2**20 and peaks[1] < 4 * 2**20, peaks
+    assert peaks[0] < (6.5 if family == "diagonal" else 11) * 2**20 and peaks[1] < 4 * 2**20, peaks
 
 
 class TestScanReportShape:
