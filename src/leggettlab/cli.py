@@ -8,18 +8,21 @@ plus a top-level ``"seed"`` where randomness is involved.  Floats carry
 17 significant digits (exact round-trip).  Angles are radians unless
 ``--degrees`` is given; reports always store radians.
 
-Exit codes: 0 success; 2 invalid flags or domain errors, including an
-output file that cannot be written (checked before the work starts); 3 a
-scan found a bound violation above tolerance (so scripts can detect one
-without parsing output); 4 an internal check failed (the LP solver
-reported a failure, or an exact evaluation disagreed with its
-cross-check) or the process ran out of memory.
+Exit codes: 0 success; 1 stdout was closed before the report was
+written (a reader such as ``head`` left early; nothing more is printed);
+2 invalid flags or domain errors, including an output file that cannot be
+written (checked before the work starts); 3 a scan found a bound
+violation above tolerance (so scripts can detect one without parsing
+output); 4 an internal check failed (the LP solver reported a failure, or
+an exact evaluation disagreed with its cross-check) or the process ran
+out of memory.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
+import os
 import sys
 from argparse import ArgumentParser
 from typing import Optional
@@ -54,6 +57,7 @@ from .scan import FAMILIES, ScanSpec, grid_scan, halving_ladder, refine, write_c
 __all__ = ["main", "console_main"]
 
 EXIT_OK = 0
+EXIT_CLOSED = 1
 EXIT_USAGE = 2
 EXIT_VIOLATION = 3
 EXIT_INTERNAL = 4
@@ -167,7 +171,13 @@ def _emit(command: str, inputs: dict, results: dict, seed: Optional[int] = None)
     }
     if seed is not None:
         envelope["seed"] = seed
-    print(render(envelope))
+    try:
+        print(render(envelope), flush=True)
+    except BrokenPipeError:
+        # The reader closed stdout.  What is left goes to os.devnull, so that the
+        # flush at exit finds no broken pipe; main exits EXIT_CLOSED.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise
 
 
 @contextlib.contextmanager
@@ -445,6 +455,8 @@ def main(argv=None) -> int:
     except MemoryError:
         print("error: out of memory; use a coarser grid or fewer points", file=sys.stderr)
         return EXIT_INTERNAL
+    except BrokenPipeError:
+        return EXIT_CLOSED
 
 
 def console_main() -> None:

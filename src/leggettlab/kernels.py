@@ -42,27 +42,25 @@ p_-+``, and on an alpha row each of the two is a sinusoid in beta,
   (|x|^2 + |y|^2 + R^2)``, which is 0 for a real C.
 
 A slice is one ``c`` of the diagonal family, or one alpha row of a fixed
-state (the report lists each row's maximum).  With M the largest S
-evaluated so far in the slice, ``L = min(M, threshold)`` and ``D = (1 -
-L + slack) / 2``, a point with ``S_float >= L`` has ``p <= D`` for one
-of its sinusoids: its beta lies within ``arcsin(sqrt((D - p_min) /
-R^2))`` of ``phi + k pi`` (nowhere when ``D < p_min``).  A scanner
-evaluates ``_SIDE`` beta columns on each side of each root (columns
-sorted once by ``b mod pi``, the order padded circularly) with the block
-engine's tables and operation order, and certifies a row when both
-stencils reach past their windows plus a margin.  Every other point of
-the row then has ``S_float < L``: below the maximum, so the first
-maximum in row-major order is among the evaluated points, and not over
-the threshold.  Other rows (R near 0, or windows wider than the stencil
-at low thresholds) go to the block engine, which builds a chunk's
-uncertified rows once for every ``c`` that needs them.  Scans list the
-points over the threshold where they count them, in one flat list that
-one sort on (slice, key) trims to its first ``limit`` whenever it passes
-``2 limit``: memory is O(``limit`` + chunk + axes) at any threshold, plus
-the per-slice maxima, keys and counts, three arrays of O(slices).
-A chunk's stencils are laid out root-major, ``(2 roots, 2 _SIDE
-columns, rows)``: each stencil column is one contiguous run over the
-rows, along which every alpha table broadcasts.
+state (the report lists each row's maximum).  With M the largest S evaluated
+so far in the slice, ``L = min(M, threshold)`` and ``D = (1 - L + slack) /
+2``, a point with ``S_float >= L`` has ``p <= D`` for one of its sinusoids:
+its beta lies within ``arcsin(sqrt((D - p_min) / R^2))`` of ``phi + k pi``
+(nowhere when ``D < p_min``), the root's window.  Every other point has
+``S_float < L``: below the maximum, so the first maximum in row-major order
+lies in the windows, and not over the threshold.  Columns are sorted once by
+``b mod pi``, the order padded circularly.  A scanner evaluates ``_SIDE``
+columns on each side of each root with the block engine's tables and
+operation order, and certifies a row when both stencils reach past their
+windows plus a margin.  Other rows are evaluated on their two windows at that
+L, each column once, in tiles of ``_TILE``; a window of ``pi/2`` or more (R
+near 0, a low L) takes the whole row from the block engine, as do all rows
+when every window at the threshold spans the half-period (a threshold below
+1/2) or the beta axis is no wider than the stencils.  Stencils and tiles are
+laid out ``(columns, pairs)``.  Scans list the points over the threshold
+where they count them, in one flat list that one sort on (slice, key) trims
+to its first ``limit`` whenever it passes ``2 limit``: memory is O(``limit``
++ chunk + axes) at any threshold, plus three arrays of O(slices).
 
 Most rows of a diagonal slice need no stencil at all.  Per ``c`` the
 scanner first evaluates one seed row, the row whose nearest column lies
@@ -71,34 +69,21 @@ deepest in a sinusoid (smallest ``dip = R^2 max(near - margin, 0)^2``,
 side), and takes ``L = min(max(M, top), threshold)`` with ``top`` the
 seed's stencil maximum.  A row whose windows at that L hold no column at
 either root has ``S_float < L`` at every point: it is the cover test with a
-stencil of no columns, so the same float-error bound holds with ``near``
-in place of the distance to the farthest stencil column.  Such a row holds
+stencil of no columns, so the same float-error bound holds with ``near`` in
+place of the distance to the farthest stencil column.  Such a row holds
 neither the first maximum nor a hit, and none of its points is evaluated;
 the seed row itself either reaches L or is such a row.  A screen finds
 these rows with no arcsin (:meth:`DiagonalScanner._dead`).  The other
-(live) rows of a batch of ``c``, all of a ``c``'s rows at low thresholds,
-are gathered as (slice, row) pairs, offered slice by slice, and certified
-as above at the level they raise, never below the seed's.  On the paper
-grid about 7 of 3142 rows per ``c`` are live.  Fixed states skip no row:
-each row is a slice of its own, and every row is a live pair.
+(live) rows of a batch of ``c`` are gathered as (slice, row) pairs, offered
+slice by slice, and certified as above at the level they raise, never below
+the seed's.  On the paper grid about 7 of 3142 rows per ``c`` are live.
+Fixed states skip no row: each row is a slice, and a live pair, of its own.
 With L within about 1e-13 of 1, a window is some 3e-7 / R rad wide.  At
 ``L = 1 - t`` it is about ``sqrt(t / 2) / R``, which passes the stencil
-once ``t > 2 (_SIDE h R)^2`` (1.8e-5 R^2 at step h = 1e-3): at lower
-thresholds most rows are evaluated in full, at about the dense engine's
-cost (a diagonal scan whose threshold rules out every row skips its
-stencils).  A fixed state's row whose maximum lies far below 1 has L at
+once ``t > 2 (_SIDE h R)^2`` (1.8e-5 R^2 at step h = 1e-3); a row then
+costs its windows, about ``2 sqrt(2 t) / (R h)`` columns, so a scan slows
+as its windows widen.  A fixed state's row whose maximum lies far below 1 has L at
 its top, and a window about as wide as the top's distance from its root.
-
-A walk (:meth:`_RidgeScanner._walk`) holds one store.  A pass of
-``_PASS`` slices keeps there each root's dip and a scratch array, 4 values
-per slice and row of a chunk (0.8 MB on the paper axis); on an axis of a
-few rows the store holds 8 bytes per row a chunk may hold (32 KB), and the
-seeds' stencils bound a pass (64 slices on 4 rows).  Column positions come
-from a bucket table (:meth:`_RidgeScanner._locate`).  Every stencil call,
-the seeds' included, takes its pairs as index arrays of slices and rows:
-they recompute their roots and evaluate their stencils in the whole store,
-8 + 4 ``_WIDTH`` values each, up to 1795 pairs per call on the paper axis.
-A call may span slices.  Its windows reuse spent buffers.
 
 Float error, diagonal family.  With unit roundoff e = 2^-53 and numpy's
 float64 sin, cos and tan within 4 ulp (8e relative), the tables carry relative
@@ -160,6 +145,8 @@ _BLOCK_ELEMS = 32 * 1024
 # Stencil columns on each side of a root; a row holds two roots.
 _SIDE = 3
 _WIDTH = 4 * _SIDE
+# Columns per tile of an uncertified row's windows.
+_TILE = 8
 # Stencil candidates per chunk of whole alpha rows, 4096 rows of _WIDTH.
 _CHUNK_CANDIDATES = 48 * 1024
 # Slices per pass of a ridge walk, 4 store values per row each: 12 were faster
@@ -256,12 +243,12 @@ class _RidgeScanner:
 
     def __init__(self, rows, cols, betas: np.ndarray, slack: float):
         self._rows, self._cols, self._slack = rows, cols, slack
-        # Columns in phase order, padded by _SIDE on each side with their
-        # images one period away (repeating when the axis is shorter).
+        # Columns in phase order, padded by _SIDE on the left and _SIDE + _TILE on
+        # the right with their images one period away (repeating when the axis is shorter).
         betas = np.ascontiguousarray(betas, dtype=np.float64).reshape(-1)
         phase = np.remainder(betas, math.pi)
         order = np.argsort(phase, kind="stable")
-        wrap, pos = np.divmod(np.arange(-_SIDE, betas.size + _SIDE), betas.size)
+        wrap, pos = np.divmod(np.arange(-_SIDE, betas.size + _SIDE + _TILE), betas.size)
         self._phase = phase[order][pos] + math.pi * wrap
         self._sorted_phase = self._phase[_SIDE:_SIDE + betas.size]
         self._phase_col = order[pos]
@@ -326,60 +313,32 @@ class _RidgeScanner:
         half += tolerance
         return half
 
-    def _full_rows(self, block: slice, pending, u, w):
-        """Yield ``(k, rows, S block)`` for the rows of ``block`` that slice k left uncertified.
+    def _runs(self, phase: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The columns of each pair's windows ``phase +- half`` (``(2, pairs)``, ``half < pi/2``), each once, as
+        ``(first, size)``, ``(2, pairs)``: two runs of positions in circular phase order, the second empty where they meet."""
+        nb, lo, hi = self._sorted_phase.size, phase - half, phase + half
+        below, above = lo < 0.0, hi > math.pi
+        lo = self._locate(np.where(below, lo + math.pi, lo), np.empty(lo.shape, np.int64), lo) - nb * below
+        hi = self._locate(np.where(above, hi - math.pi, hi), np.empty(hi.shape, np.int64), hi) + nb * above
+        # Run a starts first, run b joins it where it starts within a or runs on past a's start.
+        swap = lo[1] % nb < lo[0] % nb
+        (sa, sb), (la, lb) = np.where(swap, lo[::-1] % nb, lo % nb), np.minimum(np.where(swap, (hi - lo)[::-1], hi - lo), nb)
+        ea, eb = sa + la, sb + lb
+        joined, one = sb <= ea, (sb <= ea) | (eb >= sa + nb)
+        size = np.minimum(np.where(joined, np.maximum(ea, eb) - sa, np.maximum(eb, ea + nb) - sb), nb)
+        return np.stack([np.where(joined | ~one, sa, sb), sb]), np.stack([np.where(one, size, la), np.where(one, 0, lb)])
 
-        ``pending`` holds ``(k, mask)`` pairs, ``mask`` over the rows of ``block`` or None
-        for all.  Each block's tables serve every k that needs them; rows outside k's mask
-        read -inf, so they neither win nor count.
-        """
-        if not pending:
-            return
-        masks = [mask for _, mask in pending if mask is not None]
-        rows = np.arange(block.stop - block.start)
-        if len(masks) == len(pending):
-            rows = np.flatnonzero(np.logical_or.reduce(masks))
-        sub = tuple(r[block][rows] for r in self._rows)
-        out = None
-        for start, x, y, z in _blocks(sub, self._cols):
-            if out is None:
-                out = np.empty_like(x), np.empty_like(x)
-            n = x.shape[0]
-            part = rows[start:start + n]
-            s, t, at = out[0][:n], out[1][:n], block.start + part
-            for k, mask in pending:
-                keep = None if mask is None else mask[part]
-                if keep is not None and not keep.any():
-                    continue
-                _evaluate(x, y, z, u[k], w[k], s, t)
-                if keep is not None and not keep.all():
-                    s[~keep] = -np.inf
-                yield k, at, s
-
-    def _walk(self, rows: slice, u, w, threshold: float, limit: int, hopeful: bool, roots, screen):
+    def _walk(self, rows: slice, u, w, threshold: float, limit: int, roots, screen):
         """Maxima, first argmax keys, threshold counts and first hits of the weights ``(u[k], w[k])`` over the alpha rows ``rows``.
 
-        A slice is one k, or without a ``screen`` one alpha row (k is then
-        0); keys are ``i * nb + j``, and each slice's key is that of its first
-        maximum in row-major order.  ``roots(k, at, out)`` gives ``(R^2,
-        phase, floor, tolerance)`` of the pairs of weights ``k[i]`` and alpha
-        rows ``at[i]``, two index arrays: R^2 and phase ``(2, pairs)`` arrays
-        in the first two of the three buffers ``out`` (the third is
-        scratch).  ``screen(ks, block, out)`` gives the dips
-        (:meth:`DiagonalScanner._dips`) of a batch in ``out``; a seed row per
-        k then sets a level and only live rows are evaluated.  A row is
-        certified when its stencils reach past windows of depth ``(1 - L +
-        slack) / 2 - floor``; with ``hopeful`` false no stencil is evaluated.
-        Returns ``(maxima, keys, counts, hits)``, the hits ``(k, key, S)``
-        arrays of the first ``limit`` in (k, key) order.
-
-        Hits arrive in no global order: a chunk's full rows follow its
-        stencils, and a slice's stencil hits may follow a later slice's.  A
-        listing call's hits share one k and rise in key, so it holds at most
-        its first ``limit``.  Past ``2 limit`` held hits one sort on (k, key)
-        keeps the first ``limit``, and the last of them becomes ``cut``: no
-        hit after it can rank, so a later call whose first ``(k, key)`` lies
-        past ``cut`` lists nothing.
+        A slice is one k, or without a ``screen`` one alpha row (k is then 0); keys are
+        ``i * nb + j``, and each slice's key is that of its first maximum in row-major
+        order.  ``roots(k, at, out)`` gives ``(R^2, phase, floor, tolerance)`` of the pairs
+        of weights ``k[i]`` and alpha rows ``at[i]``, R^2 and phase ``(2, pairs)`` arrays in
+        the first two of the three buffers ``out``.  ``screen(ks, block, out)`` gives the
+        dips (:meth:`DiagonalScanner._dips`) of a batch in ``out``; a seed row per k then
+        sets a level and only live rows are evaluated.  Returns ``(maxima, keys, counts,
+        hits)``, the hits ``(k, key, S)`` arrays of the first ``limit`` in (k, key) order.
         """
         u, w = np.asarray(u, dtype=np.float64), np.asarray(w, dtype=np.float64)
         nc, na, nb = u.size, self._rows[0].size, self._cols[0].size
@@ -389,8 +348,8 @@ class _RidgeScanner:
         key = np.zeros(max_s.size, dtype=np.int64)
         n_over = np.zeros(nc, dtype=np.int64)
         # Parts (k, keys i * nb + j, values) of the hits that may still rank among
-        # the first `limit`, and `cut`: (k, key) past which none can.  Before any
-        # trim every hit ranks before `cut`; with no room, none does.
+        # the first `limit`, in no global order, and `cut`: (k, key) past which none
+        # can.  Before any trim every hit ranks before `cut`; with no room, none does.
         parts: list[tuple] = []
         n_held, cut = 0, (nc if limit else -1, 0)
 
@@ -411,39 +370,51 @@ class _RidgeScanner:
             win = (tops > now) | ((tops == now) & (keys < key[slices]))
             max_s[slices[win]], key[slices[win]] = tops[win], keys[win]
 
-        def offer(slices, at, vals, idx):
-            # The stencils `vals` at positions `idx` of pairs sorted by slice and row: a
-            # slice's first maximum lies in the first of its rows that reaches the
-            # slice's top, at the smallest column there.
-            tops = vals.max(axis=0)
+        def offer(slices, at, tops, vals, idx):
+            # The values `vals` in columns `_phase_col[idx]`, (points, pairs), of pairs sorted by slice and
+            # row (a row may span pairs), their maxima `tops`: a slice's first maximum lies in the
+            # first of its rows that reaches the slice's top, at the smallest column there.
             head = np.ones(tops.size, dtype=bool)
             np.not_equal(slices[1:], slices[:-1], out=head[1:])
             starts = np.flatnonzero(head)
             reach = np.repeat(np.maximum.reduceat(tops, starts), np.append(starts[1:], tops.size) - starts)
             attained = np.flatnonzero(tops == reach)
             first = attained[np.searchsorted(attained, starts)]
-            best = tops[first]
-            cols = np.where(vals[:, first] == best, self._phase_col[idx[:, first]], nb).min(axis=0)
-            merge(slices[first], best, at[first] * nb + cols)
-            return tops
+            owner = np.searchsorted(starts, attained, side="right") - 1
+            lead = at[attained] == at[first[owner]]
+            owner, lead = owner[lead], attained[lead]
+            cols = np.where(vals[:, lead] == tops[lead], self._phase_col[idx[:, lead]], nb).min(axis=0)
+            cols = np.minimum.reduceat(cols, np.flatnonzero(np.append(True, owner[1:] != owner[:-1])))
+            merge(slices[first], tops[first], at[first] * nb + cols)
 
-        def count(k, keys, vals):
-            # Count and hold the hits `keys` of slice k, each once (short axes repeat columns in a stencil).
-            keys, first = np.unique(keys, return_index=True)
-            if (k, int(keys[0])) < cut:
-                hold(k, keys, vals[first])
-            n_over[k] += keys.size
+        def tally(k_at, at, over, vals, idx):
+            # Count the hits `over` (points, pairs; each column once) of pairs sorted by slice
+            # and row, and hold those of pairs that may rank, each slice's in one run.
+            head = np.flatnonzero(np.append(True, k_at[1:] != k_at[:-1]))
+            n_over[k_at[head]] += np.add.reduceat(over.sum(axis=0, dtype=np.int32), head)
+            may = np.flatnonzero((k_at < cut[0]) | ((k_at == cut[0]) & (at * nb < cut[1])))
+            i_idx, m_idx = np.nonzero(over[:, may].T)
+            hit_k, i_idx = k_at[may[i_idx]], may[i_idx]
+            keys, hit_s = at[i_idx] * nb + self._phase_col[idx[m_idx, i_idx]], vals[m_idx, i_idx]
+            runs = (np.flatnonzero(hit_k[1:] != hit_k[:-1]) + 1).tolist()
+            for a, b in zip([0] + runs, runs + [hit_k.size]) if hit_k.size else ():
+                rank = a + np.argsort(keys[a:b], kind="stable")
+                hold(int(hit_k[a]), keys[rank], hit_s[rank])
 
         blocks = list(self._chunks(rows))
         height = max((b.stop - b.start for b in blocks), default=0)
         # One store per walk: a pass of _PASS slices, each root's dip and scratch per
-        # row; on short axes, one value per row a chunk may hold.  Stencil calls
-        # then take the whole store, 8 + 4 _WIDTH values per pair.
+        # row, 4 values per slice and row (0.8 MB on the paper axis); on short axes,
+        # one value per row a chunk may hold.  A stencil call takes its pairs' roots,
+        # positions and stencils there, 8 + 4 _WIDTH values per pair, up to 1795
+        # pairs on the paper axis.  Column positions come from a bucket table.
         pair = 8 + 4 * _WIDTH
         budget = max(4 * _PASS * height, _CHUNK_CANDIDATES // _WIDTH, 2 * height + pair)
         batch = max(1, min(nc, budget // max(4 * height, 2 * height + pair)))
         cap = budget // pair
-        store = np.empty(budget) if hopeful else None
+        store = np.empty(budget)
+        # Every row whole: every window at the threshold spans the half-period, or stencils span the axis.
+        dense = nb <= _WIDTH or 1.0 - threshold + self._slack > 0.5
 
         def evaluate(k_at, at, region):
             # Roots, positions and (_WIDTH, pairs) root-major stencils of the pairs
@@ -458,10 +429,66 @@ class _RidgeScanner:
             _gather(self._rows, self._stencil_cols, at, idx, x, y, z)
             return found, p, idx, _evaluate(x, y, z, u[k_at], w[k_at], x, z), y
 
+        def windows(k_at, at, slices, first, size):
+            # The runs (first, size) of each pair in tiles of _TILE positions, (_TILE, tiles)
+            # like the stencils, in calls of at most _BLOCK_ELEMS points.
+            tiles = -(-size.T.ravel() // _TILE)
+            run = np.repeat(np.arange(tiles.size), tiles)
+            tile = np.arange(run.size) - np.repeat(np.cumsum(tiles) - tiles, tiles)
+            pos = (first.T.ravel()[run] + _TILE * tile) % nb + _SIDE
+            valid, pair, lane = size.T.ravel()[run] - _TILE * tile, run // 2, np.arange(_TILE)[:, None]
+            step = max(1, _BLOCK_ELEMS // _TILE)
+            buf = np.empty((4, _TILE, min(run.size, step)))
+            for lo in range(0, run.size, step):
+                e, p_e = slice(lo, lo + step), pair[lo:lo + step]
+                idx, (x, y, z) = np.add(lane, pos[e], out=buf[0, :, :p_e.size].view(np.int64)), buf[1:, :, :p_e.size]
+                _gather(self._rows, self._stencil_cols, at[p_e], idx, x, y, z)
+                vals = _evaluate(x, y, z, u[k_at[p_e]], w[k_at[p_e]], x, z)
+                vals[lane >= valid[e]] = -np.inf
+                tops = vals.max(axis=0)
+                top = np.flatnonzero(tops >= max_s[slices[p_e]])  # only these can reach their slice's maximum
+                if top.size:
+                    offer(slices[p_e[top]], at[p_e[top]], tops[top], vals[:, top], idx[:, top])
+                if tops.max() > threshold:
+                    tally(k_at[p_e], at[p_e], vals > threshold, vals, idx)
+
+        def whole(ks, block, mask=None):
+            # Every column of the pairs `mask` (ks, ascending, by the rows of `block`; None: all) from the block
+            # engine: a block of rows serves as many k at a time as hold its points, merged 4096 slices at a time.
+            wanted = np.arange(block.stop - block.start) if mask is None else np.flatnonzero(mask.any(axis=0))
+            base = int(ks[0]) if ks[-1] - ks[0] < ks.size else None  # a range: weights by slice
+            for first, x, y, z in _blocks(tuple(r[block][wanted] for r in self._rows), self._cols):
+                h, part = x.shape[0], wanted[first:first + x.shape[0]]
+                step, span = max(1, _BLOCK_ELEMS // x.size), nb if per_row else x.size
+                s_all, t_all = np.empty((2, min(step, ks.size), *x.shape))
+                lines, group = np.arange(s_all.size // span), step * max(1, _BLOCK_ELEMS // (8 * step))
+                for lo in range(0, ks.size, group):
+                    found = []
+                    for g in range(lo, min(ks.size, lo + group), step):
+                        kk = ks[g:g + step]
+                        sel = kk if base is None else slice(base + g, base + g + kk.size)
+                        s = _evaluate(x, y, z, u[sel, None, None], w[sel, None, None], s_all[:kk.size], t_all[:kk.size])
+                        if mask is not None:
+                            s[~mask[g:g + step, part]] = -np.inf
+                        at = s.reshape(-1, span).argmax(axis=1)
+                        found.append((at, s.reshape(-1, span)[lines[:at.size], at]))
+                        for j, k in enumerate(kk.tolist() if found[-1][1].max() > threshold else ()):
+                            over = s[j] > threshold
+                            hits = int(np.count_nonzero(over))
+                            n_over[k] += hits
+                            if hits and k <= cut[0] and (k, int(block.start + part[over.argmax() // nb]) * nb) < cut:
+                                # Row-major, so the block's hits rise in key: its first `limit` may rank.
+                                flat = np.flatnonzero(over)[:limit]
+                                hold(k, (block.start + part[flat // nb]) * nb + flat % nb, s[j].ravel()[flat])
+                    at, tops = (np.concatenate(c) for c in zip(*found))
+                    keep = np.flatnonzero(tops > -np.inf)
+                    at, tops = at[keep] + keep * span, tops[keep]
+                    rows_at = block.start + part[at // nb % h]
+                    merge(rows_at - start if per_row else ks[lo + at // x.size], tops, rows_at * nb + at % nb)
+
         for block in blocks:
             n = block.stop - block.start
-            pending = [] if hopeful else [(k, None) for k in range(nc)]
-            for lo in range(0, nc, batch) if hopeful else ():
+            for lo in range(0, 0 if dense else nc, batch):
                 ks = np.arange(lo, min(nc, lo + batch))
                 if per_row:
                     live, seeded = np.ones((1, n), dtype=bool), np.full(1, -np.inf)
@@ -481,50 +508,35 @@ class _RidgeScanner:
                     live = ~dead.all(axis=0)
                 # Calls of at most `cap` live pairs (batch index, row), sorted by slice and row.
                 b_live, i_live = np.nonzero(live)
-                full = np.zeros((ks.size, n), dtype=bool)
                 for r in range(0, b_live.size, cap):
                     b_sel, at = b_live[r:r + cap], block.start + i_live[r:r + cap]
                     k_at = ks[b_sel]
                     (r2, phase, floor, tolerance), p, idx, vals, free = evaluate(k_at, at, store)
                     # A slice per pair: its k, or with per_row its row.
                     slices = at - start if per_row else k_at
-                    tops = offer(slices, at, vals, idx)
+                    tops = vals.max(axis=0)
+                    offer(slices, at, tops, vals, idx)
                     level = np.minimum(np.maximum(max_s[slices], seeded[b_sel]), threshold)
                     half = self._windows(r2, (1.0 - level + self._slack) / 2.0 - floor, tolerance, free[4:6])
                     covers = self._reach(phase, p, (free[:2], free[2:4]))
                     sure = (half < covers).all(axis=0)
                     if tops.max() > threshold:
-                        # Only certified rows count here: the others are evaluated in full.
-                        # Taken pair by pair, each slice's hits form one run.
-                        i_idx, m_idx = np.nonzero(((vals > threshold) & sure).T)
-                        keys = at[i_idx] * nb + self._phase_col[idx[m_idx, i_idx]]
-                        hit_k, hit_s = k_at[i_idx], vals[m_idx, i_idx]
-                        runs = (np.flatnonzero(hit_k[1:] != hit_k[:-1]) + 1).tolist()
-                        for a, b in zip([0] + runs, runs + [hit_k.size]) if hit_k.size else ():
-                            count(int(hit_k[a]), keys[a:b], hit_s[a:b])
-                    full[b_sel, at - block.start] = ~sure
-                for b in np.flatnonzero(full.any(axis=1)).tolist():
-                    pending.append((int(ks[b]), None if full[b].all() else full[b]))
-            for k, rows_k, s in self._full_rows(block, pending, u, w):
-                if per_row:
-                    cols = np.argmax(s, axis=1)
-                    tops = s[np.arange(cols.size), cols]
-                    merge(rows_k - start, tops, rows_k * nb + cols)
-                    top = tops.max()
-                else:
-                    # One candidate per k and block, compared as scalars: through `merge`
-                    # it cost the all-rows-in-full scan about a quarter more time.
-                    i, j = divmod(int(np.argmax(s)), nb)
-                    top, at_key = s[i, j], int(rows_k[i]) * nb + j
-                    if top > max_s[k] or (top == max_s[k] and at_key < key[k]):
-                        max_s[k], key[k] = top, at_key
-                if top > threshold:
-                    over = s > threshold
-                    n_over[k] += int(np.count_nonzero(over))
-                    if (k, int(rows_k[0]) * nb) < cut:
-                        # Row-major, so the block's hits rise in key: its first `limit` may rank.
-                        flat = np.flatnonzero(over)[:limit]
-                        hold(k, rows_k[flat // nb] * nb + flat % nb, s.ravel()[flat])
+                        # Certified rows count here, a column of both stencils once; the others on their windows.
+                        over = (vals > threshold) & sure
+                        over[2 * _SIDE:] &= (idx[2 * _SIDE:] - p[0]) % nb >= 2 * _SIDE
+                        tally(k_at, at, over, vals, idx)
+                    # Uncertified rows take their windows, or whole rows for windows of half pi/2 or more.
+                    wide = ~sure & ~(half < math.pi / 2.0).all(axis=0)
+                    narrow = np.flatnonzero(~sure & ~wide)
+                    if narrow.size:
+                        windows(k_at[narrow], at[narrow], slices[narrow], *self._runs(phase[:, narrow], half[:, narrow]))
+                    if wide.any():
+                        b_wide, b_at = np.unique(b_sel[wide], return_inverse=True)
+                        mask = np.zeros((b_wide.size, n), dtype=bool)
+                        mask[b_at, at[wide] - block.start] = True
+                        whole(ks[b_wide], block, mask)
+            if dense:
+                whole(np.arange(nc), block)
         return max_s, key, n_over, _first(parts, limit)
 
 
@@ -546,26 +558,12 @@ class DiagonalScanner(_RidgeScanner):
         left, right = self._phase[_SIDE - 1:_SIDE + nb], self._phase[_SIDE:_SIDE + nb + 1]
         self._mid, self._gap = (left + right) / 2.0, (right - left) / 2.0
         self._screen = max((math.pi / 3.0) ** 2, 4.0 * float(self._gap.max()) ** 2) * (1.0 + 1e-14)
-        # No stencil reaches farther from its root than half its span.
-        self._span = float(np.max(self._phase[2 * _SIDE - 1:] - self._phase[:1 - 2 * _SIDE])) / 2.0
 
     @staticmethod
     def weights(cs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(u, w) = (|1 - 2c^2|, c sqrt(1 - c^2))`` for a weight axis."""
         cs = np.asarray(cs, dtype=np.float64)
         return np.abs(1.0 - 2.0 * cs * cs), cs * np.sqrt(1.0 - cs * cs)
-
-    def _may_certify(self, threshold: float) -> bool:
-        """Whether any row could be certified at the threshold's window depth D.
-
-        Every level is at most the threshold and every R at most 1, so
-        every window is at least ``arcsin(sqrt(D) / 2)`` wide (the 2
-        leaves room for rounding).  When that reaches the widest
-        stencil's half-span, no row can be certified: every row of the
-        scan is evaluated in full, and its stencils need not be.
-        """
-        reach = math.sqrt(max((1.0 - threshold + _SLACK) / 2.0, 0.0))
-        return math.asin(min(reach / 2.0, 0.5)) < self._span
 
     def _phases(self, sc: np.ndarray, k, rows, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
         """Phases in [0, pi] of the roots ``(s cos a, c sin a)`` and ``(c cos a, s sin a)``, ``(s, c) = sc[:, k]``, in ``out``.
@@ -637,7 +635,7 @@ class DiagonalScanner(_RidgeScanner):
         sc = np.stack([np.sqrt(1.0 - cs * cs), cs])
 
         max_s, key, n_over, (hit_k, keys, hit_s) = self._walk(
-            slice(None), *self.weights(cs), float(threshold), limit, self._may_certify(threshold),
+            slice(None), *self.weights(cs), float(threshold), limit,
             lambda k, at, out: self._roots(sc, k, at, out), lambda ks, block, out: self._dips(sc, ks, block, out))
         nb = self._cols[0].size
         return max_s, *np.divmod(key, nb), n_over, (hit_k, *np.divmod(keys, nb), hit_s)
@@ -666,15 +664,18 @@ class PlaneScanner(_RidgeScanner):
         state = PureTwoPhotonState(coeffs)
         alphas, betas = (np.asarray(a, dtype=np.float64) for a in (alphas, betas))
         # Joint probabilities (++, +-, -+, --) along beta at alpha = 0, pi/2
-        # and pi/4, and along alpha at beta = 0.
+        # and pi/4, and P_A along alpha at beta = 0, a block of rows at a time.
         at_0, at_90, at_45 = (
             joint_probabilities(state, np.full_like(betas, a), betas)
             for a in (0.0, math.pi / 2.0, math.pi / 4.0)
         )
-        along_a = joint_probabilities(state, alphas, np.zeros_like(alphas))
+        p_a = np.empty(alphas.size)
+        for lo in range(0, alphas.size, _BLOCK_ELEMS):
+            part = joint_probabilities(state, alphas[lo:lo + _BLOCK_ELEMS], np.zeros(p_a[lo:lo + _BLOCK_ELEMS].size))
+            np.add(part[0], part[1], out=p_a[lo:lo + _BLOCK_ELEMS])
         norm = float(np.sum(state.coeffs.real**2 + state.coeffs.imag**2))
         super().__init__(
-            (along_a[0] + along_a[1], *_trig(alphas)),
+            (p_a, *_trig(alphas)),
             (at_0[0] + at_0[2], at_0[0] + at_0[3], at_90[0] + at_90[3], (at_45[0] + at_45[3]) - 0.5),
             betas, _SLACK + 2.0 * abs(norm - 1.0))
         self._alphas, self._coeffs = alphas, state.coeffs
@@ -705,8 +706,6 @@ class PlaneScanner(_RidgeScanner):
         grid's first row.
         """
         nb = self._cols[0].size
-        # A beta axis no wider than a row's stencils is cheaper to walk dense.
         row_max, key, n_over, (_, keys, vals) = self._walk(
-            rows, (1.0,), (1.0,), float(threshold), limit, nb > _WIDTH,
-            lambda k, at, out: self._roots(at), None)
+            rows, (1.0,), (1.0,), float(threshold), limit, lambda k, at, out: self._roots(at), None)
         return row_max, key % nb, int(n_over[0]), (*np.divmod(keys, nb), vals)

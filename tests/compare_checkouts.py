@@ -51,8 +51,10 @@ COMMANDS = {
     "adjudicate, 1 worker": ["scan", "--eps-preset", "--c-step", "0.001", *PAPER, "--workers", "1"],
     "census": ["scan", "--tolerance=-1e-12", "--c-step", "0.01", *PAPER, "--csv", CSV, "--workers", "2"],
     "census grid at 1 - 1e-6": ["scan", "--tolerance=-1e-6", "--c-step", "0.01", *PAPER, "--csv", CSV],
+    "census grid at 1 - 1e-5": ["scan", "--tolerance=-1e-5", "--c-step", "0.01", *PAPER, "--csv", CSV, "--workers", "2"],
     "eps-preset": ["scan", "--eps-preset"],
     "all rows in full": ["scan", "--step", "2e-3", "--c-step", "1e-2", "--tolerance=-1e-3", "--no-refine"],
+    "fully dense": ["scan", "--step", "2e-3", "--c-step", "1e-2", "--tolerance=-0.5", "--no-refine"],
     "thin": ["scan", "--c-step", "1e-6", "--step", "1", "--no-refine"],
     "thin, 1e-5": ["scan", "--c-step", "1e-5", "--step", "1", "--no-refine"],
     "thin, csv": ["scan", "--c-step", "1e-6", "--step", "1", "--no-refine", "--csv", CSV],

@@ -77,6 +77,15 @@ MUTATIONS = {
         "        np.copysign(sc[:, k], out, out=scratch)",
         "np.multiply(sc[[0, 0]][:, k], self._tan_a[rows], out=out)\n"
         "        np.copysign(sc[[1, 1]][:, k], out, out=scratch)"),
+    "a window one column short at its left edge": (
+        "np.empty(lo.shape, np.int64), lo) - nb * below",
+        "np.empty(lo.shape, np.int64), lo) + 1 - nb * below"),
+    "a window one column short at its right edge": (
+        "np.empty(hi.shape, np.int64), hi) + nb * above",
+        "np.empty(hi.shape, np.int64), hi) - 1 + nb * above"),
+    "a whole-row window handled as a stencil": (
+        "                    if wide.any():\n",
+        "                    if False:\n"),
 }
 
 

@@ -6,7 +6,6 @@ must make a test in one of them fail.
 """
 
 import math
-from unittest import mock
 
 import mpmath
 import numpy as np
@@ -14,12 +13,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from leggettlab import kernels
 from leggettlab.domain import PROB_ATOL
 from leggettlab.kernels import DiagonalScanner, PlaneScanner
 from leggettlab.quantum import PureTwoPhotonState
 from leggettlab.scan import _axis
-from reference import dense_plane_scan
+from reference import dense_diagonal_scan, dense_plane_scan
+from test_kernels import off_stencil_points
 
 # The fixed-matrix state of the benchmark's toolkit workload at seed 0 (real).
 TOOLKIT = np.array([[0.3018015947633647, 0.7228650868819381], [0.5339238809738273, 0.3182878459685576]])
@@ -34,31 +33,24 @@ def test_certified_scan_matches_dense_at_toolkit_scale(coeffs, band):
     """Row maxima, first argmax, count and every hit on the 6284^2 grid, certified and dense.
 
     At ``1 - 1e-12`` every row is certified.  At ``band`` some rows'
-    windows pass their stencils and those rows go to the block engine:
-    5290 of the toolkit state's rows and 60 of the complex state's, some
-    with points over the threshold beyond their stencils.
+    windows pass their stencils and those rows are evaluated on their
+    windows (94 112 points for the toolkit state, 984 for the complex
+    one), some with points over the threshold beyond their stencils.
     """
     grid = _axis((0.0, math.pi, 5e-4))
     scanner = PlaneScanner(coeffs, grid, grid)
-    full_rows = scanner._full_rows
     for threshold in (1.0 - 1e-12, band):
-        fallback = []
-
-        def counted(block, pending, u, w):
-            fallback.extend(block.stop - block.start if mask is None else int(mask.sum()) for _, mask in pending)
-            return full_rows(block, pending, u, w)
-
         want = dense_plane_scan(scanner, threshold)
-        with mock.patch.object(scanner, "_full_rows", counted):
+        with off_stencil_points() as points:
             got = scanner.scan(slice(None), threshold, want[2] + 1)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
         assert got[2] == want[2]
         for g, w in zip(got[3], want[3]):
             assert np.array_equal(g, w)
         if threshold == band:
-            assert want[2] > 0 and 0 < sum(fallback) < grid.size
+            assert want[2] > 0 and 0 < sum(points) < 50 * grid.size
         else:
-            assert sum(fallback) == 0
+            assert sum(points) == 0
 
 
 # Hits listed per scan below: all of them at 1 - 1e-12, the first few slices' at 1 - 1e-6.
@@ -69,35 +61,28 @@ CENSUS_LISTED = 2**17
 def test_certified_diagonal_scan_matches_dense_at_census_scale(origin):
     """Per-c maxima, first argmax, counts and listed hits on the census grid (71 x 3142^2), certified and dense.
 
-    The dense scan sends every row through the block engine.  At ``1 -
-    1e-12`` every row is certified but those with R = 0 (alpha = 0 at c =
-    0); at ``1 - 1e-6`` some windows pass their stencils, and about 15 % of
-    the rows are evaluated in full (7637 and 1 196 437 points over the
-    threshold at origin 0).  Both scans list at most ``CENSUS_LISTED``
-    hits, which cuts the list only at ``1 - 1e-6``.
+    The dense scan of ``tests/reference.py`` evaluates every point.  At
+    ``1 - 1e-12`` every row is certified but those with R = 0 (alpha = 0
+    at c = 0), evaluated whole; at ``1 - 1e-6`` some windows pass their
+    stencils, and those rows are evaluated on their windows, about 0.68 M
+    points (7637 and 1 196 437 points over the threshold at origin 0).
+    Both scans list at most ``CENSUS_LISTED`` hits, which cuts the list
+    only at ``1 - 1e-6``.
     """
     grid = _axis((origin, math.pi + origin, 1e-3))
     cs = _axis((0.0, 0.7, 1e-2))
     scanner = DiagonalScanner(grid, grid)
-    full_rows = scanner._full_rows
     for threshold in (1.0 - 1e-12, 1.0 - 1e-6):
-        fallback = []
-
-        def counted(block, pending, u, w):
-            fallback.extend(int(mask.sum()) for _, mask in pending)
-            return full_rows(block, pending, u, w)
-
-        with mock.patch.object(scanner, "_may_certify", lambda threshold: False):
-            want = scanner.scan(cs, threshold, CENSUS_LISTED)
+        want = dense_diagonal_scan(scanner, cs, threshold, CENSUS_LISTED)
         count = int(want[3].sum())
-        with mock.patch.object(scanner, "_full_rows", counted):
+        with off_stencil_points() as points:
             got = scanner.scan(cs, threshold, CENSUS_LISTED)
         for g, w in zip(got[:4] + got[4], want[:4] + want[4]):
             assert np.array_equal(g, w)
         if threshold > 1.0 - 1e-9:
-            assert 0 < count < CENSUS_LISTED and sum(fallback) <= 2
+            assert 0 < count < CENSUS_LISTED and sum(points) <= 2 * grid.size
         else:
-            assert count > CENSUS_LISTED and 0 < sum(fallback) < cs.size * grid.size // 4
+            assert count > CENSUS_LISTED and 0 < sum(points) < 4 * cs.size * grid.size
 
 
 # The kernels docstring's bound on |S_float - S*| for a fixed state's tables, 285 e.

@@ -16,7 +16,7 @@ import leggettlab
 from leggettlab import InputError, MeasurementSettings, cli, ensemble_averages, model_from_json, reduced_lhs_exact
 from leggettlab._json import render
 from leggettlab.config import ENV_THREADS
-from leggettlab.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
+from leggettlab.cli import EXIT_CLOSED, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 
 RT2 = 1.0 / math.sqrt(2.0)
 
@@ -419,6 +419,19 @@ class TestConsoleScript:
         proc = _run_python("-m", "leggettlab", "eval", "--c", "0.5", "--alpha", "0", "--beta", "0")
         assert proc.returncode == EXIT_OK, proc.stderr
         assert json.loads(proc.stdout)["command"] == "eval"
+
+    def test_closed_stdout_exits_quietly(self):
+        # The report, about 0.9 MB of listed violations, outgrows the pipe: the
+        # reader takes its first bytes and closes it while the command writes.
+        env = dict(os.environ, PYTHONPATH=str(Path(leggettlab.__file__).parents[1]))
+        proc = subprocess.Popen([sys.executable, "-m", "leggettlab", "scan", "--step", "2e-2", "--c-step", "0.1",
+                                 "--tolerance=-0.5", "--no-refine"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.read(50).startswith(b'{"command": "scan"')
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == EXIT_CLOSED
+        assert "Traceback" not in stderr and "Exception ignored" not in stderr, stderr
 
     def test_installed_entry_point(self):
         exe = shutil.which("leggettlab")

@@ -62,6 +62,24 @@ def golden_cases():
 GOLDEN_COLLECT_K = 0
 
 
+@contextlib.contextmanager
+def off_stencil_points():
+    """Collect, in the list this yields, the points of each evaluation off the stencils.
+
+    Those are the tiles of an uncertified row's windows, ``(_TILE, tiles)``,
+    and the whole rows of the block engine, ``(slices, rows, nb)``.
+    """
+    points, evaluate = [], kernels._evaluate
+
+    def counted(x, y, z, u_k, w_k, s, t):
+        if s.ndim == 3 or s.shape[0] == kernels._TILE:
+            points.append(s.size)
+        return evaluate(x, y, z, u_k, w_k, s, t)
+
+    with mock.patch.object(kernels, "_evaluate", counted):
+        yield points
+
+
 def sizes(block_elems=None):
     """Blocks of ``block_elems`` points and stencil chunks of half as many candidates; None keeps both defaults."""
     if block_elems is None:
@@ -261,21 +279,14 @@ def test_windows_evaluate_a_small_part_of_the_grid(origin, threshold):
     grid = _axis((origin, math.pi + origin, 1e-2))
     cs = np.array([0.0, 0.05, 0.3, 1.0 / math.sqrt(2.0), 0.9, 1.0])
     scanner = DiagonalScanner(grid, grid)
-    fallback = []
-    full_rows = scanner._full_rows
-
-    def counted(block, pending, u_k, w_k):
-        fallback.extend(int(mask.sum()) for _, mask in pending)
-        return full_rows(block, pending, u_k, w_k)
-
-    with mock.patch.object(scanner, "_full_rows", counted):
+    with off_stencil_points() as points:
         got = scanner.scan(cs, threshold, cs.size * grid.size**2)
     want = reference_scan(grid, grid, cs, threshold)
     for g, r in zip(got[:4] + got[4], want[:4] + want[4]):
         assert np.array_equal(g, r)
-    # The stencils hold 12 of 315 columns per row; at most 2 rows per slice
-    # (R = 0 at alpha = 0 when c is 0 or 1) are evaluated in full.
-    assert sum(fallback) <= 2 * cs.size
+    # The stencils hold 12 of 315 columns per row; off them only the rows with
+    # R = 0 (alpha = 0 when c is 0 or 1) are evaluated, whole.
+    assert sum(points) <= 2 * grid.size
 
 
 @pytest.mark.parametrize("origin", [0.0, 0.37 * 1e-2])
@@ -308,21 +319,20 @@ def test_stencils_are_gathered_only_on_rows_whose_windows_hold_a_column(origin, 
 def test_slices_sharing_full_rows_match_reference(cs):
     # At 1 - 1e-5 a window passes the stencil where R < 0.075: rows near
     # alpha = pi/2 and 0 for c = 0 and 0.05, but not the same rows, and
-    # none for c = 0.3.  The slices of one scan share the full-row tables.
+    # none for c = 0.3.  Each slice evaluates its own windows and whole rows:
+    # a scan of all three evaluates the points of the three alone.
     grid = _axis((0.0, math.pi, 1e-2))
-    cs = np.array(cs)
     scanner = DiagonalScanner(grid, grid)
-    counts = []
-    full_rows = scanner._full_rows
-
-    def counted(block, pending, u_k, w_k):
-        counts.append(sorted((k, int(mask.sum())) for k, mask in pending))
-        return full_rows(block, pending, u_k, w_k)
-
-    with mock.patch.object(scanner, "_full_rows", counted):
-        scanner.scan(cs, 1.0 - 1e-5, 0)
-    assert len({n for chunk in counts for _, n in chunk}) > 1
-    check_against_reference(grid, grid, cs, 1.0 - 1e-5)
+    alone = []
+    for c in cs:
+        with off_stencil_points() as points:
+            scanner.scan(np.array([c]), 1.0 - 1e-5, 0)
+        alone.append(sum(points))
+    with off_stencil_points() as points:
+        scanner.scan(np.array(cs), 1.0 - 1e-5, 0)
+    assert sum(points) == sum(alone) and alone[cs.index(0.3)] == 0
+    assert 0 < alone[cs.index(0.0)] != alone[cs.index(0.05)] > 0
+    check_against_reference(grid, grid, np.array(cs), 1.0 - 1e-5)
 
 
 # D >= _SLACK / 2 - 2^-53, and a row is certified only where sqrt(D) / R <= 1/2.
@@ -495,6 +505,58 @@ def test_screen_holds_where_its_float_error_term_decides(origin):
             assert not (screened & ~(kernels._RidgeScanner._windows(r2, depth, tolerance) < near)).any()
             dead += int(screened.sum())
     assert dead > 0
+
+
+# Every beta axis of the window-edge test holds this column, its largest |beta|,
+# so that a scanner's angular margin is known before its other columns are.
+EDGE_BETA = 4.0
+
+
+def window_edge_betas(scanner, roots, threshold):
+    """Columns on, and one ulp either side of, the edges of each root's window at the threshold.
+
+    ``roots`` are ``(R^2, phase, floor, tolerance)`` arrays of ``scanner``,
+    whose only column is ``EDGE_BETA``.  Three columns inside each window on
+    each side of its root keep the stencils from reaching the edges, so the
+    rows are evaluated on their windows, at L = threshold where a slice
+    reaches it.
+    """
+    r2, phase, floor, tolerance = (np.broadcast_to(v, np.shape(roots[0])).ravel() for v in roots)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        half = kernels._RidgeScanner._windows(r2, (1.0 - threshold + scanner._slack) / 2.0 - floor, tolerance)
+    keep = half < math.pi / 2.0
+    phase, half = phase[keep], half[keep]
+    edges = np.concatenate([phase - half, phase + half])
+    inside = phase + half * np.array([-0.75, -0.5, -0.25, 0.25, 0.5, 0.75])[:, None]
+    betas = np.remainder(np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+                                         inside.ravel()]), math.pi)
+    return np.unique(np.append(betas, EDGE_BETA))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), family=st.sampled_from(["diagonal", *sorted(FIXED_STATES)]),
+       threshold=st.floats(1.0 - 1e-3, 1.0), na=st.integers(1, 3), cs=WEIGHTS)
+def test_window_edges_on_columns_match_reference(data, family, threshold, na, cs):
+    """Rows evaluated on their windows, with a column on each window edge and one ulp either side, equal the reference."""
+    alphas = data.draw(axis_strategy(na, "random"))
+    if family == "diagonal":
+        cs = cs[:2]
+        sc = np.stack([np.sqrt(1.0 - cs * cs), cs])
+        probe = DiagonalScanner(alphas, np.array([EDGE_BETA]))
+        roots = probe._roots(sc, np.arange(cs.size)[:, None], slice(None), np.empty((3, 2, cs.size, na)))
+        check_against_reference(alphas, window_edge_betas(probe, roots, threshold), cs, threshold)
+        return
+    coeffs = FIXED_STATES[family].coeffs
+    probe = PlaneScanner(coeffs, alphas, np.array([EDGE_BETA]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        roots = probe._roots(slice(None))
+    scanner = PlaneScanner(coeffs, alphas, window_edge_betas(probe, roots, threshold))
+    row_max, row_arg, n, hits = plane_reference(scanner, threshold)
+    for limit in sorted({0, 1, max(n - 1, 0), n, n + 5}):
+        got = scanner.scan(slice(None), threshold, limit)
+        assert np.array_equal(got[0], row_max) and np.array_equal(got[1], row_arg) and got[2] == n
+        for g, r in zip(got[3], hits):
+            assert np.array_equal(g, r[:limit]), limit
 
 
 @pytest.mark.parametrize("threshold", [1.0 - 1e-5, 1.0 - 1e-3, 0.9, -math.inf])
@@ -720,16 +782,9 @@ def test_fixed_state_rows_are_certified(name):
     # only stencil points are evaluated, and the rows still match the reference.
     grid = _axis((0.0037, math.pi + 0.0037, 1e-2))
     scanner = PlaneScanner(FIXED_STATES[name].coeffs, grid, grid)
-    fallback = []
-    full_rows = scanner._full_rows
-
-    def counted(block, pending, u_k, w_k):
-        fallback.extend(int(block.stop - block.start if mask is None else mask.sum()) for _, mask in pending)
-        return full_rows(block, pending, u_k, w_k)
-
-    with mock.patch.object(scanner, "_full_rows", counted):
+    with off_stencil_points() as points:
         got = scanner.scan(slice(None), 1.0 - 1e-12, grid.size**2)
     want = plane_reference(scanner, 1.0 - 1e-12)
     for g, r in zip(got[:3] + got[3], want[:3] + want[3]):
         assert np.array_equal(g, r)
-    assert sum(fallback) == 0
+    assert sum(points) == 0
