@@ -13,9 +13,9 @@ written (a reader such as ``head`` left early; nothing more is printed);
 2 invalid flags or domain errors, including an output file that cannot be
 written (checked before the work starts); 3 a scan found a bound
 violation above tolerance (so scripts can detect one without parsing
-output); 4 an internal check failed (the LP solver reported a failure, or
-an exact evaluation disagreed with its cross-check) or the process ran
-out of memory.
+output); 4 an internal check failed (the LP solver reported a failure, an
+exact evaluation disagreed with its cross-check, or a listed violation is
+not finite) or the process ran out of memory.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from ._json import render
+from ._json import Rows, render
 from .config import resolve_workers
 from .domain import CorrelationTriple, InputError, MeasurementSettings
 from .hidden_variables import (
@@ -279,9 +279,7 @@ def _cmd_scan(args) -> int:
                    "beta": report.argmax.beta, "S": report.argmax.s},
         "grid_points": report.grid_points,
         "violation_count": report.violation_count,
-        "violations": [
-            {"c": p.c, "alpha": p.alpha, "beta": p.beta, "S": p.s} for p in report.violations
-        ],
+        "violations": Rows(("c", "alpha", "beta", "S"), report.violations),
         "first_order_predicted_violations": [
             {"c": c, "eps": eps} for c, eps in report.first_order_predicted_violations
         ],

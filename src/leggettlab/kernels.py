@@ -456,7 +456,6 @@ class _RidgeScanner:
             # Every column of the pairs `mask` (ks, ascending, by the rows of `block`; None: all) from the block
             # engine: a block of rows serves as many k at a time as hold its points, merged 4096 slices at a time.
             wanted = np.arange(block.stop - block.start) if mask is None else np.flatnonzero(mask.any(axis=0))
-            base = int(ks[0]) if ks[-1] - ks[0] < ks.size else None  # a range: weights by slice
             for first, x, y, z in _blocks(tuple(r[block][wanted] for r in self._rows), self._cols):
                 h, part = x.shape[0], wanted[first:first + x.shape[0]]
                 step, span = max(1, _BLOCK_ELEMS // x.size), nb if per_row else x.size
@@ -466,8 +465,7 @@ class _RidgeScanner:
                     found = []
                     for g in range(lo, min(ks.size, lo + group), step):
                         kk = ks[g:g + step]
-                        sel = kk if base is None else slice(base + g, base + g + kk.size)
-                        s = _evaluate(x, y, z, u[sel, None, None], w[sel, None, None], s_all[:kk.size], t_all[:kk.size])
+                        s = _evaluate(x, y, z, u[kk, None, None], w[kk, None, None], s_all[:kk.size], t_all[:kk.size])
                         if mask is not None:
                             s[~mask[g:g + step, part]] = -np.inf
                         at = s.reshape(-1, span).argmax(axis=1)

@@ -30,7 +30,7 @@ its threshold count and its first ``VIOLATION_CAP`` violations in one
 walk; shards are merged in axis order, so reports are identical for
 every worker count.  Shards share no mutable state: listed violations
 take O(workers x ``VIOLATION_CAP``) memory, and the merge keeps the
-first ``VIOLATION_CAP`` of them.
+first ``VIOLATION_CAP`` of them as packed columns, with no object per point.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from ._json import FLOAT, format_rows
 from .config import resolve_workers, shard_map
 from .domain import InputError, MeasurementSettings
 from .kernels import DiagonalScanner, PlaneScanner
@@ -73,11 +74,9 @@ VIOLATION_CAP = 10_000
 # is allocated.
 MAX_AXIS_POINTS = 1 << 20
 
-_CSV_ROWS = 4096  # curve rows formatted per write_csv chunk
-
 
 class ScanPoint(NamedTuple):
-    """One evaluated point, or the columns of :attr:`ScanReport.slice_maxima`; ``c`` is None without a weight axis."""
+    """One evaluated point, or packed columns of points (:class:`ScanReport`); ``c`` is None without a weight axis."""
 
     c: Optional[float]
     alpha: float
@@ -154,19 +153,19 @@ class ScanSpec:
 class ScanReport:
     """Outcome of a grid scan (optionally refined).
 
-    ``violations`` stores at most ``VIOLATION_CAP`` points in canonical
-    (c, alpha, beta) order; ``violation_count`` is always the exact
-    total.  ``slice_maxima`` is the curve the CSV export writes, one
-    entry per c (diagonal family) or per alpha (fixed states), as a
-    :class:`ScanPoint` of packed ``array("d")`` columns (they compare by
-    value, so reports compare with ``==``).
+    ``violations`` lists at most ``VIOLATION_CAP`` points in canonical
+    (c, alpha, beta) order; ``violation_count`` is always the exact total.
+    ``slice_maxima`` is the curve the CSV export writes, one entry per c
+    (diagonal family) or per alpha (fixed states).  Both are a
+    :class:`ScanPoint` of packed ``array("d")`` columns, ``c`` None for
+    fixed states; they compare by value, so reports compare with ``==``.
     """
 
     family: str
     max_s: float
     argmax: ScanPoint
     grid_points: int
-    violations: tuple[ScanPoint, ...]
+    violations: ScanPoint
     violation_count: int
     first_order_predicted_violations: tuple[tuple[float, float], ...]
     slice_maxima: ScanPoint
@@ -247,12 +246,6 @@ def _predicted_violations(
     return tuple(out)
 
 
-def _floats(axis: np.ndarray, idx: np.ndarray) -> list:
-    """``axis[idx]`` as Python floats, one object per distinct index, shared by the points that use it."""
-    shared = {}
-    return [shared.setdefault(n, v) for n, v in zip(idx.tolist(), axis[idx].tolist())]
-
-
 def grid_scan(spec: ScanSpec, *, workers: Optional[int] = None) -> ScanReport:
     """Scan every point of the grid ``spec`` describes; deterministic for any worker count."""
     started = perf_counter()
@@ -289,18 +282,17 @@ def grid_scan(spec: ScanSpec, *, workers: Optional[int] = None) -> ScanReport:
         np.take(betas, arg_j, out=b_col[lo:hi])
         s_col[lo:hi] = max_s
         lo = hi
-    violations: list[ScanPoint] = []
-    for part in parts:
-        k, i, j, s = (hits[:VIOLATION_CAP - len(violations)] for hits in part[4])
-        violations += map(ScanPoint, [None] * k.size if cs is None else _floats(cs, k),
-                          _floats(alphas, i), _floats(betas, j), s.tolist())
+    # The first VIOLATION_CAP hits in shard order, as packed columns like the curve's.
+    k, i, j, s = (np.concatenate(hits)[:VIOLATION_CAP] for hits in zip(*(part[4] for part in parts)))
+    violations = ScanPoint(*(None if axis is None else array("d", np.take(axis, idx).tobytes())
+                             for axis, idx in ((cs, k), (alphas, i), (betas, j))), array("d", s.tobytes()))
     best = int(np.argmax(s_col))
     return ScanReport(
         family=spec.family,
         max_s=float(s_col[best]),
         argmax=ScanPoint(*(None if v is None else v[best] for v in slice_maxima)),
         grid_points=alphas.size * betas.size * (1 if cs is None else cs.size),
-        violations=tuple(violations),
+        violations=violations,
         violation_count=sum(part[3] for part in parts),
         first_order_predicted_violations=() if cs is None else _predicted_violations(cs, spec.eps_ladder),
         slice_maxima=slice_maxima,
@@ -441,13 +433,10 @@ def refine(report: ScanReport, spec: ScanSpec) -> ScanReport:
 
 
 def write_csv(report: ScanReport, path):
-    """Write the slice-maxima curve as ``c,alpha,beta,S`` rows, ``_CSV_ROWS`` at a time, to a path or an open text file."""
-    c, *fields = report.slice_maxima
-    row = ",{:.17g},{:.17g},{:.17g}\n"
-    if c is not None:
-        row, fields = "{:.17g}" + row, [c, *fields]
+    """Write the slice-maxima curve as ``c,alpha,beta,S`` rows, a chunk at a time, to a path or an open text file."""
+    fields = [v for v in report.slice_maxima if v is not None]
+    row = ("" if report.slice_maxima.c is None else FLOAT) + f",{FLOAT},{FLOAT},{FLOAT}\n"
     with contextlib.nullcontext(path) if hasattr(path, "write") else open(path, "w", encoding="utf-8") as fh:
         fh.write("c,alpha,beta,S\n")
-        for start in range(0, len(fields[-1]), _CSV_ROWS):
-            fh.write("".join(map(row.format, *(v[start:start + _CSV_ROWS] for v in fields))))
+        fh.writelines(format_rows(row, fields))
     return path

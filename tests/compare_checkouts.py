@@ -64,6 +64,8 @@ COMMANDS = {
     "fixed-matrix": ["scan", "--family", "fixed-matrix", COEFFS, "--step", "5e-4", "--csv", CSV],
     "fixed-matrix at -1e-3": ["scan", "--family", "fixed-matrix", COEFFS, "--tolerance=-1e-3"],
     "singlet at -1e-3": ["scan", "--family", "singlet", "--tolerance=-1e-3", "--csv", CSV],
+    # 10 000 rows listed with c null; the cap falls in the second shard.
+    "singlet at -0.9": ["scan", "--family", "singlet", "--step", "2e-2", "--tolerance=-0.9", "--workers", "2"],
     "eval": ["eval", "--c", "0.37", "--alpha", "0.71", "--beta", "2.9"],
     "expand": ["expand", "--c", "0.2"],
     "mc": ["mc", "--c", "0.37", "--alpha", "0.71", "--beta", "2.9", "--n", "1000000", "--workers", "2",

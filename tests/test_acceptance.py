@@ -226,7 +226,7 @@ def test_criterion_6_adjudication_of_the_violation_claim():
     discrepancy_flagged = bool(predicted) and report.violation_count == 0
     ok = (
         abs(report.max_s - 1.0) <= 1e-9
-        and report.violations == ()
+        and len(report.violations.s) == 0
         and report.violation_count == 0
         and report.grid_points == 701 * 3142 * 3142
         and has_flagged_example
@@ -294,7 +294,8 @@ def test_criterion_8_special_states():
     ok = (
         abs(report.max_s - 1.0) <= 1e-9
         and gap <= 1e-8
-        and report.violations == ()
+        and len(report.violations.s) == 0
+        and report.violation_count == 0
         and balanced_error <= 1e-12
     )
     verdict(

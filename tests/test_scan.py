@@ -32,6 +32,7 @@ from leggettlab import kernels
 from leggettlab import scan as scan_module
 from leggettlab.config import ENV_THREADS, resolve_workers, shard_map
 from leggettlab.kernels import DiagonalScanner, PlaneScanner
+from leggettlab._json import CHUNK
 from leggettlab.scan import MAX_AXIS_POINTS, VIOLATION_CAP, _axis, _axis_size
 from reference import plane_reference, reference_scan, refine_reference
 
@@ -143,13 +144,16 @@ COARSE = dict(
     alpha_range=(0.0, math.pi, 0.05),
     beta_range=(0.0, math.pi, 0.05),
 )
+# No listed violations: four empty packed columns, or three with c None for a fixed state.
+NONE_LISTED = ScanPoint(array("d"), array("d"), array("d"), array("d"))
+NONE_LISTED_PLANE = NONE_LISTED._replace(c=None)
 
 
 class TestGridScanDiagonal:
     def test_never_exceeds_unity(self):
         report = grid_scan(ScanSpec(**COARSE))
         assert report.max_s <= 1.0 + 1e-12
-        assert report.violations == ()
+        assert report.violations == NONE_LISTED
         assert report.violation_count == 0
         assert report.family == "diagonal"
 
@@ -224,7 +228,7 @@ class TestGridScanDiagonal:
         finally:
             sys.setswitchinterval(interval)
         assert replace(one, wall_time=0.0) == replace(many, wall_time=0.0)
-        assert len(one.violations) == 700 < one.violation_count
+        assert {len(v) for v in one.violations if v is not None} == {700} and 700 < one.violation_count
 
     def test_worker_request_capped_at_cpu_count(self, monkeypatch):
         # Only resolved here: a pool of this size is never started.
@@ -267,10 +271,12 @@ class TestGridScanDiagonal:
             beta_range=(0.0, math.pi, 0.1),
         )
         report = grid_scan(spec)
-        assert report.violation_count == len(report.violations) > 0
-        for point in report.violations:
-            assert point.s > 1.0 + spec.tolerance
-        keys = [(p.c, p.alpha, p.beta) for p in report.violations]
+        listed = report.violations
+        assert all(type(v) is array and len(v) == len(listed.s) for v in listed)
+        assert report.violation_count == len(listed.s) > 0
+        for s in listed.s:
+            assert s > 1.0 + spec.tolerance
+        keys = list(zip(listed.c, listed.alpha, listed.beta))
         assert keys == sorted(keys)
 
     def test_violation_rows_capped_count_exact(self):
@@ -281,7 +287,7 @@ class TestGridScanDiagonal:
             beta_range=(0.0, math.pi, 0.02),
         )
         report = grid_scan(spec)
-        assert len(report.violations) == VIOLATION_CAP
+        assert [len(v) for v in report.violations] == [VIOLATION_CAP] * 4
         assert report.violation_count > VIOLATION_CAP
 
     def test_predicted_violations_marked(self):
@@ -320,7 +326,7 @@ class TestGridScanPlanes:
         assert report.max_s == pytest.approx(1.0, abs=1e-3)
         assert report.argmax.c is None
         assert report.grid_points == 158 * 158
-        assert report.violations == ()
+        assert report.violations == NONE_LISTED_PLANE
 
     def test_positive_parity_closed_form(self):
         spec = ScanSpec(
@@ -401,7 +407,10 @@ def test_violations_match_reference_across_shards(family, seed, nc, na, nb, step
             assert [ScanPoint(*(None if v is None else v[n] for v in curve)) for n in range(len(curve.s))] == maxima
             assert report.argmax == maxima[int(np.argmax(max_s))]
             assert report.violation_count == count
-            assert report.violations == tuple(hits[:cap]), cap
+            listed = report.violations
+            assert all(type(v) is array for v in listed if v is not None)
+            assert listed == ScanPoint(*(None if weight[0] is None and n == 0 else array("d", [p[n] for p in hits[:cap]])
+                                         for n in range(4))), cap
 
 
 class TestRefine:
@@ -505,7 +514,7 @@ class TestWriteCsv:
     @pytest.mark.parametrize("family", ["diagonal", "singlet"])
     def test_rows_across_a_chunk_boundary(self, tmp_path, family):
         # One chunk plus 3 rows: the last chunk is short.
-        rows = scan_module._CSV_ROWS + 3
+        rows = CHUNK + 3
         report = grid_scan(_thin_spec(family, rows))
         curve = report.slice_maxima
         assert len(curve.s) == rows
