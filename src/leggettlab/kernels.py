@@ -53,14 +53,15 @@ lies in the windows, and not over the threshold.  Columns are sorted once by
 columns on each side of each root with the block engine's tables and
 operation order, and certifies a row when both stencils reach past their
 windows plus a margin.  Other rows are evaluated on their two windows at that
-L, each column once, in tiles of ``_TILE``; a window of ``pi/2`` or more (R
-near 0, a low L) takes the whole row from the block engine, as do all rows
-when every window at the threshold spans the half-period (a threshold below
-1/2) or the beta axis is no wider than the stencils.  Stencils and tiles are
-laid out ``(columns, pairs)``.  Scans list the points over the threshold
-where they count them, in one flat list that one sort on (slice, key) trims
-to its first ``limit`` whenever it passes ``2 limit``: memory is O(``limit``
-+ chunk + axes) at any threshold, plus three arrays of O(slices).
+L, each column once, in tiles of ``_TILE``; a window of ``pi/2`` or more, or
+nan (R near 0, a low L), spans the row.  The block engine takes every row when
+the beta axis is no wider than the stencils, or when the windows at the
+threshold of a sample of pairs hold more than ``(1 + 2 / slices) /
+_WINDOW_COST`` of their rows' columns.  Stencils and tiles are laid out
+``(columns, pairs)``.  Scans list the points over the threshold where they
+count them, in one flat list that one sort on (slice, key) trims to its first
+``limit`` whenever it passes ``2 limit``: memory is O(``limit`` + chunk +
+axes) at any threshold, plus three arrays of O(slices).
 
 Most rows of a diagonal slice need no stencil at all.  Per ``c`` the
 scanner first evaluates one seed row, the row whose nearest column lies
@@ -82,8 +83,11 @@ With L within about 1e-13 of 1, a window is some 3e-7 / R rad wide.  At
 ``L = 1 - t`` it is about ``sqrt(t / 2) / R``, which passes the stencil
 once ``t > 2 (_SIDE h R)^2`` (1.8e-5 R^2 at step h = 1e-3); a row then
 costs its windows, about ``2 sqrt(2 t) / (R h)`` columns, so a scan slows
-as its windows widen.  A fixed state's row whose maximum lies far below 1 has L at
-its top, and a window about as wide as the top's distance from its root.
+as they widen, until the block engine takes it: past ``t`` of about 2e-3 for
+the diagonal family, 2e-2 for a real fixed state.  The rule leaves out each
+live pair's own cost, which moves a coarse axis's crossover lower (to 1e-3 or
+below at h = 2e-3).  A fixed state's row whose maximum lies far below 1 has L
+at its top, and a window about as wide as the top's distance from its root.
 
 Float error, diagonal family.  With unit roundoff e = 2^-53 and numpy's
 float64 sin, cos and tan within 4 ulp (8e relative), the tables carry relative
@@ -104,7 +108,9 @@ plus ``4e-17 |beta|``; R^2 is within 20e, which moves a window of
 ``arcsin(x)``, ``x <= 1/2``, by under 10e for ``R >= 2 sqrt(D) >= 4e-7``,
 the only rows that can be certified.  ``_ANGLE_MARGIN * max(1, max
 |beta|)`` covers them 200 times over.  A window wider than ``pi/6``
-counts as the whole half-period.  The screen's factor ``1 + 1e-14``
+counts as the whole half-period, and is evaluated as a window of half
+``pi``: edges of half ``pi/2`` can round an ulp apart and leave out a
+column on the antipode.  The screen's factor ``1 + 1e-14``
 covers its own rounding and that of :meth:`_windows` (under 40e).
 
 Float error, fixed states.  ``joint_probabilities`` multiplies float
@@ -147,6 +153,9 @@ _SIDE = 3
 _WIDTH = 4 * _SIDE
 # Columns per tile of an uncertified row's windows.
 _TILE = 8
+# Block-engine points a window column costs (measured); the engine forms a
+# block at about 2 points a point, once per walk of all its slices.
+_WINDOW_COST = 14
 # Stencil candidates per chunk of whole alpha rows, 4096 rows of _WIDTH.
 _CHUNK_CANDIDATES = 48 * 1024
 # Slices per pass of a ridge walk, 4 store values per row each: 12 were faster
@@ -314,8 +323,10 @@ class _RidgeScanner:
         return half
 
     def _runs(self, phase: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The columns of each pair's windows ``phase +- half`` (``(2, pairs)``, ``half < pi/2``), each once, as
-        ``(first, size)``, ``(2, pairs)``: two runs of positions in circular phase order, the second empty where they meet."""
+        """The columns of each pair's windows ``phase +- half`` (``(2, pairs)``), each once, as ``(first, size)``, ``(2, pairs)``:
+        two runs of positions in circular phase order, the second empty where they meet.  A half of ``pi/2`` or more, or
+        nan, spans the row as ``pi``, whose edges a rounding cannot bring inside a period."""
+        half = np.where(half < math.pi / 2.0, half, math.pi)
         nb, lo, hi = self._sorted_phase.size, phase - half, phase + half
         below, above = lo < 0.0, hi > math.pi
         lo = self._locate(np.where(below, lo + math.pi, lo), np.empty(lo.shape, np.int64), lo) - nb * below
@@ -327,6 +338,16 @@ class _RidgeScanner:
         joined, one = sb <= ea, (sb <= ea) | (eb >= sa + nb)
         size = np.minimum(np.where(joined, np.maximum(ea, eb) - sa, np.maximum(eb, ea + nb) - sb), nb)
         return np.stack([np.where(joined | ~one, sa, sb), sb]), np.stack([np.where(one, size, la), np.where(one, 0, lb)])
+
+    def _share(self, roots, nc: int, start: int, stop: int, threshold: float) -> float:
+        """The share of their rows' columns that the windows at ``threshold`` hold, over a grid of at most
+        32 of the slices ``range(nc)`` by the alpha rows ``range(start, stop)``, 1024 pairs in all."""
+        ks = np.linspace(0, nc - 1, min(nc, 32), dtype=np.int64)
+        at = np.linspace(start, stop - 1, min(stop - start, 1024 // max(ks.size, 1)), dtype=np.int64)
+        r2, phase, floor, tolerance = roots(np.repeat(ks, at.size), np.tile(at, ks.size), np.empty((3, 2, ks.size * at.size)))
+        half = self._windows(r2, (1.0 - threshold + self._slack) / 2.0 - floor, tolerance)
+        size = self._runs(phase, half)[1]
+        return float(size.sum()) / max(size.size // 2 * self._sorted_phase.size, 1)
 
     def _walk(self, rows: slice, u, w, threshold: float, limit: int, roots, screen):
         """Maxima, first argmax keys, threshold counts and first hits of the weights ``(u[k], w[k])`` over the alpha rows ``rows``.
@@ -413,8 +434,9 @@ class _RidgeScanner:
         batch = max(1, min(nc, budget // max(4 * height, 2 * height + pair)))
         cap = budget // pair
         store = np.empty(budget)
-        # Every row whole: every window at the threshold spans the half-period, or stencils span the axis.
-        dense = nb <= _WIDTH or 1.0 - threshold + self._slack > 0.5
+        # Every row whole where stencils span the axis, or where the sampled windows at _WINDOW_COST points
+        # a column would cost more than the block engine at 1 + 2 / nc points a point.
+        dense = nb <= _WIDTH or nc * _WINDOW_COST * self._share(roots, nc, start, stop, threshold) > nc + 2
 
         def evaluate(k_at, at, region):
             # Roots, positions and (_WIDTH, pairs) root-major stencils of the pairs
@@ -432,19 +454,21 @@ class _RidgeScanner:
         def windows(k_at, at, slices, first, size):
             # The runs (first, size) of each pair in tiles of _TILE positions, (_TILE, tiles)
             # like the stencils, in calls of at most _BLOCK_ELEMS points.
-            tiles = -(-size.T.ravel() // _TILE)
-            run = np.repeat(np.arange(tiles.size), tiles)
-            tile = np.arange(run.size) - np.repeat(np.cumsum(tiles) - tiles, tiles)
-            pos = (first.T.ravel()[run] + _TILE * tile) % nb + _SIDE
-            valid, pair, lane = size.T.ravel()[run] - _TILE * tile, run // 2, np.arange(_TILE)[:, None]
-            step = max(1, _BLOCK_ELEMS // _TILE)
-            buf = np.empty((4, _TILE, min(run.size, step)))
-            for lo in range(0, run.size, step):
-                e, p_e = slice(lo, lo + step), pair[lo:lo + step]
-                idx, (x, y, z) = np.add(lane, pos[e], out=buf[0, :, :p_e.size].view(np.int64)), buf[1:, :, :p_e.size]
+            first, size = first.T.ravel(), size.T.ravel()
+            tiles = -(-size // _TILE)
+            ends, total = np.cumsum(tiles), int(tiles.sum())
+            step, lane = max(1, _BLOCK_ELEMS // _TILE), np.arange(_TILE)[:, None]
+            buf = np.empty((4, _TILE, min(total, step)))
+            for lo in range(0, total, step):
+                # This step's tiles, each with its run and its place in that run.
+                tile = np.arange(lo, min(lo + step, total))
+                run = np.searchsorted(ends, tile, side="right")
+                tile, p_e = tile - (ends[run] - tiles[run]), run // 2
+                idx, (x, y, z) = buf[0, :, :tile.size].view(np.int64), buf[1:, :, :tile.size]
+                np.add(lane, (first[run] + _TILE * tile) % nb + _SIDE, out=idx)
                 _gather(self._rows, self._stencil_cols, at[p_e], idx, x, y, z)
                 vals = _evaluate(x, y, z, u[k_at[p_e]], w[k_at[p_e]], x, z)
-                vals[lane >= valid[e]] = -np.inf
+                vals[lane >= size[run] - _TILE * tile] = -np.inf
                 tops = vals.max(axis=0)
                 top = np.flatnonzero(tops >= max_s[slices[p_e]])  # only these can reach their slice's maximum
                 if top.size:
@@ -452,37 +476,33 @@ class _RidgeScanner:
                 if tops.max() > threshold:
                     tally(k_at[p_e], at[p_e], vals > threshold, vals, idx)
 
-        def whole(ks, block, mask=None):
-            # Every column of the pairs `mask` (ks, ascending, by the rows of `block`; None: all) from the block
-            # engine: a block of rows serves as many k at a time as hold its points, merged 4096 slices at a time.
-            wanted = np.arange(block.stop - block.start) if mask is None else np.flatnonzero(mask.any(axis=0))
-            for first, x, y, z in _blocks(tuple(r[block][wanted] for r in self._rows), self._cols):
-                h, part = x.shape[0], wanted[first:first + x.shape[0]]
+        def whole(block):
+            # Every point of the rows `block` from the block engine: a block of rows serves as
+            # many k at a time as hold its points, merged 4096 slices at a time.
+            for first, x, y, z in _blocks(tuple(r[block] for r in self._rows), self._cols):
+                h, row = x.shape[0], block.start + first
                 step, span = max(1, _BLOCK_ELEMS // x.size), nb if per_row else x.size
-                s_all, t_all = np.empty((2, min(step, ks.size), *x.shape))
+                s_all, t_all = np.empty((2, min(step, nc), *x.shape))
                 lines, group = np.arange(s_all.size // span), step * max(1, _BLOCK_ELEMS // (8 * step))
-                for lo in range(0, ks.size, group):
+                for lo in range(0, nc, group):
                     found = []
-                    for g in range(lo, min(ks.size, lo + group), step):
-                        kk = ks[g:g + step]
+                    for g in range(lo, min(nc, lo + group), step):
+                        kk = np.arange(g, min(nc, g + step))
                         s = _evaluate(x, y, z, u[kk, None, None], w[kk, None, None], s_all[:kk.size], t_all[:kk.size])
-                        if mask is not None:
-                            s[~mask[g:g + step, part]] = -np.inf
                         at = s.reshape(-1, span).argmax(axis=1)
                         found.append((at, s.reshape(-1, span)[lines[:at.size], at]))
                         for j, k in enumerate(kk.tolist() if found[-1][1].max() > threshold else ()):
                             over = s[j] > threshold
                             hits = int(np.count_nonzero(over))
                             n_over[k] += hits
-                            if hits and k <= cut[0] and (k, int(block.start + part[over.argmax() // nb]) * nb) < cut:
+                            if hits and k <= cut[0] and (k, (row + int(over.argmax()) // nb) * nb) < cut:
                                 # Row-major, so the block's hits rise in key: its first `limit` may rank.
                                 flat = np.flatnonzero(over)[:limit]
-                                hold(k, (block.start + part[flat // nb]) * nb + flat % nb, s[j].ravel()[flat])
+                                hold(k, row * nb + flat, s[j].ravel()[flat])
                     at, tops = (np.concatenate(c) for c in zip(*found))
-                    keep = np.flatnonzero(tops > -np.inf)
-                    at, tops = at[keep] + keep * span, tops[keep]
-                    rows_at = block.start + part[at // nb % h]
-                    merge(rows_at - start if per_row else ks[lo + at // x.size], tops, rows_at * nb + at % nb)
+                    at += np.arange(at.size) * span
+                    rows_at = row + at // nb % h
+                    merge(rows_at - start if per_row else lo + at // x.size, tops, rows_at * nb + at % nb)
 
         for block in blocks:
             n = block.stop - block.start
@@ -523,18 +543,12 @@ class _RidgeScanner:
                         over = (vals > threshold) & sure
                         over[2 * _SIDE:] &= (idx[2 * _SIDE:] - p[0]) % nb >= 2 * _SIDE
                         tally(k_at, at, over, vals, idx)
-                    # Uncertified rows take their windows, or whole rows for windows of half pi/2 or more.
-                    wide = ~sure & ~(half < math.pi / 2.0).all(axis=0)
-                    narrow = np.flatnonzero(~sure & ~wide)
-                    if narrow.size:
-                        windows(k_at[narrow], at[narrow], slices[narrow], *self._runs(phase[:, narrow], half[:, narrow]))
-                    if wide.any():
-                        b_wide, b_at = np.unique(b_sel[wide], return_inverse=True)
-                        mask = np.zeros((b_wide.size, n), dtype=bool)
-                        mask[b_at, at[wide] - block.start] = True
-                        whole(ks[b_wide], block, mask)
+                    # Uncertified rows take their windows, which may span the row.
+                    rest = np.flatnonzero(~sure)
+                    if rest.size:
+                        windows(k_at[rest], at[rest], slices[rest], *self._runs(phase[:, rest], half[:, rest]))
             if dense:
-                whole(np.arange(nc), block)
+                whole(block)
         return max_s, key, n_over, _first(parts, limit)
 
 

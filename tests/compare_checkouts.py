@@ -55,6 +55,12 @@ COMMANDS = {
     "eps-preset": ["scan", "--eps-preset"],
     "all rows in full": ["scan", "--step", "2e-3", "--c-step", "1e-2", "--tolerance=-1e-3", "--no-refine"],
     "fully dense": ["scan", "--step", "2e-3", "--c-step", "1e-2", "--tolerance=-0.5", "--no-refine"],
+    "all rows at 1 - 0.1": ["scan", "--step", "2e-3", "--c-step", "1e-2", "--tolerance=-0.1", "--no-refine"],
+    # The block engine takes every row of this grid from about 1 - 1.8e-3 on: windows at 1 - 1.5e-3.
+    "census grid at 1 - 6e-3": ["scan", "--tolerance=-6e-3", "--c-step", "0.01", *PAPER, "--csv", CSV],
+    "census grid at 1 - 4e-3": ["scan", "--tolerance=-4e-3", "--c-step", "0.01", *PAPER, "--csv", CSV],
+    "census grid at 1 - 2e-3": ["scan", "--tolerance=-2e-3", "--c-step", "0.01", *PAPER, "--csv", CSV],
+    "census grid at 1 - 1.5e-3": ["scan", "--tolerance=-1.5e-3", "--c-step", "0.01", *PAPER, "--csv", CSV],
     "thin": ["scan", "--c-step", "1e-6", "--step", "1", "--no-refine"],
     "thin, 1e-5": ["scan", "--c-step", "1e-5", "--step", "1", "--no-refine"],
     "thin, csv": ["scan", "--c-step", "1e-6", "--step", "1", "--no-refine", "--csv", CSV],
@@ -63,6 +69,12 @@ COMMANDS = {
                           "--no-refine", "--csv", CSV],
     "fixed-matrix": ["scan", "--family", "fixed-matrix", COEFFS, "--step", "5e-4", "--csv", CSV],
     "fixed-matrix at -1e-3": ["scan", "--family", "fixed-matrix", COEFFS, "--tolerance=-1e-3"],
+    # A fixed state's rows stay on their windows to about 1 - 2e-2, some of them whole rows.
+    "fixed-matrix at -1e-2": ["scan", "--family", "fixed-matrix", COEFFS, "--tolerance=-1e-2", "--csv", CSV],
+    "fixed-matrix at -0.1": ["scan", "--family", "fixed-matrix", COEFFS, "--tolerance=-0.1", "--workers", "2"],
+    # A product state: on alpha = 4 fl(pi/8) = fl(pi/2) one root has R^2 <= 0 and a nan window.
+    "product state at fl(pi/2)": ["scan", "--family", "fixed-matrix", "--coeffs=0.6,0.8,0,0", "--alpha-step",
+                                  "0.39269908169872414", "--beta-step", "1e-3", "--tolerance=-1e-6"],
     "singlet at -1e-3": ["scan", "--family", "singlet", "--tolerance=-1e-3", "--csv", CSV],
     # 10 000 rows listed with c null; the cap falls in the second shard.
     "singlet at -0.9": ["scan", "--family", "singlet", "--step", "2e-2", "--tolerance=-0.9", "--workers", "2"],

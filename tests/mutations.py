@@ -113,10 +113,26 @@ MUTATIONS = {
         "kernels.py",
         "np.empty(hi.shape, np.int64), hi) + nb * above",
         "np.empty(hi.shape, np.int64), hi) - 1 + nb * above"),
-    "a whole-row window handled as a stencil": (
+    "a nan window clamped by np.minimum, not spanning the row": (
         "kernels.py",
-        "                    if wide.any():\n",
-        "                    if False:\n"),
+        "half = np.where(half < math.pi / 2.0, half, math.pi)",
+        "half = np.minimum(half, math.pi)"),
+    "a wide window of half pi/2, whose edges may round inside a period": (
+        "kernels.py",
+        "half = np.where(half < math.pi / 2.0, half, math.pi)",
+        "half = np.where(half < math.pi / 2.0, half, math.pi / 2.0)"),
+    "the block engine's cost of forming blocks dropped": (
+        "kernels.py",
+        "self._share(roots, nc, start, stop, threshold) > nc + 2",
+        "self._share(roots, nc, start, stop, threshold) > nc"),
+    "each step of tiles restarts at the first tile": (
+        "kernels.py",
+        "tile = np.arange(lo, min(lo + step, total))",
+        "tile = np.arange(0, min(step, total - lo))"),
+    "a run's last tile evaluates one lane past its end": (
+        "kernels.py",
+        "vals[lane >= size[run] - _TILE * tile] = -np.inf",
+        "vals[lane > size[run] - _TILE * tile] = -np.inf"),
     "the row template at .16g": (
         "_json.py",
         'FLOAT = "{:.17g}"',
@@ -125,6 +141,14 @@ MUTATIONS = {
         "_json.py",
         "'null' if v is None else FLOAT",
         "'0' if v is None else FLOAT"),
+    "a scalar inf rendered as a number": (
+        "_json.py",
+        'format(float(obj), ".17g") if math.isfinite(obj) else "null"',
+        'format(float(obj), ".17g") if not math.isnan(obj) else "null"'),
+    "halving_ladder without its stop slack": (
+        "scan.py",
+        "while eps >= stop * (1.0 - 1e-12):",
+        "while eps >= stop:"),
     "shards' hits concatenated in reverse": (
         "scan.py",
         "zip(*(part[4] for part in parts))",
@@ -133,6 +157,10 @@ MUTATIONS = {
         "scan.py",
         "np.concatenate(hits)[:VIOLATION_CAP]",
         "np.concatenate(hits)"),
+    "a truncation discrepancy despite found violations": (
+        "cli.py",
+        "report.first_order_predicted_violations and report.violation_count == 0",
+        "report.first_order_predicted_violations"),
     "scan exits 3 on violation_count >= 0": (
         "cli.py",
         "EXIT_VIOLATION if report.violation_count > 0",

@@ -114,6 +114,15 @@ class TestScan:
         assert results["truncation_discrepancy"] is True
         assert results["violation_count"] == 0
 
+    def test_found_violations_are_no_truncation_discrepancy(self, capsys):
+        # The ladder predicts violations and the scan finds some (below 1 - 1e-3): the
+        # truncation did not mislead, whatever the bound says.
+        doc = run_json(capsys, "scan", "--eps-preset", "--step", "2e-2", "--c-step", "1e-2",
+                       "--tolerance=-1e-3", "--no-refine", expect=EXIT_VIOLATION)
+        results = doc["results"]
+        assert results["first_order_predicted_violations"] and results["violation_count"] > 0
+        assert results["truncation_discrepancy"] is False
+
     def test_negative_tolerance_exits_three(self, capsys):
         doc = run_json(capsys, "scan", "--step", "0.1", "--c-max", "0.1",
                        "--tolerance", "-0.5", expect=EXIT_VIOLATION)

@@ -50,6 +50,11 @@ def test_columns_render_as_the_list_of_dicts(pool, rows, weighted):
             assert [float.hex(row[key]) for row in parsed] == [float.hex(v) for v in column]
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_a_scalar_that_is_not_finite_renders_null(value):
+    assert render({"x": value}) == '{"x": null}'
+
+
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_a_listed_value_that_is_not_finite_is_an_internal_fault(bad):
     with pytest.raises(FloatingPointError):

@@ -32,6 +32,8 @@ FIXED_STATES = {
     "positive-parity": positive_parity_state(),
     **{f"real{seed}": random_state(seed, False) for seed in (1, 2)},
     **{f"complex{seed}": random_state(seed, True) for seed in (3, 4)},
+    # A's photon is |H>: at alpha = fl(pi/2), p_+- is 0 up to rounding on the whole row.
+    "product": PureTwoPhotonState(np.array([[0.6, 0.8], [0.0, 0.0]])),
 }
 
 
@@ -78,6 +80,13 @@ def off_stencil_points():
 
     with mock.patch.object(kernels, "_evaluate", counted):
         yield points
+
+
+def engines():
+    """Loop once with every uncertified row on its windows, then once with every row from the block engine."""
+    for cost in (0.0, math.inf):
+        with mock.patch.object(kernels, "_WINDOW_COST", cost):
+            yield cost
 
 
 def sizes(block_elems=None):
@@ -221,12 +230,25 @@ def check_against_reference(alphas, betas, cs, threshold, block_elems=None):
     n = want[4][0].size
     with sizes(block_elems):
         scanner = DiagonalScanner(alphas, betas)
-        for limit in sorted({0, 1, max(n - 1, 0), n, n + 5}):
-            got = scanner.scan(cs, threshold, limit)
-            for g, r in zip(got[:4], want[:4]):
-                assert np.array_equal(g, r)
-            for g, r in zip(got[4], want[4]):
-                assert np.array_equal(g, r[:limit]), limit
+        for _ in engines():
+            for limit in sorted({0, 1, max(n - 1, 0), n, n + 5}):
+                got = scanner.scan(cs, threshold, limit)
+                for g, r in zip(got[:4], want[:4]):
+                    assert np.array_equal(g, r)
+                for g, r in zip(got[4], want[4]):
+                    assert np.array_equal(g, r[:limit]), limit
+
+
+def check_plane_against_reference(scanner, threshold, block_elems=None):
+    """A fixed state's row maxima, first columns, count and hits equal :func:`plane_reference`'s, at every limit."""
+    row_max, row_arg, n, hits = plane_reference(scanner, threshold)
+    with sizes(block_elems):
+        for _ in engines():
+            for limit in sorted({0, 1, max(n - 1, 0), n, n + 5}):
+                got = scanner.scan(slice(None), threshold, limit)
+                assert np.array_equal(got[0], row_max) and np.array_equal(got[1], row_arg) and got[2] == n
+                for g, r in zip(got[3], hits):
+                    assert np.array_equal(g, r[:limit]), limit
 
 
 def axis_strategy(n, layout):
@@ -285,8 +307,8 @@ def test_windows_evaluate_a_small_part_of_the_grid(origin, threshold):
     for g, r in zip(got[:4] + got[4], want[:4] + want[4]):
         assert np.array_equal(g, r)
     # The stencils hold 12 of 315 columns per row; off them only the rows with
-    # R = 0 (alpha = 0 when c is 0 or 1) are evaluated, whole.
-    assert sum(points) <= 2 * grid.size
+    # R = 0 (alpha = 0 when c is 0 or 1) are evaluated, whole, in tiles.
+    assert sum(points) <= 2 * kernels._TILE * -(-grid.size // kernels._TILE)
 
 
 @pytest.mark.parametrize("origin", [0.0, 0.37 * 1e-2])
@@ -550,13 +572,28 @@ def test_window_edges_on_columns_match_reference(data, family, threshold, na, cs
     probe = PlaneScanner(coeffs, alphas, np.array([EDGE_BETA]))
     with np.errstate(divide="ignore", invalid="ignore"):
         roots = probe._roots(slice(None))
-    scanner = PlaneScanner(coeffs, alphas, window_edge_betas(probe, roots, threshold))
-    row_max, row_arg, n, hits = plane_reference(scanner, threshold)
-    for limit in sorted({0, 1, max(n - 1, 0), n, n + 5}):
-        got = scanner.scan(slice(None), threshold, limit)
-        assert np.array_equal(got[0], row_max) and np.array_equal(got[1], row_arg) and got[2] == n
-        for g, r in zip(got[3], hits):
-            assert np.array_equal(g, r[:limit]), limit
+    check_plane_against_reference(PlaneScanner(coeffs, alphas, window_edge_betas(probe, roots, threshold)), threshold)
+
+
+def test_whole_row_windows_reach_their_antipodes():
+    """A window of half ``pi/2`` or more spans its row, also where its two edges round apart.
+
+    At c = 0.01 and alpha within 0.03 of pi/2 the p_+- root has R below 0.035,
+    so its window at either threshold is wide and all of its row lies over
+    1 - 2.5e-3.  Columns sit on the root's antipode ``phase + pi/2`` as each
+    edge of a ``pi/2`` window rounds it, which differ by an ulp on 10 of
+    these 101 rows, and one ulp either side.
+    """
+    alphas = math.pi / 2.0 + np.linspace(-0.03, 0.03, 101)
+    cs = np.array([0.01])
+    probe = DiagonalScanner(alphas, np.array([EDGE_BETA]))
+    phase = probe._roots(np.stack([np.sqrt(1.0 - cs * cs), cs]), np.zeros((1, 1), dtype=np.int64),
+                         slice(None), np.empty((3, 2, 1, alphas.size)))[1][0, 0]
+    edges = np.concatenate([phase + math.pi / 2.0, phase - math.pi / 2.0, (phase - math.pi / 2.0) + math.pi])
+    edges = np.remainder(np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)]), math.pi)
+    betas = np.unique(np.append(edges, 0.013 + np.linspace(0.0, math.pi, 40, endpoint=False)))
+    for threshold in (1.0 - 2.5e-3, 1.0 - 1e-3):
+        check_against_reference(alphas, betas, cs, threshold)
 
 
 @pytest.mark.parametrize("threshold", [1.0 - 1e-5, 1.0 - 1e-3, 0.9, -math.inf])
@@ -564,10 +601,11 @@ def test_window_edges_on_columns_match_reference(data, family, threshold, na, cs
 def test_limited_collect_is_prefix_of_unlimited(threshold, block_elems):
     """A scan's hits at ``limit`` are the (k, i, j)-ordered prefix of length ``limit`` of all hits.
 
-    At 1 - 1e-5, 3 of the 194 rows of both slices go to the block
-    engine, at 1 - 1e-3 38 of them, at 0.9 and -inf all.  200-element
-    blocks and 100-candidate chunks give many of both, so a limit is
-    reached inside and between them, and inside either slice.
+    At 1 - 1e-5, 3 of the 194 rows of both slices have windows that span
+    them, at 1 - 1e-3 7 of them; at 0.9 and -inf the block engine takes
+    every row.  200-element blocks and 100-candidate chunks give many of
+    both, so a limit is reached inside and between them, and inside either
+    slice.
     """
     alphas = np.linspace(0.0, math.pi, 97)
     betas = np.linspace(0.1, math.pi + 0.1, 89)
@@ -656,7 +694,7 @@ class TestPlaneKernels:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
-    @pytest.mark.parametrize("threshold", [0.9, -math.inf])
+    @pytest.mark.parametrize("threshold", [1.0 - 2e-3, 0.9, -math.inf])
     def test_limited_collect_is_prefix_of_unlimited(self, threshold):
         alphas = np.linspace(0.0, math.pi, 51)
         betas = np.linspace(0.0, math.pi, 53)
@@ -683,24 +721,25 @@ class TestPlaneKernels:
 
 @pytest.mark.parametrize("name", sorted(FIXED_STATES))
 def test_fixed_state_bits_independent_of_block_height(name):
+    # At 1 - 2e-3 every state's uncertified rows take their windows; at 0.9 some states go to the block engine.
     alphas = np.linspace(0.0, math.pi, 301)
     betas = np.linspace(0.0, math.pi, 307)
     scanner = PlaneScanner(FIXED_STATES[name].coeffs, alphas, betas)
-    threshold = 0.9
-    runs = []
-    for block_elems in (betas.size, kernels._BLOCK_ELEMS):  # one-row blocks, then the default
-        with mock.patch.object(kernels, "_BLOCK_ELEMS", block_elems):
-            row_max, row_arg, count, hits = scanner.scan(slice(None), threshold, alphas.size * betas.size)
-            runs.append((row_max, row_arg, np.array(count)) + hits)
-    one_row, default = runs
-    assert one_row[3].size > 0
-    for a, b in zip(one_row, default):
-        assert np.array_equal(a, b)
+    for threshold in (1.0 - 2e-3, 0.9):
+        runs = []
+        for block_elems in (betas.size, kernels._BLOCK_ELEMS):  # one-row blocks, then the default
+            with mock.patch.object(kernels, "_BLOCK_ELEMS", block_elems):
+                row_max, row_arg, count, hits = scanner.scan(slice(None), threshold, alphas.size * betas.size)
+                runs.append((row_max, row_arg, np.array(count)) + hits)
+        one_row, default = runs
+        assert one_row[3].size > 0
+        for a, b in zip(one_row, default):
+            assert np.array_equal(a, b)
 
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), name=st.sampled_from(sorted(FIXED_STATES)), na=st.integers(1, 12),
-       nb=st.integers(1, 24), threshold=st.sampled_from([-math.inf, 0.5, 0.9, 1.0 - 1e-12, 1.0]),
+       nb=st.integers(1, 24), threshold=st.sampled_from([-math.inf, 0.5, 0.9, 1.0 - 2e-3, 1.0 - 1e-12, 1.0]),
        block_rows=st.integers(1, 5))
 def test_fixed_state_rows_and_hits_match_reference(data, name, na, nb, threshold, block_rows):
     """Row scans of any split of the rows equal the point-by-point reference, at every limit.
@@ -714,18 +753,20 @@ def test_fixed_state_rows_and_hits_match_reference(data, name, na, nb, threshold
     row_max, row_arg, n, hits = plane_reference(scanner, threshold)
     cut = data.draw(st.integers(0, na))
     with mock.patch.object(kernels, "_BLOCK_ELEMS", block_rows * nb):
-        for limit in sorted({0, 1, max(n - 1, 0), n, n + 5}):
-            got = scanner.scan(slice(None), threshold, limit)
-            assert np.array_equal(got[0], row_max) and np.array_equal(got[1], row_arg)
-            assert got[2] == n
-            for g, r in zip(got[3], hits):
-                assert np.array_equal(g, r[:limit]), limit
-            head, tail = scanner.scan(slice(0, cut), threshold, limit), scanner.scan(slice(cut, na), threshold, limit)
-            assert np.array_equal(np.concatenate([head[0], tail[0]]), row_max)
-            assert np.array_equal(np.concatenate([head[1], tail[1]]), row_arg)
-            assert head[2] + tail[2] == n
-            for g_head, g_tail, r in zip(head[3], tail[3], hits):
-                assert np.array_equal(np.concatenate([g_head, g_tail])[:limit], r[:limit]), limit
+        for _ in engines():
+            for limit in sorted({0, 1, max(n - 1, 0), n, n + 5}):
+                got = scanner.scan(slice(None), threshold, limit)
+                assert np.array_equal(got[0], row_max) and np.array_equal(got[1], row_arg)
+                assert got[2] == n
+                for g, r in zip(got[3], hits):
+                    assert np.array_equal(g, r[:limit]), limit
+                head = scanner.scan(slice(0, cut), threshold, limit)
+                tail = scanner.scan(slice(cut, na), threshold, limit)
+                assert np.array_equal(np.concatenate([head[0], tail[0]]), row_max)
+                assert np.array_equal(np.concatenate([head[1], tail[1]]), row_arg)
+                assert head[2] + tail[2] == n
+                for g_head, g_tail, r in zip(head[3], tail[3], hits):
+                    assert np.array_equal(np.concatenate([g_head, g_tail])[:limit], r[:limit]), limit
 
 
 @settings(max_examples=60, deadline=None)
@@ -765,15 +806,49 @@ def test_fixed_state_windows_match_reference_on_pruned_grids(data, name, na, nb,
     else:
         origin, step = data.draw(st.tuples(st.floats(-math.pi, math.pi), st.floats(0.005, 0.05)))
         betas = origin + step * np.arange(nb)
-    scanner = PlaneScanner(FIXED_STATES[name].coeffs, alphas, betas)
-    row_max, row_arg, n, hits = plane_reference(scanner, threshold)
-    with sizes(block_elems):
-        for limit in sorted({0, 1, max(n - 1, 0), n, n + 5}):
-            got = scanner.scan(slice(None), threshold, limit)
-            assert np.array_equal(got[0], row_max) and np.array_equal(got[1], row_arg)
-            assert got[2] == n
-            for g, r in zip(got[3], hits):
-                assert np.array_equal(g, r[:limit]), limit
+    check_plane_against_reference(PlaneScanner(FIXED_STATES[name].coeffs, alphas, betas), threshold, block_elems)
+
+
+@pytest.mark.parametrize("threshold", [1.0 - 1e-6, 1.0 - 1e-3, 1.0 + 1e-9])
+def test_fixed_state_row_of_no_root_is_evaluated_whole(threshold):
+    # alpha = 4 fl(pi/8) = fl(pi/2): the product state's p_+- root there has
+    # R^2 <= _ROOT_ERROR, so its window is nan, and the row is evaluated whole.
+    alphas = np.arange(9) * (math.pi / 8.0)
+    scanner = PlaneScanner(FIXED_STATES["product"].coeffs, alphas, _axis((0.0, math.pi, 1e-2)))
+    assert alphas[4] == math.pi / 2.0 and scanner._roots(np.array([4]))[0, 0, 0] <= 0.0
+    check_plane_against_reference(scanner, threshold)
+
+
+@pytest.mark.parametrize("name, cs, threshold, dense", [
+    ("diagonal", [0.2, 0.5], 1.0 - 1e-3, False),
+    ("diagonal", [0.2, 0.5], 1.0 - 2e-2, True),
+    ("real1", None, 1.0 - 1e-2, False),
+    ("real1", None, 0.9, True),
+    # A sampled share of 0.205 against 3 / 14 = 0.214: forming a block per row counts.
+    ("positive-parity", None, 0.9, False),
+])
+def test_block_engine_takes_scans_whose_windows_are_wide(name, cs, threshold, dense):
+    """A scan goes to the block engine when its sampled windows at the threshold hold more than
+    ``(1 + 2 / slices) / _WINDOW_COST`` of their rows; either engine gives the same bits."""
+    grid = np.linspace(0.0, math.pi, 301)
+    if cs is None:
+        scanner = PlaneScanner(FIXED_STATES[name].coeffs, grid, grid)
+        scan = lambda: scanner.scan(slice(None), threshold, 1000)  # noqa: E731
+    else:
+        scanner = DiagonalScanner(grid, grid)
+        scan = lambda: scanner.scan(np.array(cs), threshold, 1000)  # noqa: E731
+    with mock.patch.object(kernels, "_evaluate", wraps=kernels._evaluate) as spy:
+        got = scan()
+    # The block engine's evaluations are (slices, rows, nb); the others are stencils and tiles.
+    shapes = [c.args[5].shape for c in spy.call_args_list]
+    if dense:
+        assert shapes and all(len(shape) == 3 for shape in shapes)
+    else:
+        assert all(len(shape) == 2 for shape in shapes) and (kernels._TILE,) in {shape[:1] for shape in shapes}
+    with mock.patch.object(kernels, "_WINDOW_COST", 0.0 if dense else math.inf):
+        other = scan()
+    for g, o in zip(got[:-1] + got[-1], other[:-1] + other[-1]):
+        assert np.array_equal(g, o)
 
 
 @pytest.mark.parametrize("name", sorted(FIXED_STATES))

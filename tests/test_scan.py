@@ -132,6 +132,10 @@ class TestHalvingLadder:
     def test_stop_is_inclusive(self):
         assert halving_ladder(8e-3, 1e-3) == (8e-3, 4e-3, 2e-3, 1e-3)
 
+    def test_stop_within_rounding_is_inclusive(self):
+        # (0.1 + 0.2) / 4 lies one ulp above 0.3 / 4, the third rung.
+        assert halving_ladder(0.3, (0.1 + 0.2) / 4) == (0.3, 0.15, 0.075)
+
     def test_validation(self):
         with pytest.raises(InputError):
             halving_ladder(1e-5, 1e-2)
