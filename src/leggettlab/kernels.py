@@ -75,9 +75,10 @@ place of the distance to the farthest stencil column.  Such a row holds
 neither the first maximum nor a hit, and none of its points is evaluated;
 the seed row itself either reaches L or is such a row.  A screen finds
 these rows with no arcsin (:meth:`DiagonalScanner._dead`).  The other
-(live) rows of a batch of ``c`` are gathered as (slice, row) pairs, offered
-slice by slice, and certified as above at the level they raise, never below
-the seed's.  On the paper grid about 7 of 3142 rows per ``c`` are live.
+(live) rows of a batch of ``c`` are gathered as (slice, row) pairs in any
+order, each slice keeping its largest top at the smallest key, and certified
+as above at the level they raise, never below the seed's.  On the paper grid
+about 7 of 3142 rows per ``c`` are live.
 Fixed states skip no row: each row is a slice, and a live pair, of its own.
 With L within about 1e-13 of 1, a window is some 3e-7 / R rad wide.  At
 ``L = 1 - t`` it is about ``sqrt(t / 2) / R``, which passes the stencil
@@ -374,11 +375,10 @@ class _RidgeScanner:
         parts: list[tuple] = []
         n_held, cut = 0, (nc if limit else -1, 0)
 
-        def hold(k, keys, vals):
-            # The hits `keys`, ascending, of slice k: only the first `limit` may rank.
+        def hold(ks, keys, vals):
+            # Hits (k, key, S) of any slices, in any order.
             nonlocal n_held, cut
-            keys, vals = keys[:limit], vals[:limit]
-            parts.append((np.full(keys.size, k), keys, vals))
+            parts.append((ks, keys, vals))
             n_held += keys.size
             if n_held > 2 * limit:
                 parts[:] = [_first(parts, limit)]
@@ -386,41 +386,27 @@ class _RidgeScanner:
                 cut = (int(parts[0][0][-1]), int(parts[0][1][-1]))
 
         def merge(slices, tops, keys):
-            # Each of the distinct `slices` keeps the larger maximum; ties go to the smaller key.
+            # Candidates of any slices, repeated or not: each slice keeps the largest of its maximum
+            # and its tops, with the smallest key that attains it; a slice whose maximum rises drops its key.
             now = max_s[slices]
-            win = (tops > now) | ((tops == now) & (keys < key[slices]))
-            max_s[slices[win]], key[slices[win]] = tops[win], keys[win]
+            np.maximum.at(max_s, slices, tops)
+            top = max_s[slices]
+            key[slices[top > now]] = np.iinfo(np.int64).max
+            hit = tops == top
+            np.minimum.at(key, slices[hit], keys[hit])
 
         def offer(slices, at, tops, vals, idx):
-            # The values `vals` in columns `_phase_col[idx]`, (points, pairs), of pairs sorted by slice and
-            # row (a row may span pairs), their maxima `tops`: a slice's first maximum lies in the
-            # first of its rows that reaches the slice's top, at the smallest column there.
-            head = np.ones(tops.size, dtype=bool)
-            np.not_equal(slices[1:], slices[:-1], out=head[1:])
-            starts = np.flatnonzero(head)
-            reach = np.repeat(np.maximum.reduceat(tops, starts), np.append(starts[1:], tops.size) - starts)
-            attained = np.flatnonzero(tops == reach)
-            first = attained[np.searchsorted(attained, starts)]
-            owner = np.searchsorted(starts, attained, side="right") - 1
-            lead = at[attained] == at[first[owner]]
-            owner, lead = owner[lead], attained[lead]
-            cols = np.where(vals[:, lead] == tops[lead], self._phase_col[idx[:, lead]], nb).min(axis=0)
-            cols = np.minimum.reduceat(cols, np.flatnonzero(np.append(True, owner[1:] != owner[:-1])))
-            merge(slices[first], tops[first], at[first] * nb + cols)
+            # The values `vals` in columns `_phase_col[idx]`, (points, pairs), and their maxima `tops`: each pair's
+            # first maximum is at its smallest column that attains its top.
+            merge(slices, tops, at * nb + np.where(vals == tops, self._phase_col[idx], nb).min(axis=0))
 
         def tally(k_at, at, over, vals, idx):
-            # Count the hits `over` (points, pairs; each column once) of pairs sorted by slice
-            # and row, and hold those of pairs that may rank, each slice's in one run.
-            head = np.flatnonzero(np.append(True, k_at[1:] != k_at[:-1]))
-            n_over[k_at[head]] += np.add.reduceat(over.sum(axis=0, dtype=np.int32), head)
+            # Count the hits `over` (points, pairs; each column once), and hold those of pairs that may rank.
+            np.add.at(n_over, k_at, over.sum(axis=0))
             may = np.flatnonzero((k_at < cut[0]) | ((k_at == cut[0]) & (at * nb < cut[1])))
             i_idx, m_idx = np.nonzero(over[:, may].T)
-            hit_k, i_idx = k_at[may[i_idx]], may[i_idx]
-            keys, hit_s = at[i_idx] * nb + self._phase_col[idx[m_idx, i_idx]], vals[m_idx, i_idx]
-            runs = (np.flatnonzero(hit_k[1:] != hit_k[:-1]) + 1).tolist()
-            for a, b in zip([0] + runs, runs + [hit_k.size]) if hit_k.size else ():
-                rank = a + np.argsort(keys[a:b], kind="stable")
-                hold(int(hit_k[a]), keys[rank], hit_s[rank])
+            i_idx = may[i_idx]
+            hold(k_at[i_idx], at[i_idx] * nb + self._phase_col[idx[m_idx, i_idx]], vals[m_idx, i_idx])
 
         blocks = list(self._chunks(rows))
         height = max((b.stop - b.start for b in blocks), default=0)
@@ -498,7 +484,7 @@ class _RidgeScanner:
                             if hits and k <= cut[0] and (k, (row + int(over.argmax()) // nb) * nb) < cut:
                                 # Row-major, so the block's hits rise in key: its first `limit` may rank.
                                 flat = np.flatnonzero(over)[:limit]
-                                hold(k, row * nb + flat, s[j].ravel()[flat])
+                                hold(np.full(flat.size, k), row * nb + flat, s[j].ravel()[flat])
                     at, tops = (np.concatenate(c) for c in zip(*found))
                     at += np.arange(at.size) * span
                     rows_at = row + at // nb % h
@@ -524,7 +510,7 @@ class _RidgeScanner:
                     dead = self._dead(dip, (1.0 - level[:, None] + self._slack) / 2.0,
                                       spare.view(np.bool_)[:dip.size].reshape(dip.shape))
                     live = ~dead.all(axis=0)
-                # Calls of at most `cap` live pairs (batch index, row), sorted by slice and row.
+                # Calls of at most `cap` live pairs (batch index, row).
                 b_live, i_live = np.nonzero(live)
                 for r in range(0, b_live.size, cap):
                     b_sel, at = b_live[r:r + cap], block.start + i_live[r:r + cap]

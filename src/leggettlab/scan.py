@@ -233,13 +233,14 @@ def _predicted_violations(
     """(c, eps) grid points where the truncated condition predicts violation.
 
     The condition ``c >= 2 c eps + 2 sqrt(1 - c^2) eps`` is evaluated
-    verbatim on its domain ``1 > 2 c^2``; points off that domain are
-    skipped rather than guessed."""
+    verbatim, in the operation order of
+    :func:`~leggettlab.inequalities.first_order_predicate`, on its domain
+    ``1 > 2 c^2``; points off that domain are skipped rather than guessed."""
     out: list[tuple[float, float]] = []
     in_domain = 1.0 > 2.0 * cs * cs
     root = np.sqrt(np.clip(1.0 - cs * cs, 0.0, None))
     for eps in ladder:
-        holds = cs >= (2.0 * cs + 2.0 * root) * eps
+        holds = cs >= 2.0 * cs * eps + 2.0 * root * eps
         for k in np.nonzero(in_domain & ~holds)[0]:
             out.append((float(cs[k]), eps))
     out.sort()

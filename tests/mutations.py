@@ -31,6 +31,8 @@ TESTS = {
     "scan.py": ("tests/test_scan.py", "tests/test_golden_scans.py"),
     "_json.py": ("tests/test_json.py", "tests/test_cli.py", "tests/test_golden_scans.py"),
     "cli.py": ("tests/test_cli.py", "tests/test_json.py", "tests/test_golden_scans.py"),
+    "montecarlo.py": ("tests/test_montecarlo.py",),
+    "inequalities.py": ("tests/test_inequalities.py",),
 }
 
 # name -> (file in the package, its text, replacement)
@@ -63,10 +65,10 @@ MUTATIONS = {
         "kernels.py",
         "sc = np.stack([np.sqrt(1.0 - cs * cs), cs])",
         "sc = np.stack([cs, cs])"),
-    "first diagonal stencil maximum in layout order": (
+    "offer keys a pair's top at its largest column": (
         "kernels.py",
-        "attained = np.flatnonzero(tops == reach)",
-        "attained = np.flatnonzero(vals == reach) % tops.size"),
+        "self._phase_col[idx], nb).min(axis=0))",
+        "self._phase_col[idx], nb).max(axis=0))"),
     "the live test compares against covers in place of near": (
         "kernels.py",
         "left, right = self._phase[_SIDE - 1:_SIDE + nb], self._phase[_SIDE:_SIDE + nb + 1]",
@@ -95,10 +97,26 @@ MUTATIONS = {
         "kernels.py",
         "4.0 * float(self._gap.max()) ** 2) * (1.0 + 1e-14)",
         "4.0 * float(self._gap.max()) ** 2)"),
-    "offer ignores slice boundaries within a call": (
+    "merge ranks every candidate of a call under its first slice": (
         "kernels.py",
-        "np.not_equal(slices[1:], slices[:-1], out=head[1:])",
-        "head[1:] = False"),
+        "np.maximum.at(max_s, slices, tops)",
+        "np.maximum.at(max_s, slices[0], tops)"),
+    "merge takes a repeated slice's last top, not its largest": (
+        "kernels.py",
+        "np.maximum.at(max_s, slices, tops)",
+        "max_s[slices] = np.maximum(now, tops)"),
+    "merge takes a repeated slice's last key, not its smallest": (
+        "kernels.py",
+        "np.minimum.at(key, slices[hit], keys[hit])",
+        "key[slices[hit]] = keys[hit]"),
+    "merge keeps a slice's key when its maximum rises": (
+        "kernels.py",
+        "key[slices[top > now]] = np.iinfo(np.int64).max",
+        "key[slices[top > now]] = key[slices[top > now]]"),
+    "tally counts a repeated slice once per call": (
+        "kernels.py",
+        "np.add.at(n_over, k_at, over.sum(axis=0))",
+        "n_over[k_at] += over.sum(axis=0)"),
     "c and s swapped in one root's phase": (
         "kernels.py",
         "np.multiply(sc[::-1, k], self._tan_a[rows], out=out)\n"
@@ -157,6 +175,34 @@ MUTATIONS = {
         "scan.py",
         "np.concatenate(hits)[:VIOLATION_CAP]",
         "np.concatenate(hits)"),
+    "the truncated condition taken strictly": (
+        "scan.py",
+        "holds = cs >= 2.0 * cs * eps + 2.0 * root * eps",
+        "holds = cs > 2.0 * cs * eps + 2.0 * root * eps"),
+    "_axis_size without its endpoint slack": (
+        "scan.py",
+        "math.floor(quotient + 1e-9 * (abs(quotient) + 1.0))",
+        "math.floor(quotient)"),
+    "refine's bracket one step narrower": (
+        "scan.py",
+        "brackets.append((float(grid[max(idx - 1, 0)]),",
+        "brackets.append((float(grid[idx]),"),
+    "refine's cycle exit at the cycle's first state": (
+        "scan.py",
+        "list(seen)[first + (40 - first) % (round_ - first)]",
+        "list(seen)[first]"),
+    "Monte Carlo block keys (index, seed)": (
+        "montecarlo.py",
+        "key=np.array([seed, index], dtype=np.uint64)",
+        "key=np.array([index, seed], dtype=np.uint64)"),
+    "the upper bound without its absolute value": (
+        "inequalities.py",
+        "upper = 1.0 - np.abs(a_bar - b_bar)",
+        "upper = 1.0 - (a_bar - b_bar)"),
+    "the lower bound without its absolute value": (
+        "inequalities.py",
+        "lower = -1.0 + np.abs(a_bar + b_bar)",
+        "lower = -1.0 + (a_bar + b_bar)"),
     "a truncation discrepancy despite found violations": (
         "cli.py",
         "report.first_order_predicted_violations and report.violation_count == 0",

@@ -54,6 +54,16 @@ class TestLeggettBounds:
         assert not bounds.satisfied
         assert bounds.margin == pytest.approx(-0.5)
 
+    def test_upper_bound_takes_the_marginal_gap_of_either_sign(self):
+        bounds = leggett_bounds((-0.5, 0.5, 0.1))
+        assert bounds.upper == 0.0
+        assert not bounds.satisfied
+
+    def test_lower_bound_takes_the_marginal_sum_of_either_sign(self):
+        bounds = leggett_bounds((-0.5, -0.5, -0.1))
+        assert bounds.lower == 0.0
+        assert not bounds.satisfied
+
     def test_accepts_plain_tuples(self):
         assert leggett_bounds((0.0, 0.0, 0.0)).upper == 1.0
         with pytest.raises(InputError):

@@ -22,6 +22,7 @@ from leggettlab import (
     ScanPoint,
     ScanReport,
     ScanSpec,
+    first_order_predicate,
     grid_scan,
     halving_ladder,
     refine,
@@ -313,6 +314,21 @@ class TestGridScanDiagonal:
         # And the scan itself found no actual violation anywhere.
         assert report.violation_count == 0
 
+    @pytest.mark.parametrize("eps", [0.004950740141778044, 0.004950740141778043])
+    def test_predicted_violations_agree_with_the_predicate(self, eps):
+        # At c = 0.01 the first eps breaks the truncated condition by an ulp;
+        # at the second its right side rounds to c exactly, so it holds.
+        predicted = scan_module._predicted_violations(np.array([0.01]), (eps,))
+        assert predicted == (() if first_order_predicate(0.01, eps) else ((0.01, eps),))
+        assert first_order_predicate(0.01, eps) == (eps == 0.004950740141778043)
+
+    def test_predicted_violations_agree_with_the_predicate_near_equality(self):
+        rng = np.random.default_rng(7)
+        for c in rng.uniform(1e-6, 0.7, 500):
+            eps = c / (2.0 * c + 2.0 * math.sqrt(1.0 - c * c)) * (1.0 + int(rng.integers(-3, 4)) * 2.0**-52)
+            predicted = scan_module._predicted_violations(np.array([c]), (eps,))
+            assert (predicted == ()) == first_order_predicate(float(c), eps), (c, eps)
+
     def test_empty_ladder_marks_nothing(self):
         report = grid_scan(ScanSpec(**COARSE))
         assert report.first_order_predicted_violations == ()
@@ -461,6 +477,15 @@ class TestRefine:
         got = refine(report, spec)
         assert replace(got, wall_time=0.0) == replace(want, wall_time=0.0)
         assert len(calls) * (10 if step == 5e-4 else 1) == want_calls
+
+    def test_cycle_entered_at_an_odd_round_ends_where_round_40_would(self):
+        # Here the ascent alternates between two points from round 1, so the
+        # 40-round loop ends on the second of them, not on the first.
+        spec = ScanSpec(c_range=(0.0, 1.0, 0.1), alpha_range=(0.009249947371056753, math.pi, 0.15),
+                        beta_range=(0.009249947371056753, math.pi, 0.15))
+        report = grid_scan(spec)
+        want, _ = refine_reference(report, spec)
+        assert replace(refine(report, spec), wall_time=0.0) == replace(want, wall_time=0.0)
 
     def test_family_mismatch_rejected(self):
         report = grid_scan(ScanSpec(**COARSE))
