@@ -43,52 +43,44 @@ p_-+``, and on an alpha row each of the two is a sinusoid in beta,
 
 A slice is one ``c`` of the diagonal family, or one alpha row of a fixed
 state (the report lists each row's maximum).  With M the largest S evaluated
-so far in the slice, ``L = min(M, threshold)`` and ``D = (1 - L + slack) /
-2``, a point with ``S_float >= L`` has ``p <= D`` for one of its sinusoids:
-its beta lies within ``arcsin(sqrt((D - p_min) / R^2))`` of ``phi + k pi``
-(nowhere when ``D < p_min``), the root's window.  Every other point has
-``S_float < L``: below the maximum, so the first maximum in row-major order
-lies in the windows, and not over the threshold.  Columns are sorted once by
-``b mod pi``, the order padded circularly.  A scanner evaluates ``_SIDE``
-columns on each side of each root with the block engine's tables and
-operation order, and certifies a row when both stencils reach past their
-windows plus a margin.  Other rows are evaluated on their two windows at that
-L, each column once, in tiles of ``_TILE``; a window of ``pi/2`` or more, or
-nan (R near 0, a low L), spans the row.  The block engine takes every row when
-the beta axis is no wider than the stencils, or when the windows at the
-threshold of a sample of pairs hold more than ``(1 + 2 / slices) /
-_WINDOW_COST`` of their rows' columns.  Stencils and tiles are laid out
-``(columns, pairs)``.  Scans list the points over the threshold where they
+so far in the slice, L0 a bound at most its maximum (below), ``L = min(max(M,
+L0), threshold)`` and ``D = (1 - L + slack) / 2``, a point with ``S_float >=
+L`` has ``p <= D`` for one of its sinusoids: its beta lies within
+``arcsin(sqrt((D - p_min) / R^2))`` of ``phi + k pi`` (nowhere when ``D <
+p_min``), the root's window.  Every other point has ``S_float < L``: below
+the maximum, so the first maximum in row-major order lies in the windows,
+and not over the threshold.  Columns are sorted once by ``b mod pi``, the
+order padded circularly.  A row is evaluated on its two windows, each column
+once, in tiles of ``_TILE`` laid out ``(columns, tiles)``, with the block
+engine's tables and operation order; a window of ``pi/2`` or more, or nan (R
+near 0, a low L), spans the row.  A tile whose top is below ``max(M, L0)``
+holds no maximum and is not offered.  The block engine takes every row when
+the beta axis is no wider than a tile, or when the windows at the threshold
+of a sample of pairs hold more than ``(1 + 2 / slices) / _WINDOW_COST`` of
+their rows' columns.  Scans list the points over the threshold where they
 count them, in one flat list that one sort on (slice, key) trims to its first
 ``limit`` whenever it passes ``2 limit``: memory is O(``limit`` + chunk +
-axes) at any threshold, plus three arrays of O(slices).
+axes) at any threshold, plus four arrays of O(slices).
 
-Most rows of a diagonal slice need no stencil at all.  Per ``c`` the
-scanner first evaluates one seed row, the row whose nearest column lies
-deepest in a sinusoid (smallest ``dip = R^2 max(near - margin, 0)^2``,
-``near`` the angular distance from a root to its nearest column on either
-side), and takes ``L = min(max(M, top), threshold)`` with ``top`` the
-seed's stencil maximum.  A row whose windows at that L hold no column at
-either root has ``S_float < L`` at every point: it is the cover test with a
-stencil of no columns, so the same float-error bound holds with ``near`` in
-place of the distance to the farthest stencil column.  Such a row holds
-neither the first maximum nor a hit, and none of its points is evaluated;
-the seed row itself either reaches L or is such a row.  A screen finds
-these rows with no arcsin (:meth:`DiagonalScanner._dead`).  The other
-(live) rows of a batch of ``c`` are gathered as (slice, row) pairs in any
-order, each slice keeping its largest top at the smallest key, and certified
-as above at the level they raise, never below the seed's.  On the paper grid
-about 7 of 3142 rows per ``c`` are live.
-Fixed states skip no row: each row is a slice, and a live pair, of its own.
-With L within about 1e-13 of 1, a window is some 3e-7 / R rad wide.  At
-``L = 1 - t`` it is about ``sqrt(t / 2) / R``, which passes the stencil
-once ``t > 2 (_SIDE h R)^2`` (1.8e-5 R^2 at step h = 1e-3); a row then
-costs its windows, about ``2 sqrt(2 t) / (R h)`` columns, so a scan slows
-as they widen, until the block engine takes it: past ``t`` of about 2e-3 for
-the diagonal family, 2e-2 for a real fixed state.  The rule leaves out each
-live pair's own cost, which moves a coarse axis's crossover lower (to 1e-3 or
-below at h = 2e-3).  A fixed state's row whose maximum lies far below 1 has L
-at its top, and a window about as wide as the top's distance from its root.
+L0 needs no evaluation.  A root's beta lies within ``near + tolerance`` of
+its nearest column's, ``near`` the angular distance from its phase to that
+column and ``tolerance`` its phase's margin (below).  As ``sin x <= x``, there
+``p <= p_min + R^2 (near + tolerance)^2`` and ``S_float >= 1 - 2 p - slack``:
+``L0 = 1 - slack - 2 p`` of either root of a row is at most its maximum.  Per
+``c`` the diagonal scanner takes L0 at the row whose nearest column lies
+deepest in a sinusoid (smallest ``dip = R^2 max(near - margin, 0)^2``).  A
+row whose windows at that L hold no column has ``S_float < L`` throughout
+and is not evaluated; a screen finds these rows with no arcsin
+(:meth:`DiagonalScanner._dead`).  The other (live) rows of several passes of
+``c`` are gathered as (slice, row) pairs in any order, each raising its
+slice's L0 with its own before its windows: about 8 of 3142 rows per ``c``
+on the paper grid.  Fixed states skip no row: each row is a slice, and a live
+pair, of its own.  A window at ``L = 1 - t`` is about ``sqrt(t / 2) / R`` rad
+wide (some 3e-7 / R at L0 near 1), so a row costs a tile or about ``2 sqrt(2
+t) / (R h)`` columns at step h, and a scan slows as windows widen until the
+block engine takes it: past ``t`` of about 2e-3 for the diagonal family,
+2e-2 for a real fixed state, and lower on a coarse axis (1e-3 or below at h
+= 2e-3), as the rule leaves out each live pair's own cost.
 
 Float error, diagonal family.  With unit roundoff e = 2^-53 and numpy's
 float64 sin, cos and tan within 4 ulp (8e relative), the tables carry relative
@@ -107,12 +99,14 @@ so ``|S_float - (1 - 2 min p)| < 112e = 1.25e-14``: the slack is
 against s or c, T = tan a) are within 3e-15, and near within 1e-15 more
 plus ``4e-17 |beta|``; R^2 is within 20e, which moves a window of
 ``arcsin(x)``, ``x <= 1/2``, by under 10e for ``R >= 2 sqrt(D) >= 4e-7``,
-the only rows that can be certified.  ``_ANGLE_MARGIN * max(1, max
-|beta|)`` covers them 200 times over.  A window wider than ``pi/6``
-counts as the whole half-period, and is evaluated as a window of half
-``pi``: edges of half ``pi/2`` can round an ulp apart and leave out a
-column on the antipode.  The screen's factor ``1 + 1e-14``
-covers its own rounding and that of :meth:`_windows` (under 40e).
+the only windows narrower than a row.  ``_ANGLE_MARGIN * max(1, max
+|beta|)`` exceeds them 200 times over.  In L0, R^2's 20e and L0's own
+rounding move S by under 60e where ``L0 > -1``, within the slack with the
+112e above; a lower L0 lies below every S.  A window wider than ``pi/6``
+counts as the whole half-period, and is evaluated as a window of half ``pi``:
+edges of half ``pi/2`` can round an ulp apart and leave out a column on the
+antipode.  The screen's factor ``1 + 1e-14`` bounds its own rounding and that
+of :meth:`_windows` (under 40e).
 
 Float error, fixed states.  ``joint_probabilities`` multiplies float
 kets (8e relative) into C and sums four terms, so an amplitude lies
@@ -125,11 +119,13 @@ min p)| <= 1.5 |N - 1|``, where ``PureTwoPhotonState`` allows ``|N - 1|``
 up to 2e-12: a fixed state's slack is ``_SLACK + 2 |N - 1|``.  x and y
 lie within 10.1e of their values, so ``|x|^2 - |y|^2`` and ``2 Re xy*``
 lie within 32e, R^2 within 46e, p_min within 72e and phi within ``23e /
-R^2`` plus 3e-15.  ``_ROOT_ERROR = 1e-14`` (90e) covers these: a row's
+R^2`` plus 3e-15.  ``_ROOT_ERROR = 1e-14`` (90e) exceeds these: a row's
 windows take ``p_min - _ROOT_ERROR`` and ``R^2 - _ROOT_ERROR``, and its
 margin adds ``_ROOT_ERROR / (R^2 - _ROOT_ERROR)``, which grows where a
 complex C's two extremes nearly meet and phi is ill-conditioned; a row
-with ``R^2 <= _ROOT_ERROR`` is evaluated in full.
+with ``R^2 <= _ROOT_ERROR`` is evaluated in full.  L0 takes the other side
+of both bounds, ``p_min + _ROOT_ERROR`` and ``R^2 + _ROOT_ERROR`` (``_pad``),
+and a root with ``R^2 <= _ROOT_ERROR`` bounds nothing there.
 """
 
 from __future__ import annotations
@@ -149,16 +145,13 @@ __all__ = [
 # 768 KB for the three arrays of a block.
 _BLOCK_ELEMS = 32 * 1024
 
-# Stencil columns on each side of a root; a row holds two roots.
-_SIDE = 3
-_WIDTH = 4 * _SIDE
-# Columns per tile of an uncertified row's windows.
+# Columns per tile of a row's windows.
 _TILE = 8
 # Block-engine points a window column costs (measured); the engine forms a
 # block at about 2 points a point, once per walk of all its slices.
 _WINDOW_COST = 14
-# Stencil candidates per chunk of whole alpha rows, 4096 rows of _WIDTH.
-_CHUNK_CANDIDATES = 48 * 1024
+# Alpha rows per chunk.
+_CHUNK_ROWS = 4096
 # Slices per pass of a ridge walk, 4 store values per row each: 12 were faster
 # but raised the census scan's peak RSS by 0.5 MB over 8.
 _PASS = 8
@@ -251,40 +244,45 @@ class _RidgeScanner:
     read-only tables, each with its own buffers.
     """
 
+    _pad = 0.0  # what L0 adds to a root's p_min and R^2 (module docstring)
+
     def __init__(self, rows, cols, betas: np.ndarray, slack: float):
         self._rows, self._cols, self._slack = rows, cols, slack
-        # Columns in phase order, padded by _SIDE on the left and _SIDE + _TILE on
-        # the right with their images one period away (repeating when the axis is shorter).
+        # Columns in phase order, padded by one on the left and _TILE on the
+        # right with their images one period away (repeating when the axis is shorter).
         betas = np.ascontiguousarray(betas, dtype=np.float64).reshape(-1)
+        nb = betas.size
         phase = np.remainder(betas, math.pi)
         order = np.argsort(phase, kind="stable")
-        wrap, pos = np.divmod(np.arange(-_SIDE, betas.size + _SIDE + _TILE), betas.size)
+        wrap, pos = np.divmod(np.arange(-1, nb + _TILE), nb)
         self._phase = phase[order][pos] + math.pi * wrap
-        self._sorted_phase = self._phase[_SIDE:_SIDE + betas.size]
+        self._sorted_phase = self._phase[1:1 + nb]
         self._phase_col = order[pos]
-        # The beta tables in that order, so that stencils gather by
+        # The beta tables in that order, so that windows gather by
         # position; a table that serves twice is taken once.
         taken: dict = {}
-        self._stencil_cols = tuple(taken.setdefault(id(k), k[self._phase_col]) for k in cols)
+        self._by_phase = tuple(taken.setdefault(id(k), k[self._phase_col]) for k in cols)
         self._margin = _ANGLE_MARGIN * float(np.max(np.abs(betas), initial=1.0))
+        # Midpoints and half-gaps of the gaps between columns, indexed by the
+        # position of the column on the right (:meth:`_near`).
+        left, right = self._phase[:nb + 1], self._phase[1:nb + 2]
+        self._mid, self._gap = (left + right) / 2.0, (right - left) / 2.0
         # The first position of each of `buckets` equal buckets of [0, pi], at most
         # 1 MB: a phase's bucket is floor(phase * scale), the same float map for
         # columns and roots, so no column of a later bucket lies at or below it.
-        buckets = min(2 * betas.size, 2**17 - 2)
+        buckets = min(2 * nb, 2**17 - 2)
         self._scale = buckets / math.pi
         self._bucket = np.searchsorted((self._sorted_phase * self._scale).astype(np.int64), np.arange(buckets + 2))
         self._steps = int(np.diff(self._bucket).max())
         self._upper = np.append(self._sorted_phase, np.inf)
 
     def _chunks(self, rows: slice = slice(None)):
-        """Yield as few equal chunks of the alpha rows ``rows`` as hold at most ``_CHUNK_CANDIDATES`` candidates each.
+        """Yield as few equal chunks of the alpha rows ``rows`` as hold at most ``_CHUNK_ROWS`` rows each.
 
-        A paper axis of 3142 rows is one chunk.  :meth:`_walk` forms a
-        chunk's roots for a batch of slices at a time, in long numpy calls
-        that run while other workers hold the interpreter.
+        A paper axis of 3142 rows is one chunk, screened a batch of slices at a time.
         """
         start, stop, _ = rows.indices(self._rows[0].size)
-        chunks = max(1, -(-(stop - start) // max(1, _CHUNK_CANDIDATES // _WIDTH)))
+        chunks = max(1, -(-(stop - start) // max(1, _CHUNK_ROWS)))
         height = max(1, -(-(stop - start) // chunks))
         for first in range(start, stop, height):
             yield slice(first, min(stop, first + height))
@@ -302,20 +300,26 @@ class _RidgeScanner:
             out += np.less_equal(scratch, phase, out=scratch.view(np.int64))
         return out
 
-    def _reach(self, phase: np.ndarray, p: np.ndarray, out) -> np.ndarray:
-        """Per root at position ``p``, the distance to its ``_SIDE``-th column on the nearer side, in ``out[0]`` (``out[1]`` scratch)."""
-        left = np.take(self._phase, p, out=out[0], mode="clip")
-        np.subtract(phase, left, out=left)
-        right = np.take(self._phase[2 * _SIDE - 1:], p, out=out[1], mode="clip")
-        np.subtract(right, phase, out=right)
-        return np.minimum(left, right, out=left)
+    def _near(self, phase: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """Per root, in place of its ``phase``, its distance ``gap[p] - |phase - mid[p]|`` to its nearest column; p in ``out``."""
+        self._locate(phase, out, scratch)
+        np.subtract(phase, np.take(self._mid, out, out=scratch, mode="clip"), out=phase)
+        np.abs(phase, out=phase)
+        return np.subtract(np.take(self._gap, out, out=scratch, mode="clip"), phase, out=phase)
+
+    def _lower(self, roots, out) -> np.ndarray:
+        """Per pair of ``roots`` ``(R^2, phase, floor, tolerance)``, ``L0 = 1 - slack - 2 p``, ``p <= (p_min + pad) + (R^2 +
+        pad) (near + tolerance)^2`` at a root's nearest column unless ``R^2 <= 0``; ``out`` is 3 ``(2, pairs)`` buffers."""
+        r2, phase, floor, tolerance = roots
+        out[0] = phase
+        near = self._near(out[0], out[1].view(np.int64), out[2])
+        p = (floor + self._pad) + (r2 + self._pad) * (near + tolerance) ** 2
+        return 1.0 - self._slack - 2.0 * np.where(r2 > 0.0, p, np.inf).min(axis=0)
 
     @staticmethod
     def _windows(r2, depth, tolerance, out=None) -> np.ndarray:
-        """Half-widths ``arcsin(sqrt(depth) / R)`` plus ``tolerance`` of the windows around roots of radius ``R = sqrt(r2)``.
-
-        R = 0 divides by zero and a subnormal R overflows: the scans ignore those errors.
-        """
+        """Half-widths ``arcsin(sqrt(depth) / R)`` plus ``tolerance`` of the windows around roots of radius ``R = sqrt(r2)``;
+        R = 0 divides by zero and a subnormal R overflows, errors the scans ignore."""
         ratio = np.divide(np.sqrt(np.maximum(depth, 0.0)), np.sqrt(r2, out=out), out=out)
         wide = ratio > 0.5
         half = np.arcsin(np.minimum(ratio, 0.5, out=ratio), out=ratio)
@@ -357,16 +361,18 @@ class _RidgeScanner:
         ``i * nb + j``, and each slice's key is that of its first maximum in row-major
         order.  ``roots(k, at, out)`` gives ``(R^2, phase, floor, tolerance)`` of the pairs
         of weights ``k[i]`` and alpha rows ``at[i]``, R^2 and phase ``(2, pairs)`` arrays in
-        the first two of the three buffers ``out``.  ``screen(ks, block, out)`` gives the
-        dips (:meth:`DiagonalScanner._dips`) of a batch in ``out``; a seed row per k then
-        sets a level and only live rows are evaluated.  Returns ``(maxima, keys, counts,
-        hits)``, the hits ``(k, key, S)`` arrays of the first ``limit`` in (k, key) order.
+        the first two of the three buffers ``out``.  ``screen(ks, block, out)`` gives the dips
+        (:meth:`DiagonalScanner._dips`) of a batch in ``out``, and only live rows are evaluated.
+        Returns ``(maxima, keys, counts, hits)``, the hits ``(k, key, S)`` arrays of the first
+        ``limit`` in (k, key) order.
         """
         u, w = np.asarray(u, dtype=np.float64), np.asarray(w, dtype=np.float64)
         nc, na, nb = u.size, self._rows[0].size, self._cols[0].size
         per_row = screen is None
         start, stop, _ = rows.indices(na)
         max_s = np.full(stop - start if per_row else nc, -np.inf)
+        # Each slice's largest L0 so far, at most its maximum (module docstring).
+        bound = np.full(max_s.size, -np.inf)
         key = np.zeros(max_s.size, dtype=np.int64)
         n_over = np.zeros(nc, dtype=np.int64)
         # Parts (k, keys i * nb + j, values) of the hits that may still rank among
@@ -409,54 +415,47 @@ class _RidgeScanner:
             hold(k_at[i_idx], at[i_idx] * nb + self._phase_col[idx[m_idx, i_idx]], vals[m_idx, i_idx])
 
         blocks = list(self._chunks(rows))
-        height = max((b.stop - b.start for b in blocks), default=0)
-        # One store per walk: a pass of _PASS slices, each root's dip and scratch per
-        # row, 4 values per slice and row (0.8 MB on the paper axis); on short axes,
-        # one value per row a chunk may hold.  A stencil call takes its pairs' roots,
-        # positions and stencils there, 8 + 4 _WIDTH values per pair, up to 1795
-        # pairs on the paper axis.  Column positions come from a bucket table.
-        pair = 8 + 4 * _WIDTH
-        budget = max(4 * _PASS * height, _CHUNK_CANDIDATES // _WIDTH, 2 * height + pair)
-        batch = max(1, min(nc, budget // max(4 * height, 2 * height + pair)))
-        cap = budget // pair
+        height = max((b.stop - b.start for b in blocks), default=1)
+        # One store per walk: a pass of _PASS slices, each root's dip and scratch per row
+        # (0.8 MB on the paper axis), or on short axes one value per row a chunk may hold.
+        # A windows call takes its pairs' roots there, 10 values a pair, then its tiles; calls
+        # of `cap` pairs (1571 there) keep their temporaries, up to 36 values a pair, below it.
+        budget = max(4 * _PASS * height, _CHUNK_ROWS, 64)
+        batch = max(1, min(nc, budget // (4 * height)))
+        cap = budget // 64
         store = np.empty(budget)
-        # Every row whole where stencils span the axis, or where the sampled windows at _WINDOW_COST points
+        # Every row whole where a tile spans the axis, or where the sampled windows at _WINDOW_COST points
         # a column would cost more than the block engine at 1 + 2 / nc points a point.
-        dense = nb <= _WIDTH or nc * _WINDOW_COST * self._share(roots, nc, start, stop, threshold) > nc + 2
+        dense = nb <= _TILE or nc * _WINDOW_COST * self._share(roots, nc, start, stop, threshold) > nc + 2
 
-        def evaluate(k_at, at, region):
-            # Roots, positions and (_WIDTH, pairs) root-major stencils of the pairs
-            # (k_at, at) in `region`; y is returned free.
+        def windows(k_at, at):
+            # Each pair's windows at its slice's level, in tiles of _TILE positions, (_TILE, tiles),
+            # in steps of as many tiles as the store holds once the runs are known.
             m = at.size
-            state = region[:8 * m].reshape(4, 2, m)
-            found = roots(k_at, at, state[:3])
-            p = self._locate(found[1], state[3].view(np.int64), state[2])
-            idx, x, y, z = region[8 * m:pair * m].reshape(4, _WIDTH, m)
-            idx = idx.view(np.int64)
-            np.add(p[:, None, :], np.arange(2 * _SIDE)[:, None], out=idx.reshape(2, 2 * _SIDE, m))
-            _gather(self._rows, self._stencil_cols, at, idx, x, y, z)
-            return found, p, idx, _evaluate(x, y, z, u[k_at], w[k_at], x, z), y
-
-        def windows(k_at, at, slices, first, size):
-            # The runs (first, size) of each pair in tiles of _TILE positions, (_TILE, tiles)
-            # like the stencils, in calls of at most _BLOCK_ELEMS points.
-            first, size = first.T.ravel(), size.T.ravel()
+            slices = at - start if per_row else k_at
+            buf = store[:10 * m].reshape(5, 2, m)
+            r2, phase, floor, tolerance = found = roots(k_at, at, buf[:3])
+            np.maximum.at(bound, slices, self._lower(found, buf[2:]))
+            least = bound[slices]  # a tile whose top is below it holds no maximum
+            level = np.minimum(np.maximum(max_s[slices], least), threshold)
+            half = self._windows(r2, (1.0 - level + self._slack) / 2.0 - floor, tolerance, buf[3])
+            first, size = (v.T.ravel() for v in self._runs(phase, half))
             tiles = -(-size // _TILE)
             ends, total = np.cumsum(tiles), int(tiles.sum())
-            step, lane = max(1, _BLOCK_ELEMS // _TILE), np.arange(_TILE)[:, None]
-            buf = np.empty((4, _TILE, min(total, step)))
+            step, lane = max(1, min(_BLOCK_ELEMS, budget // 4) // _TILE), np.arange(_TILE)[:, None]
+            buf = store[:4 * _TILE * step].reshape(4, _TILE, step)
             for lo in range(0, total, step):
                 # This step's tiles, each with its run and its place in that run.
                 tile = np.arange(lo, min(lo + step, total))
                 run = np.searchsorted(ends, tile, side="right")
                 tile, p_e = tile - (ends[run] - tiles[run]), run // 2
                 idx, (x, y, z) = buf[0, :, :tile.size].view(np.int64), buf[1:, :, :tile.size]
-                np.add(lane, (first[run] + _TILE * tile) % nb + _SIDE, out=idx)
-                _gather(self._rows, self._stencil_cols, at[p_e], idx, x, y, z)
+                np.add(lane, (first[run] + _TILE * tile) % nb + 1, out=idx)
+                _gather(self._rows, self._by_phase, at[p_e], idx, x, y, z)
                 vals = _evaluate(x, y, z, u[k_at[p_e]], w[k_at[p_e]], x, z)
                 vals[lane >= size[run] - _TILE * tile] = -np.inf
                 tops = vals.max(axis=0)
-                top = np.flatnonzero(tops >= max_s[slices[p_e]])  # only these can reach their slice's maximum
+                top = np.flatnonzero(tops >= np.maximum(max_s[slices[p_e]], least[p_e]))
                 if top.size:
                     offer(slices[p_e[top]], at[p_e[top]], tops[top], vals[:, top], idx[:, top])
                 if tops.max() > threshold:
@@ -490,51 +489,41 @@ class _RidgeScanner:
                     rows_at = row + at // nb % h
                     merge(rows_at - start if per_row else lo + at // x.size, tops, rows_at * nb + at % nb)
 
+        def flush():
+            # The gathered live pairs' windows, in calls of at most `cap`.
+            k_at, at = (np.concatenate(part) for part in zip(*pending))
+            pending[:] = [_NO_HITS[:2]]
+            for r in range(0, at.size, cap):
+                windows(k_at[r:r + cap], at[r:r + cap])
+
+        # Live pairs (k, row) of several passes, gathered for their windows, and how many since the last call.
+        pending, held = [_NO_HITS[:2]], 0
         for block in blocks:
             n = block.stop - block.start
             for lo in range(0, 0 if dense else nc, batch):
                 ks = np.arange(lo, min(nc, lo + batch))
                 if per_row:
-                    live, seeded = np.ones((1, n), dtype=bool), np.full(1, -np.inf)
+                    k_live, i_live = np.zeros(n, dtype=np.int64), np.arange(n)
                 else:
-                    # Each k's seed row, whose nearest column lies deepest in a sinusoid
-                    # (the smallest dip, about p there), sets a level its top point
-                    # reaches or passes.  The seeds, then the dead flags, follow the dips.
+                    # L0 at each k's row of smallest dip sets a level; the smallest dips, then the dead flags, follow the dips.
                     dip = screen(ks, block, store[:4 * ks.size * n].reshape(2, 2, ks.size, n))
-                    spare = store[2 * ks.size * n:]
-                    seeds = np.minimum(*dip, out=spare[:ks.size * n].reshape(ks.size, n)).argmin(axis=1)
-                    top = evaluate(ks, block.start + seeds, spare)[3].max(axis=0)
-                    seeded = np.maximum(max_s[ks], top)
-                    level = np.minimum(seeded, threshold)
+                    spare, buf = store[2 * ks.size * n:], np.empty((5, 2, ks.size))
+                    deepest = np.minimum(*dip, out=spare[:ks.size * n].reshape(ks.size, n)).argmin(axis=1)
+                    np.maximum.at(bound, ks, self._lower(roots(ks, block.start + deepest, buf[:3]), buf[2:]))
+                    level = np.minimum(np.maximum(max_s[ks], bound[ks]), threshold)
                     # Rows whose windows hold no column are below the level throughout.
                     dead = self._dead(dip, (1.0 - level[:, None] + self._slack) / 2.0,
                                       spare.view(np.bool_)[:dip.size].reshape(dip.shape))
-                    live = ~dead.all(axis=0)
-                # Calls of at most `cap` live pairs (batch index, row).
-                b_live, i_live = np.nonzero(live)
-                for r in range(0, b_live.size, cap):
-                    b_sel, at = b_live[r:r + cap], block.start + i_live[r:r + cap]
-                    k_at = ks[b_sel]
-                    (r2, phase, floor, tolerance), p, idx, vals, free = evaluate(k_at, at, store)
-                    # A slice per pair: its k, or with per_row its row.
-                    slices = at - start if per_row else k_at
-                    tops = vals.max(axis=0)
-                    offer(slices, at, tops, vals, idx)
-                    level = np.minimum(np.maximum(max_s[slices], seeded[b_sel]), threshold)
-                    half = self._windows(r2, (1.0 - level + self._slack) / 2.0 - floor, tolerance, free[4:6])
-                    covers = self._reach(phase, p, (free[:2], free[2:4]))
-                    sure = (half < covers).all(axis=0)
-                    if tops.max() > threshold:
-                        # Certified rows count here, a column of both stencils once; the others on their windows.
-                        over = (vals > threshold) & sure
-                        over[2 * _SIDE:] &= (idx[2 * _SIDE:] - p[0]) % nb >= 2 * _SIDE
-                        tally(k_at, at, over, vals, idx)
-                    # Uncertified rows take their windows, which may span the row.
-                    rest = np.flatnonzero(~sure)
-                    if rest.size:
-                        windows(k_at[rest], at[rest], slices[rest], *self._runs(phase[:, rest], half[:, rest]))
+                    b_live, i_live = np.nonzero(~dead.all(axis=0))
+                    k_live = ks[b_live]
+                pending.append((k_live, block.start + i_live))
+                held += i_live.size
+                if held >= cap:
+                    flush()
+                    held = 0
             if dense:
                 whole(block)
+        flush()
         return max_s, key, n_over, _first(parts, limit)
 
 
@@ -550,11 +539,7 @@ class DiagonalScanner(_RidgeScanner):
         cb2, sb2, s2b = _trig(betas)
         super().__init__((ca2, ca2, sa2, s2a), (cb2, cb2, sb2, s2b), betas, _SLACK)
         self._tan_a = np.tan(np.asarray(alphas, dtype=np.float64))
-        # Midpoints and half-gaps of the gaps between columns, indexed by the position
-        # of the column on the right, and the screen's factor (:meth:`_dead`).
-        nb = cb2.size
-        left, right = self._phase[_SIDE - 1:_SIDE + nb], self._phase[_SIDE:_SIDE + nb + 1]
-        self._mid, self._gap = (left + right) / 2.0, (right - left) / 2.0
+        # The screen's factor (:meth:`_dead`).
         self._screen = max((math.pi / 3.0) ** 2, 4.0 * float(self._gap.max()) ** 2) * (1.0 + 1e-14)
 
     @staticmethod
@@ -581,16 +566,6 @@ class DiagonalScanner(_RidgeScanner):
         r2 += np.multiply(sc2[::-1], self._rows[2][rows], out=scratch)
         return r2, self._phases(sc, k, rows, phase, scratch), 0.0, self._margin
 
-    def _near(self, phase: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-        """Per root, in place of its ``phase``, the distance ``gap[p] - |phase - mid[p]|`` to its nearest column.
-
-        The position p fills the int64 ``out``; ``scratch`` is float.
-        """
-        self._locate(phase, out, scratch)
-        np.subtract(phase, np.take(self._mid, out, out=scratch, mode="clip"), out=phase)
-        np.abs(phase, out=phase)
-        return np.subtract(np.take(self._gap, out, out=scratch, mode="clip"), phase, out=phase)
-
     def _dips(self, sc: np.ndarray, ks: np.ndarray, block: slice, out) -> np.ndarray:
         """``R^2 max(near - margin, 0)^2`` per root of the weights ``ks`` on the alpha rows ``block``, in ``out[0]`` (``out[1]`` scratch)."""
         dip, scratch = out
@@ -613,7 +588,7 @@ class DiagonalScanner(_RidgeScanner):
         For ``x = sqrt(depth) / R <= 1/2``, ``arcsin x <= (pi / 3) x``: the
         window is narrower than near when ``R^2 >= 4 depth`` and ``dip > (pi /
         3)^2 depth``.  near is at most the largest half-gap G, so ``dip > 4
-        G^2 depth`` implies the first.  The factor ``1 + 1e-14`` covers the
+        G^2 depth`` implies the first.  The factor ``1 + 1e-14`` absorbs the
         float error of both tests against :meth:`_windows` (module docstring).
         """
         return np.greater(dip, self._screen * np.maximum(depth, 0.0), out=out)
@@ -653,10 +628,11 @@ def _first(parts: list, limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 class PlaneScanner(_RidgeScanner):
     """Reusable scanner over a fixed state's (alpha, beta) grid.
 
-    Construction builds the state's eight tables once; a scan forms the
-    two sinusoids of each chunk's rows.  Each alpha row is a slice of its
-    own: its level is the top of its stencils, or the threshold if lower.
+    Construction builds the state's eight tables once; a scan forms the two
+    sinusoids of each chunk's rows.  Each alpha row is a slice of its own.
     """
+
+    _pad = 2.0 * _ROOT_ERROR  # the bounds of p_min and R^2 are _ROOT_ERROR over _roots' values
 
     def __init__(self, coeffs: np.ndarray, alphas: np.ndarray, betas: np.ndarray):
         state = PureTwoPhotonState(coeffs)
@@ -689,7 +665,7 @@ class PlaneScanner(_RidgeScanner):
         return np.stack([
             r2 - _ROOT_ERROR,
             _fold(np.arctan2(2.0 * xy.real, xx - yy) / 2.0),
-            2.0 * xy.imag**2 / ((xx + yy) + r2) - _ROOT_ERROR,  # x = y = 0: nan, never certified
+            2.0 * xy.imag**2 / ((xx + yy) + r2) - _ROOT_ERROR,  # x = y = 0: nan, with R^2 <= 0
             self._margin + _ROOT_ERROR / (r2 - _ROOT_ERROR),
         ])
 

@@ -51,6 +51,9 @@ COMMANDS = {
     "adjudicate, 1 worker": ["scan", "--eps-preset", "--c-step", "0.001", *PAPER, "--workers", "1"],
     "census": ["scan", "--tolerance=-1e-12", "--c-step", "0.01", *PAPER, "--csv", CSV, "--workers", "2"],
     "census grid at 1 - 1e-6": ["scan", "--tolerance=-1e-6", "--c-step", "0.01", *PAPER, "--csv", CSV],
+    # Past c = 0.7: roots near b = a about c = 1/sqrt(2), and R = 0 at alpha = 0 for c = 1.
+    "paper grid, c 0.7 to 1": ["scan", "--tolerance=-1e-12", "--c-min", "0.7", "--c-max", "1", "--c-step", "0.001",
+                               *PAPER[4:], "--csv", CSV],
     "census grid at 1 - 1e-5": ["scan", "--tolerance=-1e-5", "--c-step", "0.01", *PAPER, "--csv", CSV, "--workers", "2"],
     "eps-preset": ["scan", "--eps-preset"],
     "all rows in full": ["scan", "--step", "2e-3", "--c-step", "1e-2", "--tolerance=-1e-3", "--no-refine"],

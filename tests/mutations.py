@@ -37,10 +37,10 @@ TESTS = {
 
 # name -> (file in the package, its text, replacement)
 MUTATIONS = {
-    "certify every row": (
+    "the last gathered live pairs never take their windows": (
         "kernels.py",
-        "sure = (half < covers).all(axis=0)",
-        "sure = np.ones(covers.shape[-1], dtype=bool)"),
+        "                whole(block)\n        flush()\n",
+        "                whole(block)\n"),
     "drop the p_min term": (
         "kernels.py",
         "2.0 * xy.imag**2 / ((xx + yy) + r2) - _ROOT_ERROR",
@@ -59,8 +59,8 @@ MUTATIONS = {
         "self._phase = phase[order][pos]"),
     "drop the threshold from the window depth": (
         "kernels.py",
-        "level = np.minimum(np.maximum(max_s[slices], seeded[b_sel]), threshold)",
-        "level = np.maximum(max_s[slices], seeded[b_sel])"),
+        "level = np.minimum(np.maximum(max_s[slices], least), threshold)",
+        "level = np.maximum(max_s[slices], least)"),
     "diagonal roots (c, c)": (
         "kernels.py",
         "sc = np.stack([np.sqrt(1.0 - cs * cs), cs])",
@@ -69,18 +69,38 @@ MUTATIONS = {
         "kernels.py",
         "self._phase_col[idx], nb).min(axis=0))",
         "self._phase_col[idx], nb).max(axis=0))"),
-    "the live test compares against covers in place of near": (
+    "near measured past the nearest column on the right": (
         "kernels.py",
-        "left, right = self._phase[_SIDE - 1:_SIDE + nb], self._phase[_SIDE:_SIDE + nb + 1]",
-        "left, right = self._phase[:nb + 1], self._phase[2 * _SIDE - 1:]"),
+        "left, right = self._phase[:nb + 1], self._phase[1:nb + 2]",
+        "left, right = self._phase[:nb + 1], self._phase[2:nb + 3]"),
     "the live test needs both roots' windows to hold a column": (
         "kernels.py",
-        "live = ~dead.all(axis=0)",
-        "live = ~dead.any(axis=0)"),
-    "drop the threshold from the seed level": (
+        "np.nonzero(~dead.all(axis=0))",
+        "np.nonzero(~dead.any(axis=0))"),
+    "drop the threshold from the screen's level": (
         "kernels.py",
-        "level = np.minimum(seeded, threshold)",
-        "level = seeded"),
+        "level = np.minimum(np.maximum(max_s[ks], bound[ks]), threshold)",
+        "level = np.maximum(max_s[ks], bound[ks])"),
+    "L0 without p_min": (
+        "kernels.py",
+        "p = (floor + self._pad) + (r2 + self._pad)",
+        "p = self._pad + (r2 + self._pad)"),
+    "L0 without its margin": (
+        "kernels.py",
+        "(near + tolerance) ** 2",
+        "near ** 2"),
+    "L0 without its slack": (
+        "kernels.py",
+        "1.0 - self._slack - 2.0 * np.where",
+        "1.0 - 2.0 * np.where"),
+    "L0 without a fixed state's padding": (
+        "kernels.py",
+        "_pad = 2.0 * _ROOT_ERROR",
+        "_pad = 0.0"),
+    "L0 takes roots with R^2 <= 0": (
+        "kernels.py",
+        "np.where(r2 > 0.0, p, np.inf).min(axis=0)",
+        "p.min(axis=0)"),
     "the trim keeps hits in arrival order": (
         "kernels.py",
         "np.lexsort((keys, ks))[:limit]",

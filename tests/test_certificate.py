@@ -13,12 +13,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from leggettlab import kernels
 from leggettlab.domain import PROB_ATOL
 from leggettlab.kernels import DiagonalScanner, PlaneScanner
 from leggettlab.quantum import PureTwoPhotonState
 from leggettlab.scan import _axis
 from reference import dense_diagonal_scan, dense_plane_scan
-from test_kernels import off_stencil_points
+from test_kernels import PLACES, columns_around, evaluated_points, root_bounds
 
 # The fixed-matrix state of the benchmark's toolkit workload at seed 0 (real).
 TOOLKIT = np.array([[0.3018015947633647, 0.7228650868819381], [0.5339238809738273, 0.3182878459685576]])
@@ -32,16 +33,16 @@ COMPLEX /= np.linalg.norm(COMPLEX)
 def test_certified_scan_matches_dense_at_toolkit_scale(coeffs, band):
     """Row maxima, first argmax, count and every hit on the 6284^2 grid, certified and dense.
 
-    At ``1 - 1e-12`` every row is certified.  At ``band`` some rows'
-    windows pass their stencils and those rows are evaluated on their
-    windows (94 112 points for the toolkit state, 984 for the complex
-    one), some with points over the threshold beyond their stencils.
+    At ``1 - 1e-12`` each row's windows at its own L0 hold one tile of
+    8 columns.  At ``band`` some windows widen (110 016 points evaluated
+    for the toolkit state, 50 776 for the complex one), some with points
+    over the threshold.
     """
     grid = _axis((0.0, math.pi, 5e-4))
     scanner = PlaneScanner(coeffs, grid, grid)
     for threshold in (1.0 - 1e-12, band):
         want = dense_plane_scan(scanner, threshold)
-        with off_stencil_points() as points:
+        with evaluated_points() as points:
             got = scanner.scan(slice(None), threshold, want[2] + 1)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
         assert got[2] == want[2]
@@ -50,7 +51,7 @@ def test_certified_scan_matches_dense_at_toolkit_scale(coeffs, band):
         if threshold == band:
             assert want[2] > 0 and 0 < sum(points) < 50 * grid.size
         else:
-            assert sum(points) == 0
+            assert sum(points) == kernels._TILE * grid.size
 
 
 # Hits listed per scan below: all of them at 1 - 1e-12, the first few slices' at 1 - 1e-6.
@@ -62,10 +63,12 @@ def test_certified_diagonal_scan_matches_dense_at_census_scale(origin):
     """Per-c maxima, first argmax, counts and listed hits on the census grid (71 x 3142^2), certified and dense.
 
     The dense scan of ``tests/reference.py`` evaluates every point.  At
-    ``1 - 1e-12`` every row is certified but those with R = 0 (alpha = 0
-    at c = 0), evaluated whole; at ``1 - 1e-6`` some windows pass their
-    stencils, and those rows are evaluated on their windows, about 0.68 M
-    points (7637 and 1 196 437 points over the threshold at origin 0).
+    ``1 - 1e-12`` a few rows per c are live, and each takes a tile or so
+    of its windows; at origin 0 so does every row of c = 0, which has a
+    root on the column b = 0, and its row of R = 0 (alpha = 0) is
+    evaluated whole: 39 496 points, 9 856 at 0.37 of a step.  At ``1 -
+    1e-6`` every row is live and takes a tile or two, about 3.7 M points
+    (7637 and 1 196 437 points over the threshold at origin 0).
     Both scans list at most ``CENSUS_LISTED`` hits, which cuts the list
     only at ``1 - 1e-6``.
     """
@@ -75,18 +78,26 @@ def test_certified_diagonal_scan_matches_dense_at_census_scale(origin):
     for threshold in (1.0 - 1e-12, 1.0 - 1e-6):
         want = dense_diagonal_scan(scanner, cs, threshold, CENSUS_LISTED)
         count = int(want[3].sum())
-        with off_stencil_points() as points:
+        with evaluated_points() as points:
             got = scanner.scan(cs, threshold, CENSUS_LISTED)
         for g, w in zip(got[:4] + got[4], want[:4] + want[4]):
             assert np.array_equal(g, w)
         if threshold > 1.0 - 1e-9:
-            assert 0 < count < CENSUS_LISTED and sum(points) <= 2 * grid.size
+            assert 0 < count < CENSUS_LISTED and sum(points) <= 2 * kernels._TILE * grid.size
         else:
-            assert count > CENSUS_LISTED and 0 < sum(points) < 4 * cs.size * grid.size
+            assert count > CENSUS_LISTED and 0 < sum(points) < 20 * cs.size * grid.size
 
 
 # The kernels docstring's bound on |S_float - S*| for a fixed state's tables, 285 e.
 ROUNDING = 285 * 2.0**-53
+
+
+def _mp_pairs(state, alpha):
+    """``(x, y)`` of p_+- and p_-+ as ``|x sin b - y cos b|^2`` on the row ``alpha``, and the norm, at mpmath's precision."""
+    c00, c01, c10, c11 = (mpmath.mpc(complex(c)) for c in state.coeffs.ravel())
+    ca, sa = mpmath.cos(alpha), mpmath.sin(alpha)
+    n = sum(abs(c) ** 2 for c in (c00, c01, c10, c11))
+    return ((ca * c00 + sa * c10, ca * c01 + sa * c11), (ca * c11 - sa * c01, sa * c00 - ca * c10)), n
 
 
 def _mp_roots(x, y):
@@ -119,11 +130,8 @@ def test_fixed_state_float_error_bound_against_mpmath(re_im, complex_coeffs, def
     scanner = PlaneScanner(state.coeffs, np.array([alpha]), np.array([beta]))
     s_float = float(scanner.scan(slice(None), -math.inf, 1)[3][2][0])
     with mpmath.workdps(50):
-        c00, c01, c10, c11 = (mpmath.mpc(complex(c)) for c in state.coeffs.ravel())
-        ca, sa = mpmath.cos(alpha), mpmath.sin(alpha)
+        pairs, n = _mp_pairs(state, alpha)
         cb, sb = mpmath.cos(beta), mpmath.sin(beta)
-        n = sum(abs(c) ** 2 for c in (c00, c01, c10, c11))
-        pairs = ((ca * c00 + sa * c10, ca * c01 + sa * c11), (ca * c11 - sa * c01, sa * c00 - ca * c10))
         p = [abs(x * sb - y * cb) ** 2 for x, y in pairs]
         # The tables' exact S: the affine split of E leaves out sin 2a (N - 1) / 2.
         s_exact = n - 2 * min(p) + mpmath.sin(2 * mpmath.mpf(alpha)) * (n - 1) / 2
@@ -138,3 +146,44 @@ def test_fixed_state_float_error_bound_against_mpmath(re_im, complex_coeffs, def
             assert floor <= p_min and r2_float <= r2
             gap = abs(mpmath.mpf(float(phase)) - exact_phase) % mpmath.pi
             assert min(gap, mpmath.pi - gap) <= tolerance - 1e-14
+
+
+# A product state: at alpha = fl(pi/2) its p_+- root has R^2 <= _ROOT_ERROR, at alpha = 0 its p_-+ sinusoid is 0.
+PRODUCT = np.array([[0.6, 0.8], [0.0, 0.0]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    re_im=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8) | st.just(None),
+    complex_coeffs=st.booleans(),
+    defect=st.sampled_from([-1.0, 0.0, 1.0]) | st.floats(-1.0, 1.0),
+    alpha=st.sampled_from([0.0, math.pi / 2.0]) | st.floats(-2.0 * math.pi, 2.0 * math.pi),
+    place=st.sampled_from(PLACES),
+    gap=st.floats(1e-9, 1.0),
+)
+def test_fixed_state_lower_bound_against_mpmath(re_im, complex_coeffs, defect, alpha, place, gap):
+    """Each root's L0 lies below the exact S at its nearest column by the rounding bound, and its bound of p above p there.
+
+    ``re_im`` None is the product state, whose roots include ``R^2 <=
+    _ROOT_ERROR`` and ``x = y = 0``; those bound nothing.
+    """
+    if re_im is None:
+        coeffs = PRODUCT
+    else:
+        coeffs = np.array(re_im[:4]) + (1j * np.array(re_im[4:]) if complex_coeffs else 0.0)
+        assume(np.linalg.norm(coeffs) > 1e-3)
+        coeffs = coeffs.reshape(2, 2) / np.linalg.norm(coeffs) * (1.0 + 0.99 * defect * PROB_ATOL)
+    state = PureTwoPhotonState(coeffs)
+    with np.errstate(divide="ignore", invalid="ignore"):  # x = y = 0
+        phase = PlaneScanner(state.coeffs, np.array([alpha]), np.array([0.0]))._roots(slice(0, 1))[1, :, 0]
+        betas = columns_around(phase, place, gap)
+        scanner = PlaneScanner(state.coeffs, np.array([alpha]), betas)
+        found = root_bounds(scanner, scanner._roots(slice(0, 1)))
+    with mpmath.workdps(50):
+        for r, (lower, bound, col) in enumerate(found):
+            pairs, n = _mp_pairs(state, alpha)
+            cb, sb = mpmath.cos(betas[col]), mpmath.sin(betas[col])
+            p = [abs(x * sb - y * cb) ** 2 for x, y in pairs]
+            assert bound >= p[r]
+            s_exact = n - 2 * min(p) + mpmath.sin(2 * mpmath.mpf(alpha)) * (n - 1) / 2
+            assert lower <= s_exact - ROUNDING

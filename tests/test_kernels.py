@@ -65,17 +65,16 @@ GOLDEN_COLLECT_K = 0
 
 
 @contextlib.contextmanager
-def off_stencil_points():
-    """Collect, in the list this yields, the points of each evaluation off the stencils.
+def evaluated_points():
+    """Collect, in the list this yields, the points of each evaluation.
 
-    Those are the tiles of an uncertified row's windows, ``(_TILE, tiles)``,
-    and the whole rows of the block engine, ``(slices, rows, nb)``.
+    Those are the tiles of a row's windows, ``(_TILE, tiles)``, and the
+    whole rows of the block engine, ``(slices, rows, nb)``.
     """
     points, evaluate = [], kernels._evaluate
 
     def counted(x, y, z, u_k, w_k, s, t):
-        if s.ndim == 3 or s.shape[0] == kernels._TILE:
-            points.append(s.size)
+        points.append(s.size)
         return evaluate(x, y, z, u_k, w_k, s, t)
 
     with mock.patch.object(kernels, "_evaluate", counted):
@@ -83,17 +82,17 @@ def off_stencil_points():
 
 
 def engines():
-    """Loop once with every uncertified row on its windows, then once with every row from the block engine."""
+    """Loop once with every live row on its windows, then once with every row from the block engine."""
     for cost in (0.0, math.inf):
         with mock.patch.object(kernels, "_WINDOW_COST", cost):
             yield cost
 
 
 def sizes(block_elems=None):
-    """Blocks of ``block_elems`` points and stencil chunks of half as many candidates; None keeps both defaults."""
+    """Blocks of ``block_elems`` points and chunks of ``block_elems // 24`` rows; None keeps both defaults."""
     if block_elems is None:
         return contextlib.nullcontext()
-    return mock.patch.multiple(kernels, _BLOCK_ELEMS=block_elems, _CHUNK_CANDIDATES=block_elems // 2)
+    return mock.patch.multiple(kernels, _BLOCK_ELEMS=block_elems, _CHUNK_ROWS=block_elems // 24)
 
 
 class TestDiagonalScanner:
@@ -151,7 +150,7 @@ class TestDiagonalScanner:
         assert np.all(np.diff(keys) > 0)
 
     def test_block_seams_match_reference(self):
-        # 23 alpha rows in blocks of 3 and stencil chunks of 2 leave a
+        # 23 alpha rows in blocks of 3 and chunks of 2 leave a
         # partial last block; the c = 0 plateau puts equal maxima on both
         # sides of every seam.
         alphas = np.linspace(0.0, math.pi, 23)
@@ -272,9 +271,9 @@ THRESHOLDS = st.sampled_from([-math.inf, 0.5, 1.0 - 1e-12, 1.0 + 1e-9])
        threshold=st.sampled_from([-math.inf, 0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-9]),
        block_elems=st.integers(1, 100))
 def test_engine_matches_reference_bitwise(data, na, nb, layout, cs, threshold, block_elems):
-    # Axes of 1-9 points are shorter than a root's stencil, so stencils wrap
-    # around the phase circle and repeat columns; small sizes give stencil
-    # chunks and full-row fallbacks seams.
+    # Axes of 1-9 points are no wider than a tile or one more, so tiles wrap
+    # around the phase circle and repeat columns; small sizes give chunk and
+    # block seams.
     if layout == "plateau":  # exact ties at c = 0: the first row-major maximum must win
         alphas = np.linspace(0.0, math.pi, na)
         betas = np.linspace(0.0, math.pi / 2.0, nb)
@@ -288,7 +287,7 @@ def test_engine_matches_reference_bitwise(data, na, nb, layout, cs, threshold, b
 @given(data=st.data(), na=st.integers(10, 60), nb=st.integers(20, 90), cs=WEIGHTS,
        threshold=THRESHOLDS, block_elems=st.sampled_from([1, 100, 4096]))
 def test_windows_match_reference_on_pruned_grids(data, na, nb, cs, threshold, block_elems):
-    # Steps short enough for stencils to leave most columns out.
+    # Steps short enough for windows to leave most columns out.
     alphas = data.draw(axis_strategy(na, "grid"))
     origin, step = data.draw(st.tuples(st.floats(-math.pi, math.pi), st.floats(0.005, 0.05)))
     betas = origin + step * np.arange(nb)
@@ -301,21 +300,23 @@ def test_windows_evaluate_a_small_part_of_the_grid(origin, threshold):
     grid = _axis((origin, math.pi + origin, 1e-2))
     cs = np.array([0.0, 0.05, 0.3, 1.0 / math.sqrt(2.0), 0.9, 1.0])
     scanner = DiagonalScanner(grid, grid)
-    with off_stencil_points() as points:
+    with evaluated_points() as points:
         got = scanner.scan(cs, threshold, cs.size * grid.size**2)
     want = reference_scan(grid, grid, cs, threshold)
     for g, r in zip(got[:4] + got[4], want[:4] + want[4]):
         assert np.array_equal(g, r)
-    # The stencils hold 12 of 315 columns per row; off them only the rows with
-    # R = 0 (alpha = 0 when c is 0 or 1) are evaluated, whole, in tiles.
-    assert sum(points) <= 2 * kernels._TILE * -(-grid.size // kernels._TILE)
+    # Live rows take a tile of 8 of 315 columns or a few.  At origin 0 every row
+    # of c = 0, 1/sqrt(2) and 1 has a root on a column (b = 0 or b = a), and
+    # the rows with R = 0 (alpha = 0 when c is 0 or 1) are evaluated whole:
+    # 8224 points there, 2600 at 0.37 of a step, of the grid's 595 350.
+    assert sum(points) <= 4 * kernels._TILE * grid.size
 
 
 @pytest.mark.parametrize("origin", [0.0, 0.37 * 1e-2])
 @pytest.mark.parametrize("threshold", [1.0 + 1e-9, 1.0 - 1e-12])
 def test_stencils_are_gathered_only_on_rows_whose_windows_hold_a_column(origin, threshold):
-    # Each c's seed row sets a level; a row whose windows at that level hold
-    # no grid column is below it throughout, and its stencils are skipped.
+    # Each c's bound L0 at its row of smallest dip sets a level; a row whose windows
+    # at that level hold no grid column is below it throughout, and is skipped.
     # Not at c = 1/sqrt(2), whose roots sit at b = a on every row, nor at c = 0
     # or 1 on a grid that holds b = 0 or pi/2, every row's root.
     grid = _axis((origin, math.pi + origin, 1e-2))
@@ -333,31 +334,31 @@ def test_stencils_are_gathered_only_on_rows_whose_windows_hold_a_column(origin, 
     want = reference_scan(grid, grid, cs, threshold)
     for g, r in zip(got[:4] + got[4], want[:4] + want[4]):
         assert np.array_equal(g, r)
-    # Seeds and live rows together: at most 5 % of the 315 rows per c.
+    # Tiles of live rows: at most 5 % of the 315 rows per c.
     assert 0 < sum(gathered) <= 0.05 * grid.size * cs.size
 
 
 @pytest.mark.parametrize("cs", [(0.05, 0.0, 0.3), (0.0, 0.05, 0.3)])
 def test_slices_sharing_full_rows_match_reference(cs):
-    # At 1 - 1e-5 a window passes the stencil where R < 0.075: rows near
-    # alpha = pi/2 and 0 for c = 0 and 0.05, but not the same rows, and
-    # none for c = 0.3.  Each slice evaluates its own windows and whole rows:
-    # a scan of all three evaluates the points of the three alone.
+    # At 1 - 1e-5 a window spans its row where R is small: rows near alpha =
+    # pi/2 and 0 for c = 0 and 0.05, but not the same rows, and none for c =
+    # 0.3.  Each slice evaluates its own windows and whole rows: a scan of all
+    # three evaluates the points of the three alone.
     grid = _axis((0.0, math.pi, 1e-2))
     scanner = DiagonalScanner(grid, grid)
     alone = []
     for c in cs:
-        with off_stencil_points() as points:
+        with evaluated_points() as points:
             scanner.scan(np.array([c]), 1.0 - 1e-5, 0)
         alone.append(sum(points))
-    with off_stencil_points() as points:
+    with evaluated_points() as points:
         scanner.scan(np.array(cs), 1.0 - 1e-5, 0)
-    assert sum(points) == sum(alone) and alone[cs.index(0.3)] == 0
-    assert 0 < alone[cs.index(0.0)] != alone[cs.index(0.05)] > 0
+    assert sum(points) == sum(alone) and min(alone) > 0
+    assert alone[cs.index(0.0)] != alone[cs.index(0.05)]
     check_against_reference(grid, grid, np.array(cs), 1.0 - 1e-5)
 
 
-# D >= _SLACK / 2 - 2^-53, and a row is certified only where sqrt(D) / R <= 1/2.
+# D >= _SLACK / 2 - 2^-53, and a window is narrower than its row only where sqrt(D) / R <= 1/2.
 CERTIFIABLE_RADIUS = 2.0 * math.sqrt(kernels._SLACK / 2.0 - 2.0**-53)
 # The kernels docstring's bound on |S_float - S_exact| at the float angles, 99 e
 # with e = 2^-53, rounded up.
@@ -427,12 +428,75 @@ def test_root_error_bound_against_mpmath(c, alpha):
             x, y = a * mpmath.cos(ma), b * mpmath.sin(ma)
             exact = x * x + y * y
             if exact < CERTIFIABLE_RADIUS**2:
-                # Never certified (sqrt(D) / R > 1/2); sin^2 may even underflow here.
+                # Its windows span the row (sqrt(D) / R > 1/2); sin^2 may even underflow here.
                 assert r2_float < 4 * CERTIFIABLE_RADIUS**2
                 continue
             assert abs(r2_float - exact) <= R2_ERROR * exact
             gap = abs(mpmath.mpf(float(phase_float)) - mpmath.atan2(y, x)) % mpmath.pi
             assert min(gap, mpmath.pi - gap) <= PHASE_ERROR
+
+
+def root_bounds(scanner, roots):
+    """Per root of a one-row scanner's ``roots``: its own L0, its bound of p, and its nearest column.
+
+    The bound of p is L0 read with the slack at 1, where ``1 - 1 - 2 p``
+    is ``-2 p`` exactly.
+    """
+    roots = [np.broadcast_to(v, (2, 1)) for v in roots]
+    phase = roots[1]
+    p = np.empty((2, 1), dtype=np.int64)
+    scanner._near(phase.copy(), p, np.empty((2, 1)))
+    found = []
+    for r, at in enumerate(p[:, 0]):
+        root = [v[r:r + 1] for v in roots]
+        lower = float(scanner._lower(root, np.empty((3, 1, 1)))[0])
+        with mock.patch.object(scanner, "_slack", 1.0):
+            bound = -float(scanner._lower(root, np.empty((3, 1, 1)))[0]) / 2.0
+        # Positions at and after p in the padded phase order hold the columns on either side.
+        at += scanner._phase[at + 1] - phase[r, 0] < phase[r, 0] - scanner._phase[at]
+        found.append((lower, bound, int(scanner._phase_col[at])))
+    return found
+
+
+# Where a test puts columns around each root of a row: on it, one ulp to
+# either side of it, or a gap either side of it with the root midway.
+PLACES = ("on", "ulp", "mid")
+
+
+def columns_around(phase, place, gap):
+    """Beta columns around the root phases ``phase`` as :data:`PLACES` names."""
+    if place == "on":
+        return np.asarray(phase, dtype=np.float64)
+    if place == "ulp":
+        return np.concatenate([np.nextafter(phase, -np.inf), np.nextafter(phase, np.inf)])
+    return np.concatenate([phase - gap / 2.0, phase + gap / 2.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    c=st.sampled_from([0.0, 1.0 / math.sqrt(2.0), 1.0]) | st.floats(0.0, 1.0),
+    alpha=st.sampled_from(SPECIAL_ALPHAS) | st.floats(-2.0 * math.pi, 2.0 * math.pi),
+    place=st.sampled_from(PLACES),
+    gap=st.floats(1e-9, 1.0),
+)
+def test_lower_bound_against_mpmath(c, alpha, place, gap):
+    """Each root's L0 lies below the exact S at its nearest column by the rounding bound, and its bound of p above p there.
+
+    c = 1 at alpha = 0 has a root with R = 0, and c = 1/sqrt(2) roots on b = a.
+    """
+    sc = np.array([[math.sqrt(1.0 - c * c)], [c]])
+    u, w = (float(v[0]) for v in DiagonalScanner.weights(np.array([c])))
+    probe = DiagonalScanner(np.array([alpha]), np.array([0.0]))
+    phase = probe._roots(sc, np.array([0]), slice(None), np.empty((3, 2, 1)))[1][:, 0]
+    betas = columns_around(phase, place, gap)
+    scanner = DiagonalScanner(np.array([alpha]), betas)
+    roots = scanner._roots(sc, np.array([0]), slice(None), np.empty((3, 2, 1)))
+    with mpmath.workdps(50):
+        s_mp, c_mp, ma = mpmath.mpf(float(sc[0, 0])), mpmath.mpf(c), mpmath.mpf(alpha)
+        for (a, b), (lower, bound, col) in zip(((s_mp, c_mp), (c_mp, s_mp)), root_bounds(scanner, roots)):
+            mb = mpmath.mpf(float(betas[col]))
+            assert bound >= (a * mpmath.cos(ma) * mpmath.sin(mb) - b * mpmath.sin(ma) * mpmath.cos(mb)) ** 2
+            assert lower <= mp_s(u, w, alpha, float(betas[col])) - ROUNDING
 
 
 def test_phase_fold_is_remainder_bit_for_bit():
@@ -486,7 +550,7 @@ def test_bucket_positions_and_live_screen(data, nb, na, layout, cs):
 
     # near: the distance to the nearest column on either side of each root.
     p = np.searchsorted(cols, phase, side="right")
-    want = np.minimum(phase - scanner._phase[kernels._SIDE - 1 + p], scanner._phase[kernels._SIDE + p] - phase)
+    want = np.minimum(phase - scanner._phase[p], scanner._phase[1 + p] - phase)
     near = scanner._near(phase.copy(), np.empty(phase.shape, dtype=np.int64), np.empty(phase.shape))
     assert np.all(np.abs(near - want) <= 1e-15)
     dips = scanner._dips(sc, np.arange(cs.size), slice(None), np.empty((2, 2, cs.size, na)))
@@ -539,9 +603,8 @@ def window_edge_betas(scanner, roots, threshold):
 
     ``roots`` are ``(R^2, phase, floor, tolerance)`` arrays of ``scanner``,
     whose only column is ``EDGE_BETA``.  Three columns inside each window on
-    each side of its root keep the stencils from reaching the edges, so the
-    rows are evaluated on their windows, at L = threshold where a slice
-    reaches it.
+    each side of its root lift the row's L0 near its maximum, so the rows are
+    evaluated on their windows at L = threshold where L0 reaches it.
     """
     r2, phase, floor, tolerance = (np.broadcast_to(v, np.shape(roots[0])).ravel() for v in roots)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -721,7 +784,7 @@ class TestPlaneKernels:
 
 @pytest.mark.parametrize("name", sorted(FIXED_STATES))
 def test_fixed_state_bits_independent_of_block_height(name):
-    # At 1 - 2e-3 every state's uncertified rows take their windows; at 0.9 some states go to the block engine.
+    # At 1 - 2e-3 every state's rows take their windows; at 0.9 some states go to the block engine.
     alphas = np.linspace(0.0, math.pi, 301)
     betas = np.linspace(0.0, math.pi, 307)
     scanner = PlaneScanner(FIXED_STATES[name].coeffs, alphas, betas)
@@ -796,7 +859,7 @@ def test_fixed_state_matches_scalar_probability_form(re_im, complex_coeffs, alph
 def test_fixed_state_windows_match_reference_on_pruned_grids(data, name, na, nb, layout, threshold, block_elems):
     """Certified rows of singlet, positive-parity, real and complex states equal the point-by-point reference.
 
-    Steps short enough for stencils to leave most columns out.  The
+    Steps short enough for windows to leave most columns out.  The
     ``wrap`` layout runs beta over two periods, so the columns b and b +
     pi of a root tie up to rounding and the first maximum must win.
     """
@@ -839,7 +902,7 @@ def test_block_engine_takes_scans_whose_windows_are_wide(name, cs, threshold, de
         scan = lambda: scanner.scan(np.array(cs), threshold, 1000)  # noqa: E731
     with mock.patch.object(kernels, "_evaluate", wraps=kernels._evaluate) as spy:
         got = scan()
-    # The block engine's evaluations are (slices, rows, nb); the others are stencils and tiles.
+    # The block engine's evaluations are (slices, rows, nb); the others are tiles.
     shapes = [c.args[5].shape for c in spy.call_args_list]
     if dense:
         assert shapes and all(len(shape) == 3 for shape in shapes)
@@ -853,13 +916,13 @@ def test_block_engine_takes_scans_whose_windows_are_wide(name, cs, threshold, de
 
 @pytest.mark.parametrize("name", sorted(FIXED_STATES))
 def test_fixed_state_rows_are_certified(name):
-    # At 1 - 1e-12 on a 1e-2 grid every row of these states is certified, so
-    # only stencil points are evaluated, and the rows still match the reference.
+    # At 1 - 1e-12 on a 1e-2 grid each row of these states takes its windows at
+    # its own L0, which hold one tile of 8 columns, and the rows match the reference.
     grid = _axis((0.0037, math.pi + 0.0037, 1e-2))
     scanner = PlaneScanner(FIXED_STATES[name].coeffs, grid, grid)
-    with off_stencil_points() as points:
+    with evaluated_points() as points:
         got = scanner.scan(slice(None), 1.0 - 1e-12, grid.size**2)
     want = plane_reference(scanner, 1.0 - 1e-12)
     for g, r in zip(got[:3] + got[3], want[:3] + want[3]):
         assert np.array_equal(g, r)
-    assert sum(points) == 0
+    assert sum(points) == kernels._TILE * grid.size

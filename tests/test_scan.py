@@ -184,7 +184,7 @@ class TestGridScanDiagonal:
         # under each of the two shards of c slices.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(kernels, "_CHUNK_CANDIDATES", 40 * kernels._WIDTH)
+        monkeypatch.setattr(kernels, "_CHUNK_ROWS", 40)
         spec = ScanSpec(c_range=(0.0, 0.7, 0.05), alpha_range=(0.0, math.pi, 0.02),
                         beta_range=(0.0, math.pi, 0.02), refine=False, tolerance=tolerance)
         assert len(list(DiagonalScanner(_axis(spec.alpha_range), _axis(spec.beta_range))._chunks())) == 4
