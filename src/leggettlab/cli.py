@@ -14,8 +14,9 @@ written (a reader such as ``head`` left early; nothing more is printed);
 written (checked before the work starts); 3 a scan found a bound
 violation above tolerance (so scripts can detect one without parsing
 output); 4 an internal check failed (the LP solver reported a failure, an
-exact evaluation disagreed with its cross-check, or a listed violation is
-not finite) or the process ran out of memory.
+exact evaluation disagreed with its cross-check, a listed violation is not
+finite, or a scan's proven lower bound L0 exceeded a slice's maximum) or
+the process ran out of memory.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .hidden_variables import (
     model_to_json,
 )
 from .inequalities import _bounds, expansion_audit, leggett_bounds, reduced_lhs_exact
-from .montecarlo import estimate, sample_pairs, simulate_hv
+from .montecarlo import MAX_SAMPLES, estimate, sample_pairs, simulate_hv
 from .quantum import (
     PureTwoPhotonState,
     correlation_triple,
@@ -119,7 +120,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--degrees", action="store_true")
     p.add_argument("--model", default=None, metavar="PATH",
                    help="sample a serialized hidden-variable model instead of a quantum state")
-    p.add_argument("--n", type=int, default=1_000_000)
+    p.add_argument("--n", type=int, default=1_000_000, help=f"sample count, at most {MAX_SAMPLES} (exit 2 above)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=None)
     p.set_defaults(handler=_cmd_mc)

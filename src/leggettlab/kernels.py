@@ -42,9 +42,9 @@ p_-+``, and on an alpha row each of the two is a sinusoid in beta,
   (|x|^2 + |y|^2 + R^2)``, which is 0 for a real C.
 
 A slice is one ``c`` of the diagonal family, or one alpha row of a fixed
-state (the report lists each row's maximum).  With M the largest S evaluated
-so far in the slice, L0 a bound at most its maximum (below), ``L = min(max(M,
-L0), threshold)`` and ``D = (1 - L + slack) / 2``, a point with ``S_float >=
+state (the report lists each row's maximum).  With M the slice's level, the
+largest of the S evaluated and the L0 (below) entered, ``L = min(M,
+threshold)`` and ``D = (1 - L + slack) / 2``, a point with ``S_float >=
 L`` has ``p <= D`` for one of its sinusoids: its beta lies within
 ``arcsin(sqrt((D - p_min) / R^2))`` of ``phi + k pi`` (nowhere when ``D <
 p_min``), the root's window.  Every other point has ``S_float < L``: below
@@ -53,27 +53,29 @@ and not over the threshold.  Columns are sorted once by ``b mod pi``, the
 order padded circularly.  A row is evaluated on its two windows, each column
 once, in tiles of ``_TILE`` laid out ``(columns, tiles)``, with the block
 engine's tables and operation order; a window of ``pi/2`` or more, or nan (R
-near 0, a low L), spans the row.  A tile whose top is below ``max(M, L0)``
+near 0, a low L), spans the row.  A tile whose top is below M
 holds no maximum and is not offered.  The block engine takes every row when
 the beta axis is no wider than a tile, or when the windows at the threshold
 of a sample of pairs hold more than ``(1 + 2 / slices) / _WINDOW_COST`` of
 their rows' columns.  Scans list the points over the threshold where they
 count them, in one flat list that one sort on (slice, key) trims to its first
 ``limit`` whenever it passes ``2 limit``: memory is O(``limit`` + chunk +
-axes) at any threshold, plus four arrays of O(slices).
+axes) at any threshold, plus three arrays of O(slices).
 
 L0 needs no evaluation.  A root's beta lies within ``near + tolerance`` of
 its nearest column's, ``near`` the angular distance from its phase to that
 column and ``tolerance`` its phase's margin (below).  As ``sin x <= x``, there
 ``p <= p_min + R^2 (near + tolerance)^2`` and ``S_float >= 1 - 2 p - slack``:
-``L0 = 1 - slack - 2 p`` of either root of a row is at most its maximum.  Per
+``L0 = 1 - slack - 2 p`` of either root of a row is at most its maximum.  It
+enters M with no key (``_NO_KEY``), and the windows hold the first maximum, so
+a slice that ends with no key had an L0 above its maximum: ArithmeticError.  Per
 ``c`` the diagonal scanner takes L0 at the row whose nearest column lies
 deepest in a sinusoid (smallest ``dip = R^2 max(near - margin, 0)^2``).  A
 row whose windows at that L hold no column has ``S_float < L`` throughout
 and is not evaluated; a screen finds these rows with no arcsin
 (:meth:`DiagonalScanner._dead`).  The other (live) rows of several passes of
-``c`` are gathered as (slice, row) pairs in any order, each raising its
-slice's L0 with its own before its windows: about 8 of 3142 rows per ``c``
+``c`` are gathered as (slice, row) pairs in any order, each entering its
+own L0 into M before its windows: about 8 of 3142 rows per ``c``
 on the paper grid.  Fixed states skip no row: each row is a slice, and a live
 pair, of its own.  A window at ``L = 1 - t`` is about ``sqrt(t / 2) / R`` rad
 wide (some 3e-7 / R at L0 near 1), so a row costs a tile or about ``2 sqrt(2
@@ -125,7 +127,9 @@ margin adds ``_ROOT_ERROR / (R^2 - _ROOT_ERROR)``, which grows where a
 complex C's two extremes nearly meet and phi is ill-conditioned; a row
 with ``R^2 <= _ROOT_ERROR`` is evaluated in full.  L0 takes the other side
 of both bounds, ``p_min + _ROOT_ERROR`` and ``R^2 + _ROOT_ERROR`` (``_pad``),
-and a root with ``R^2 <= _ROOT_ERROR`` bounds nothing there.
+and a root with ``R^2 <= _ROOT_ERROR`` bounds nothing there.  In L0 phi's and
+near's errors add at most ``(2 near + 1) 5.6e-15 + pi (1e-15 + 4e-17 |beta|)``
+to p, within the slack's spare 3.4e-14 where ``|beta| <= 50``, the margin past.
 """
 
 from __future__ import annotations
@@ -161,6 +165,7 @@ _SLACK = 1e-13
 _ANGLE_MARGIN = 1e-12
 _ROOT_ERROR = 1e-14
 _NO_HITS = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))
+_NO_KEY = np.iinfo(np.int64).max  # the key of a slice whose level no evaluated point attains (module docstring)
 
 
 def _trig(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -227,14 +232,6 @@ def _evaluate(x, y, z, u_k, w_k, s, t) -> np.ndarray:
     np.multiply(z, w_k, out=t)
     s += t
     return s
-
-
-def _fold(phase: np.ndarray) -> np.ndarray:
-    """``np.remainder(phase, pi)`` of ``phase`` in [-pi, pi], bit for bit, in place: -pi + pi and -0 + 0 are +0."""
-    phase[phase == math.pi] = 0.0
-    np.add(phase, math.pi, out=phase, where=phase < 0.0)
-    phase += 0.0
-    return phase
 
 
 class _RidgeScanner:
@@ -371,9 +368,7 @@ class _RidgeScanner:
         per_row = screen is None
         start, stop, _ = rows.indices(na)
         max_s = np.full(stop - start if per_row else nc, -np.inf)
-        # Each slice's largest L0 so far, at most its maximum (module docstring).
-        bound = np.full(max_s.size, -np.inf)
-        key = np.zeros(max_s.size, dtype=np.int64)
+        key = np.full(max_s.size, _NO_KEY)
         n_over = np.zeros(nc, dtype=np.int64)
         # Parts (k, keys i * nb + j, values) of the hits that may still rank among
         # the first `limit`, in no global order, and `cut`: (k, key) past which none
@@ -397,7 +392,7 @@ class _RidgeScanner:
             now = max_s[slices]
             np.maximum.at(max_s, slices, tops)
             top = max_s[slices]
-            key[slices[top > now]] = np.iinfo(np.int64).max
+            key[slices[top > now]] = _NO_KEY
             hit = tops == top
             np.minimum.at(key, slices[hit], keys[hit])
 
@@ -435,9 +430,8 @@ class _RidgeScanner:
             slices = at - start if per_row else k_at
             buf = store[:10 * m].reshape(5, 2, m)
             r2, phase, floor, tolerance = found = roots(k_at, at, buf[:3])
-            np.maximum.at(bound, slices, self._lower(found, buf[2:]))
-            least = bound[slices]  # a tile whose top is below it holds no maximum
-            level = np.minimum(np.maximum(max_s[slices], least), threshold)
+            merge(slices, self._lower(found, buf[2:]), np.full(m, _NO_KEY))
+            level = np.minimum(max_s[slices], threshold)
             half = self._windows(r2, (1.0 - level + self._slack) / 2.0 - floor, tolerance, buf[3])
             first, size = (v.T.ravel() for v in self._runs(phase, half))
             tiles = -(-size // _TILE)
@@ -455,7 +449,7 @@ class _RidgeScanner:
                 vals = _evaluate(x, y, z, u[k_at[p_e]], w[k_at[p_e]], x, z)
                 vals[lane >= size[run] - _TILE * tile] = -np.inf
                 tops = vals.max(axis=0)
-                top = np.flatnonzero(tops >= np.maximum(max_s[slices[p_e]], least[p_e]))
+                top = np.flatnonzero(tops >= max_s[slices[p_e]])  # a tile below its slice's level holds no maximum
                 if top.size:
                     offer(slices[p_e[top]], at[p_e[top]], tops[top], vals[:, top], idx[:, top])
                 if tops.max() > threshold:
@@ -509,8 +503,8 @@ class _RidgeScanner:
                     dip = screen(ks, block, store[:4 * ks.size * n].reshape(2, 2, ks.size, n))
                     spare, buf = store[2 * ks.size * n:], np.empty((5, 2, ks.size))
                     deepest = np.minimum(*dip, out=spare[:ks.size * n].reshape(ks.size, n)).argmin(axis=1)
-                    np.maximum.at(bound, ks, self._lower(roots(ks, block.start + deepest, buf[:3]), buf[2:]))
-                    level = np.minimum(np.maximum(max_s[ks], bound[ks]), threshold)
+                    merge(ks, self._lower(roots(ks, block.start + deepest, buf[:3]), buf[2:]), np.full(ks.size, _NO_KEY))
+                    level = np.minimum(max_s[ks], threshold)
                     # Rows whose windows hold no column are below the level throughout.
                     dead = self._dead(dip, (1.0 - level[:, None] + self._slack) / 2.0,
                                       spare.view(np.bool_)[:dip.size].reshape(dip.shape))
@@ -524,6 +518,8 @@ class _RidgeScanner:
             if dense:
                 whole(block)
         flush()
+        if (key == _NO_KEY).any():
+            raise ArithmeticError("certificate check failed: a slice's proven lower bound L0 exceeds every point evaluated in it")
         return max_s, key, n_over, _first(parts, limit)
 
 
@@ -664,7 +660,7 @@ class PlaneScanner(_RidgeScanner):
         r2 = np.hypot(xx - yy, 2.0 * xy.real)
         return np.stack([
             r2 - _ROOT_ERROR,
-            _fold(np.arctan2(2.0 * xy.real, xx - yy) / 2.0),
+            np.remainder(np.arctan2(2.0 * xy.real, xx - yy) / 2.0, math.pi),
             2.0 * xy.imag**2 / ((xx + yy) + r2) - _ROOT_ERROR,  # x = y = 0: nan, with R^2 <= 0
             self._margin + _ROOT_ERROR / (r2 - _ROOT_ERROR),
         ])

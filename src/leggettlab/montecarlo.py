@@ -35,6 +35,7 @@ from .hidden_variables import HVModel
 
 __all__ = [
     "BLOCK_SIZE",
+    "MAX_SAMPLES",
     "SampleCounts",
     "MCEstimate",
     "sample_pairs",
@@ -43,6 +44,7 @@ __all__ = [
 ]
 
 BLOCK_SIZE = 1 << 20
+MAX_SAMPLES = 10**10  # pairs at 1.6e8/s, a 100-label model at 2.3e7/s: 60 s and 7 min (one worker, 2 shared vCPUs)
 
 
 @dataclass(frozen=True)
@@ -85,8 +87,8 @@ class MCEstimate:
 
 
 def _check_positive_count(n: int) -> int:
-    if not isinstance(n, (int, np.integer)) or int(n) < 1:
-        raise InputError(f"sample count must be an integer >= 1, got {n!r}")
+    if not isinstance(n, (int, np.integer)) or not 1 <= int(n) <= MAX_SAMPLES:
+        raise InputError(f"sample count must be an integer in [1, {MAX_SAMPLES}], got {n!r}")
     return int(n)
 
 

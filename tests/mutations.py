@@ -59,8 +59,8 @@ MUTATIONS = {
         "self._phase = phase[order][pos]"),
     "drop the threshold from the window depth": (
         "kernels.py",
-        "level = np.minimum(np.maximum(max_s[slices], least), threshold)",
-        "level = np.maximum(max_s[slices], least)"),
+        "level = np.minimum(max_s[slices], threshold)",
+        "level = max_s[slices]"),
     "diagonal roots (c, c)": (
         "kernels.py",
         "sc = np.stack([np.sqrt(1.0 - cs * cs), cs])",
@@ -79,8 +79,8 @@ MUTATIONS = {
         "np.nonzero(~dead.any(axis=0))"),
     "drop the threshold from the screen's level": (
         "kernels.py",
-        "level = np.minimum(np.maximum(max_s[ks], bound[ks]), threshold)",
-        "level = np.maximum(max_s[ks], bound[ks])"),
+        "level = np.minimum(max_s[ks], threshold)",
+        "level = max_s[ks]"),
     "L0 without p_min": (
         "kernels.py",
         "p = (floor + self._pad) + (r2 + self._pad)",
@@ -97,6 +97,18 @@ MUTATIONS = {
         "kernels.py",
         "_pad = 2.0 * _ROOT_ERROR",
         "_pad = 0.0"),
+    "L0 without a fixed state's tolerance": (
+        "kernels.py",
+        "(near + tolerance) ** 2",
+        "(near + tolerance * (self._pad == 0.0)) ** 2"),
+    "L0 raised above the maximum": (
+        "kernels.py",
+        "return 1.0 - self._slack - 2.0 * np.where",
+        "return 1.001 - self._slack - 2.0 * np.where"),
+    "a slice that ends with no key passes": (
+        "kernels.py",
+        "if (key == _NO_KEY).any():",
+        "if False:"),
     "L0 takes roots with R^2 <= 0": (
         "kernels.py",
         "np.where(r2 > 0.0, p, np.inf).min(axis=0)",
@@ -131,7 +143,7 @@ MUTATIONS = {
         "key[slices[hit]] = keys[hit]"),
     "merge keeps a slice's key when its maximum rises": (
         "kernels.py",
-        "key[slices[top > now]] = np.iinfo(np.int64).max",
+        "key[slices[top > now]] = _NO_KEY",
         "key[slices[top > now]] = key[slices[top > now]]"),
     "tally counts a repeated slice once per call": (
         "kernels.py",

@@ -6,14 +6,16 @@ must make a test in one of them fail.
 """
 
 import math
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from leggettlab import kernels
+from leggettlab.cli import main
 from leggettlab.domain import PROB_ATOL
 from leggettlab.kernels import DiagonalScanner, PlaneScanner
 from leggettlab.quantum import PureTwoPhotonState
@@ -161,11 +163,15 @@ PRODUCT = np.array([[0.6, 0.8], [0.0, 0.0]])
     place=st.sampled_from(PLACES),
     gap=st.floats(1e-9, 1.0),
 )
+@example(re_im=None, complex_coeffs=False, defect=0.0, alpha=3.241687722667735e-157, place="on", gap=1.0)
 def test_fixed_state_lower_bound_against_mpmath(re_im, complex_coeffs, defect, alpha, place, gap):
     """Each root's L0 lies below the exact S at its nearest column by the rounding bound, and its bound of p above p there.
 
     ``re_im`` None is the product state, whose roots include ``R^2 <=
-    _ROOT_ERROR`` and ``x = y = 0``; those bound nothing.
+    _ROOT_ERROR`` and ``x = y = 0``; those bound nothing.  At a tiny alpha
+    its p_-+ root has R^2 = sin^2 a and bounds nothing either: the underflow
+    of the diagonal family's test cannot occur here, as a root that bounds
+    has a bound of p of at least ``p_min + _ROOT_ERROR``.
     """
     if re_im is None:
         coeffs = PRODUCT
@@ -187,3 +193,32 @@ def test_fixed_state_lower_bound_against_mpmath(re_im, complex_coeffs, defect, a
             assert bound >= p[r]
             s_exact = n - 2 * min(p) + mpmath.sin(2 * mpmath.mpf(alpha)) * (n - 1) / 2
             assert lower <= s_exact - ROUNDING
+
+
+def test_fixed_state_lower_bound_far_from_the_origin():
+    """Near beta = 1e7, ``b mod pi`` misses the exact phase by about 4e-10 (``b (pi - fl(pi)) / pi``), more than the
+    slack covers in a fixed state's L0 on a coarse axis; the margin in its tolerance covers it, and the certified scan
+    matches the dense one.  Without that tolerance some rows' L0 exceeds their maxima and the scan raises.
+    """
+    scanner = PlaneScanner(TOOLKIT, np.linspace(0.0, math.pi, 301), 1e7 + 0.3 * np.arange(11))
+    want = dense_plane_scan(scanner, 1.0 + 1e-9)
+    got = scanner.scan(slice(None), 1.0 + 1e-9, 1)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]) and got[2] == want[2] == 0
+
+
+def test_an_l0_above_the_maximum_exits_4(capsys):
+    """A slice's level raised above its maximum is a broken certificate: with every L0 1e-3 too high, both scanners
+    raise ArithmeticError, and a scan command that exits 0 exits 4 with one ``error:`` line and no traceback."""
+    grid = _axis((0.0, math.pi, 1e-2))
+    argv = ["scan", "--step", "0.01", "--c-max", "0.1", "--no-refine"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    lower = kernels._RidgeScanner._lower
+    with mock.patch.object(kernels._RidgeScanner, "_lower", lambda self, roots, out: lower(self, roots, out) + 1e-3):
+        with pytest.raises(ArithmeticError):
+            DiagonalScanner(grid, grid).scan(np.array([0.2, 0.5]), 1.0 + 1e-9, 10)
+        with pytest.raises(ArithmeticError):
+            PlaneScanner(TOOLKIT, grid, grid).scan(slice(None), 1.0 + 1e-9, 10)
+        assert main(argv) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err

@@ -316,6 +316,11 @@ class TestMc:
     def test_invalid_sample_count(self, capsys):
         code, _, _ = run(capsys, "mc", "--c", "0.3", "--alpha", "0", "--beta", "0", "--n", "0")
         assert code == EXIT_USAGE
+        # One sample over the cap is refused before anything is drawn.
+        code, out, err = run(capsys, "mc", "--c", "0.3", "--alpha", "0", "--beta", "0",
+                             "--n", str(cli.MAX_SAMPLES + 1))
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: sample count") and err.count("\n") == 1
 
     def test_state_flags_required_without_model(self, capsys):
         code, _, err = run(capsys, "mc", "--c", "0.3", "--alpha", "0.7")

@@ -9,7 +9,7 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from leggettlab import kernels, positive_parity_state, singlet_state
@@ -479,10 +479,14 @@ def columns_around(phase, place, gap):
     place=st.sampled_from(PLACES),
     gap=st.floats(1e-9, 1.0),
 )
+@example(c=0.0, alpha=3.241687722667735e-157, place="on", gap=1.0)
 def test_lower_bound_against_mpmath(c, alpha, place, gap):
     """Each root's L0 lies below the exact S at its nearest column by the rounding bound, and its bound of p above p there.
 
-    c = 1 at alpha = 0 has a root with R = 0, and c = 1/sqrt(2) roots on b = a.
+    c = 1 at alpha = 0 has a root with R = 0, and c = 1/sqrt(2) roots on b = a.  At c = 0 and a tiny alpha
+    the root (0, sin a) has R^2 = sin^2 a near 1e-313, and its exact p at the column b = fl(pi/2), about
+    1e-346, lies below the least subnormal: the bound's product ``R^2 (near + tolerance)^2`` rounds to 0
+    there, which moves L0 by nothing.
     """
     sc = np.array([[math.sqrt(1.0 - c * c)], [c]])
     u, w = (float(v[0]) for v in DiagonalScanner.weights(np.array([c])))
@@ -495,23 +499,26 @@ def test_lower_bound_against_mpmath(c, alpha, place, gap):
         s_mp, c_mp, ma = mpmath.mpf(float(sc[0, 0])), mpmath.mpf(c), mpmath.mpf(alpha)
         for (a, b), (lower, bound, col) in zip(((s_mp, c_mp), (c_mp, s_mp)), root_bounds(scanner, roots)):
             mb = mpmath.mpf(float(betas[col]))
-            assert bound >= (a * mpmath.cos(ma) * mpmath.sin(mb) - b * mpmath.sin(ma) * mpmath.cos(mb)) ** 2
+            p = (a * mpmath.cos(ma) * mpmath.sin(mb) - b * mpmath.sin(ma) * mpmath.cos(mb)) ** 2
+            assert bound >= p or (bound == 0.0 and p < 2.0**-1074)
             assert lower <= mp_s(u, w, alpha, float(betas[col])) - ROUNDING
 
 
 def test_phase_fold_is_remainder_bit_for_bit():
-    # arctan2 gives +-0, +-pi (y = +-0 or tiny, x < 0), subnormals, and tiny
-    # negatives that fold to fl(pi); the fixed states fold half the angle.
-    special = np.array([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e-17, -1e-17, 1e300, -1e300])
-    rng = np.random.default_rng(12)
-    y = np.concatenate([np.repeat(special, special.size), rng.normal(size=4096), rng.normal(size=4096) * 1e-16])
-    x = np.concatenate([np.tile(special, special.size), rng.normal(size=4096), rng.normal(size=4096)])
-    phase = np.arctan2(y, x)
-    assert {0.0, math.pi, -math.pi} <= set(phase.tolist()) and np.signbit(phase[phase == 0.0]).any()
-    assert (np.abs(phase[phase != 0.0]) < 2.3e-308).any()
-    for got, want in ((kernels._fold(phase.copy()), np.remainder(phase, math.pi)),
-                      (kernels._fold(phase / 2.0), np.remainder(phase / 2.0, math.pi))):
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # On the row alpha = 0 a fixed state's roots are (x, y) = (c00, c01) and (c11, -c10).  These give
+    # arctan2 +-0, +-pi (2 x y = +-0 with x^2 < y^2), subnormals and tiny negatives that fold to fl(pi);
+    # each phase must be the remainder of the half angle, in [+0, fl(pi)] as the column search needs.
+    special = [0.0, -0.0, 0.6, -0.6, 0.8, 5e-324, -5e-324, 1e-310, -1e-310, 1e-17, -1e-17]
+    x, y = np.array([(a, b) for a in special for b in special if a * a + b * b <= 1.0]).T
+    raw = np.arctan2(2.0 * (x * y), x * x - y * y)
+    assert {0.0, math.pi, -math.pi} <= set(raw.tolist()) and np.signbit(raw[raw == 0.0]).any()
+    assert (np.abs(raw[raw != 0.0]) < 2.3e-308).any() and (np.remainder(raw / 2.0, math.pi) == math.pi).any()
+    with np.errstate(divide="ignore", invalid="ignore"):  # x = y = 0
+        phase = np.array([
+            PlaneScanner(np.array([[a, b], [0.0, math.sqrt(max(1.0 - a * a - b * b, 0.0))]]), np.zeros(1), np.zeros(1))
+            ._roots(np.zeros(1, dtype=np.int64))[1, 0, 0] for a, b in zip(x, y)])
+    assert np.array_equal(phase.view(np.int64), np.remainder(raw / 2.0, math.pi).view(np.int64))
+    assert ((phase >= 0.0) & (phase <= math.pi) & ~np.signbit(phase)).all()
 
 
 def _steps_around(values, steps):

@@ -105,6 +105,14 @@ class TestSamplePairs:
         with pytest.raises(InputError):
             sample_pairs((1.0, 0.0, 0.0, 0.0), 10)
 
+    def test_sample_count_cap(self):
+        # Checked before any draw: the cap itself passes, and one more is refused.
+        for n in (montecarlo.MAX_SAMPLES, np.int64(montecarlo.MAX_SAMPLES)):
+            assert montecarlo._check_positive_count(n) == montecarlo.MAX_SAMPLES
+        for n in (montecarlo.MAX_SAMPLES + 1, 99999999999999999999999):
+            with pytest.raises(InputError, match="sample count"):
+                sample_pairs(JointOutcomeDistribution(1.0, 0.0, 0.0, 0.0), n)
+
 
 class TestSimulateHV:
     def test_point_mass_model(self):
