@@ -120,7 +120,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--degrees", action="store_true")
     p.add_argument("--model", default=None, metavar="PATH",
                    help="sample a serialized hidden-variable model instead of a quantum state")
-    p.add_argument("--n", type=int, default=1_000_000, help=f"sample count, at most {MAX_SAMPLES} (exit 2 above)")
+    p.add_argument("--n", type=int, default=1_000_000,
+                   help=f"sample count, at most {MAX_SAMPLES}; with --model, n x (labels - 1) at most {99 * MAX_SAMPLES} (exit 2 above)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=None)
     p.set_defaults(handler=_cmd_mc)

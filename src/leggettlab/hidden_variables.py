@@ -72,6 +72,13 @@ def _check_signs(values, name: str, shape: tuple[int, ...]) -> np.ndarray:
     return as_int
 
 
+def _check_labels(labels, size: int) -> tuple:
+    labels = tuple(labels) if labels else tuple(range(size))
+    if len(labels) != size:
+        raise InputError(f"got {len(labels)} labels for {size} weights")
+    return labels
+
+
 @dataclass(frozen=True, eq=False)
 class HVModel:
     """Outcome-independent model: per label, a weight and a fixed ``(A, B)`` pair.
@@ -86,9 +93,7 @@ class HVModel:
     def __post_init__(self) -> None:
         w = _check_weights(self.weights)
         r = _check_signs(self.responses, "responses", (w.size, 2))
-        labels = tuple(self.labels) if self.labels else tuple(range(w.size))
-        if len(labels) != w.size:
-            raise InputError(f"got {len(labels)} labels for {w.size} weights")
+        labels = _check_labels(self.labels, w.size)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "responses", r)
         object.__setattr__(self, "labels", labels)
@@ -116,9 +121,7 @@ class SequentialHVModel:
         w = _check_weights(self.weights)
         a = _check_signs(self.first, "first", (w.size,))
         b = _check_signs(self.second_given_first, "second_given_first", (w.size, 2))
-        labels = tuple(self.labels) if self.labels else tuple(range(w.size))
-        if len(labels) != w.size:
-            raise InputError(f"got {len(labels)} labels for {w.size} weights")
+        labels = _check_labels(self.labels, w.size)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "first", a)
         object.__setattr__(self, "second_given_first", b)
@@ -264,10 +267,15 @@ def _check_model_keys(label_count: int, seed: int, stream: int) -> int:
     label_count = int(label_count)
     if not 1 <= label_count <= _MAX_LABELS:
         raise InputError(f"label_count must be in [1, {_MAX_LABELS}], got {label_count}")
-    for name, v in (("seed", seed), ("stream", stream)):
-        if not isinstance(v, (int, np.integer)) or not 0 <= int(v) < 2**64:
-            raise InputError(f"{name} must be an integer in [0, 2^64), got {v!r}")
+    _check_key("seed", seed)
+    _check_key("stream", stream)
     return label_count
+
+
+def _check_key(name: str, value: int) -> int:
+    if not isinstance(value, (int, np.integer)) or not 0 <= int(value) < 2**64:
+        raise InputError(f"{name} must be an integer in [0, 2^64), got {value!r}")
+    return int(value)
 
 
 def _model_chunks(label_count: int, seed: int, first: int, count: int):

@@ -148,6 +148,14 @@ def _check_eps(eps: float) -> float:
     return eps
 
 
+def _check_ladder(eps_ladder: Sequence[float]) -> tuple[float, ...]:
+    """The ladder as floats, each positive and finite, strictly decreasing."""
+    ladder = tuple(_check_eps(e) for e in eps_ladder)
+    if any(b >= a for a, b in zip(ladder, ladder[1:])):
+        raise InputError("eps ladder must be strictly decreasing")
+    return ladder
+
+
 def reduced_lhs_exact(c: float, settings: MeasurementSettings) -> float:
     """Exact ``S`` for the diagonal family, self-checked against probabilities.
 
@@ -185,6 +193,11 @@ def first_order_lhs(c: float, eps: float) -> float:
     )
 
 
+def _first_order(c, eps: float):
+    """``(holds, in_domain)``: condition (**) verbatim and its domain ``1 > 2 c^2``, elementwise over ``c`` in ``[0, 1]``."""
+    return c >= 2.0 * c * eps + 2.0 * np.sqrt(1.0 - c * c) * eps, 1.0 > 2.0 * c * c
+
+
 def first_order_predicate(c: float, eps: float) -> bool:
     """Verbatim truncated condition (**): True iff ``c >= 2 c eps + 2 sqrt(1-c^2) eps``.
 
@@ -193,11 +206,12 @@ def first_order_predicate(c: float, eps: float) -> bool:
     """
     c = _check_weight(c)
     eps = _check_eps(eps)
-    if not 1.0 > 2.0 * c * c:
+    holds, in_domain = _first_order(c, eps)
+    if not in_domain:
         raise InputError(
             f"first-order condition assumes 1 > 2 c^2; got c = {c!r} with 2 c^2 = {2.0 * c * c!r}"
         )
-    return c >= 2.0 * c * eps + 2.0 * math.sqrt(1.0 - c * c) * eps
+    return bool(holds)
 
 
 def reduced_evaluation(c: float, eps: float) -> ReducedEvaluation:
@@ -208,13 +222,11 @@ def reduced_evaluation(c: float, eps: float) -> ReducedEvaluation:
     settings = MeasurementSettings(alpha=root, beta=0.5 * math.pi - root)
     lhs_exact = reduced_lhs_exact(c, settings)
     lhs_first_order = first_order_lhs(c, eps)
-    holds: Optional[bool] = None
-    if 1.0 > 2.0 * c * c:
-        holds = first_order_predicate(c, eps)
+    holds, in_domain = _first_order(c, eps)
     return ReducedEvaluation(
         lhs_exact=lhs_exact,
         lhs_first_order=lhs_first_order,
-        first_order_holds=holds,
+        first_order_holds=bool(holds) if in_domain else None,
         cross_gap=1.0 - lhs_exact,
     )
 
@@ -227,13 +239,9 @@ def expansion_audit(c: float, eps_ladder: Sequence[float]) -> ExpansionAudit:
     i.e. exactly what the first-order truncation discards.
     """
     c = _check_weight(c)
-    ladder = tuple(float(e) for e in eps_ladder)
+    ladder = _check_ladder(eps_ladder)
     if not ladder:
         raise InputError("eps ladder must be non-empty")
-    for e in ladder:
-        _check_eps(e)
-    if any(b >= a for a, b in zip(ladder, ladder[1:])):
-        raise InputError("eps ladder must be strictly decreasing")
     rows = tuple(reduced_evaluation(c, e) for e in ladder)
     diffs = [row.lhs_exact - row.lhs_first_order for row in rows]
     ratios = []

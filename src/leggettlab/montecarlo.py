@@ -31,7 +31,7 @@ import numpy as np
 
 from .config import resolve_workers, shard_map
 from .domain import CorrelationTriple, InputError, JointOutcomeDistribution
-from .hidden_variables import HVModel
+from .hidden_variables import HVModel, _check_key
 
 __all__ = [
     "BLOCK_SIZE",
@@ -44,7 +44,9 @@ __all__ = [
 ]
 
 BLOCK_SIZE = 1 << 20
-MAX_SAMPLES = 10**10  # pairs at 1.6e8/s, a 100-label model at 2.3e7/s: 60 s and 7 min (one worker, 2 shared vCPUs)
+# Pairs at 1.6e8/s, a 100-label model at 2.3e7/s: 60 s and 7 min (one worker, 2 shared vCPUs).
+# A model takes one pass per threshold, so n x (labels - 1) is capped at that model's 99 x MAX_SAMPLES.
+MAX_SAMPLES = 10**10
 
 
 @dataclass(frozen=True)
@@ -92,10 +94,9 @@ def _check_positive_count(n: int) -> int:
     return int(n)
 
 
-def _check_seed(seed: int) -> int:
-    if not isinstance(seed, (int, np.integer)) or not 0 <= int(seed) < 2**64:
-        raise InputError(f"seed must be an integer in [0, 2^64), got {seed!r}")
-    return int(seed)
+def _check_label_work(n: int, labels: int) -> None:
+    if n * (labels - 1) > 99 * MAX_SAMPLES:
+        raise InputError(f"sample count x (labels - 1) must be at most {99 * MAX_SAMPLES}, got {n} x {labels - 1}")
 
 
 def _label_counts(thresholds: np.ndarray, n: int, seed: int, workers: Optional[int]) -> np.ndarray:
@@ -144,7 +145,7 @@ def sample_pairs(
     if not isinstance(dist, JointOutcomeDistribution):
         raise InputError("sample_pairs expects a JointOutcomeDistribution")
     n = _check_positive_count(n)
-    seed = _check_seed(seed)
+    seed = _check_key("seed", seed)
     thresholds = np.cumsum(np.clip(np.asarray(dist.as_tuple()), 0.0, None))[:3]
     return _count_labels(thresholds, np.arange(4), n, seed, workers)
 
@@ -159,7 +160,8 @@ def simulate_hv(
     if not isinstance(model, HVModel):
         raise InputError("simulate_hv expects an HVModel")
     n = _check_positive_count(n)
-    seed = _check_seed(seed)
+    seed = _check_key("seed", seed)
+    _check_label_work(n, model.size)
     thresholds = np.cumsum(model.weights)[:-1]
     cells = ((model.responses[:, 0] == -1).astype(np.int64) * 2
              + (model.responses[:, 1] == -1).astype(np.int64))

@@ -32,6 +32,7 @@ from .domain import (
     InputError,
     JointOutcomeDistribution,
     MeasurementSettings,
+    _require_finite,
 )
 
 __all__ = [
@@ -101,17 +102,13 @@ def positive_parity_state() -> PureTwoPhotonState:
 
 def analyzer_ket(angle: float) -> np.ndarray:
     """Transmission ket of a linear analyzer at ``angle`` radians."""
-    angle = float(angle)
-    if not math.isfinite(angle):
-        raise InputError(f"analyzer angle must be finite, got {angle!r}")
+    angle = _require_finite("analyzer angle", angle)
     return np.array([math.cos(angle), math.sin(angle)])
 
 
 def orthogonal_ket(angle: float) -> np.ndarray:
     """Reflection ket of a linear analyzer at ``angle`` radians."""
-    angle = float(angle)
-    if not math.isfinite(angle):
-        raise InputError(f"analyzer angle must be finite, got {angle!r}")
+    angle = _require_finite("analyzer angle", angle)
     return np.array([-math.sin(angle), math.cos(angle)])
 
 
@@ -170,9 +167,7 @@ def correlation_triple(dist: JointOutcomeDistribution) -> CorrelationTriple:
 def diagonal_marginal(c: float, angle: float) -> float:
     """``P(+1) = (1 - c^2) cos^2(t) + c^2 sin^2(t)`` for either wing."""
     c = _check_weight(c)
-    angle = float(angle)
-    if not math.isfinite(angle):
-        raise InputError(f"analyzer angle must be finite, got {angle!r}")
+    angle = _require_finite("analyzer angle", angle)
     ct, st = math.cos(angle), math.sin(angle)
     return (1.0 - c * c) * ct * ct + c * c * st * st
 

@@ -47,6 +47,7 @@ import numpy as np
 from ._json import FLOAT, format_rows
 from .config import resolve_workers, shard_map
 from .domain import InputError, MeasurementSettings
+from .inequalities import _check_ladder, _first_order
 from .kernels import DiagonalScanner, PlaneScanner
 from .quantum import PureTwoPhotonState, _probability_lhs, positive_parity_state, singlet_state
 
@@ -138,15 +139,10 @@ class ScanSpec:
                 raise InputError("family 'fixed-matrix' requires a PureTwoPhotonState")
         elif self.state is not None:
             raise InputError(f"family {self.family!r} does not take an explicit state")
-        ladder = tuple(float(e) for e in self.eps_ladder)
-        if ladder:
-            if self.family != "diagonal":
-                raise InputError("eps_ladder applies only to the diagonal family")
-            if any(not math.isfinite(e) or e <= 0.0 for e in ladder):
-                raise InputError("eps ladder entries must be positive and finite")
-            if any(b >= a for a, b in zip(ladder, ladder[1:])):
-                raise InputError("eps ladder must be strictly decreasing")
-        object.__setattr__(self, "eps_ladder", ladder)
+        ladder = tuple(self.eps_ladder)
+        if ladder and self.family != "diagonal":
+            raise InputError("eps_ladder applies only to the diagonal family")
+        object.__setattr__(self, "eps_ladder", _check_ladder(ladder))
 
 
 @dataclass(frozen=True)
@@ -227,24 +223,13 @@ def _family_state(spec: ScanSpec) -> PureTwoPhotonState:
     return spec.state  # fixed-matrix; validated at spec construction
 
 
-def _predicted_violations(
-    cs: np.ndarray, ladder: tuple[float, ...]
-) -> tuple[tuple[float, float], ...]:
+def _predicted_violations(cs: np.ndarray, ladder: tuple[float, ...]) -> tuple[tuple[float, float], ...]:
     """(c, eps) grid points where the truncated condition predicts violation.
 
-    The condition ``c >= 2 c eps + 2 sqrt(1 - c^2) eps`` is evaluated
-    verbatim, in the operation order of
-    :func:`~leggettlab.inequalities.first_order_predicate`, on its domain
-    ``1 > 2 c^2``; points off that domain are skipped rather than guessed."""
-    out: list[tuple[float, float]] = []
-    in_domain = 1.0 > 2.0 * cs * cs
-    root = np.sqrt(np.clip(1.0 - cs * cs, 0.0, None))
-    for eps in ladder:
-        holds = cs >= 2.0 * cs * eps + 2.0 * root * eps
-        for k in np.nonzero(in_domain & ~holds)[0]:
-            out.append((float(cs[k]), eps))
-    out.sort()
-    return tuple(out)
+    The condition is :func:`~leggettlab.inequalities.first_order_predicate`'s,
+    elementwise; points off its domain ``1 > 2 c^2`` are skipped rather than guessed."""
+    marks = [(eps, *_first_order(cs, eps)) for eps in ladder]
+    return tuple(sorted((float(c), eps) for eps, holds, in_domain in marks for c in cs[in_domain & ~holds]))
 
 
 def grid_scan(spec: ScanSpec, *, workers: Optional[int] = None) -> ScanReport:

@@ -32,7 +32,7 @@ TESTS = {
     "_json.py": ("tests/test_json.py", "tests/test_cli.py", "tests/test_golden_scans.py"),
     "cli.py": ("tests/test_cli.py", "tests/test_json.py", "tests/test_golden_scans.py"),
     "montecarlo.py": ("tests/test_montecarlo.py",),
-    "inequalities.py": ("tests/test_inequalities.py",),
+    "inequalities.py": ("tests/test_inequalities.py", "tests/test_scan.py", "tests/test_golden_scans.py"),
 }
 
 # name -> (file in the package, its text, replacement)
@@ -207,10 +207,6 @@ MUTATIONS = {
         "scan.py",
         "np.concatenate(hits)[:VIOLATION_CAP]",
         "np.concatenate(hits)"),
-    "the truncated condition taken strictly": (
-        "scan.py",
-        "holds = cs >= 2.0 * cs * eps + 2.0 * root * eps",
-        "holds = cs > 2.0 * cs * eps + 2.0 * root * eps"),
     "_axis_size without its endpoint slack": (
         "scan.py",
         "math.floor(quotient + 1e-9 * (abs(quotient) + 1.0))",
@@ -235,6 +231,14 @@ MUTATIONS = {
         "inequalities.py",
         "lower = -1.0 + np.abs(a_bar + b_bar)",
         "lower = -1.0 + (a_bar + b_bar)"),
+    "the truncated condition taken strictly": (
+        "inequalities.py",
+        "return c >= 2.0 * c * eps",
+        "return c > 2.0 * c * eps"),
+    "an eps ladder with an equal pair passes": (
+        "inequalities.py",
+        "any(b >= a for a, b in zip(ladder, ladder[1:]))",
+        "any(b > a for a, b in zip(ladder, ladder[1:]))"),
     "a truncation discrepancy despite found violations": (
         "cli.py",
         "report.first_order_predicted_violations and report.violation_count == 0",

@@ -8,12 +8,13 @@ import subprocess
 import sys
 import types
 from pathlib import Path
+from unittest import mock
 
 import pytest
 import scipy.optimize
 
 import leggettlab
-from leggettlab import InputError, MeasurementSettings, cli, ensemble_averages, model_from_json, reduced_lhs_exact
+from leggettlab import InputError, MeasurementSettings, cli, ensemble_averages, model_from_json, montecarlo, reduced_lhs_exact
 from leggettlab._json import render
 from leggettlab.config import ENV_THREADS
 from leggettlab.cli import EXIT_CLOSED, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
@@ -320,6 +321,15 @@ class TestMc:
         code, out, err = run(capsys, "mc", "--c", "0.3", "--alpha", "0", "--beta", "0",
                              "--n", str(cli.MAX_SAMPLES + 1))
         assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: sample count") and err.count("\n") == 1
+
+    def test_model_work_over_the_bound(self, capsys, tmp_path):
+        # A 101-label model at one sample over 99 x MAX_SAMPLES / 100 is refused before any block is drawn.
+        path = tmp_path / "model.json"
+        path.write_text(leggettlab.model_to_json(leggettlab.random_model(101, 0)), encoding="utf-8")
+        with mock.patch.object(montecarlo, "_label_counts") as draw:
+            code, out, err = run(capsys, "mc", "--model", str(path), "--n", str(99 * cli.MAX_SAMPLES // 100 + 1))
+        assert code == EXIT_USAGE and out == "" and not draw.called
         assert err.startswith("error: sample count") and err.count("\n") == 1
 
     def test_state_flags_required_without_model(self, capsys):

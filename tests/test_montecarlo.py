@@ -115,6 +115,15 @@ class TestSamplePairs:
 
 
 class TestSimulateHV:
+    def test_label_work_bound(self):
+        # n x (labels - 1) threshold passes are capped at a 100-label model's 99 x MAX_SAMPLES.
+        bound = 99 * montecarlo.MAX_SAMPLES
+        montecarlo._check_label_work(bound // 100, 101)
+        montecarlo._check_label_work(montecarlo.MAX_SAMPLES, 4)  # pair sampling is never limited
+        for n, labels in ((bound // 100 + 1, 101), (1_000_000, 2**20)):
+            with pytest.raises(InputError, match="sample count"):
+                montecarlo._check_label_work(n, labels)
+
     def test_point_mass_model(self):
         model = HVModel(weights=[1.0], responses=[[1, 1]])
         counts = simulate_hv(model, 5000, seed=1)

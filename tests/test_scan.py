@@ -22,6 +22,7 @@ from leggettlab import (
     ScanPoint,
     ScanReport,
     ScanSpec,
+    expansion_audit,
     first_order_predicate,
     grid_scan,
     halving_ladder,
@@ -91,6 +92,17 @@ class TestScanSpec:
             ScanSpec(eps_ladder=(1e-3, 1e-2))
         with pytest.raises(InputError):
             ScanSpec(eps_ladder=(1e-2, 0.0))
+
+    @pytest.mark.parametrize("ladder", [
+        (1e-2, 0.0), (1e-2, -1e-3), (math.nan,), (math.inf, 1e-2), (1e-2, 1e-2), (1e-3, 1e-2),
+    ])
+    def test_eps_ladder_rules_are_expansion_audits(self, ladder):
+        # One ladder rule: a scan refuses every ladder the audit refuses, with the audit's message.
+        with pytest.raises(InputError) as spec_error:
+            ScanSpec(eps_ladder=ladder)
+        with pytest.raises(InputError) as audit_error:
+            expansion_audit(0.3, ladder)
+        assert str(spec_error.value) == str(audit_error.value)
 
 
 class TestAxis:
