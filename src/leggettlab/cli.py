@@ -250,7 +250,6 @@ def _cmd_scan(args) -> int:
                      args.alpha_step if args.alpha_step is not None else default_step),
         beta_range=(args.beta_min, args.beta_max,
                     args.beta_step if args.beta_step is not None else default_step),
-        refine=not args.no_refine,
         tolerance=args.tolerance,
         state=state,
         eps_ladder=ladder,
@@ -258,7 +257,7 @@ def _cmd_scan(args) -> int:
     workers = resolve_workers(args.workers)  # checked before the CSV file is truncated
     with _output(args.csv, "CSV") as csv_file:
         report = grid_scan(spec, workers=workers)
-        if spec.refine:
+        if not args.no_refine:
             report = refine(report, spec)
         if csv_file is not None:
             write_csv(report, csv_file)
@@ -268,7 +267,7 @@ def _cmd_scan(args) -> int:
         "c_range": list(spec.c_range),
         "alpha_range": list(spec.alpha_range),
         "beta_range": list(spec.beta_range),
-        "refine": spec.refine,
+        "refine": not args.no_refine,
         "tolerance": spec.tolerance,
         "eps_ladder": list(spec.eps_ladder),
     }
@@ -371,10 +370,9 @@ def _cmd_hv(args) -> int:
         # One oracle call per grid row keeps memory O(--frechet-grid).
         for a_bar in grid:
             low, high = frechet_range(a_bar, grid)
-            max_lower_error = max(max_lower_error,
-                                  float(np.max(np.abs(low - (-1.0 + np.abs(a_bar + grid))))))
-            max_upper_error = max(max_upper_error,
-                                  float(np.max(np.abs(high - (1.0 - np.abs(a_bar - grid))))))
+            lower, upper, _ = _bounds(a_bar, grid, 0.0)
+            max_lower_error = max(max_lower_error, float(np.max(np.abs(low - lower))))
+            max_upper_error = max(max_upper_error, float(np.max(np.abs(high - upper))))
         frechet = {
             "grid_size": args.frechet_grid,
             "max_lower_error": max_lower_error,

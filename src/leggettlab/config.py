@@ -1,16 +1,13 @@
-"""Environment-variable contract and worker resolution.
+"""Worker resolution, and :func:`shard_map`, the one place that starts worker threads.
 
-One process-level knob:
+A worker count, ``workers=`` in Python or ``--workers`` on the command
+line, defaults to 1.  Results are worker-count independent by
+construction; the count only trades wall time.
 
-* ``LEGGETTLAB_THREADS``: default worker count for sharded scans and
-  sampling.  Default: 1.  Results are worker-count independent by
-  construction; this knob only trades wall time.
-
-Any worker count, explicit or from the environment, is capped at the
-number of CPUs this process may run on (its affinity mask, where the
-platform has one, else ``os.cpu_count()``), so a large request or a
-``taskset`` run never starts more threads than can run at once.
-:func:`shard_map` is the one place that starts worker threads.
+Any worker count is capped at the number of CPUs this process may run
+on (its affinity mask, where the platform has one, else
+``os.cpu_count()``), so a large request or a ``taskset`` run never
+starts more threads than can run at once.
 """
 
 from __future__ import annotations
@@ -21,22 +18,12 @@ from typing import Callable
 
 from .domain import InputError
 
-__all__ = ["ENV_THREADS", "resolve_workers", "shard_map"]
-
-ENV_THREADS = "LEGGETTLAB_THREADS"
+__all__ = ["resolve_workers", "shard_map"]
 
 
 def resolve_workers(workers: int | None = None) -> int:
-    """Explicit argument, else ``LEGGETTLAB_THREADS``, else 1; at most the CPUs this process may use."""
-    if workers is None:
-        raw = os.environ.get(ENV_THREADS)
-        if raw is None:
-            return 1
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise InputError(f"{ENV_THREADS} must be an integer, got {raw!r}") from None
-    workers = int(workers)
+    """``workers``, else 1; at most the CPUs this process may use."""
+    workers = 1 if workers is None else int(workers)
     if workers < 1:
         raise InputError(f"worker count must be >= 1, got {workers}")
     affinity = getattr(os, "sched_getaffinity", None)

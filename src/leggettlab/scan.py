@@ -20,8 +20,10 @@ Families:
 * ``fixed-matrix`` — any supplied :class:`~leggettlab.quantum.PureTwoPhotonState`.
 
 The fixed states run on :class:`~leggettlab.kernels.PlaneScanner`.  Both
-scanners evaluate only the points near each alpha row's two roots that
-a closed-form bound cannot exclude, and every row they cannot certify.
+scanners evaluate each alpha row only on the windows around its two
+roots that a closed-form bound cannot exclude; a scan whose windows
+would hold too much of its rows goes to the block engine, which
+evaluates every point.
 
 Every family shards its slices across worker threads: the ``c`` axis
 for the diagonal family, the alpha rows of a fixed state, whose tables
@@ -121,7 +123,6 @@ class ScanSpec:
     c_range: tuple[float, float, float] = (0.0, 0.7, 1e-3)
     alpha_range: tuple[float, float, float] = (0.0, math.pi, 1e-3)
     beta_range: tuple[float, float, float] = (0.0, math.pi, 1e-3)
-    refine: bool = True
     tolerance: float = 1e-9
     state: Optional[PureTwoPhotonState] = None
     eps_ladder: tuple[float, ...] = ()

@@ -16,7 +16,6 @@ import scipy.optimize
 import leggettlab
 from leggettlab import InputError, MeasurementSettings, cli, ensemble_averages, model_from_json, montecarlo, reduced_lhs_exact
 from leggettlab._json import render
-from leggettlab.config import ENV_THREADS
 from leggettlab.cli import EXIT_CLOSED, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 
 RT2 = 1.0 / math.sqrt(2.0)
@@ -145,6 +144,18 @@ class TestScan:
         doc = run_json(capsys, "scan", "--family", "singlet", "--step", "0.2", "--no-refine")
         assert doc["results"]["refined"] is False
 
+    def test_environment_sets_no_worker_count(self, capsys, monkeypatch):
+        # --workers is the only worker setting; no environment variable is read.
+        def report():
+            doc = run_json(capsys, "scan", "--family", "singlet", "--step", "0.2", "--no-refine")
+            doc["results"].pop("wall_time")
+            return doc
+
+        monkeypatch.delenv("LEGGETTLAB_THREADS", raising=False)
+        unset = report()
+        monkeypatch.setenv("LEGGETTLAB_THREADS", "x")
+        assert report() == unset
+
     def test_csv_export(self, capsys, tmp_path):
         path = str(tmp_path / "out.csv")
         doc = run_json(capsys, "scan", "--family", "singlet", "--step", "0.2", "--csv", path)
@@ -177,16 +188,12 @@ class TestScan:
         assert (code, out) == (EXIT_USAGE, "")
         assert err.startswith("error: cannot write") and "Traceback" not in err
 
-    @pytest.mark.parametrize("threads, argv", [
-        (None, ("scan", "--family", "singlet", "--step", "0.2", "--workers", "0", "--csv")),
-        ("x", ("scan", "--family", "singlet", "--step", "0.2", "--csv")),
-        (None, ("hv", "--models", "1", "--frechet-grid", "0", "--seed", "-1", "--emit-model")),
-        (None, ("hv", "--models", "1", "--frechet-grid", "0", "--labels", "0", "--emit-model")),
+    @pytest.mark.parametrize("argv", [
+        ("scan", "--family", "singlet", "--step", "0.2", "--workers", "0", "--csv"),
+        ("hv", "--models", "1", "--frechet-grid", "0", "--seed", "-1", "--emit-model"),
+        ("hv", "--models", "1", "--frechet-grid", "0", "--labels", "0", "--emit-model"),
     ])
-    def test_invalid_input_leaves_the_output_file_alone(self, capsys, monkeypatch, tmp_path, threads, argv):
-        monkeypatch.delenv(ENV_THREADS, raising=False)
-        if threads is not None:
-            monkeypatch.setenv(ENV_THREADS, threads)
+    def test_invalid_input_leaves_the_output_file_alone(self, capsys, tmp_path, argv):
         path = tmp_path / "out"
         path.write_bytes(b"earlier output\n")
         code, out, err = run(capsys, *argv, str(path))

@@ -29,7 +29,6 @@ class TestHVModelValidation:
     def test_minimal_model(self):
         model = HVModel(weights=[1.0], responses=[[1, -1]])
         assert model.size == 1
-        assert model.labels == (0,)
 
     def test_weights_must_sum_to_one(self):
         with pytest.raises(InputError):
@@ -53,9 +52,12 @@ class TestHVModelValidation:
         with pytest.raises(InputError):
             HVModel(weights=[1.0], responses=[1, -1])
 
-    def test_label_count_must_match(self):
-        with pytest.raises(InputError):
-            HVModel(weights=[1.0], responses=[[1, 1]], labels=("x", "y"))
+    def test_labels_are_row_indices(self):
+        # A label is its row; neither model takes a separate label tuple.
+        with pytest.raises(TypeError):
+            HVModel(weights=[1.0], responses=[[1, 1]], labels=(0,))
+        with pytest.raises(TypeError):
+            SequentialHVModel(weights=[1.0], first=[1], second_given_first=[[1, 1]], labels=(0,))
 
     def test_arrays_are_frozen(self):
         model = HVModel(weights=[0.5, 0.5], responses=[[1, 1], [-1, -1]])

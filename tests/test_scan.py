@@ -32,7 +32,7 @@ from leggettlab import (
 )
 from leggettlab import kernels
 from leggettlab import scan as scan_module
-from leggettlab.config import ENV_THREADS, resolve_workers, shard_map
+from leggettlab.config import resolve_workers, shard_map
 from leggettlab.kernels import DiagonalScanner, PlaneScanner
 from leggettlab._json import CHUNK
 from leggettlab.scan import MAX_AXIS_POINTS, VIOLATION_CAP, _axis, _axis_size
@@ -48,6 +48,11 @@ class TestScanSpec:
     def test_unknown_family(self):
         with pytest.raises(InputError):
             ScanSpec(family="triplet")
+
+    def test_refinement_is_no_field(self):
+        # Whether to refine is the caller's choice of refine(); the grid does not carry it.
+        with pytest.raises(TypeError):
+            ScanSpec(refine=False)
 
     def test_range_validation(self):
         with pytest.raises(InputError):
@@ -198,7 +203,7 @@ class TestGridScanDiagonal:
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(kernels, "_CHUNK_ROWS", 40)
         spec = ScanSpec(c_range=(0.0, 0.7, 0.05), alpha_range=(0.0, math.pi, 0.02),
-                        beta_range=(0.0, math.pi, 0.02), refine=False, tolerance=tolerance)
+                        beta_range=(0.0, math.pi, 0.02), tolerance=tolerance)
         assert len(list(DiagonalScanner(_axis(spec.alpha_range), _axis(spec.beta_range))._chunks())) == 4
         one = grid_scan(spec, workers=1)
         two = grid_scan(spec, workers=2)
@@ -211,7 +216,7 @@ class TestGridScanDiagonal:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         spec = ScanSpec(c_range=(0.0, 0.1, 0.01), alpha_range=(0.0, math.pi, 0.05),
-                        beta_range=(0.0, math.pi, 0.05), refine=False, tolerance=-0.9)
+                        beta_range=(0.0, math.pi, 0.05), tolerance=-0.9)
         listed = []
         scan = DiagonalScanner.scan
 
@@ -236,7 +241,7 @@ class TestGridScanDiagonal:
         monkeypatch.setattr(os, "cpu_count", lambda: 6)
         monkeypatch.setattr(scan_module, "VIOLATION_CAP", 700)
         spec = ScanSpec(family=family, c_range=(0.0, 0.5, 0.05), alpha_range=(0.0, math.pi, 0.05),
-                        beta_range=(0.0, math.pi, 0.05), refine=False, tolerance=-0.5)
+                        beta_range=(0.0, math.pi, 0.05), tolerance=-0.5)
         one = grid_scan(spec, workers=1)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -251,9 +256,7 @@ class TestGridScanDiagonal:
         # Only resolved here: a pool of this size is never started.
         cap = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
         assert resolve_workers(10**6) == cap
-        monkeypatch.setenv(ENV_THREADS, str(10**6))
-        assert resolve_workers() == cap
-        assert resolve_workers(1) == 1
+        assert resolve_workers(1) == resolve_workers() == 1
         # A taskset or cpuset run sees fewer CPUs than the machine has.
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5}, raising=False)
@@ -411,7 +414,7 @@ def test_violations_match_reference_across_shards(family, seed, nc, na, nb, step
     spec = ScanSpec(family=family, c_range=(0.0, (nc - 1) * 0.1, 0.1),
                     alpha_range=(0.0, (na - 1) * step, step),
                     beta_range=(0.3, 0.3 + (nb - 1) * step, step),
-                    refine=False, tolerance=tolerance, state=state)
+                    tolerance=tolerance, state=state)
     alphas, betas = _axis(spec.alpha_range), _axis(spec.beta_range)
     threshold = 1.0 + tolerance
     if family == "diagonal":
@@ -520,8 +523,8 @@ def _thin_spec(family, slices):
     """``slices`` c values of a 4 x 4 grid (diagonal), or as many alpha rows against 4 beta columns."""
     axis, four = (0.0, (slices - 1) / slices, 1.0 / slices), (0.0, math.pi, math.pi / 3)
     if family == "diagonal":
-        return ScanSpec(c_range=axis, alpha_range=four, beta_range=four, refine=False)
-    return ScanSpec(family=family, alpha_range=axis, beta_range=four, refine=False)
+        return ScanSpec(c_range=axis, alpha_range=four, beta_range=four)
+    return ScanSpec(family=family, alpha_range=axis, beta_range=four)
 
 
 class TestWriteCsv:
