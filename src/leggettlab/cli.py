@@ -35,14 +35,13 @@ from ._json import Rows, render
 from .config import resolve_workers
 from .domain import CorrelationTriple, InputError, MeasurementSettings
 from .hidden_variables import (
-    HVModel,
     _averages,
     _check_model_keys,
     _model_chunks,
+    _model_pieces,
     ensemble_averages,
     frechet_range,
     model_from_json,
-    model_to_json,
 )
 from .inequalities import _bounds, expansion_audit, leggett_bounds, reduced_lhs_exact
 from .montecarlo import MAX_SAMPLES, estimate, sample_pairs, simulate_hv
@@ -355,7 +354,8 @@ def _cmd_hv(args) -> int:
     with _output(args.emit_model, "model") as model_file:
         for offset, weights, responses in _model_chunks(args.labels, args.seed, 0, args.models):
             if offset == 0 and model_file is not None:
-                model_file.write(model_to_json(HVModel(weights=weights[0], responses=responses[0])) + "\n")
+                model_file.writelines(_model_pieces(weights[0], responses[0]))
+                model_file.write("\n")
             a_bar, b_bar, ab_bar = _averages(weights, responses)
             if first_triple is None:
                 first_triple = CorrelationTriple(float(a_bar[0]), float(b_bar[0]), float(ab_bar[0]))

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._json import format_rows
 from .domain import PROB_ATOL, CorrelationTriple, InputError
 
 __all__ = [
@@ -299,6 +300,17 @@ def _model_chunks(label_count: int, seed: int, first: int, count: int):
         yield offset, weights, responses
 
 
+def _model_pieces(weights: np.ndarray, responses: np.ndarray):
+    """:func:`model_to_json`'s document of checked float64 ``weights`` and ``(n, 2)`` ``responses``, a string per ``CHUNK`` labels."""
+    # A memoryview yields Python floats, whose repr is the shortest exact decimal.
+    for head, pieces in (('{"weights": [', format_rows("{!r}", [memoryview(weights)], ", ")),
+                         ('], "responses": [', format_rows("[{}, {}]", responses.T, ", "))):
+        yield head
+        for n, piece in enumerate(pieces):
+            yield ", " + piece if n else piece
+    yield "]}"
+
+
 def model_to_json(model: HVModel) -> str:
     """Serialize to ``{"weights": [...], "responses": [[a, b], ...]}``.
 
@@ -307,9 +319,7 @@ def model_to_json(model: HVModel) -> str:
     """
     if not isinstance(model, HVModel):
         raise InputError("model_to_json expects an HVModel")
-    weights = ", ".join(repr(float(w)) for w in model.weights)
-    responses = ", ".join(f"[{int(a)}, {int(b)}]" for a, b in model.responses)
-    return f'{{"weights": [{weights}], "responses": [{responses}]}}'
+    return "".join(_model_pieces(model.weights, model.responses))
 
 
 def model_from_json(text: str) -> HVModel:

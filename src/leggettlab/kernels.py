@@ -166,6 +166,9 @@ _ANGLE_MARGIN = 1e-12
 _ROOT_ERROR = 1e-14
 _NO_HITS = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))
 _NO_KEY = np.iinfo(np.int64).max  # the key of a slice whose level no evaluated point attains (module docstring)
+# What both scanners' scan return: per slice its maximum and the grid indices (arg_i, arg_j) of its first
+# maximum, the counts of points over the threshold per weight k, and the first hits as (k, i, j, S) arrays.
+ScanResult = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, ...]]
 
 
 def _trig(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -352,16 +355,15 @@ class _RidgeScanner:
         return float(size.sum()) / max(size.size // 2 * self._sorted_phase.size, 1)
 
     def _walk(self, rows: slice, u, w, threshold: float, limit: int, roots, screen):
-        """Maxima, first argmax keys, threshold counts and first hits of the weights ``(u[k], w[k])`` over the alpha rows ``rows``.
+        """The :data:`ScanResult` ``(maxima, arg_i, arg_j, counts, hits)`` of the weights ``(u[k], w[k])`` over the rows ``rows``.
 
-        A slice is one k, or without a ``screen`` one alpha row (k is then 0); keys are
-        ``i * nb + j``, and each slice's key is that of its first maximum in row-major
-        order.  ``roots(k, at, out)`` gives ``(R^2, phase, floor, tolerance)`` of the pairs
-        of weights ``k[i]`` and alpha rows ``at[i]``, R^2 and phase ``(2, pairs)`` arrays in
-        the first two of the three buffers ``out``.  ``screen(ks, block, out)`` gives the dips
-        (:meth:`DiagonalScanner._dips`) of a batch in ``out``, and only live rows are evaluated.
-        Returns ``(maxima, keys, counts, hits)``, the hits ``(k, key, S)`` arrays of the first
-        ``limit`` in (k, key) order.
+        A slice is one k, or without a ``screen`` one alpha row (k is then 0); its argmax is
+        its first maximum in row-major order, i counting from the grid's first row.  Counts are
+        per k, and the hits the first ``limit`` in (k, i, j) order.  ``roots(k, at, out)`` gives
+        ``(R^2, phase, floor, tolerance)`` of the pairs of weights ``k[i]`` and alpha rows
+        ``at[i]``, R^2 and phase ``(2, pairs)`` arrays in the first two of the three buffers
+        ``out``.  ``screen(ks, block, out)`` gives the dips (:meth:`DiagonalScanner._dips`) of
+        a batch in ``out``, and only live rows are evaluated.
         """
         u, w = np.asarray(u, dtype=np.float64), np.asarray(w, dtype=np.float64)
         nc, na, nb = u.size, self._rows[0].size, self._cols[0].size
@@ -520,7 +522,8 @@ class _RidgeScanner:
         flush()
         if (key == _NO_KEY).any():
             raise ArithmeticError("certificate check failed: a slice's proven lower bound L0 exceeds every point evaluated in it")
-        return max_s, key, n_over, _first(parts, limit)
+        hit_k, keys, hit_s = _first(parts, limit)
+        return max_s, *np.divmod(key, nb), n_over, (hit_k, *np.divmod(keys, nb), hit_s)
 
 
 class DiagonalScanner(_RidgeScanner):
@@ -590,10 +593,8 @@ class DiagonalScanner(_RidgeScanner):
         return np.greater(dip, self._screen * np.maximum(depth, 0.0), out=out)
 
     @np.errstate(divide="ignore", over="ignore", invalid="ignore")  # R near 0 in _windows
-    def scan(
-        self, cs: np.ndarray, threshold: float, limit: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
-        """Per-``c`` grid maxima, first argmax indices, threshold counts, and the first hits.
+    def scan(self, cs: np.ndarray, threshold: float, limit: int) -> ScanResult:
+        """The :data:`ScanResult` of :meth:`_walk` with one slice and one count per weight ``cs[k]``.
 
         ``cs`` holds the weights ``0 <= c <= 1``.  The hits are ``(k, i,
         j, S)`` arrays of the first ``limit`` points with ``S > threshold``
@@ -602,12 +603,9 @@ class DiagonalScanner(_RidgeScanner):
         cs = np.ascontiguousarray(cs, dtype=np.float64)
         # (s, c) per slice, s as in the weights w = c s.
         sc = np.stack([np.sqrt(1.0 - cs * cs), cs])
-
-        max_s, key, n_over, (hit_k, keys, hit_s) = self._walk(
+        return self._walk(
             slice(None), *self.weights(cs), float(threshold), limit,
             lambda k, at, out: self._roots(sc, k, at, out), lambda ks, block, out: self._dips(sc, ks, block, out))
-        nb = self._cols[0].size
-        return max_s, *np.divmod(key, nb), n_over, (hit_k, *np.divmod(keys, nb), hit_s)
 
     def collect(self, c: float, threshold: float, limit: int) -> tuple[np.ndarray, ...]:
         """The ``(i, j, S)`` hits of :meth:`scan` for one ``c``; kept for tooling that wraps it by name."""
@@ -666,16 +664,11 @@ class PlaneScanner(_RidgeScanner):
         ])
 
     @np.errstate(divide="ignore", over="ignore", invalid="ignore")  # R near 0 in _windows
-    def scan(
-        self, rows: slice, threshold: float, limit: int
-    ) -> tuple[np.ndarray, np.ndarray, int, tuple[np.ndarray, ...]]:
-        """Maxima and first attaining columns of the alpha rows ``rows``, their threshold count, and the first hits.
+    def scan(self, rows: slice, threshold: float, limit: int) -> ScanResult:
+        """The :data:`ScanResult` of :meth:`_walk` with one slice per alpha row of ``rows``.
 
-        The hits are ``(i, j, S)`` arrays of the first ``limit`` points
-        with ``S > threshold`` in row-major order; ``i`` counts from the
-        grid's first row.
+        The state is one weight k = 0, with one count.  The hits are the first
+        ``limit`` points with ``S > threshold`` in row-major order; ``i``
+        counts from the grid's first row.
         """
-        nb = self._cols[0].size
-        row_max, key, n_over, (_, keys, vals) = self._walk(
-            rows, (1.0,), (1.0,), float(threshold), limit, lambda k, at, out: self._roots(at), None)
-        return row_max, key % nb, int(n_over[0]), (*np.divmod(keys, nb), vals)
+        return self._walk(rows, (1.0,), (1.0,), float(threshold), limit, lambda k, at, out: self._roots(at), None)

@@ -25,14 +25,16 @@ roots that a closed-form bound cannot exclude; a scan whose windows
 would hold too much of its rows goes to the block engine, which
 evaluates every point.
 
-Every family shards its slices across worker threads: the ``c`` axis
-for the diagonal family, the alpha rows of a fixed state, whose tables
-are built once and shared.  A shard's scan returns its slice maxima,
-its threshold count and its first ``VIOLATION_CAP`` violations in one
-walk; shards are merged in axis order, so reports are identical for
-every worker count.  Shards share no mutable state: listed violations
-take O(workers x ``VIOLATION_CAP``) memory, and the merge keeps the
-first ``VIOLATION_CAP`` of them as packed columns, with no object per point.
+Every family shards its slices across worker threads: the ``c`` axis for
+the diagonal family, the alpha rows of a fixed state, whose tables are
+built once and shared.  A shard is one ``scan`` call, whose result both
+scanners shape alike: slice maxima, their first argmax indices, counts per
+weight (a fixed state has one) and the first ``VIOLATION_CAP`` hits
+``(k, i, j, S)``.  One loop fills the curve in axis order, shifts each
+shard's k by its first slice and sums the counts, so reports are identical
+for every worker count.  Shards share no mutable state: listed violations
+take O(workers x ``VIOLATION_CAP``) memory, and the merge keeps the first
+``VIOLATION_CAP`` of them as packed columns, with no object per point.
 """
 
 from __future__ import annotations
@@ -240,34 +242,24 @@ def grid_scan(spec: ScanSpec, *, workers: Optional[int] = None) -> ScanReport:
     alphas = _axis(spec.alpha_range)
     betas = _axis(spec.beta_range)
     threshold = 1.0 + spec.tolerance
-    # Each family scans a shard of its slices into (slice maxima, first
-    # argmax indices, threshold count, hits (k, i, j, S)), k counting slices.
     if spec.family == "diagonal":
         cs, scanner = _axis(spec.c_range), DiagonalScanner(alphas, betas)
-
-        def scan_shard(sl: slice):
-            max_s, arg_i, arg_j, n_over, (k, i, j, s) = scanner.scan(cs[sl], threshold, VIOLATION_CAP)
-            return max_s, arg_i, arg_j, int(n_over.sum()), (k + sl.start, i, j, s)
     else:
         cs, scanner = None, PlaneScanner(_family_state(spec).coeffs, alphas, betas)
-
-        def scan_shard(sl: slice):
-            row_max, row_arg, count, (i, j, s) = scanner.scan(sl, threshold, VIOLATION_CAP)
-            return row_max, np.arange(sl.start, sl.stop), row_arg, count, (i, i, j, s)
-
     size = alphas.size if cs is None else cs.size
-    parts = shard_map(scan_shard, size, workers)
+    parts = shard_map(lambda sl: scanner.scan(sl if cs is None else cs[sl], threshold, VIOLATION_CAP), size, workers)
     # The curve's packed columns, filled in place shard by shard.
     slice_maxima = ScanPoint(*(None if cs is None and n == 0 else array("d", [0.0]) * size for n in range(4)))
     c_col, a_col, b_col, s_col = (None if v is None else np.frombuffer(v) for v in slice_maxima)
     if cs is not None:
         c_col[:] = cs
     lo = 0
-    for max_s, arg_i, arg_j, *_ in parts:
+    for max_s, arg_i, arg_j, _, hits in parts:
         hi = lo + max_s.size
         np.take(alphas, arg_i, out=a_col[lo:hi])
         np.take(betas, arg_j, out=b_col[lo:hi])
         s_col[lo:hi] = max_s
+        hits[0][:] += lo  # a shard's k counts from its first slice; read only with a c axis
         lo = hi
     # The first VIOLATION_CAP hits in shard order, as packed columns like the curve's.
     k, i, j, s = (np.concatenate(hits)[:VIOLATION_CAP] for hits in zip(*(part[4] for part in parts)))
@@ -280,7 +272,7 @@ def grid_scan(spec: ScanSpec, *, workers: Optional[int] = None) -> ScanReport:
         argmax=ScanPoint(*(None if v is None else v[best] for v in slice_maxima)),
         grid_points=alphas.size * betas.size * (1 if cs is None else cs.size),
         violations=violations,
-        violation_count=sum(part[3] for part in parts),
+        violation_count=int(sum(part[3].sum() for part in parts)),
         first_order_predicted_violations=() if cs is None else _predicted_violations(cs, spec.eps_ladder),
         slice_maxima=slice_maxima,
         tolerance=spec.tolerance,

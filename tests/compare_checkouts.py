@@ -9,7 +9,7 @@ Each command below runs ``N`` times in both trees (default 3), each run a
 fresh ``python -m leggettlab`` process with ``PYTHONPATH`` set to that
 tree's ``src/``, in its own empty working directory.  The tree that runs
 first alternates from pair to pair.  Every run's output (stdout and
-stderr, with the ``wall_time`` value masked), exit code and CSV file
+stderr, with the ``wall_time`` value masked), exit code and written file
 must equal those of the other tree's first run, and of the same tree's
 earlier runs.  The script prints per command the median wall time and
 the median peak RSS (``os.wait4``) of each tree, and in how many pairs
@@ -45,7 +45,7 @@ def _shifted_angles(shift: float, step: float) -> list:
 
 PAPER = ["--c-min", "0", "--c-max", "0.7"] + _shifted_angles(0.37, 1e-3)
 
-# name -> CLI arguments; ``CSV`` names the file a command writes.
+# name -> CLI arguments; ``CSV`` names the file a command writes, a curve or a model.
 COMMANDS = {
     "adjudicate": ["scan", "--eps-preset", "--c-step", "0.001", *PAPER, "--workers", "2"],
     "adjudicate, 1 worker": ["scan", "--eps-preset", "--c-step", "0.001", *PAPER, "--workers", "1"],
@@ -86,6 +86,9 @@ COMMANDS = {
     "mc": ["mc", "--c", "0.37", "--alpha", "0.71", "--beta", "2.9", "--n", "1000000", "--workers", "2",
            "--seed", "7"],
     "hv": ["hv", "--models", "1000", "--frechet-grid", "11", "--seed", "7"],
+    # 10 000 labels: the model file is written in three pieces of at most 4096.
+    "hv, model file": ["hv", "--models", "3", "--labels", "10000", "--frechet-grid", "0", "--seed", "7",
+                       "--emit-model", CSV],
 }
 
 WALL_TIME = re.compile(rb'"wall_time": [^,}]+')
@@ -104,7 +107,7 @@ def _digest(path: Path) -> str:
 
 
 def run(tree: Path, argv: list) -> tuple:
-    """``(output digest, exit code, CSV digest or None, wall s, peak RSS MB)`` of one fresh process."""
+    """``(output digest, exit code, written file's digest or None, wall s, peak RSS MB)`` of one fresh process."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     with tempfile.TemporaryDirectory() as work:
         with open(Path(work, "stdout"), "wb") as out:

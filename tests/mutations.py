@@ -33,6 +33,7 @@ TESTS = {
     "cli.py": ("tests/test_cli.py", "tests/test_json.py", "tests/test_golden_scans.py"),
     "montecarlo.py": ("tests/test_montecarlo.py",),
     "inequalities.py": ("tests/test_inequalities.py", "tests/test_scan.py", "tests/test_golden_scans.py"),
+    "hidden_variables.py": ("tests/test_hidden_variables.py", "tests/test_cli.py"),
 }
 
 # name -> (file in the package, its text, replacement)
@@ -183,6 +184,14 @@ MUTATIONS = {
         "kernels.py",
         "vals[lane >= size[run] - _TILE * tile] = -np.inf",
         "vals[lane > size[run] - _TILE * tile] = -np.inf"),
+    "collect lists (k, i, j) in place of scan's (i, j, S)": (
+        "kernels.py",
+        "self.scan(np.array([c]), threshold, limit)[4][1:]",
+        "self.scan(np.array([c]), threshold, limit)[4][:3]"),
+    "collect lists one hit past its limit": (
+        "kernels.py",
+        "self.scan(np.array([c]), threshold, limit)[4][1:]",
+        "self.scan(np.array([c]), threshold, limit + 1)[4][1:]"),
     "the row template at .16g": (
         "_json.py",
         'FLOAT = "{:.17g}"',
@@ -207,6 +216,14 @@ MUTATIONS = {
         "scan.py",
         "np.concatenate(hits)[:VIOLATION_CAP]",
         "np.concatenate(hits)"),
+    "grid_scan drops the shard offset of k": (
+        "scan.py",
+        "hits[0][:] += lo",
+        "hits[0][:] += 0"),
+    "grid_scan counts the first shard's violations only": (
+        "scan.py",
+        "int(sum(part[3].sum() for part in parts))",
+        "int(parts[0][3].sum())"),
     "_axis_size without its endpoint slack": (
         "scan.py",
         "math.floor(quotient + 1e-9 * (abs(quotient) + 1.0))",
@@ -219,6 +236,10 @@ MUTATIONS = {
         "scan.py",
         "list(seen)[first + (40 - first) % (round_ - first)]",
         "list(seen)[first]"),
+    "the model file's chunks joined with no separator": (
+        "hidden_variables.py",
+        'yield ", " + piece if n else piece',
+        "yield piece"),
     "Monte Carlo block keys (index, seed)": (
         "montecarlo.py",
         "key=np.array([seed, index], dtype=np.uint64)",

@@ -93,11 +93,13 @@ def reference_scan(alphas, betas, cs, threshold):
 
 
 def plane_reference(scanner, threshold):
-    """``(row_max, row_arg, count, hits)`` of a :class:`~leggettlab.kernels.PlaneScanner`, point by point.
+    """``(row_max, row_i, row_arg, counts, hits)`` of a :class:`~leggettlab.kernels.PlaneScanner`, point by point.
 
+    The scanner's result shape: ``row_i`` is each row's own index,
+    ``counts`` the one count of the state's one weight, and ``hits``
+    ``(k, i, j, S)`` arrays, k = 0, of every crossing in row-major order.
     S is formed from the scanner's tables as ``(|r0 - k0| + (r1 k1 + r2 k2))
-    + r3 k3``, the engine's order with ``u = w = 1``; ``hits`` holds
-    ``(i, j, S)`` arrays of every crossing in row-major order.
+    + r3 k3``, the engine's order with ``u = w = 1``.
     """
     r0, r1, r2, r3 = (t.tolist() for t in scanner._rows)
     k0, k1, k2, k3 = (t.tolist() for t in scanner._cols)
@@ -108,17 +110,19 @@ def plane_reference(scanner, threshold):
         best = max(row)
         row_max.append(best)
         row_arg.append(row.index(best))
-        hits.extend((i, j, s) for j, s in enumerate(row) if s > threshold)
-    return np.array(row_max), np.array(row_arg, dtype=np.int64), len(hits), _hit_arrays(hits, 3)
+        hits.extend((0, i, j, s) for j, s in enumerate(row) if s > threshold)
+    return (np.array(row_max), np.arange(len(r0)), np.array(row_arg, dtype=np.int64),
+            np.array([len(hits)]), _hit_arrays(hits, 4))
 
 
 def dense_plane_scan(scanner, threshold):
-    """``(row_max, row_arg, count, hits)`` of a :class:`~leggettlab.kernels.PlaneScanner` from the block engine over every row.
+    """``(row_max, row_i, row_arg, counts, hits)`` of a :class:`~leggettlab.kernels.PlaneScanner` from the block engine
+    over every row, in :func:`plane_reference`'s shape.
 
     The dense walk the scanner ran before its rows were certified: each
     block of rows from ``kernels._blocks``, S from ``kernels._evaluate``
-    with ``u = w = 1``, and ``hits`` holding ``(i, j, S)`` arrays of every
-    crossing in row-major order.
+    with ``u = w = 1``, and ``hits`` holding ``(k, i, j, S)`` arrays, k = 0,
+    of every crossing in row-major order.
     """
     nb = scanner._cols[0].size
     row_max, row_arg, hits = [], [], []
@@ -130,7 +134,8 @@ def dense_plane_scan(scanner, threshold):
         flat = np.flatnonzero(s > threshold)
         hits.append((flat // nb + offset, flat % nb, s.ravel()[flat]))
     i, j, s = (np.concatenate(part) for part in zip(*hits))
-    return np.concatenate(row_max), np.concatenate(row_arg), i.size, (i, j, s)
+    row_max = np.concatenate(row_max)
+    return row_max, np.arange(row_max.size), np.concatenate(row_arg), np.array([i.size]), (np.zeros_like(i), i, j, s)
 
 
 def dense_diagonal_scan(scanner, cs, threshold, limit):

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import types
 from pathlib import Path
 from unittest import mock
@@ -239,6 +240,14 @@ class TestScan:
         assert reports[0] == reports[1]
         assert (reports[0][0] == EXIT_VIOLATION) == (tolerance == "-1e-4")
 
+    @pytest.mark.parametrize("flags", [("--family", "fixed-matrix", "--coeffs", "1,2,3"),
+                                       ("--family", "fixed-matrix", "--coeffs", "a,b,c,d"),
+                                       ("--eps-ladder", "a:b")])
+    def test_malformed_coeffs_and_ladder_are_usage_errors(self, capsys, flags):
+        code, out, err = run(capsys, "scan", *flags, "--step", "0.2")
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
     def test_coeffs_require_fixed_matrix_family(self, capsys):
         code, _, _ = run(capsys, "scan", "--coeffs", "1,0,0,0", "--step", "0.2")
         assert code == EXIT_USAGE
@@ -365,6 +374,25 @@ class TestHv:
         assert triple["ab_bar"] == triple["a_bar"] * triple["b_bar"]
         assert doc["results"]["frechet"] is None
 
+    def test_model_file_is_written_a_chunk_of_labels_at_a_time(self, capsys, tmp_path):
+        # 2^16 labels, 16 chunks: the whole document (2.1 MB) with a string per label
+        # would take the traced peak to 7.7 MB; written in pieces, it stays near 1.7 MB.
+        path, labels = tmp_path / "model.json", 2**16
+        tracemalloc.start()
+        try:
+            run_json(capsys, "hv", "--models", "1", "--labels", str(labels), "--seed", "8",
+                     "--frechet-grid", "0", "--emit-model", str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        model = leggettlab.random_model(labels, 8)
+        weights = ", ".join(map(repr, model.weights.tolist()))
+        responses = ", ".join(f"[{a}, {b}]" for a, b in model.responses.tolist())
+        want, written = f'{{"weights": [{weights}], "responses": [{responses}]}}\n', path.read_text(encoding="utf-8")
+        # Not `written == want`: pytest would diff the two 2 MB strings for minutes.
+        assert len(written) == len(want) and written.startswith(want)
+        assert peak < 4 * 2**20
+
     def test_validation(self, capsys):
         assert run(capsys, "hv", "--labels", "0")[0] == EXIT_USAGE
         assert run(capsys, "hv", "--labels", str(2**20 + 1), "--models", "1",
@@ -422,6 +450,12 @@ class TestExpand:
     def test_predicate_undefined_reported_as_null(self, capsys):
         doc = run_json(capsys, "expand", "--c", "0.8", "--eps", "0.01")
         assert doc["results"]["rows"][0]["first_order_holds"] is None
+
+    def test_ratio_of_zero_residuals_is_null(self, capsys):
+        # At c = 0 the first-order form is exact, so both residuals are 0 and their ratio is nan.
+        doc = run_json(capsys, "expand", "--c", "0", "--eps-ladder", "1e-300:5e-301")
+        assert [row["difference"] for row in doc["results"]["rows"]] == [0, 0]
+        assert doc["results"]["ratios"] == [None]
 
     def test_flag_conflicts(self, capsys):
         code, _, _ = run(capsys, "expand", "--c", "0.3", "--eps", "0.01",

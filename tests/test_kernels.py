@@ -81,11 +81,16 @@ def evaluated_points():
         yield points
 
 
+def on_windows():
+    """Every live row on its windows, whatever engine the rule would pick."""
+    return mock.patch.object(kernels, "_WINDOW_COST", 0.0)
+
+
 def engines():
     """Loop once with every live row on its windows, then once with every row from the block engine."""
-    for cost in (0.0, math.inf):
-        with mock.patch.object(kernels, "_WINDOW_COST", cost):
-            yield cost
+    for engine in (on_windows(), mock.patch.object(kernels, "_WINDOW_COST", math.inf)):
+        with engine:
+            yield engine
 
 
 def sizes(block_elems=None):
@@ -148,6 +153,22 @@ class TestDiagonalScanner:
         # Row-major ordering
         keys = i_idx * betas.size + j_idx
         assert np.all(np.diff(keys) > 0)
+
+    def test_collect_is_the_hits_of_a_scan_of_one_c(self):
+        # collect(c, ...) is (i, j, S) of scan([c], ...)'s hits at any limit, also where
+        # the limit cuts the list.
+        alphas = np.linspace(0.0, math.pi, 31)
+        betas = np.linspace(0.0, math.pi, 29)
+        scanner = DiagonalScanner(alphas, betas)
+        for c, threshold in ((0.35, 0.95), (0.0, 1.0 - 1e-12)):
+            n = int(scanner.scan(np.array([c]), threshold, 0)[3][0])
+            assert n > 1
+            for limit in (0, 1, n):
+                got = scanner.collect(c, threshold, limit)
+                want = scanner.scan(np.array([c]), threshold, limit)[4][1:]
+                assert len(got) == 3 and got[0].size == min(limit, n)
+                for g, w in zip(got, want):
+                    assert np.array_equal(g, w)
 
     def test_block_seams_match_reference(self):
         # 23 alpha rows in blocks of 3 and chunks of 2 leave a
@@ -239,14 +260,16 @@ def check_against_reference(alphas, betas, cs, threshold, block_elems=None):
 
 
 def check_plane_against_reference(scanner, threshold, block_elems=None):
-    """A fixed state's row maxima, first columns, count and hits equal :func:`plane_reference`'s, at every limit."""
-    row_max, row_arg, n, hits = plane_reference(scanner, threshold)
+    """A fixed state's row maxima, first argmax indices, count and hits equal :func:`plane_reference`'s, at every limit."""
+    want = plane_reference(scanner, threshold)
+    n = int(want[3][0])
     with sizes(block_elems):
         for _ in engines():
             for limit in sorted({0, 1, max(n - 1, 0), n, n + 5}):
                 got = scanner.scan(slice(None), threshold, limit)
-                assert np.array_equal(got[0], row_max) and np.array_equal(got[1], row_arg) and got[2] == n
-                for g, r in zip(got[3], hits):
+                for g, r in zip(got[:4], want[:4]):
+                    assert np.array_equal(g, r)
+                for g, r in zip(got[4], want[4]):
                     assert np.array_equal(g, r[:limit]), limit
 
 
@@ -300,7 +323,7 @@ def test_windows_evaluate_a_small_part_of_the_grid(origin, threshold):
     grid = _axis((origin, math.pi + origin, 1e-2))
     cs = np.array([0.0, 0.05, 0.3, 1.0 / math.sqrt(2.0), 0.9, 1.0])
     scanner = DiagonalScanner(grid, grid)
-    with evaluated_points() as points:
+    with on_windows(), evaluated_points() as points:
         got = scanner.scan(cs, threshold, cs.size * grid.size**2)
     want = reference_scan(grid, grid, cs, threshold)
     for g, r in zip(got[:4] + got[4], want[:4] + want[4]):
@@ -329,7 +352,7 @@ def test_stencils_are_gathered_only_on_rows_whose_windows_hold_a_column(origin, 
         gathered.append(idx.shape[-1])
         return gather(rows, cols, block, idx, x, y, z)
 
-    with mock.patch.object(kernels, "_gather", counted):
+    with on_windows(), mock.patch.object(kernels, "_gather", counted):
         got = scanner.scan(cs, threshold, cs.size * grid.size**2)
     want = reference_scan(grid, grid, cs, threshold)
     for g, r in zip(got[:4] + got[4], want[:4] + want[4]):
@@ -348,10 +371,10 @@ def test_slices_sharing_full_rows_match_reference(cs):
     scanner = DiagonalScanner(grid, grid)
     alone = []
     for c in cs:
-        with evaluated_points() as points:
+        with on_windows(), evaluated_points() as points:
             scanner.scan(np.array([c]), 1.0 - 1e-5, 0)
         alone.append(sum(points))
-    with evaluated_points() as points:
+    with on_windows(), evaluated_points() as points:
         scanner.scan(np.array(cs), 1.0 - 1e-5, 0)
     assert sum(points) == sum(alone) and min(alone) > 0
     assert alone[cs.index(0.0)] != alone[cs.index(0.05)]
@@ -716,12 +739,12 @@ class TestPlaneKernels:
         alphas = np.linspace(0.0, math.pi, 41)
         betas = np.linspace(0.0, math.pi, 43)
         scanner = PlaneScanner(singlet_state().coeffs, alphas, betas)
-        row_max, row_arg, count, hits = scanner.scan(slice(None), 1.0 + 1e-9, 10)
+        row_max, _, _, counts, hits = scanner.scan(slice(None), 1.0 + 1e-9, 10)
         # S = sin^2(beta - alpha) for the antisymmetric state.
         for i, a in enumerate(alphas):
             expected = max(math.sin(b - a) ** 2 for b in betas)
             assert row_max[i] == pytest.approx(expected, abs=1e-12)
-        assert count == 0 and all(h.size == 0 for h in hits)
+        assert counts.tolist() == [0] and all(h.size == 0 for h in hits)
 
     def test_row_blocks_are_seamless(self):
         alphas = np.linspace(0.0, math.pi, 103)  # not a multiple of the block size
@@ -732,8 +755,8 @@ class TestPlaneKernels:
             with mock.patch.object(kernels, "_BLOCK_ELEMS", rows * betas.size):
                 runs.append(scanner.scan(slice(None), 0.5, alphas.size * betas.size))
         small, big = runs
-        assert small[2] == big[2] > 0
-        for a, b in zip(small[:2] + small[3], big[:2] + big[3]):
+        assert small[3].tolist() == big[3].tolist() and big[3][0] > 0
+        for a, b in zip(small[:4] + small[4], big[:4] + big[4]):
             assert np.array_equal(a, b)
 
     def test_collect_is_row_major_and_complete(self):
@@ -742,8 +765,8 @@ class TestPlaneKernels:
         scanner = PlaneScanner(singlet_state().coeffs, alphas, betas)
         threshold = 0.9
         with mock.patch.object(kernels, "_BLOCK_ELEMS", 8 * betas.size):
-            _, _, count, (i_idx, j_idx, s_vals) = scanner.scan(slice(None), threshold, alphas.size * betas.size)
-        assert i_idx.size == count
+            _, _, _, counts, (k_idx, i_idx, j_idx, s_vals) = scanner.scan(slice(None), threshold, alphas.size * betas.size)
+        assert counts.tolist() == [i_idx.size] and not k_idx.any()
         keys = i_idx * betas.size + j_idx
         assert np.all(np.diff(keys) > 0)
         for i, j, s in zip(i_idx, j_idx, s_vals):
@@ -771,22 +794,21 @@ class TestPlaneKernels:
         scanner = PlaneScanner(random_state(3, complex_coeffs=True).coeffs, alphas, betas)
         with mock.patch.object(kernels, "_BLOCK_ELEMS", 4 * betas.size):
             full = scanner.scan(slice(None), threshold, alphas.size * betas.size)
-            n = full[3][0].size
-            assert n > 0 and n == full[2]
+            n = full[4][0].size
+            assert n > 0 and full[3].tolist() == [n]
             for limit in sorted({0, 1, 2, 7, n // 3, n // 2, n - 1, n, n + 5}):
                 got = scanner.scan(slice(None), threshold, limit)
-                for g, f in zip(got[:2], full[:2]):
+                for g, f in zip(got[:4], full[:4]):
                     assert np.array_equal(g, f), limit
-                assert got[2] == n
-                for g, f in zip(got[3], full[3]):
+                for g, f in zip(got[4], full[4]):
                     assert np.array_equal(g, f[:limit]), limit
 
     def test_collect_empty_when_nothing_crosses(self):
         alphas = np.linspace(0.0, 1.0, 11)
         betas = np.linspace(0.0, 1.0, 11)
         scanner = PlaneScanner(singlet_state().coeffs, alphas, betas)
-        _, _, count, (i_idx, j_idx, s_vals) = scanner.scan(slice(None), 2.0, alphas.size * betas.size)
-        assert count == i_idx.size == j_idx.size == s_vals.size == 0
+        _, _, _, counts, (k_idx, i_idx, j_idx, s_vals) = scanner.scan(slice(None), 2.0, alphas.size * betas.size)
+        assert counts.tolist() == [0] and k_idx.size == i_idx.size == j_idx.size == s_vals.size == 0
 
 
 @pytest.mark.parametrize("name", sorted(FIXED_STATES))
@@ -799,10 +821,10 @@ def test_fixed_state_bits_independent_of_block_height(name):
         runs = []
         for block_elems in (betas.size, kernels._BLOCK_ELEMS):  # one-row blocks, then the default
             with mock.patch.object(kernels, "_BLOCK_ELEMS", block_elems):
-                row_max, row_arg, count, hits = scanner.scan(slice(None), threshold, alphas.size * betas.size)
-                runs.append((row_max, row_arg, np.array(count)) + hits)
+                got = scanner.scan(slice(None), threshold, alphas.size * betas.size)
+                runs.append(got[:4] + got[4])
         one_row, default = runs
-        assert one_row[3].size > 0
+        assert one_row[-1].size > 0
         for a, b in zip(one_row, default):
             assert np.array_equal(a, b)
 
@@ -820,22 +842,23 @@ def test_fixed_state_rows_and_hits_match_reference(data, name, na, nb, threshold
     alphas = data.draw(axis_strategy(na, "random"))
     betas = data.draw(axis_strategy(nb, "random"))
     scanner = PlaneScanner(FIXED_STATES[name].coeffs, alphas, betas)
-    row_max, row_arg, n, hits = plane_reference(scanner, threshold)
+    want = plane_reference(scanner, threshold)
+    n = int(want[3][0])
     cut = data.draw(st.integers(0, na))
     with mock.patch.object(kernels, "_BLOCK_ELEMS", block_rows * nb):
         for _ in engines():
             for limit in sorted({0, 1, max(n - 1, 0), n, n + 5}):
                 got = scanner.scan(slice(None), threshold, limit)
-                assert np.array_equal(got[0], row_max) and np.array_equal(got[1], row_arg)
-                assert got[2] == n
-                for g, r in zip(got[3], hits):
+                for g, r in zip(got[:4], want[:4]):
+                    assert np.array_equal(g, r)
+                for g, r in zip(got[4], want[4]):
                     assert np.array_equal(g, r[:limit]), limit
                 head = scanner.scan(slice(0, cut), threshold, limit)
                 tail = scanner.scan(slice(cut, na), threshold, limit)
-                assert np.array_equal(np.concatenate([head[0], tail[0]]), row_max)
-                assert np.array_equal(np.concatenate([head[1], tail[1]]), row_arg)
-                assert head[2] + tail[2] == n
-                for g_head, g_tail, r in zip(head[3], tail[3], hits):
+                for g_head, g_tail, r in zip(head[:3], tail[:3], want[:3]):
+                    assert np.array_equal(np.concatenate([g_head, g_tail]), r)
+                assert np.array_equal(head[3] + tail[3], want[3])
+                for g_head, g_tail, r in zip(head[4], tail[4], want[4]):
                     assert np.array_equal(np.concatenate([g_head, g_tail])[:limit], r[:limit]), limit
 
 
@@ -852,7 +875,7 @@ def test_fixed_state_matches_scalar_probability_form(re_im, complex_coeffs, alph
     assume(norm > 1e-3)
     state = PureTwoPhotonState((coeffs / norm).reshape(2, 2))
     scanner = PlaneScanner(state.coeffs, np.array(alphas), np.array(betas))
-    _, _, _, (i_idx, j_idx, s_vals) = scanner.scan(slice(None), -math.inf, len(alphas) * len(betas))
+    _, _, _, _, (_, i_idx, j_idx, s_vals) = scanner.scan(slice(None), -math.inf, len(alphas) * len(betas))
     assert i_idx.size == len(alphas) * len(betas)
     for i, j, s in zip(i_idx, j_idx, s_vals):
         assert abs(s - _plane_lhs(state, alphas[i], betas[j])) <= 1e-14
@@ -927,9 +950,9 @@ def test_fixed_state_rows_are_certified(name):
     # its own L0, which hold one tile of 8 columns, and the rows match the reference.
     grid = _axis((0.0037, math.pi + 0.0037, 1e-2))
     scanner = PlaneScanner(FIXED_STATES[name].coeffs, grid, grid)
-    with evaluated_points() as points:
+    with on_windows(), evaluated_points() as points:
         got = scanner.scan(slice(None), 1.0 - 1e-12, grid.size**2)
     want = plane_reference(scanner, 1.0 - 1e-12)
-    for g, r in zip(got[:3] + got[3], want[:3] + want[3]):
+    for g, r in zip(got[:4] + got[4], want[:4] + want[4]):
         assert np.array_equal(g, r)
     assert sum(points) == kernels._TILE * grid.size

@@ -213,4 +213,6 @@ class TestBatchEvaluation:
         with pytest.raises(InputError):
             diagonal_closed_batch(np.zeros(3), np.zeros(4), np.zeros(3))
         with pytest.raises(InputError):
+            joint_probabilities(singlet_state(), np.zeros(3), np.zeros(4))
+        with pytest.raises(InputError):
             diagonal_joint_probabilities(np.array([1.5]), np.zeros(1), np.zeros(1))

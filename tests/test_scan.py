@@ -63,6 +63,8 @@ class TestScanSpec:
             ScanSpec(c_range=(0.0, 1.5, 1e-3))
         with pytest.raises(InputError):
             ScanSpec(alpha_range=(0.0, math.nan, 1e-3))
+        with pytest.raises(InputError, match=r"must be \(start, stop, step\)"):
+            ScanSpec(c_range=(0, 1))
 
     def test_axis_point_budget(self):
         at_cap = (0.0, float(MAX_AXIS_POINTS - 1), 1.0)
@@ -421,11 +423,11 @@ def test_violations_match_reference_across_shards(family, seed, nc, na, nb, step
         cs = _axis(spec.c_range)
         max_s, arg_i, arg_j, n_over, (k, i, j, s) = reference_scan(alphas, betas, cs, threshold)
         weight = [float(c) for c in cs]
-        count = int(n_over.sum())
     else:
         scanner = PlaneScanner(scan_module._family_state(spec).coeffs, alphas, betas)
-        max_s, arg_j, count, (i, j, s) = plane_reference(scanner, threshold)
-        arg_i, k, weight = np.arange(alphas.size), i, [None] * alphas.size
+        max_s, arg_i, arg_j, n_over, (k, i, j, s) = plane_reference(scanner, threshold)
+        weight = [None] * alphas.size
+    count = int(n_over.sum())
     maxima = [ScanPoint(weight[n], float(alphas[arg_i[n]]), float(betas[arg_j[n]]), float(max_s[n]))
               for n in range(len(weight))]
     hits = [ScanPoint(weight[a], float(alphas[b]), float(betas[c]), float(d))
@@ -501,6 +503,27 @@ class TestRefine:
         report = grid_scan(spec)
         want, _ = refine_reference(report, spec)
         assert replace(refine(report, spec), wall_time=0.0) == replace(want, wall_time=0.0)
+
+    def test_one_point_c_axis_stays_put(self):
+        # The c bracket is a point, so only the angles move; c keeps its one value.
+        spec = ScanSpec(c_range=(0.3, 0.3, 0.1), alpha_range=(0.0, math.pi, 0.1), beta_range=(0.0, math.pi, 0.1))
+        report = grid_scan(spec)
+        polished = refine(report, spec)
+        assert polished.refined and polished.argmax.c == report.argmax.c == 0.3
+        assert polished.max_s >= report.max_s
+
+    def test_brackets_of_a_5e_5_grid_take_no_1e_4_step(self, monkeypatch):
+        # Each bracket spans at most two cells of 5e-5, no wider than 2e-4: _line_max skips its
+        # 1e-4 parabola step, whose probes x +- 1e-4 would leave the bracket, and every probe stays in it.
+        spec = ScanSpec(family="singlet", alpha_range=(0.3, 0.301, 5e-5), beta_range=(1.87, 1.871, 5e-5))
+        report = grid_scan(spec)
+        probes = []
+        plane_lhs = scan_module._plane_lhs
+        monkeypatch.setattr(scan_module, "_plane_lhs", lambda state, a, b: probes.append((a, b)) or plane_lhs(state, a, b))
+        polished = refine(report, spec)
+        assert probes and polished.max_s >= report.max_s
+        for start, got in zip((report.argmax.alpha, report.argmax.beta), zip(*probes)):
+            assert np.max(np.abs(np.array(got) - start)) <= 5e-5 * (1.0 + 1e-9)
 
     def test_family_mismatch_rejected(self):
         report = grid_scan(ScanSpec(**COARSE))
