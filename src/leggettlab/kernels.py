@@ -276,16 +276,16 @@ class _RidgeScanner:
         self._steps = int(np.diff(self._bucket).max())
         self._upper = np.append(self._sorted_phase, np.inf)
 
-    def _chunks(self, rows: slice = slice(None)):
-        """Yield as few equal chunks of the alpha rows ``rows`` as hold at most ``_CHUNK_ROWS`` rows each.
+    def _chunks(self):
+        """Yield as few equal chunks of the alpha rows as hold at most ``_CHUNK_ROWS`` rows each.
 
         A paper axis of 3142 rows is one chunk, screened a batch of slices at a time.
         """
-        start, stop, _ = rows.indices(self._rows[0].size)
-        chunks = max(1, -(-(stop - start) // max(1, _CHUNK_ROWS)))
-        height = max(1, -(-(stop - start) // chunks))
-        for first in range(start, stop, height):
-            yield slice(first, min(stop, first + height))
+        na = self._rows[0].size
+        chunks = max(1, -(-na // max(1, _CHUNK_ROWS)))
+        height = max(1, -(-na // chunks))
+        for first in range(0, na, height):
+            yield slice(first, min(na, first + height))
 
     def _locate(self, phase: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
         """``np.searchsorted(sorted column phases, phase, side="right")`` for phases in [0, fl(pi)], in the int64 ``out``.
@@ -344,32 +344,31 @@ class _RidgeScanner:
         size = np.minimum(np.where(joined, np.maximum(ea, eb) - sa, np.maximum(eb, ea + nb) - sb), nb)
         return np.stack([np.where(joined | ~one, sa, sb), sb]), np.stack([np.where(one, size, la), np.where(one, 0, lb)])
 
-    def _share(self, roots, nc: int, start: int, stop: int, threshold: float) -> float:
+    def _share(self, roots, nc: int, threshold: float) -> float:
         """The share of their rows' columns that the windows at ``threshold`` hold, over a grid of at most
-        32 of the slices ``range(nc)`` by the alpha rows ``range(start, stop)``, 1024 pairs in all."""
+        32 of the slices ``range(nc)`` by the alpha rows, 1024 pairs in all."""
+        na = self._rows[0].size
         ks = np.linspace(0, nc - 1, min(nc, 32), dtype=np.int64)
-        at = np.linspace(start, stop - 1, min(stop - start, 1024 // max(ks.size, 1)), dtype=np.int64)
+        at = np.linspace(0, na - 1, min(na, 1024 // max(ks.size, 1)), dtype=np.int64)
         r2, phase, floor, tolerance = roots(np.repeat(ks, at.size), np.tile(at, ks.size), np.empty((3, 2, ks.size * at.size)))
         half = self._windows(r2, (1.0 - threshold + self._slack) / 2.0 - floor, tolerance)
         size = self._runs(phase, half)[1]
         return float(size.sum()) / max(size.size // 2 * self._sorted_phase.size, 1)
 
-    def _walk(self, rows: slice, u, w, threshold: float, limit: int, roots, screen):
-        """The :data:`ScanResult` ``(maxima, arg_i, arg_j, counts, hits)`` of the weights ``(u[k], w[k])`` over the rows ``rows``.
+    def _walk(self, u, w, threshold: float, limit: int, roots, screen):
+        """The :data:`ScanResult` ``(maxima, arg_i, arg_j, counts, hits)`` of the weights ``(u[k], w[k])`` over every row.
 
-        A slice is one k, or without a ``screen`` one alpha row (k is then 0); its argmax is
-        its first maximum in row-major order, i counting from the grid's first row.  Counts are
-        per k, and the hits the first ``limit`` in (k, i, j) order.  ``roots(k, at, out)`` gives
-        ``(R^2, phase, floor, tolerance)`` of the pairs of weights ``k[i]`` and alpha rows
-        ``at[i]``, R^2 and phase ``(2, pairs)`` arrays in the first two of the three buffers
-        ``out``.  ``screen(ks, block, out)`` gives the dips (:meth:`DiagonalScanner._dips`) of
-        a batch in ``out``, and only live rows are evaluated.
+        A slice is one k, or without a ``screen`` one alpha row (k is then 0); its argmax is its first maximum
+        in row-major order.  Counts are per k, and the hits the first ``limit`` in (k, i, j) order.
+        ``roots(k, at, out)`` gives ``(R^2, phase, floor, tolerance)`` of the pairs of weights ``k[i]`` and alpha
+        rows ``at[i]``, R^2 and phase ``(2, pairs)`` arrays in the first two of the three buffers ``out``.
+        ``screen(ks, block, out)`` gives the dips (:meth:`DiagonalScanner._dips`) of a batch in ``out``, and
+        only live rows are evaluated.
         """
         u, w = np.asarray(u, dtype=np.float64), np.asarray(w, dtype=np.float64)
         nc, na, nb = u.size, self._rows[0].size, self._cols[0].size
         per_row = screen is None
-        start, stop, _ = rows.indices(na)
-        max_s = np.full(stop - start if per_row else nc, -np.inf)
+        max_s = np.full(na if per_row else nc, -np.inf)
         key = np.full(max_s.size, _NO_KEY)
         n_over = np.zeros(nc, dtype=np.int64)
         # Parts (k, keys i * nb + j, values) of the hits that may still rank among
@@ -411,7 +410,7 @@ class _RidgeScanner:
             i_idx = may[i_idx]
             hold(k_at[i_idx], at[i_idx] * nb + self._phase_col[idx[m_idx, i_idx]], vals[m_idx, i_idx])
 
-        blocks = list(self._chunks(rows))
+        blocks = list(self._chunks())
         height = max((b.stop - b.start for b in blocks), default=1)
         # One store per walk: a pass of _PASS slices, each root's dip and scratch per row
         # (0.8 MB on the paper axis), or on short axes one value per row a chunk may hold.
@@ -423,13 +422,13 @@ class _RidgeScanner:
         store = np.empty(budget)
         # Every row whole where a tile spans the axis, or where the sampled windows at _WINDOW_COST points
         # a column would cost more than the block engine at 1 + 2 / nc points a point.
-        dense = nb <= _TILE or nc * _WINDOW_COST * self._share(roots, nc, start, stop, threshold) > nc + 2
+        dense = nb <= _TILE or nc * _WINDOW_COST * self._share(roots, nc, threshold) > nc + 2
 
         def windows(k_at, at):
             # Each pair's windows at its slice's level, in tiles of _TILE positions, (_TILE, tiles),
             # in steps of as many tiles as the store holds once the runs are known.
             m = at.size
-            slices = at - start if per_row else k_at
+            slices = at if per_row else k_at
             buf = store[:10 * m].reshape(5, 2, m)
             r2, phase, floor, tolerance = found = roots(k_at, at, buf[:3])
             merge(slices, self._lower(found, buf[2:]), np.full(m, _NO_KEY))
@@ -483,7 +482,7 @@ class _RidgeScanner:
                     at, tops = (np.concatenate(c) for c in zip(*found))
                     at += np.arange(at.size) * span
                     rows_at = row + at // nb % h
-                    merge(rows_at - start if per_row else lo + at // x.size, tops, rows_at * nb + at % nb)
+                    merge(rows_at if per_row else lo + at // x.size, tops, rows_at * nb + at % nb)
 
         def flush():
             # The gathered live pairs' windows, in calls of at most `cap`.
@@ -604,7 +603,7 @@ class DiagonalScanner(_RidgeScanner):
         # (s, c) per slice, s as in the weights w = c s.
         sc = np.stack([np.sqrt(1.0 - cs * cs), cs])
         return self._walk(
-            slice(None), *self.weights(cs), float(threshold), limit,
+            *self.weights(cs), float(threshold), limit,
             lambda k, at, out: self._roots(sc, k, at, out), lambda ks, block, out: self._dips(sc, ks, block, out))
 
     def collect(self, c: float, threshold: float, limit: int) -> tuple[np.ndarray, ...]:
@@ -664,11 +663,10 @@ class PlaneScanner(_RidgeScanner):
         ])
 
     @np.errstate(divide="ignore", over="ignore", invalid="ignore")  # R near 0 in _windows
-    def scan(self, rows: slice, threshold: float, limit: int) -> ScanResult:
-        """The :data:`ScanResult` of :meth:`_walk` with one slice per alpha row of ``rows``.
+    def scan(self, threshold: float, limit: int) -> ScanResult:
+        """The :data:`ScanResult` of :meth:`_walk` with one slice per alpha row, all in one walk.
 
         The state is one weight k = 0, with one count.  The hits are the first
-        ``limit`` points with ``S > threshold`` in row-major order; ``i``
-        counts from the grid's first row.
+        ``limit`` points with ``S > threshold`` in row-major order.
         """
-        return self._walk(rows, (1.0,), (1.0,), float(threshold), limit, lambda k, at, out: self._roots(at), None)
+        return self._walk((1.0,), (1.0,), float(threshold), limit, lambda k, at, out: self._roots(at), None)

@@ -25,16 +25,17 @@ roots that a closed-form bound cannot exclude; a scan whose windows
 would hold too much of its rows goes to the block engine, which
 evaluates every point.
 
-Every family shards its slices across worker threads: the ``c`` axis for
-the diagonal family, the alpha rows of a fixed state, whose tables are
-built once and shared.  A shard is one ``scan`` call, whose result both
-scanners shape alike: slice maxima, their first argmax indices, counts per
-weight (a fixed state has one) and the first ``VIOLATION_CAP`` hits
-``(k, i, j, S)``.  One loop fills the curve in axis order, shifts each
-shard's k by its first slice and sums the counts, so reports are identical
-for every worker count.  Shards share no mutable state: listed violations
-take O(workers x ``VIOLATION_CAP``) memory, and the merge keeps the first
-``VIOLATION_CAP`` of them as packed columns, with no object per point.
+The diagonal family shards its ``c`` axis across worker threads, which share
+its tables; a fixed state is one walk of all its alpha rows on the calling
+thread, as splitting them was never measured faster.  Each shard is one
+``scan`` call, whose result both scanners shape alike: slice maxima, their
+first argmax indices, counts per weight (a fixed state has one) and the
+first ``VIOLATION_CAP`` hits ``(k, i, j, S)``.  One loop fills the curve in
+axis order, shifts each shard's k by its first slice and sums the counts, so
+reports are identical for every worker count.  Shards share no mutable
+state: listed violations take O(workers x ``VIOLATION_CAP``) memory, and the
+merge keeps the first ``VIOLATION_CAP`` of them as packed columns, with no
+object per point.
 """
 
 from __future__ import annotations
@@ -244,10 +245,10 @@ def grid_scan(spec: ScanSpec, *, workers: Optional[int] = None) -> ScanReport:
     threshold = 1.0 + spec.tolerance
     if spec.family == "diagonal":
         cs, scanner = _axis(spec.c_range), DiagonalScanner(alphas, betas)
+        parts = shard_map(lambda sl: scanner.scan(cs[sl], threshold, VIOLATION_CAP), cs.size, workers)
     else:
-        cs, scanner = None, PlaneScanner(_family_state(spec).coeffs, alphas, betas)
+        cs, parts = None, [PlaneScanner(_family_state(spec).coeffs, alphas, betas).scan(threshold, VIOLATION_CAP)]
     size = alphas.size if cs is None else cs.size
-    parts = shard_map(lambda sl: scanner.scan(sl if cs is None else cs[sl], threshold, VIOLATION_CAP), size, workers)
     # The curve's packed columns, filled in place shard by shard.
     slice_maxima = ScanPoint(*(None if cs is None and n == 0 else array("d", [0.0]) * size for n in range(4)))
     c_col, a_col, b_col, s_col = (None if v is None else np.frombuffer(v) for v in slice_maxima)

@@ -79,7 +79,7 @@ COMMANDS = {
     "product state at fl(pi/2)": ["scan", "--family", "fixed-matrix", "--coeffs=0.6,0.8,0,0", "--alpha-step",
                                   "0.39269908169872414", "--beta-step", "1e-3", "--tolerance=-1e-6"],
     "singlet at -1e-3": ["scan", "--family", "singlet", "--tolerance=-1e-3", "--csv", CSV],
-    # 10 000 rows listed with c null; the cap falls in the second shard.
+    # 10 000 rows listed with c null; a fixed state is one walk at any worker count.
     "singlet at -0.9": ["scan", "--family", "singlet", "--step", "2e-2", "--tolerance=-0.9", "--workers", "2"],
     "eval": ["eval", "--c", "0.37", "--alpha", "0.71", "--beta", "2.9"],
     "expand": ["expand", "--c", "0.2"],

@@ -9,10 +9,12 @@ For each mutation the script copies ``src/``, ``tests/`` and
 one file of the copy's ``leggettlab`` package and runs there the test files
 that exercise that file (``TESTS``).  It first runs each set of test files
 on the unmutated copy; a test that fails there is reported and does not
-count.  It prints CAUGHT when a mutation makes some other test fail and
-MISSED when it does not.  It exits 1 when a mutation is missed or its text
-does not occur exactly once in its file.  pytest does not collect this
-file: its name does not start with ``test_``.
+count.  It prints CAUGHT when a mutation makes some other test fail,
+MISSED when it does not, and TIMEOUT when its tests run past 20 minutes; it
+then goes on to the next mutation.  It exits 1 when a mutation is missed or
+timed out, when its text does not occur exactly once in its file, or when an
+unmutated run times out.  pytest does not collect this file: its name does
+not start with ``test_``.
 """
 
 import re
@@ -174,8 +176,8 @@ MUTATIONS = {
         "half = np.where(half < math.pi / 2.0, half, math.pi / 2.0)"),
     "the block engine's cost of forming blocks dropped": (
         "kernels.py",
-        "self._share(roots, nc, start, stop, threshold) > nc + 2",
-        "self._share(roots, nc, start, stop, threshold) > nc"),
+        "self._share(roots, nc, threshold) > nc + 2",
+        "self._share(roots, nc, threshold) > nc"),
     "each step of tiles restarts at the first tile": (
         "kernels.py",
         "tile = np.arange(lo, min(lo + step, total))",
@@ -279,7 +281,7 @@ def _failures(tests, edit=None, known=None) -> set:
     Given the ``known`` failures of the unmutated copy, the run stops at one
     failure more, which is then not one of them.  A run that pytest ends with
     no failure listed (a usage or internal error) reads as one failure of its
-    own."""
+    own.  A run past 20 minutes is killed and raises ``subprocess.TimeoutExpired``."""
     with tempfile.TemporaryDirectory() as scratch:
         copy = Path(scratch)
         for name in ("src", "tests"):
@@ -300,7 +302,11 @@ def _failures(tests, edit=None, known=None) -> set:
 def main() -> int:
     baseline = {}
     for file, tests in TESTS.items():
-        baseline[file] = _failures(tests)
+        try:
+            baseline[file] = _failures(tests)
+        except subprocess.TimeoutExpired:
+            print(f"TIMEOUT UNMUTATED: tests of {file}", flush=True)
+            return 1
         for test in sorted(baseline[file]):
             print(f"FAILS UNMUTATED, not counted: {test} (tests of {file})")
     missed = 0
@@ -308,7 +314,10 @@ def main() -> int:
         if (ROOT / PACKAGE / file).read_text(encoding="utf-8").count(old) != 1:
             verdict = "NOT APPLICABLE"
         else:
-            verdict = "CAUGHT" if _failures(TESTS[file], (file, old, new), baseline[file]) - baseline[file] else "MISSED"
+            try:
+                verdict = "CAUGHT" if _failures(TESTS[file], (file, old, new), baseline[file]) - baseline[file] else "MISSED"
+            except subprocess.TimeoutExpired:
+                verdict = "TIMEOUT"
         missed += verdict != "CAUGHT"
         print(f"{verdict}: {name} ({file})", flush=True)
     return 1 if missed else 0

@@ -45,7 +45,7 @@ def test_certified_scan_matches_dense_at_toolkit_scale(coeffs, band):
     for threshold in (1.0 - 1e-12, band):
         want = dense_plane_scan(scanner, threshold)
         with on_windows(), evaluated_points() as points:
-            got = scanner.scan(slice(None), threshold, int(want[3][0]) + 1)
+            got = scanner.scan(threshold, int(want[3][0]) + 1)
         for g, w in zip(got[:4] + got[4], want[:4] + want[4]):
             assert np.array_equal(g, w)
         if threshold == band:
@@ -128,7 +128,7 @@ def test_fixed_state_float_error_bound_against_mpmath(re_im, complex_coeffs, def
     assume(norm > 1e-3)
     state = PureTwoPhotonState(coeffs.reshape(2, 2) / norm * (1.0 + 0.99 * defect * PROB_ATOL))
     scanner = PlaneScanner(state.coeffs, np.array([alpha]), np.array([beta]))
-    s_float = float(scanner.scan(slice(None), -math.inf, 1)[4][3][0])
+    s_float = float(scanner.scan(-math.inf, 1)[4][3][0])
     with mpmath.workdps(50):
         pairs, n = _mp_pairs(state, alpha)
         cb, sb = mpmath.cos(beta), mpmath.sin(beta)
@@ -200,7 +200,7 @@ def test_fixed_state_lower_bound_far_from_the_origin():
     """
     scanner = PlaneScanner(TOOLKIT, np.linspace(0.0, math.pi, 301), 1e7 + 0.3 * np.arange(11))
     want = dense_plane_scan(scanner, 1.0 + 1e-9)
-    got = scanner.scan(slice(None), 1.0 + 1e-9, 1)
+    got = scanner.scan(1.0 + 1e-9, 1)
     for g, w in zip(got[:4], want[:4]):
         assert np.array_equal(g, w)
     assert want[3].tolist() == [0]
@@ -219,7 +219,7 @@ def test_an_l0_above_the_maximum_exits_4(capsys):
         with pytest.raises(ArithmeticError):
             DiagonalScanner(grid, grid).scan(np.array([0.2, 0.5]), 1.0 + 1e-9, 10)
         with pytest.raises(ArithmeticError):
-            PlaneScanner(TOOLKIT, grid, grid).scan(slice(None), 1.0 + 1e-9, 10)
+            PlaneScanner(TOOLKIT, grid, grid).scan(1.0 + 1e-9, 10)
         assert main(argv) == 4
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err

@@ -266,7 +266,7 @@ def check_plane_against_reference(scanner, threshold, block_elems=None):
     with sizes(block_elems):
         for _ in engines():
             for limit in sorted({0, 1, max(n - 1, 0), n, n + 5}):
-                got = scanner.scan(slice(None), threshold, limit)
+                got = scanner.scan(threshold, limit)
                 for g, r in zip(got[:4], want[:4]):
                     assert np.array_equal(g, r)
                 for g, r in zip(got[4], want[4]):
@@ -337,7 +337,7 @@ def test_windows_evaluate_a_small_part_of_the_grid(origin, threshold):
 
 @pytest.mark.parametrize("origin", [0.0, 0.37 * 1e-2])
 @pytest.mark.parametrize("threshold", [1.0 + 1e-9, 1.0 - 1e-12])
-def test_stencils_are_gathered_only_on_rows_whose_windows_hold_a_column(origin, threshold):
+def test_only_rows_whose_windows_hold_a_column_are_gathered(origin, threshold):
     # Each c's bound L0 at its row of smallest dip sets a level; a row whose windows
     # at that level hold no grid column is below it throughout, and is skipped.
     # Not at c = 1/sqrt(2), whose roots sit at b = a on every row, nor at c = 0
@@ -362,7 +362,7 @@ def test_stencils_are_gathered_only_on_rows_whose_windows_hold_a_column(origin, 
 
 
 @pytest.mark.parametrize("cs", [(0.05, 0.0, 0.3), (0.0, 0.05, 0.3)])
-def test_slices_sharing_full_rows_match_reference(cs):
+def test_slices_scanned_together_evaluate_the_points_of_each_alone(cs):
     # At 1 - 1e-5 a window spans its row where R is small: rows near alpha =
     # pi/2 and 0 for c = 0 and 0.05, but not the same rows, and none for c =
     # 0.3.  Each slice evaluates its own windows and whole rows: a scan of all
@@ -739,7 +739,7 @@ class TestPlaneKernels:
         alphas = np.linspace(0.0, math.pi, 41)
         betas = np.linspace(0.0, math.pi, 43)
         scanner = PlaneScanner(singlet_state().coeffs, alphas, betas)
-        row_max, _, _, counts, hits = scanner.scan(slice(None), 1.0 + 1e-9, 10)
+        row_max, _, _, counts, hits = scanner.scan(1.0 + 1e-9, 10)
         # S = sin^2(beta - alpha) for the antisymmetric state.
         for i, a in enumerate(alphas):
             expected = max(math.sin(b - a) ** 2 for b in betas)
@@ -753,7 +753,7 @@ class TestPlaneKernels:
         runs = []
         for rows in (16, 4096):
             with mock.patch.object(kernels, "_BLOCK_ELEMS", rows * betas.size):
-                runs.append(scanner.scan(slice(None), 0.5, alphas.size * betas.size))
+                runs.append(scanner.scan(0.5, alphas.size * betas.size))
         small, big = runs
         assert small[3].tolist() == big[3].tolist() and big[3][0] > 0
         for a, b in zip(small[:4] + small[4], big[:4] + big[4]):
@@ -765,7 +765,7 @@ class TestPlaneKernels:
         scanner = PlaneScanner(singlet_state().coeffs, alphas, betas)
         threshold = 0.9
         with mock.patch.object(kernels, "_BLOCK_ELEMS", 8 * betas.size):
-            _, _, _, counts, (k_idx, i_idx, j_idx, s_vals) = scanner.scan(slice(None), threshold, alphas.size * betas.size)
+            _, _, _, counts, (k_idx, i_idx, j_idx, s_vals) = scanner.scan(threshold, alphas.size * betas.size)
         assert counts.tolist() == [i_idx.size] and not k_idx.any()
         keys = i_idx * betas.size + j_idx
         assert np.all(np.diff(keys) > 0)
@@ -780,8 +780,8 @@ class TestPlaneKernels:
         tracemalloc.start()
         try:
             scanner = PlaneScanner(coeffs, alphas, betas)
-            scanner.scan(slice(None), 1.0 + 1e-9, alphas.size * betas.size)
-            scanner.scan(slice(None), -math.inf, 10_000)
+            scanner.scan(1.0 + 1e-9, alphas.size * betas.size)
+            scanner.scan(-math.inf, 10_000)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -793,11 +793,11 @@ class TestPlaneKernels:
         betas = np.linspace(0.0, math.pi, 53)
         scanner = PlaneScanner(random_state(3, complex_coeffs=True).coeffs, alphas, betas)
         with mock.patch.object(kernels, "_BLOCK_ELEMS", 4 * betas.size):
-            full = scanner.scan(slice(None), threshold, alphas.size * betas.size)
+            full = scanner.scan(threshold, alphas.size * betas.size)
             n = full[4][0].size
             assert n > 0 and full[3].tolist() == [n]
             for limit in sorted({0, 1, 2, 7, n // 3, n // 2, n - 1, n, n + 5}):
-                got = scanner.scan(slice(None), threshold, limit)
+                got = scanner.scan(threshold, limit)
                 for g, f in zip(got[:4], full[:4]):
                     assert np.array_equal(g, f), limit
                 for g, f in zip(got[4], full[4]):
@@ -807,7 +807,7 @@ class TestPlaneKernels:
         alphas = np.linspace(0.0, 1.0, 11)
         betas = np.linspace(0.0, 1.0, 11)
         scanner = PlaneScanner(singlet_state().coeffs, alphas, betas)
-        _, _, _, counts, (k_idx, i_idx, j_idx, s_vals) = scanner.scan(slice(None), 2.0, alphas.size * betas.size)
+        _, _, _, counts, (k_idx, i_idx, j_idx, s_vals) = scanner.scan(2.0, alphas.size * betas.size)
         assert counts.tolist() == [0] and k_idx.size == i_idx.size == j_idx.size == s_vals.size == 0
 
 
@@ -821,7 +821,7 @@ def test_fixed_state_bits_independent_of_block_height(name):
         runs = []
         for block_elems in (betas.size, kernels._BLOCK_ELEMS):  # one-row blocks, then the default
             with mock.patch.object(kernels, "_BLOCK_ELEMS", block_elems):
-                got = scanner.scan(slice(None), threshold, alphas.size * betas.size)
+                got = scanner.scan(threshold, alphas.size * betas.size)
                 runs.append(got[:4] + got[4])
         one_row, default = runs
         assert one_row[-1].size > 0
@@ -834,32 +834,24 @@ def test_fixed_state_bits_independent_of_block_height(name):
        nb=st.integers(1, 24), threshold=st.sampled_from([-math.inf, 0.5, 0.9, 1.0 - 2e-3, 1.0 - 1e-12, 1.0]),
        block_rows=st.integers(1, 5))
 def test_fixed_state_rows_and_hits_match_reference(data, name, na, nb, threshold, block_rows):
-    """Row scans of any split of the rows equal the point-by-point reference, at every limit.
+    """Row scans equal the point-by-point reference, at every limit.
 
     With n hits in all, the limits 0, 1, n - 1, n and n + 5 cut the list
-    inside a block of ``block_rows`` rows, inside a row range, or not at all.
+    inside a block of ``block_rows`` rows, or not at all.
     """
     alphas = data.draw(axis_strategy(na, "random"))
     betas = data.draw(axis_strategy(nb, "random"))
     scanner = PlaneScanner(FIXED_STATES[name].coeffs, alphas, betas)
     want = plane_reference(scanner, threshold)
     n = int(want[3][0])
-    cut = data.draw(st.integers(0, na))
     with mock.patch.object(kernels, "_BLOCK_ELEMS", block_rows * nb):
         for _ in engines():
             for limit in sorted({0, 1, max(n - 1, 0), n, n + 5}):
-                got = scanner.scan(slice(None), threshold, limit)
+                got = scanner.scan(threshold, limit)
                 for g, r in zip(got[:4], want[:4]):
                     assert np.array_equal(g, r)
                 for g, r in zip(got[4], want[4]):
                     assert np.array_equal(g, r[:limit]), limit
-                head = scanner.scan(slice(0, cut), threshold, limit)
-                tail = scanner.scan(slice(cut, na), threshold, limit)
-                for g_head, g_tail, r in zip(head[:3], tail[:3], want[:3]):
-                    assert np.array_equal(np.concatenate([g_head, g_tail]), r)
-                assert np.array_equal(head[3] + tail[3], want[3])
-                for g_head, g_tail, r in zip(head[4], tail[4], want[4]):
-                    assert np.array_equal(np.concatenate([g_head, g_tail])[:limit], r[:limit]), limit
 
 
 @settings(max_examples=60, deadline=None)
@@ -875,7 +867,7 @@ def test_fixed_state_matches_scalar_probability_form(re_im, complex_coeffs, alph
     assume(norm > 1e-3)
     state = PureTwoPhotonState((coeffs / norm).reshape(2, 2))
     scanner = PlaneScanner(state.coeffs, np.array(alphas), np.array(betas))
-    _, _, _, _, (_, i_idx, j_idx, s_vals) = scanner.scan(slice(None), -math.inf, len(alphas) * len(betas))
+    _, _, _, _, (_, i_idx, j_idx, s_vals) = scanner.scan(-math.inf, len(alphas) * len(betas))
     assert i_idx.size == len(alphas) * len(betas)
     for i, j, s in zip(i_idx, j_idx, s_vals):
         assert abs(s - _plane_lhs(state, alphas[i], betas[j])) <= 1e-14
@@ -926,7 +918,7 @@ def test_block_engine_takes_scans_whose_windows_are_wide(name, cs, threshold, de
     grid = np.linspace(0.0, math.pi, 301)
     if cs is None:
         scanner = PlaneScanner(FIXED_STATES[name].coeffs, grid, grid)
-        scan = lambda: scanner.scan(slice(None), threshold, 1000)  # noqa: E731
+        scan = lambda: scanner.scan(threshold, 1000)  # noqa: E731
     else:
         scanner = DiagonalScanner(grid, grid)
         scan = lambda: scanner.scan(np.array(cs), threshold, 1000)  # noqa: E731
@@ -951,7 +943,7 @@ def test_fixed_state_rows_are_certified(name):
     grid = _axis((0.0037, math.pi + 0.0037, 1e-2))
     scanner = PlaneScanner(FIXED_STATES[name].coeffs, grid, grid)
     with on_windows(), evaluated_points() as points:
-        got = scanner.scan(slice(None), 1.0 - 1e-12, grid.size**2)
+        got = scanner.scan(1.0 - 1e-12, grid.size**2)
     want = plane_reference(scanner, 1.0 - 1e-12)
     for g, r in zip(got[:4] + got[4], want[:4] + want[4]):
         assert np.array_equal(g, r)

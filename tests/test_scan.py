@@ -198,7 +198,7 @@ class TestGridScanDiagonal:
         assert replace(one, wall_time=0.0) == replace(many, wall_time=0.0)
 
     @pytest.mark.parametrize("tolerance", [1e-9, -1e-12, -1e-5])
-    def test_workers_agree_across_stencil_chunks(self, monkeypatch, tolerance):
+    def test_workers_agree_across_row_chunks(self, monkeypatch, tolerance):
         # 158 alpha rows in chunks of at most 40: four chunks, cut mid-grid,
         # under each of the two shards of c slices.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -238,7 +238,7 @@ class TestGridScanDiagonal:
     def test_capped_listing_under_thread_switches(self, monkeypatch, family):
         # Six shards on any host, switching threads every microsecond: the
         # merge keeps the first violations in axis order whichever shard
-        # finishes first.
+        # finishes first.  The singlet stays one walk at six workers.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(6)), raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 6)
         monkeypatch.setattr(scan_module, "VIOLATION_CAP", 700)
@@ -390,6 +390,24 @@ class TestGridScanPlanes:
         assert named.argmax.alpha == supplied.argmax.alpha
         assert named.argmax.beta == supplied.argmax.beta
 
+    def test_a_fixed_state_is_one_walk_on_the_calling_thread(self, monkeypatch):
+        # Four CPUs and four workers still make one scan of every row on this thread.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        spec = ScanSpec(family="positive-parity", alpha_range=(0.0, math.pi, 0.05),
+                        beta_range=(0.0, math.pi, 0.05), tolerance=-0.5)
+        threads = []
+        scan = PlaneScanner.scan
+
+        def recorded(self, *args):
+            threads.append(threading.get_ident())
+            return scan(self, *args)
+
+        monkeypatch.setattr(PlaneScanner, "scan", recorded)
+        four = grid_scan(spec, workers=4)
+        assert threads == [threading.get_ident()]
+        assert replace(four, wall_time=0.0) == replace(grid_scan(spec, workers=1), wall_time=0.0)
+
 
 def _spec_state(family, seed):
     """``(family, state)`` of a ScanSpec: a named family, or a random real or complex state."""
@@ -408,9 +426,10 @@ def _spec_state(family, seed):
 def test_violations_match_reference_across_shards(family, seed, nc, na, nb, step, tolerance, workers):
     """Slice maxima, count and capped violations equal the point-by-point reference.
 
-    Slices are c values or alpha rows, split into up to 3 shards.  With
-    n violations in all, caps of 0, 1, n - 1, n and n + 5 cut the list
-    inside a slice, between slices or shards, or not at all.
+    Slices are c values, split into up to 3 shards, or the alpha rows of a
+    fixed state's one walk.  With n violations in all, caps of 0, 1, n - 1,
+    n and n + 5 cut the list inside a slice, between slices or shards, or not
+    at all.
     """
     family, state = _spec_state(family, seed)
     spec = ScanSpec(family=family, c_range=(0.0, (nc - 1) * 0.1, 0.1),
