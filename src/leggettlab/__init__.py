@@ -12,119 +12,15 @@ first-order truncation's predicted violation survives exact evaluation
 (it does not: the supremum is exactly 1).
 """
 
-from .domain import (
-    PROB_ATOL,
-    CorrelationTriple,
-    InputError,
-    JointOutcomeDistribution,
-    MeasurementSettings,
-)
-from .hidden_variables import (
-    HVModel,
-    SequentialHVModel,
-    collapse_sequential,
-    ensemble_averages,
-    frechet_range,
-    model_from_json,
-    model_to_json,
-    pointwise_identity,
-    random_model,
-)
-from .inequalities import (
-    ExpansionAudit,
-    LeggettBounds,
-    ReducedEvaluation,
-    cross_term_identity,
-    expansion_audit,
-    first_order_lhs,
-    first_order_predicate,
-    leggett_bounds,
-    reduced_evaluation,
-    reduced_lhs_exact,
-)
-from .montecarlo import (
-    BLOCK_SIZE,
-    MCEstimate,
-    SampleCounts,
-    estimate,
-    sample_pairs,
-    simulate_hv,
-)
-from .quantum import (
-    PureTwoPhotonState,
-    analyzer_ket,
-    correlation_triple,
-    diagonal_joint,
-    diagonal_marginal,
-    diagonal_state,
-    joint_distribution,
-    marginals,
-    orthogonal_ket,
-    positive_parity_state,
-    singlet_state,
-)
-from .scan import (
-    FAMILIES,
-    ScanPoint,
-    ScanReport,
-    ScanSpec,
-    grid_scan,
-    halving_ladder,
-    refine,
-    write_csv,
-)
+from . import domain, quantum, inequalities, hidden_variables, montecarlo, scan
+from .domain import *
+from .quantum import *
+from .inequalities import *
+from .hidden_variables import *
+from .montecarlo import *
+from .scan import *
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    "PROB_ATOL",
-    "InputError",
-    "MeasurementSettings",
-    "JointOutcomeDistribution",
-    "CorrelationTriple",
-    "PureTwoPhotonState",
-    "diagonal_state",
-    "singlet_state",
-    "positive_parity_state",
-    "analyzer_ket",
-    "orthogonal_ket",
-    "joint_distribution",
-    "marginals",
-    "correlation_triple",
-    "diagonal_marginal",
-    "diagonal_joint",
-    "LeggettBounds",
-    "ReducedEvaluation",
-    "ExpansionAudit",
-    "leggett_bounds",
-    "reduced_lhs_exact",
-    "first_order_lhs",
-    "first_order_predicate",
-    "reduced_evaluation",
-    "expansion_audit",
-    "cross_term_identity",
-    "HVModel",
-    "SequentialHVModel",
-    "ensemble_averages",
-    "pointwise_identity",
-    "collapse_sequential",
-    "frechet_range",
-    "random_model",
-    "model_to_json",
-    "model_from_json",
-    "BLOCK_SIZE",
-    "SampleCounts",
-    "MCEstimate",
-    "sample_pairs",
-    "simulate_hv",
-    "estimate",
-    "FAMILIES",
-    "ScanPoint",
-    "ScanSpec",
-    "ScanReport",
-    "grid_scan",
-    "refine",
-    "halving_ladder",
-    "write_csv",
-]
+__all__ = ["__version__", *domain.__all__, *quantum.__all__, *inequalities.__all__,
+           *hidden_variables.__all__, *montecarlo.__all__, *scan.__all__]

@@ -13,7 +13,6 @@ starts more threads than can run at once.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 from .domain import InputError
@@ -41,5 +40,6 @@ def shard_map(fn: Callable[[slice], object], n: int, workers: int) -> list:
     shards = [slice(k * n // pieces, (k + 1) * n // pieces) for k in range(pieces)]
     if pieces <= 1:
         return [fn(shard) for shard in shards]
+    from concurrent.futures import ThreadPoolExecutor  # here, so commands that start no thread never load it
     with ThreadPoolExecutor(max_workers=pieces) as pool:
         return list(pool.map(fn, shards))

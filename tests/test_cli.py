@@ -480,6 +480,16 @@ class TestConsoleScript:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
+    def test_commands_that_start_no_thread_leave_concurrent_futures_unloaded(self):
+        proc = _run_python("-c", "import sys, leggettlab.cli; "
+                                 "print('concurrent.futures' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+        # -X importtime lists on stderr every module the command imports.
+        proc = _run_python("-X", "importtime", "-m", "leggettlab", "eval", "--c", "0.5", "--alpha", "0", "--beta", "0")
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert "concurrent.futures" not in proc.stderr
+
     def test_python_dash_m(self):
         proc = _run_python("-m", "leggettlab", "eval", "--c", "0.5", "--alpha", "0", "--beta", "0")
         assert proc.returncode == EXIT_OK, proc.stderr

@@ -234,15 +234,14 @@ class TestGridScanDiagonal:
         monkeypatch.undo()
         assert replace(two, wall_time=0.0) == replace(grid_scan(spec, workers=1), wall_time=0.0)
 
-    @pytest.mark.parametrize("family", ["diagonal", "singlet"])
-    def test_capped_listing_under_thread_switches(self, monkeypatch, family):
+    def test_capped_listing_under_thread_switches(self, monkeypatch):
         # Six shards on any host, switching threads every microsecond: the
         # merge keeps the first violations in axis order whichever shard
-        # finishes first.  The singlet stays one walk at six workers.
+        # finishes first.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(6)), raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 6)
         monkeypatch.setattr(scan_module, "VIOLATION_CAP", 700)
-        spec = ScanSpec(family=family, c_range=(0.0, 0.5, 0.05), alpha_range=(0.0, math.pi, 0.05),
+        spec = ScanSpec(c_range=(0.0, 0.5, 0.05), alpha_range=(0.0, math.pi, 0.05),
                         beta_range=(0.0, math.pi, 0.05), tolerance=-0.5)
         one = grid_scan(spec, workers=1)
         interval = sys.getswitchinterval()
@@ -427,11 +426,12 @@ def test_violations_match_reference_across_shards(family, seed, nc, na, nb, step
     """Slice maxima, count and capped violations equal the point-by-point reference.
 
     Slices are c values, split into up to 3 shards, or the alpha rows of a
-    fixed state's one walk.  With n violations in all, caps of 0, 1, n - 1,
-    n and n + 5 cut the list inside a slice, between slices or shards, or not
-    at all.
+    fixed state's one walk, which starts no thread and so runs at 1 worker.
+    With n violations in all, caps of 0, 1, n - 1, n and n + 5 cut the list
+    inside a slice, between slices or shards, or not at all.
     """
     family, state = _spec_state(family, seed)
+    workers = workers if family == "diagonal" else 1
     spec = ScanSpec(family=family, c_range=(0.0, (nc - 1) * 0.1, 0.1),
                     alpha_range=(0.0, (na - 1) * step, step),
                     beta_range=(0.3, 0.3 + (nb - 1) * step, step),
